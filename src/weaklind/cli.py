@@ -7,15 +7,19 @@ readout along the sweep), invert (weak value back from measured shifts).
 Determinism contract: identical config and package version produce
 byte-identical files. Every float is serialized with 17 significant digits
 (%.17g, locale-independent), JSON keys are sorted, CSV rows follow the grid
-order, and files are written atomically (temp file + rename). Exit codes:
-0 success, 2 config error or unknown scenario, 3 post-selection vanished on
-the whole grid, 4 scenario assertion failure, 5 singular inversion.
+order, and files are written atomically (temp file + rename). JSON writes
+non-finite floats (the NaN of a gap) as the tokens NaN, Infinity and
+-Infinity, which Python's json reads back. Exit codes: 0 success, 2 config
+error, unknown scenario or numerical failure (NoConvergence), 3
+post-selection vanished on the whole grid, 4 scenario assertion failure, 5
+singular inversion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -33,7 +37,13 @@ from .config import (
     load_config,
     require_sections,
 )
-from .errors import ConfigError, PostselectionVanishes, ScenarioAssertionError, SingularInversion
+from .errors import (
+    ConfigError,
+    NoConvergence,
+    PostselectionVanishes,
+    ScenarioAssertionError,
+    SingularInversion,
+)
 from .lindblad import Dissipator
 from .meter import (
     MeterState,
@@ -65,6 +75,12 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _json_float(x: float) -> str:
+    """_fmt for finite floats; json's NaN/Infinity/-Infinity tokens otherwise."""
+    x = float(x)
+    return _fmt(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _json_text(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     pad = "  " * indent
@@ -74,9 +90,9 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return _json_float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
+        return f"[{_json_float(obj.real)}, {_json_float(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -383,7 +399,7 @@ def main(argv=None) -> int:
             fmt = _resolve_format(cfg, args.format)
             return cmd_shifts(cfg, out_dir, fmt, max(1, args.jobs))
         return cmd_invert(cfg, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

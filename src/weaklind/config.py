@@ -2,8 +2,9 @@
 
 The schema is deliberately rigid so that a config file pins a run
 bit-for-bit: a required integer `version`, complex numbers always spelled as
-[re, im] pairs, unknown fields rejected with field-path diagnostics, and all
-defaults explicit here rather than scattered through the commands.
+[re, im] pairs, unknown fields and non-finite numbers (NaN, Infinity)
+rejected with field-path diagnostics, and all defaults explicit here rather
+than scattered through the commands.
 
 Sections are optional at the schema level; each CLI command states which
 ones it needs (weak-value: system/observable/channel/sweep; shifts: those
@@ -39,7 +40,7 @@ NAMED_CHANNELS = ("amplitude_damping", "sodium", "nonmarkov_jc")
 
 
 class _StrictModel(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
 
 class StateSpec(_StrictModel):

@@ -7,11 +7,14 @@ is
 
 with jump operators L_i and nonnegative rates gamma_i. For constant rates the
 map e^{D tau} is computed exactly (to roundoff) by exponentiating the
-materialized superoperator; for the named time-dependent rate (the
+materialized superoperator. For the named time-dependent rate (the
 non-Markovian damped-atom channel) the master equation dC/dtau = gamma(tau)
-D_1(C) is integrated adaptively. The map preserves traces, commutes with the
-adjoint (e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a
-semigroup in tau.
+D_1(C) is solved in closed form: gamma(tau) = -2 Gamma'/Gamma for the
+excited-amplitude envelope Gamma, so the map is exp(-2 ln Gamma(tau) D_1)
+whenever every channel shares that one rate. Nothing is integrated
+numerically. The map preserves traces, commutes with the adjoint
+(e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a semigroup
+in tau.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -23,7 +26,6 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm, null_space, schur, solve_sylvester
 
 from .errors import DimensionMismatch, NegativeTau, NoConvergence
@@ -182,6 +184,24 @@ def _nonmarkov_d(gamma0: float, lam: float) -> complex:
     return cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
 
 
+def _envelope_pieces(gamma0: float, lam: float, tau: float) -> tuple[complex, complex, float]:
+    """(c, s, a) with Gamma(tau) = e^a (c + lam s).
+
+    Normally c = cosh(d tau/2), s = sinh(d tau/2)/d and a = -lam tau/2. When
+    d is real and x = d tau/2 > 20, cosh(x) heads for overflow at large
+    lam tau although Gamma stays below 1 (d < lam), so e^x moves into the
+    prefactor: c = (1 + e^{-2x})/2, s = (1 - e^{-2x})/(2d) and
+    a = (d - lam) tau/2 = -gamma0 lam tau/(d + lam), written without the
+    cancellation of d - lam.
+    """
+    d = _nonmarkov_d(gamma0, lam)
+    x = d * tau / 2.0
+    if x.real <= 20.0:
+        return cmath.cosh(x), _half_sinhc(d, tau), -lam * tau / 2.0
+    e = cmath.exp(-2.0 * x)
+    return (1.0 + e) / 2.0, (1.0 - e) / (2.0 * d), -gamma0 * lam * tau / (d.real + lam)
+
+
 def _real_guarded(z: complex, what: str) -> float:
     if abs(z.imag) > 1e-10 * max(1.0, abs(z.real)):
         raise NoConvergence(f"{what} has non-negligible imaginary residue {z.imag}")
@@ -197,9 +217,7 @@ def nonmarkov_gamma(tau: float, gamma0: float, lam: float) -> float:
     """
     if gamma0 <= 0.0 or lam <= 0.0:
         raise ValueError("gamma0 and lam must be strictly positive")
-    d = _nonmarkov_d(gamma0, lam)
-    s = _half_sinhc(d, tau)
-    c = cmath.cosh(d * tau / 2.0)
+    c, s, _ = _envelope_pieces(gamma0, lam, tau)
     value = 2.0 * gamma0 * lam * s / (c + lam * s)
     return _real_guarded(value, "gamma(tau)")
 
@@ -217,10 +235,8 @@ def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
     """
     if gamma0 <= 0.0 or lam <= 0.0:
         raise ValueError("gamma0 and lam must be strictly positive")
-    d = _nonmarkov_d(gamma0, lam)
-    s = _half_sinhc(d, tau)
-    c = cmath.cosh(d * tau / 2.0)
-    value = cmath.exp(-lam * tau / 2.0) * (c + lam * s)
+    c, s, a = _envelope_pieces(gamma0, lam, tau)
+    value = cmath.exp(a) * (c + lam * s)
     return _real_guarded(value, "Gamma(tau)")
 
 
@@ -255,65 +271,33 @@ def _nonmarkov_pole_in(tau: float, gamma0: float, lam: float) -> bool:
     return tau >= tau_star
 
 
-def _evolve_nonmarkov_sigma_minus(C: np.ndarray, gamma0: float, lam: float,
-                                  tau: float, rtol: float = 1e-12) -> np.ndarray:
-    """Integrate the single-jump two-level master equation with rate gamma(tau).
+def _shared_nonmarkov_rate(d: Dissipator) -> NonMarkovJC:
+    """The one NonMarkovJC rate every channel of d carries.
 
-    The raw equation is singular wherever gamma(tau) has a pole (strong
-    coupling), although the solution map stays analytic. Dividing the matrix
-    entries by powers of the rate's own denominator q(tau) = cosh(d tau/2)
-    + lam sinh(d tau/2)/d removes the singularity: with u = c_ee/q^2,
-    w = c_eg/q, w2 = c_ge/q and r = (gamma0 lam s + q')/q (a removable 0/0
-    at the pole),
-
-        u' = -2 r u,  w' = -r w,  w2' = -r w2,  c_gg' = 2 gamma0 lam s q u,
-
-    where s = sinh(d tau/2)/d. All coefficients are analytic across poles.
+    Only then is the map a closed form: all channels scale with the same
+    gamma(tau), so the generators at different times commute. Any other mix
+    (constant with time-dependent rates, or memory kernels with different
+    parameters) is refused.
     """
-    d = _nonmarkov_d(gamma0, lam)
-
-    def pieces(t: float) -> tuple[float, float, float]:
-        c = cmath.cosh(d * t / 2.0)
-        s = _half_sinhc(d, t)
-        q = c + lam * s
-        qp = (d * d / 2.0) * s + (lam / 2.0) * c
-        return (_real_guarded(s, "sinh piece"), _real_guarded(q, "q(tau)"),
-                _real_guarded(qp, "q'(tau)"))
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        s, q, qp = pieces(t)
-        r = (gamma0 * lam * s + qp) / q
-        u = y[0] + 1j * y[1]
-        w = y[2] + 1j * y[3]
-        w2 = y[4] + 1j * y[5]
-        du = -2.0 * r * u
-        dw = -r * w
-        dw2 = -r * w2
-        dgg = 2.0 * gamma0 * lam * s * q * u
-        return np.array([du.real, du.imag, dw.real, dw.imag,
-                         dw2.real, dw2.imag, dgg.real, dgg.imag])
-
-    y0 = np.array([C[0, 0].real, C[0, 0].imag, C[0, 1].real, C[0, 1].imag,
-                   C[1, 0].real, C[1, 0].imag, C[1, 1].real, C[1, 1].imag])
-    sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise NoConvergence(f"time-dependent-rate integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    s, q, qp = pieces(tau)
-    return np.array([
-        [(y[0] + 1j * y[1]) * q * q, (y[2] + 1j * y[3]) * q],
-        [(y[4] + 1j * y[5]) * q, y[6] + 1j * y[7]],
-    ])
+    rate = d.channels[0].rate
+    if not isinstance(rate, NonMarkovJC) or any(ch.rate != rate for ch in d.channels):
+        raise NoConvergence(
+            "time-dependent rates are supported only when every channel shares "
+            "one NonMarkovJC rate; this dissipator mixes rates")
+    return rate
 
 
 def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
     """Apply e^{D tau} to an arbitrary operator C.
 
     Constant rates: matrix exponential of tau times the materialized
-    superoperator. Time-dependent rates: adaptive integration of
-    dC/dtau' = D(tau')(C) with local relative tolerance 1e-10 (1e-12 for the
-    regularized two-level path), raising NoConvergence when a rate pole lies
-    inside (0, tau] for a channel structure without a regular continuation.
+    superoperator. A single sigma_- channel with a NonMarkovJC rate: the
+    closed-form map of nonmarkov_channel_apply, analytic across the poles of
+    gamma(tau). Channels that all share one NonMarkovJC rate: since
+    gamma(tau) = -2 Gamma'/Gamma, the map is exp(Lambda(tau) M_1) with the
+    integrated rate Lambda = -2 ln Gamma(tau) and the unit-rate
+    superoperator M_1; this raises NoConvergence when a rate pole lies
+    inside (0, tau]. Any other mix of rates raises NoConvergence.
     """
     if not np.isfinite(tau):
         raise NegativeTau("tau must be finite")
@@ -325,30 +309,20 @@ def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
     if d.is_constant:
         E = expm(d.superoperator * tau)
         return _unvec(E @ _vec(C), d.dim)
-    if _is_sigma_minus_channel(d) and isinstance(d.channels[0].rate, NonMarkovJC):
-        rate = d.channels[0].rate
-        return _evolve_nonmarkov_sigma_minus(C, rate.gamma0, rate.lam, tau)
-    for ch in d.channels:
-        if isinstance(ch.rate, NonMarkovJC) and _nonmarkov_pole_in(tau, ch.rate.gamma0, ch.rate.lam):
-            raise NoConvergence(
-                "the time-dependent rate diverges inside (0, tau] and this channel "
-                "structure has no regular continuation through the pole")
-    M_unit = [(_superoperator_matrix([ch], d.dim, unit_rates=True), ch) for ch in d.channels]
-
-    def rhs(t: float, v: np.ndarray) -> np.ndarray:
-        vc = v[: d.dim * d.dim] + 1j * v[d.dim * d.dim:]
-        out = np.zeros_like(vc)
-        for M, ch in M_unit:
-            out += ch.rate_at(t) * (M @ vc)
-        return np.concatenate([out.real, out.imag])
-
-    v0 = _vec(C)
-    y0 = np.concatenate([v0.real, v0.imag])
-    sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=1e-10, atol=1e-14)
-    if not sol.success:
-        raise NoConvergence(f"time-dependent-rate integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    return _unvec(y[: d.dim * d.dim] + 1j * y[d.dim * d.dim:], d.dim)
+    rate = _shared_nonmarkov_rate(d)
+    if _is_sigma_minus_channel(d):
+        return nonmarkov_channel_apply(C, rate.gamma0, rate.lam, tau)
+    if _nonmarkov_pole_in(tau, rate.gamma0, rate.lam):
+        raise NoConvergence(
+            "the time-dependent rate diverges inside (0, tau] and this channel "
+            "structure has no regular continuation through the pole")
+    # -2 ln Gamma from Gamma = e^a (c + lam s) > 0, which stays finite where
+    # Gamma itself underflows (gamma0 tau in the thousands)
+    c, s, a = _envelope_pieces(rate.gamma0, rate.lam, tau)
+    integrated_rate = -2.0 * (a + np.log(_real_guarded(c + rate.lam * s, "Gamma(tau)")))
+    M_unit = _superoperator_matrix(d.channels, d.dim, unit_rates=True)
+    E = expm(integrated_rate * M_unit)
+    return _unvec(E @ _vec(C), d.dim)
 
 
 @dataclass(frozen=True)

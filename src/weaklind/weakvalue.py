@@ -21,6 +21,7 @@ relax twice as fast as coherences.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     EpsilonOutOfRange,
     NegativeTau,
+    NoConvergence,
     NormTooLarge,
     NotDensity,
     PostselectionVanishes,
@@ -107,7 +109,8 @@ def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator,
     through e^{D tau}; the quotient of the two post-selected traces is the
     weak value, the denominator alone the probability. Raises
     PostselectionVanishes when |denominator| < 1e-14 (orthogonal pre/post
-    selection, typically only possible at tau = 0).
+    selection, typically only possible at tau = 0), and NoConvergence when
+    either trace is not finite (rates so large that the propagator overflows).
     """
     if d.dim != setup.dim:
         raise DimensionMismatch(
@@ -116,6 +119,8 @@ def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator,
     den_op = evolve(d, setup.sigma_i, tau)
     num = complex(np.trace(setup.sigma_fI @ num_op))
     den = complex(np.trace(setup.sigma_fI @ den_op))
+    if not (cmath.isfinite(num) and cmath.isfinite(den)):
+        raise NoConvergence(f"the evolved traces are not finite at tau={tau}")
     if abs(den) < _VANISH_TOL:
         raise PostselectionVanishes(
             f"post-selection probability vanishes at tau={tau} (|den|={abs(den):.3e})")

@@ -286,6 +286,59 @@ def test_weak_value_partial_gap_rows_are_nan(tmp_path):
     assert not math.isnan(rows[1][1])
 
 
+def test_weak_value_json_gaps_read_back_as_nan(tmp_path):
+    payload = two_level_config()
+    payload["system"]["pre"] = {"bloch": [0.0, 0.0, 1.0]}
+    payload["system"]["post"] = {"bloch": [0.0, 0.0, -1.0]}
+    payload["sweep"] = {"start": 0.0, "stop": 2.0, "count": 3}
+    out = tmp_path / "o"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out), "--format", "json") == 0
+    with open(out / "weak_value.json") as fh:
+        doc = json.load(fh)
+    assert doc["gaps"] == [0]
+    for k in doc["gaps"]:
+        assert math.isnan(doc["re_wv"][k]) and math.isnan(doc["im_wv"][k])
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out), "--format", "csv") == 0
+    lines = (out / "weak_value.csv").read_text().splitlines()
+    assert lines[1] == "0,nan,nan,0"
+    _, rows = read_csv(out / "weak_value.csv")
+    assert [r[1] for r in rows[1:]] == doc["re_wv"][1:]
+
+
+def test_nonfinite_config_values_exit_2(tmp_path, capsys):
+    payload = two_level_config(sweep={"start": 0.0, "stop": math.inf, "count": 5})
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "sweep.stop: Input should be a finite number" in err
+    assert "Traceback" not in err
+    payload = {
+        "version": 1,
+        "meter": {"omega_f": 1.3, "state": "vacuum", "g": math.inf, "t": 1.0},
+        "invert": {"Q_f": 0.01, "P_f": 0.02, "tau": 0.3},
+    }
+    assert run_cli("invert", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "meter.g: Input should be a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "invert.json").exists()
+
+
+def test_overflowing_rate_exits_2(tmp_path, capsys):
+    payload = two_level_config(channel={"named": "amplitude_damping", "gamma": 1e308})
+    out = tmp_path / "o"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tau=" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (out / "weak_value.csv").exists()
+
+
 def test_missing_section_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"version": 1})
     assert run_cli("weak-value", "--config", cfg, "--out", str(tmp_path / "o")) == 2
@@ -475,3 +528,11 @@ def test_module_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     for sub in ("weak-value", "scenario", "shifts", "invert"):
         assert sub in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    probe = "import sys, weaklind.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=str(tmp_path), env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

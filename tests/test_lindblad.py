@@ -165,6 +165,25 @@ def test_nonmarkov_big_gamma_critical_coupling():
         assert abs(nonmarkov_big_gamma(tau, 1.0, lam) - want) < 1e-12
 
 
+def test_nonmarkov_short_memory_does_not_overflow():
+    # lam tau in the thousands: cosh(d tau/2) alone overflows a double
+    gamma0, lam = 0.1, 1000.0
+    d = np.sqrt(lam * lam - 2.0 * gamma0 * lam)
+    for tau in (0.5, 2.0, 20.0):
+        # (d - lam) written as -2 gamma0 lam / (d + lam), free of cancellation
+        want = (0.5 * np.exp(-gamma0 * lam * tau / (d + lam)) * (1.0 + lam / d)
+                + 0.5 * np.exp(-(d + lam) * tau / 2.0) * (1.0 - lam / d))
+        assert abs(nonmarkov_big_gamma(tau, gamma0, lam) - want) < 1e-14
+        assert abs(nonmarkov_gamma(tau, gamma0, lam) - gamma0) < 1e-4
+    d = build_dissipator(
+        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=gamma0, lam=lam))],
+        dim=2,
+    )
+    out = evolve(d, np.diag([1.0, 0.0]).astype(complex), 20.0)
+    assert np.all(np.isfinite(out))
+    assert abs(np.trace(out) - 1.0) < 1e-14
+
+
 def test_nonmarkov_channel_pole_crossing():
     # strong coupling: gamma(tau) diverges at tau* ~ 4.84, inside the range
     gamma0, lam = 1.0, 0.5
@@ -218,6 +237,15 @@ def test_nonmarkov_generic_channel_weak_coupling():
         assert np.abs(got - want).max() < 1e-8
 
 
+def test_nonmarkov_generic_channel_long_times():
+    # Gamma(5000) underflows a double; the chain has fully decayed 0 -> 1
+    L = np.zeros((3, 3), dtype=complex)
+    L[1, 0] = 1.0
+    d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=0.4, lam=8.0))], dim=3)
+    out = evolve(d, np.eye(3, dtype=complex), 5000.0)
+    assert np.abs(out - np.diag([0.0, 2.0, 1.0])).max() < 1e-12
+
+
 def test_nonmarkov_generic_channel_refuses_pole():
     gamma0, lam = 1.0, 0.5
     L = np.zeros((3, 3), dtype=complex)
@@ -225,6 +253,48 @@ def test_nonmarkov_generic_channel_refuses_pole():
     d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=gamma0, lam=lam))], dim=3)
     with pytest.raises(NoConvergence):
         evolve(d, np.eye(3, dtype=complex), 5.0)
+
+
+def test_nonmarkov_generic_channel_strong_coupling_before_pole():
+    # first pole of gamma(tau) at tau* ~ 4.84
+    gamma0, lam = 1.0, 0.5
+    L = np.zeros((3, 3), dtype=complex)
+    L[1, 0] = 1.0
+    d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=gamma0, lam=lam))], dim=3)
+    rng = np.random.default_rng(29)
+    C = orc.random_matrix(rng, 3)
+    for tau in (1.0, 3.0, 4.5):
+        got = evolve(d, C, tau)
+        want = generic_nonmarkov_oracle(L, 3, C, gamma0, lam, tau)
+        assert np.abs(got - want).max() < 1e-8
+
+
+def test_nonmarkov_generic_channel_refuses_past_second_zero():
+    # Gamma(13) = 0.0172 > 0 again, but the pole at tau* ~ 4.84 was crossed
+    gamma0, lam = 1.0, 0.5
+    assert nonmarkov_big_gamma(13.0, gamma0, lam) > 0.0
+    L = np.zeros((3, 3), dtype=complex)
+    L[1, 0] = 1.0
+    d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=gamma0, lam=lam))], dim=3)
+    with pytest.raises(NoConvergence):
+        evolve(d, np.eye(3, dtype=complex), 13.0)
+
+
+def test_mixed_rates_are_refused():
+    L = np.zeros((3, 3), dtype=complex)
+    L[1, 0] = 1.0
+    K = np.zeros((3, 3), dtype=complex)
+    K[2, 1] = 1.0
+    memory = NonMarkovJC(gamma0=0.4, lam=8.0)
+    mixes = (
+        [DissipationChannel(jump=L, rate=memory), DissipationChannel(jump=K, rate=0.3)],
+        [DissipationChannel(jump=L, rate=memory),
+         DissipationChannel(jump=K, rate=NonMarkovJC(gamma0=0.4, lam=4.0))],
+    )
+    for channels in mixes:
+        d = build_dissipator(channels, dim=3)
+        with pytest.raises(NoConvergence):
+            evolve(d, np.eye(3, dtype=complex), 0.5)
 
 
 # ------------------------------------------------------------------ limits
