@@ -3,6 +3,8 @@
 Subcommands: weak-value (trace of the dissipative weak value over a tau
 grid), scenario <name> (packaged experiments), shifts (meter quadrature
 readout along the sweep), invert (weak value back from measured shifts).
+Sweeps run sequentially through weakvalue.trace_over_tau, one call per
+observable on the grid.
 
 Determinism contract: identical config and package version produce
 byte-identical files. Every float is serialized with 17 significant digits
@@ -10,9 +12,10 @@ byte-identical files. Every float is serialized with 17 significant digits
 order, and files are written atomically (temp file + rename). JSON writes
 non-finite floats (the NaN of a gap) as the tokens NaN, Infinity and
 -Infinity, which Python's json reads back. Exit codes: 0 success, 2 config
-error, unknown scenario or numerical failure (NoConvergence), 3
-post-selection vanished on the whole grid, 4 scenario assertion failure, 5
-singular inversion.
+error, unknown scenario, numerical failure (NoConvergence, including
+non-finite meter shifts) or any other library error, 3 post-selection
+vanished on the whole grid, 4 scenario assertion failure, 5 singular
+inversion.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,13 +42,11 @@ from .config import (
 from .errors import (
     ConfigError,
     NoConvergence,
-    PostselectionVanishes,
     ScenarioAssertionError,
     SingularInversion,
+    WeaklindError,
 )
-from .lindblad import Dissipator
 from .meter import (
-    MeterState,
     baseline_averages,
     commutator_averages,
     invert_weak_value,
@@ -58,8 +58,8 @@ from .scenarios import run_scenario
 from .weakvalue import (
     WeakMeasurementSetup,
     WeakValueTrace,
-    _channel_description,
-    weak_value_dissipative,
+    trace_over_tau,
+    weak_value_dissipative,  # noqa: F401  (bench/tracing.py patches it here)
 )
 
 CSV_HEADER = "gamma_tau,re_wv,im_wv,postselect_prob"
@@ -142,35 +142,6 @@ def _trace_json_obj(trace: WeakValueTrace, char_rate: float) -> dict:
     }
 
 
-def _pmap(fn, items, jobs: int) -> list:
-    """Order-preserving map, threaded when jobs > 1 (points are independent)."""
-    items = list(items)
-    if jobs <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
-def _sweep_trace(setup: WeakMeasurementSetup, d: Dissipator, taus: np.ndarray,
-                 jobs: int) -> WeakValueTrace:
-    """Parallel analogue of trace_over_tau with identical results."""
-
-    def point(tau: float):
-        try:
-            s = weak_value_dissipative(setup, d, float(tau))
-        except PostselectionVanishes:
-            return complex(np.nan, np.nan), 0.0, True
-        return s.value, s.probability, False
-
-    rows = _pmap(point, taus, jobs)
-    values = np.array([r[0] for r in rows], dtype=complex)
-    probs = np.array([r[1] for r in rows], dtype=float)
-    gaps = tuple(k for k, r in enumerate(rows) if r[2])
-    metadata = {"setup_hash": setup.content_hash(), "channel": _channel_description(d)}
-    return WeakValueTrace(tau_grid=np.asarray(taus, dtype=float), values=values,
-                          postselection_probs=probs, gaps=gaps, metadata=metadata)
-
-
 def _resolve_out(cfg: RunConfig | None, out_flag: str | None) -> str:
     if out_flag is not None:
         out = out_flag
@@ -190,7 +161,7 @@ def _resolve_format(cfg: RunConfig | None, fmt_flag: str | None) -> str:
     return "csv"
 
 
-def cmd_weak_value(cfg: RunConfig, out_dir: str, fmt: str, jobs: int) -> int:
+def cmd_weak_value(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     require_sections(cfg, "system", "observable", "channel", "sweep")
     sigma_i, sigma_fI = build_states(cfg)
     A = build_observable(cfg)
@@ -199,7 +170,7 @@ def cmd_weak_value(cfg: RunConfig, out_dir: str, fmt: str, jobs: int) -> int:
     t = cfg.meter.t if cfg.meter is not None else 0.0
     setup = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A, g=g, t=t)
     taus = build_tau_grid(cfg)
-    trace = _sweep_trace(setup, d, taus, jobs)
+    trace = trace_over_tau(setup, d, taus)
     if len(trace.gaps) == len(taus):
         print("post-selection probability vanishes on the whole tau grid", file=sys.stderr)
         return EXIT_NO_POSTSELECTION
@@ -242,59 +213,56 @@ def cmd_scenario(name: str, out_dir: str, fmt: str, channel: str | None,
     return EXIT_OK
 
 
-def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str, jobs: int) -> int:
+def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     require_sections(cfg, "system", "observable", "channel", "sweep", "meter")
     sigma_i, sigma_fI = build_states(cfg)
     A = build_observable(cfg)
     d, char_rate = build_channel(cfg)
     m = cfg.meter
     mu0 = build_meter_state(cfg)
+    taus = build_tau_grid(cfg)
+
+    def setup(A_SI):
+        return WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A_SI,
+                                    g=m.g, t=m.t)
+
     if m.model == "jc":
         if cfg.system.dimension != 2:
             raise ConfigError("jc shifts require a two-level system")
-        setup_plus = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI,
-                                          A_SI=SIGMA_PLUS, g=m.g, t=m.t)
-        setup_minus = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI,
-                                           A_SI=SIGMA_MINUS, g=m.g, t=m.t)
         if mu0.kind not in ("vacuum", "number", "thermal"):
             raise ConfigError("jc shifts need a vacuum/number/thermal meter")
         header = "gamma_tau,q_shift,p_shift,re_wv_plus,im_wv_plus,re_wv_minus,im_wv_minus"
+        # sigma+ and sigma- share the denominator, so both traces have the same gaps
+        traces = (trace_over_tau(setup(SIGMA_PLUS), d, taus),
+                  trace_over_tau(setup(SIGMA_MINUS), d, taus))
 
-        def point(tau: float):
-            try:
-                wvp = weak_value_dissipative(setup_plus, d, float(tau)).value
-                wvm = weak_value_dissipative(setup_minus, d, float(tau)).value
-            except PostselectionVanishes:
-                return None
-            rep = jc_shifts(wvp, wvm, mu0, m.g, m.t, float(tau), m.omega_f,
-                            m.Delta, hbar=m.hbar)
+        def shift(tau, wvp, wvm):
+            rep = jc_shifts(wvp, wvm, mu0, m.g, m.t, tau, m.omega_f, m.Delta,
+                            hbar=m.hbar)
             return (rep.Q_shift, rep.P_shift, wvp.real, wvp.imag, wvm.real, wvm.imag)
     else:
         header = "gamma_tau,q_shift,p_shift,re_wv,im_wv"
         occupation = mu0.mean_n()
-        setup = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A,
-                                     g=m.g, t=m.t)
+        traces = (trace_over_tau(setup(A), d, taus),)
 
-        def point(tau: float):
-            try:
-                wv = weak_value_dissipative(setup, d, float(tau)).value
-            except PostselectionVanishes:
-                return None
-            rep = rabi_shifts_number_state(occupation, wv, m.g, m.t, float(tau),
+        def shift(tau, wv):
+            rep = rabi_shifts_number_state(occupation, wv, m.g, m.t, tau,
                                            m.omega_f, hbar=m.hbar)
             return (rep.Q_shift, rep.P_shift, wv.real, wv.imag)
 
-    taus = build_tau_grid(cfg)
-    rows = _pmap(point, taus, jobs)
-    if all(r is None for r in rows):
+    gaps = set().union(*(tr.gaps for tr in traces))
+    if len(gaps) == len(taus):
         print("post-selection probability vanishes on the whole tau grid", file=sys.stderr)
         return EXIT_NO_POSTSELECTION
     n_cols = len(header.split(",")) - 1
-    lines = [header]
     table = []
-    for tau, row in zip(taus, rows):
-        cells = row if row is not None else (float("nan"),) * n_cols
-        lines.append(",".join([_fmt(char_rate * tau)] + [_fmt(c) for c in cells]))
+    for k, tau in enumerate(taus.tolist()):
+        cells = (float("nan"),) * n_cols
+        if k not in gaps:
+            try:
+                cells = shift(tau, *(tr.values[k] for tr in traces))
+            except ValueError as exc:  # an infinite phase or a non-finite ShiftReport
+                raise NoConvergence(f"the meter shifts are not finite at tau={tau}") from exc
         table.append([char_rate * tau, *cells])
     if fmt == "json":
         path = os.path.join(out_dir, "shifts.json")
@@ -302,9 +270,9 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str, jobs: int) -> int:
         _atomic_write(path, _json_text(doc) + "\n")
     else:
         path = os.path.join(out_dir, "shifts.csv")
+        lines = [header] + [",".join(map(_fmt, row)) for row in table]
         _atomic_write(path, "\n".join(lines) + "\n")
-    gaps = sum(1 for r in rows if r is None)
-    print(f"wrote {path} ({len(taus)} points, {gaps} gap(s))")
+    print(f"wrote {path} ({len(taus)} points, {len(gaps)} gap(s))")
     return EXIT_OK
 
 
@@ -351,8 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if sweepy:
             p.add_argument("--format", choices=("csv", "json"), default=None,
                            help="trace output format (default csv)")
-            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                           help="parallel workers over the tau grid")
 
     p_wv = sub.add_parser("weak-value", help="weak-value trace over a tau grid")
     add_common(p_wv)
@@ -394,12 +360,14 @@ def main(argv=None) -> int:
         out_dir = _resolve_out(cfg, args.out)
         if args.command == "weak-value":
             fmt = _resolve_format(cfg, args.format)
-            return cmd_weak_value(cfg, out_dir, fmt, max(1, args.jobs))
+            return cmd_weak_value(cfg, out_dir, fmt)
         if args.command == "shifts":
             fmt = _resolve_format(cfg, args.format)
-            return cmd_shifts(cfg, out_dir, fmt, max(1, args.jobs))
+            return cmd_shifts(cfg, out_dir, fmt)
         return cmd_invert(cfg, out_dir)
-    except (ConfigError, NoConvergence) as exc:
+    except WeaklindError as exc:
+        # ConfigError, NoConvergence and any library error the commands do
+        # not map to a code of their own
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

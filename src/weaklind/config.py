@@ -311,12 +311,19 @@ def build_channel(cfg: RunConfig) -> tuple[Dissipator, float]:
 
 
 def build_tau_grid(cfg: RunConfig) -> np.ndarray:
+    """The sweep's tau grid, refused when float spacing leaves it not strictly
+    increasing (a span of a few ulps, or count beyond the representable steps)."""
     spec = cfg.sweep
     if spec.count == 1:
         return np.array([spec.start])
     if spec.spacing == "log":
-        return np.geomspace(spec.start, spec.stop, spec.count)
-    return np.linspace(spec.start, spec.stop, spec.count)
+        grid = np.geomspace(spec.start, spec.stop, spec.count)
+    else:
+        grid = np.linspace(spec.start, spec.stop, spec.count)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ConfigError(f"sweep: {spec.count} points between {spec.start!r} and "
+                          f"{spec.stop!r} do not form a strictly increasing grid")
+    return grid
 
 
 def build_meter_state(cfg: RunConfig) -> MeterState:

@@ -63,7 +63,14 @@ def pure_density(amplitudes: np.ndarray, normalize: bool = True) -> np.ndarray:
     """Projector |psi><psi| from a state vector, normalized by default."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if normalize:
-        nrm = np.linalg.norm(psi)
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(psi)
+        if (nrm == 0.0 or not np.isfinite(nrm)) and np.any(psi != 0.0):
+            # the norm over- or underflowed: rescale by the largest component first
+            parts = np.stack([psi.real, psi.imag])
+            parts /= np.abs(parts).max()
+            psi = parts[0] + 1j * parts[1]
+            nrm = np.linalg.norm(psi)
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         psi = psi / nrm

@@ -1,15 +1,20 @@
 """Config schema validation and command-line behavior."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import weaklind
 from weaklind import (
@@ -230,15 +235,22 @@ def test_weak_value_command_reproduces_golden(tmp_path):
     assert np.abs(np.array(rows) - np.array(golden_rows)).max() < 1e-9
 
 
-def test_weak_value_rerun_and_jobs_are_byte_identical(tmp_path):
+def test_weak_value_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, two_level_config())
-    out_a, out_b, out_c = (tmp_path / x for x in ("a", "b", "c"))
-    assert run_cli("weak-value", "--config", cfg, "--out", str(out_a), "--jobs", "1") == 0
-    assert run_cli("weak-value", "--config", cfg, "--out", str(out_b), "--jobs", "1") == 0
-    assert run_cli("weak-value", "--config", cfg, "--out", str(out_c), "--jobs", "4") == 0
+    out_a, out_b = (tmp_path / x for x in ("a", "b"))
+    assert run_cli("weak-value", "--config", cfg, "--out", str(out_a)) == 0
+    assert run_cli("weak-value", "--config", cfg, "--out", str(out_b)) == 0
     blob = (out_a / "weak_value.csv").read_bytes()
     assert blob == (out_b / "weak_value.csv").read_bytes()
-    assert blob == (out_c / "weak_value.csv").read_bytes()
+
+
+def test_jobs_option_is_gone(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, two_level_config(meter=meter_section()))
+    for command in ("weak-value", "shifts"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_weak_value_json_format(tmp_path):
@@ -349,6 +361,39 @@ def test_bad_config_file_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     assert run_cli("weak-value", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("amplitudes", [[[1e200, 0.0], [1.0, 0.0]],
+                                        [[1e-200, 0.0], [1e-200, 0.0]]])
+def test_weak_value_extreme_amplitudes_are_normalized(tmp_path, amplitudes):
+    payload = two_level_config()
+    payload["system"]["pre"] = {"amplitudes": amplitudes}
+    out = tmp_path / "o"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 0
+    # the same run with the amplitudes scaled to unit size
+    scale = max(abs(re) for re, _ in amplitudes)
+    payload["system"]["pre"] = {"amplitudes": [[re / scale, im / scale]
+                                               for re, im in amplitudes]}
+    ref = tmp_path / "ref"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload, "ref.json"),
+                   "--out", str(ref)) == 0
+    _, rows = read_csv(out / "weak_value.csv")
+    _, ref_rows = read_csv(ref / "weak_value.csv")
+    np.testing.assert_allclose(rows, ref_rows, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("sweep", [{"start": 0.0, "stop": 1e-322, "count": 50},
+                                   {"start": 1e15, "stop": 1e15 + 1, "count": 100}])
+def test_non_increasing_grid_exits_2(tmp_path, capsys, sweep):
+    cfg = write_cfg(tmp_path, two_level_config(sweep=sweep, meter=meter_section()))
+    for command in ("weak-value", "shifts"):
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep: ") and "strictly increasing" in err
+        assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o" / "weak_value.csv").exists()
+    assert not (tmp_path / "o" / "shifts.csv").exists()
 
 
 # ---------------------------------------------------------- CLI: scenarios
@@ -462,6 +507,36 @@ def test_shifts_whole_grid_gap_exits_3(tmp_path):
     assert run_cli("shifts", "--config", cfg, "--out", str(tmp_path / "o")) == 3
 
 
+@pytest.mark.parametrize("model", ["rabi", "jc"])
+def test_shifts_partial_gap_rows_are_nan(tmp_path, model):
+    payload = two_level_config(meter=meter_section(model=model))
+    payload["system"]["pre"] = {"bloch": [0.0, 0.0, 1.0]}
+    payload["system"]["post"] = {"bloch": [0.0, 0.0, -1.0]}
+    payload["sweep"] = {"start": 0.0, "stop": 2.0, "count": 4}
+    out = tmp_path / "o"
+    assert run_cli("shifts", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 0
+    _, rows = read_csv(out / "shifts.csv")
+    assert len(rows) == 4 and rows[0][0] == 0.0
+    assert all(math.isnan(c) for c in rows[0][1:])
+    for row in rows[1:]:
+        assert all(math.isfinite(c) for c in row)
+
+
+@pytest.mark.parametrize("model", ["rabi", "jc"])
+@pytest.mark.parametrize("meter", [{"omega_f": 1e308},           # infinite phase
+                                   {"g": 1e308, "t": 1e308}])    # g t overflows
+def test_shifts_non_finite_exits_2(tmp_path, capsys, model, meter):
+    payload = two_level_config(meter={**meter_section(model=model), **meter})
+    out = tmp_path / "o"
+    assert run_cli("shifts", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the meter shifts are not finite at tau=")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "shifts.csv").exists()
+
+
 # ------------------------------------------------------------ CLI: inverse
 
 def test_invert_round_trip_via_cli(tmp_path):
@@ -495,6 +570,65 @@ def test_invert_singular_exits_5(tmp_path):
     }
     cfg = write_cfg(tmp_path, payload)
     assert run_cli("invert", "--config", cfg, "--out", str(tmp_path)) == 5
+
+
+# --------------------------------------------------- CLI: fuzzed configs
+
+EXTREMES = st.sampled_from([0.0, 1e-300, 1e154, 1e300, 1e308, -1.0, -1e-300, -1e308])
+NUMERIC_FIELDS = [
+    ("system", "pre", "amplitudes", 0, 0), ("system", "pre", "amplitudes", 1, 0),
+    ("system", "pre", "amplitudes", 1, 1), ("sweep", "start"), ("sweep", "stop"),
+    ("meter", "omega_f"), ("meter", "n"), ("meter", "g"), ("meter", "t"),
+    ("meter", "Delta"), ("meter", "hbar"),
+]
+CHANNELS = st.one_of(
+    st.builds(lambda g: {"named": "amplitude_damping", "gamma": g},
+              st.one_of(st.just(0.5), EXTREMES)),
+    st.builds(lambda g0, lam: {"named": "nonmarkov_jc", "gamma0": g0, "lam": lam},
+              st.one_of(st.just(0.3), EXTREMES), st.one_of(st.just(1.0), EXTREMES)),
+)
+CONFIG_EDITS = st.tuples(
+    st.dictionaries(st.sampled_from(NUMERIC_FIELDS), EXTREMES, max_size=4),
+    st.fixed_dictionaries({
+        ("channel",): CHANNELS,
+        ("sweep", "count"): st.integers(1, 8),
+        ("sweep", "spacing"): st.sampled_from(["linear", "log"]),
+        ("meter", "n_max"): st.integers(1, 8),
+        ("meter", "model"): st.sampled_from(["rabi", "jc"]),
+        ("meter", "state"): st.sampled_from(["vacuum", "number", "thermal"]),
+    }),
+).map(lambda pair: {**pair[1], **pair[0]})
+
+
+def fuzz_base_config():
+    payload = two_level_config(meter={**meter_section(), "n_max": 4})
+    payload["system"]["pre"] = {"amplitudes": [[0.6, 0.0], [0.8, 0.0]]}
+    return payload
+
+
+@given(command=st.sampled_from(["weak-value", "shifts"]), edits=CONFIG_EDITS)
+@example(command="weak-value",
+         edits={("system", "pre", "amplitudes", 0, 0): 1e200,
+                ("system", "pre", "amplitudes", 1, 0): 1.0})
+@example(command="shifts", edits={("meter", "omega_f"): 1e308})
+@example(command="shifts", edits={("meter", "model"): "jc", ("meter", "omega_f"): 1e308})
+@example(command="shifts", edits={("meter", "g"): 1e308, ("meter", "t"): 1e308})
+def test_fuzzed_configs_reach_a_documented_exit_code(command, edits):
+    payload = fuzz_base_config()
+    for path, value in edits.items():
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(command, "--config", cfg, "--out", os.path.join(tmp, "o"))
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
 
 
 # ------------------------------------------------------- entry-point smoke

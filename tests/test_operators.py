@@ -79,6 +79,18 @@ def test_pure_density_normalizes():
         pure_density([0.0, 0.0])
 
 
+@pytest.mark.parametrize("amplitudes, expected", [
+    ([1e200, 1.0], [1.0, 0.0]),                  # the norm overflows
+    ([1e-200, 1e-200], [0.5, 0.5]),              # the norm underflows to 0
+    ([1e308 + 1e308j, 1e308j], [2 / 3, 1 / 3]),  # even |amplitude| overflows
+    ([5e-324, 0.0], [1.0, 0.0]),                 # a subnormal amplitude
+])
+def test_pure_density_normalizes_extreme_amplitudes(amplitudes, expected):
+    rho = pure_density(amplitudes)
+    assert is_density(rho, tol=1e-12)
+    np.testing.assert_allclose(np.diag(rho).real, expected, rtol=1e-12, atol=1e-300)
+
+
 def test_is_density_checks():
     assert is_density(np.eye(2) / 2)
     assert not is_density(np.eye(2))                       # trace 2
