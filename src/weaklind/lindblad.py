@@ -7,7 +7,9 @@ is
 
 with jump operators L_i and nonnegative rates gamma_i. For constant rates the
 map e^{D tau} is computed exactly (to roundoff) by exponentiating the
-materialized superoperator. For the named time-dependent rate (the
+materialized superoperator M. The steady space and the tau -> infinity limit
+P = R (L' R)^{-1} L' both come from the right and left kernels R and L of
+one SVD of M, under one rank rule. For the named time-dependent rate (the
 non-Markovian damped-atom channel) the master equation dC/dtau = gamma(tau)
 D_1(C) is solved in closed form: gamma(tau) = -2 Gamma'/Gamma for the
 excited-amplitude envelope Gamma, so the map is exp(-2 ln Gamma(tau) D_1)
@@ -23,10 +25,11 @@ superoperator matrix of C -> L C L' is conj(L) kron L.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, null_space, schur, solve_sylvester
+from scipy.linalg import expm
 
 from .errors import DimensionMismatch, NegativeTau, NoConvergence
 from .operators import SIGMA_MINUS
@@ -173,33 +176,39 @@ def two_level_damping_apply(C: np.ndarray, gamma: float, tau: float) -> np.ndarr
     ])
 
 
-def _half_sinhc(d: complex, tau: float) -> complex:
-    """sinh(d tau/2)/d, analytic in d^2 (equals tau/2 at d = 0)."""
-    if abs(d) == 0.0:
-        return tau / 2.0
-    return cmath.sinh(d * tau / 2.0) / d
+def _nonmarkov_d(gamma0: float, lam: float) -> tuple[complex, float]:
+    """(d/scale, scale) for d = sqrt(lam^2 - 2 gamma0 lam) and scale = 2^k ~ max(gamma0, lam).
 
-
-def _nonmarkov_d(gamma0: float, lam: float) -> complex:
-    return cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
+    The exact power-of-two scaling keeps lam^2 and gamma0 lam finite near the
+    float limit, and |d| <= max(gamma0, lam) is finite too."""
+    scale = 2.0 ** (math.frexp(max(gamma0, lam))[1] - 1)
+    g, l = gamma0 / scale, lam / scale
+    return cmath.sqrt(complex(l * l - 2.0 * g * l)), scale
 
 
 def _envelope_pieces(gamma0: float, lam: float, tau: float) -> tuple[complex, complex, float]:
-    """(c, s, a) with Gamma(tau) = e^a (c + lam s).
+    """(c, ls, a) with Gamma(tau) = e^a (c + ls).
 
-    Normally c = cosh(d tau/2), s = sinh(d tau/2)/d and a = -lam tau/2. When
-    d is real and x = d tau/2 > 20, cosh(x) heads for overflow at large
+    Normally c = cosh(d tau/2), ls = lam sinh(d tau/2)/d and a = -lam tau/2.
+    When d is real and x = d tau/2 > 20, cosh(x) heads for overflow at large
     lam tau although Gamma stays below 1 (d < lam), so e^x moves into the
-    prefactor: c = (1 + e^{-2x})/2, s = (1 - e^{-2x})/(2d) and
+    prefactor: c = (1 + e^{-2x})/2, ls = lam (1 - e^{-2x})/(2d) and
     a = (d - lam) tau/2 = -gamma0 lam tau/(d + lam), written without the
-    cancellation of d - lam.
-    """
-    d = _nonmarkov_d(gamma0, lam)
-    x = d * tau / 2.0
+    cancellation of d - lam. Both take d and lam over the scale of
+    _nonmarkov_d, as at lam ~ 1e308 (Gamma = e^{-gamma0 tau/2}) gamma0 lam and
+    d + lam overflow and 1/d is subnormal."""
+    ds, scale = _nonmarkov_d(gamma0, lam)
+    d = ds * scale
+    x = d * (tau / 2.0)
+    if math.isinf(x.imag):
+        raise NoConvergence(f"the envelope phase d tau/2 overflows at tau={tau}")
     if x.real <= 20.0:
-        return cmath.cosh(x), _half_sinhc(d, tau), -lam * tau / 2.0
-    e = cmath.exp(-2.0 * x)
-    return (1.0 + e) / 2.0, (1.0 - e) / (2.0 * d), -gamma0 * lam * tau / (d.real + lam)
+        ls = lam * (cmath.sinh(x) / d) if d else lam * (tau / 2.0)
+        return cmath.cosh(x), ls, -lam * tau / 2.0
+    l = lam / scale
+    # e^{-2x}; x may be infinite, and -2.0 * x would then hold 0 * inf = nan
+    e = cmath.exp(-(x + x))
+    return (1.0 + e) / 2.0, l * ((1.0 - e) / (2.0 * ds)), -gamma0 * l * tau / (ds.real + l)
 
 
 def _real_guarded(z: complex, what: str) -> float:
@@ -217,8 +226,8 @@ def nonmarkov_gamma(tau: float, gamma0: float, lam: float) -> float:
     """
     if gamma0 <= 0.0 or lam <= 0.0:
         raise ValueError("gamma0 and lam must be strictly positive")
-    c, s, _ = _envelope_pieces(gamma0, lam, tau)
-    value = 2.0 * gamma0 * lam * s / (c + lam * s)
+    c, ls, _ = _envelope_pieces(gamma0, lam, tau)
+    value = gamma0 * (2.0 * ls / (c + ls))
     return _real_guarded(value, "gamma(tau)")
 
 
@@ -235,8 +244,8 @@ def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
     """
     if gamma0 <= 0.0 or lam <= 0.0:
         raise ValueError("gamma0 and lam must be strictly positive")
-    c, s, a = _envelope_pieces(gamma0, lam, tau)
-    value = cmath.exp(a) * (c + lam * s)
+    c, ls, a = _envelope_pieces(gamma0, lam, tau)
+    value = cmath.exp(a) * (c + ls)
     return _real_guarded(value, "Gamma(tau)")
 
 
@@ -266,7 +275,8 @@ def _nonmarkov_pole_in(tau: float, gamma0: float, lam: float) -> bool:
     """
     if lam >= 2.0 * gamma0:
         return False
-    delta = np.sqrt(2.0 * gamma0 * lam - lam * lam)
+    ds, scale = _nonmarkov_d(gamma0, lam)
+    delta = ds.imag * scale
     tau_star = 2.0 * (np.pi - np.arctan2(delta, lam)) / delta
     return tau >= tau_star
 
@@ -316,10 +326,10 @@ def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
         raise NoConvergence(
             "the time-dependent rate diverges inside (0, tau] and this channel "
             "structure has no regular continuation through the pole")
-    # -2 ln Gamma from Gamma = e^a (c + lam s) > 0, which stays finite where
+    # -2 ln Gamma from Gamma = e^a (c + ls) > 0, which stays finite where
     # Gamma itself underflows (gamma0 tau in the thousands)
-    c, s, a = _envelope_pieces(rate.gamma0, rate.lam, tau)
-    integrated_rate = -2.0 * (a + np.log(_real_guarded(c + rate.lam * s, "Gamma(tau)")))
+    c, ls, a = _envelope_pieces(rate.gamma0, rate.lam, tau)
+    integrated_rate = -2.0 * (a + np.log(_real_guarded(c + ls, "Gamma(tau)")))
     M_unit = _superoperator_matrix(d.channels, d.dim, unit_rates=True)
     E = expm(integrated_rate * M_unit)
     return _unvec(E @ _vec(C), d.dim)
@@ -336,34 +346,37 @@ class SteadySpace:
         return len(self.basis)
 
 
+def _kernels(d: Dissipator) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left kernels (R, L) of a constant-rate superoperator M.
+
+    One SVD M = U diag(s) Vh makes the rank decision: singular values below
+    1e-9 count as zero, and NoConvergence is raised unless a x100 gap
+    separates them from the rest. M R = 0 and L' M = 0.
+    """
+    U, svals, Vh = np.linalg.svd(d.superoperator)
+    n_zero = int(np.sum(svals < _KERNEL_TOL))
+    if n_zero == 0:
+        raise NoConvergence("superoperator has no numerical kernel at tol 1e-9")
+    # svals descend: the largest kernel value, then the smallest one kept
+    largest_zero = svals[-n_zero]
+    smallest_kept = svals[-n_zero - 1] if n_zero < len(svals) else np.inf
+    if smallest_kept < 100.0 * max(largest_zero, _KERNEL_TOL / 100.0):
+        raise NoConvergence("kernel rank determination is ambiguous")
+    return Vh[-n_zero:].conj().T, U[:, -n_zero:]
+
+
 def steady_state(d: Dissipator):
-    """Null space of the materialized superoperator.
+    """Right kernel of the materialized superoperator, from one SVD.
 
     Returns the unique normalized steady density matrix when the kernel is
     one-dimensional, otherwise a SteadySpace whose basis spans all asymptotic
     operators (including ground-manifold coherences for degenerate ground
-    states). Raises NoConvergence when the kernel rank is ambiguous at
-    tolerance 1e-9.
+    states). Shares the rank rule of asymptotic_projector: NoConvergence
+    when the kernel rank is ambiguous at tolerance 1e-9.
     """
     if not d.is_constant:
         raise NoConvergence("steady_state requires constant rates")
-    M = d.superoperator
-    svals = np.linalg.svd(M, compute_uv=False)
-    n_zero = int(np.sum(svals < _KERNEL_TOL))
-    if n_zero == 0:
-        raise NoConvergence("superoperator has no numerical kernel at tol 1e-9")
-    # the rank decision must be clean: a gap of x100 between the kernel
-    # singular values and the rest
-    smallest_kept = np.sort(svals)[n_zero - 1]
-    largest_dropped = np.sort(svals)[n_zero] if n_zero < len(svals) else np.inf
-    if largest_dropped < 100.0 * max(smallest_kept, _KERNEL_TOL / 100.0):
-        raise NoConvergence("kernel rank determination is ambiguous")
-    kernel = null_space(M, rcond=_KERNEL_TOL / svals[0])
-    if kernel.shape[1] != n_zero:
-        kernel = null_space(M)
-        if kernel.shape[1] != n_zero:
-            raise NoConvergence("kernel dimension disagrees between SVD passes")
-    mats = [_unvec(kernel[:, k], d.dim) for k in range(kernel.shape[1])]
+    mats = [_unvec(r, d.dim) for r in _kernels(d)[0].T]
     if len(mats) == 1:
         rho = mats[0]
         rho = rho / np.trace(rho)
@@ -376,31 +389,17 @@ def steady_state(d: Dissipator):
 def asymptotic_projector(d: Dissipator) -> np.ndarray:
     """The superoperator P = lim_{tau->inf} e^{D tau} (constant rates).
 
-    Spectral projector onto the kernel of the superoperator along the span of
-    the decaying modes, via a sorted Schur form: with M = Z [[T11, T12], [0,
-    T22]] Z' where T11 collects the (numerically) zero eigenvalues, P =
-    Z [[1, R], [0, 0]] Z' and R solves the Sylvester equation
-    T11 R - R T22 = T12. Never computed by large-tau propagation.
+    Spectral projector onto the kernel of the superoperator M along the
+    decaying modes, P = R (L' R)^{-1} L' with the right and left kernels of
+    one SVD of M (rank rule shared with steady_state). Zero is a semisimple
+    eigenvalue of a bounded Lindblad semigroup (Albert & Jiang, PRA 89,
+    022118, 2014), so L' R is invertible. Never computed by large-tau
+    propagation.
     """
     if not d.is_constant:
         raise NoConvergence("asymptotic projector requires constant rates")
-    M = d.superoperator
-    T, Z, k = schur(M, output="complex", sort=lambda z: abs(z) < _KERNEL_TOL)
-    if k == 0:
-        raise NoConvergence("no asymptotic subspace found at tol 1e-9")
-    n = M.shape[0]
-    if k == n:
-        return np.eye(n, dtype=complex)
-    T11 = T[:k, :k]
-    T12 = T[:k, k:]
-    T22 = T[k:, k:]
-    # eigenvalues in T11 are zero to roundoff; keeping them in the Sylvester
-    # solve costs nothing and avoids an arbitrary truncation
-    R = solve_sylvester(T11, -T22, T12)
-    P_t = np.zeros((n, n), dtype=complex)
-    P_t[:k, :k] = np.eye(k)
-    P_t[:k, k:] = R
-    return Z @ P_t @ Z.conj().T
+    R, L = _kernels(d)
+    return R @ np.linalg.solve(L.conj().T @ R, L.conj().T)
 
 
 def apply_superoperator(S: np.ndarray, C: np.ndarray) -> np.ndarray:

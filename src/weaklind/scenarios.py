@@ -29,7 +29,7 @@ from .weakvalue import (
     WeakValueTrace,
     epsilon_states,
     trace_over_tau,
-    weak_value_dissipative,
+    weak_value_dissipative,  # noqa: F401  (bench/tracing.py patches it here)
     weak_value_limit_infinite,
 )
 

@@ -351,6 +351,36 @@ def test_overflowing_rate_exits_2(tmp_path, capsys):
     assert not (out / "weak_value.csv").exists()
 
 
+@pytest.mark.parametrize("gamma0,lam", [(1.0, 1e308), (1e308, 1.0), (1e300, 1e300)])
+def test_memory_kernel_near_the_float_limit_runs(tmp_path, gamma0, lam):
+    # the envelope is formed without overflow; at lam = 1e308 it reaches
+    # d tau/2 = inf (tau = 4), where Gamma is the Markov e^{-gamma0 tau/2}
+    payload = two_level_config(
+        channel={"named": "nonmarkov_jc", "gamma0": gamma0, "lam": lam},
+        sweep={"start": 0.0, "stop": 4.0, "count": 9, "spacing": "linear"})
+    out = tmp_path / "o"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 0
+    _, rows = read_csv(out / "weak_value.csv")
+    assert len(rows) == 9
+    # the gamma_tau column is gamma0 tau, which overflows past tau = 1.8 at
+    # gamma0 = 1e308; the weak value and probability stay finite everywhere
+    assert np.all(np.isfinite(np.array(rows)[:, 1:]))
+
+
+def test_memory_kernel_phase_overflow_exits_2(tmp_path, capsys):
+    # gamma0 = lam = 1e308 at tau = 4: the strong-coupling phase d tau/2 is
+    # past the float limit, which is refused on one line, not a traceback
+    payload = two_level_config(
+        channel={"named": "nonmarkov_jc", "gamma0": 1e308, "lam": 1e308},
+        sweep={"start": 0.0, "stop": 4.0, "count": 9, "spacing": "linear"})
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tau=4.0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_section_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"version": 1})
     assert run_cli("weak-value", "--config", cfg, "--out", str(tmp_path / "o")) == 2

@@ -12,6 +12,7 @@ from weaklind import (
     DissipationChannel,
     Dissipator,
     NonMarkovJC,
+    WeakMeasurementSetup,
     apply_superoperator,
     asymptotic_projector,
     build_dissipator,
@@ -23,6 +24,7 @@ from weaklind import (
     sodium_jump_operators,
     steady_state,
     two_level_damping_apply,
+    weak_value_limit_infinite,
 )
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
 from weaklind.lindblad import SteadySpace
@@ -184,6 +186,21 @@ def test_nonmarkov_short_memory_does_not_overflow():
     assert abs(np.trace(out) - 1.0) < 1e-14
 
 
+def test_nonmarkov_envelope_near_the_float_limit():
+    # lam ~ 1e308: lam^2, gamma0 lam and d + lam overflow, and 1/(2d) is
+    # subnormal, yet Gamma is the Markov envelope e^{-gamma0 tau/2}
+    for gamma0 in (1.0, 0.3):
+        for tau in (0.5, 1.0, 4.0, 40.0):
+            want = np.exp(-gamma0 * tau / 2.0)
+            assert abs(nonmarkov_big_gamma(tau, gamma0, 1e308) - want) < 1e-15
+    # gamma0 ~ 1e308 is strong coupling with d ~ 1.4e154 i
+    for tau in (0.5, 1.0, 2.0, 4.0):
+        for gamma0, lam in ((1e308, 1.0), (1e300, 1e300)):
+            G = nonmarkov_big_gamma(tau, gamma0, lam)
+            assert np.isfinite(G) and abs(G) <= 1.0
+        assert np.isfinite(nonmarkov_gamma(tau, 1e308, 1.0))
+
+
 def test_nonmarkov_channel_pole_crossing():
     # strong coupling: gamma(tau) diverges at tau* ~ 4.84, inside the range
     gamma0, lam = 1.0, 0.5
@@ -313,8 +330,24 @@ def test_steady_state_sodium_is_degenerate():
     space = steady_state(d)
     assert isinstance(space, SteadySpace)
     assert space.dim == 4   # full ground 2x2 block survives, coherences included
+    P = asymptotic_projector(d)
+    assert abs(np.trace(P) - space.dim) < 1e-12
     for B in space.basis:
         assert np.abs(d.generator_apply(B)).max() < 1e-9
+        assert np.abs(apply_superoperator(P, B) - B).max() < 1e-12
+
+
+def test_ambiguous_kernel_rank_is_refused_everywhere():
+    # at gamma = 1.5e-9 the coherence singular values fall under the 1e-9
+    # tolerance while the population one does not: no clean rank
+    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.5e-9)], dim=2)
+    setup = WeakMeasurementSetup(sigma_i=np.diag([0.6, 0.4]).astype(complex),
+                                 sigma_fI=np.full((2, 2), 0.5, dtype=complex),
+                                 A_SI=pauli("x"))
+    for limit in (steady_state, asymptotic_projector,
+                  lambda d: weak_value_limit_infinite(setup, d)):
+        with pytest.raises(NoConvergence, match="ambiguous"):
+            limit(d)
 
 
 def test_asymptotic_projector_matches_brute_force():
@@ -333,6 +366,10 @@ def test_asymptotic_projector_matches_brute_force():
             got = apply_superoperator(P, C)
             want = orc.asymptotic_apply(as_oracle(channels), dim, C)
             assert np.abs(got - want).max() < 1e-9
+    # zero rates: nothing decays, and the projector is the identity
+    for dim, jumps in ((2, [SIGMA_MINUS]), (6, [L for L, _ in sodium_jump_operators()])):
+        d = build_dissipator([DissipationChannel(jump=L, rate=0.0) for L in jumps], dim=dim)
+        assert np.abs(asymptotic_projector(d) - np.eye(dim * dim)).max() < 1e-14
 
 
 def test_evolve_converges_to_projector():
