@@ -123,17 +123,23 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _gamma_tau(char_rate: float, taus: np.ndarray) -> list[float]:
+    """The gamma_tau column, rate times tau in Python floats: inf (not a numpy
+    overflow warning) where the product leaves the float range."""
+    return [char_rate * tau for tau in taus.tolist()]
+
+
 def _trace_csv(trace: WeakValueTrace, char_rate: float) -> str:
     lines = [CSV_HEADER]
-    for tau, v, p in zip(trace.tau_grid, trace.values, trace.postselection_probs):
-        lines.append(",".join((_fmt(char_rate * tau), _fmt(v.real), _fmt(v.imag), _fmt(p))))
+    rows = zip(_gamma_tau(char_rate, trace.tau_grid), trace.values, trace.postselection_probs)
+    lines += [",".join((_fmt(gt), _fmt(v.real), _fmt(v.imag), _fmt(p))) for gt, v, p in rows]
     return "\n".join(lines) + "\n"
 
 
 def _trace_json_obj(trace: WeakValueTrace, char_rate: float) -> dict:
     return {
         "columns": CSV_HEADER.split(","),
-        "gamma_tau": [char_rate * t for t in trace.tau_grid],
+        "gamma_tau": _gamma_tau(char_rate, trace.tau_grid),
         "re_wv": [v.real for v in trace.values],
         "im_wv": [v.imag for v in trace.values],
         "postselect_prob": list(trace.postselection_probs),
@@ -256,14 +262,14 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         return EXIT_NO_POSTSELECTION
     n_cols = len(header.split(",")) - 1
     table = []
-    for k, tau in enumerate(taus.tolist()):
+    for k, (tau, gt) in enumerate(zip(taus.tolist(), _gamma_tau(char_rate, taus))):
         cells = (float("nan"),) * n_cols
         if k not in gaps:
             try:
                 cells = shift(tau, *(tr.values[k] for tr in traces))
             except ValueError as exc:  # an infinite phase or a non-finite ShiftReport
                 raise NoConvergence(f"the meter shifts are not finite at tau={tau}") from exc
-        table.append([char_rate * tau, *cells])
+        table.append([gt, *cells])
     if fmt == "json":
         path = os.path.join(out_dir, "shifts.json")
         doc = {"columns": header.split(","), "rows": table, "model": m.model}

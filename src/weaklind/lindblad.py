@@ -14,7 +14,8 @@ non-Markovian damped-atom channel) the master equation dC/dtau = gamma(tau)
 D_1(C) is solved in closed form: gamma(tau) = -2 Gamma'/Gamma for the
 excited-amplitude envelope Gamma, so the map is exp(-2 ln Gamma(tau) D_1)
 whenever every channel shares that one rate. Nothing is integrated
-numerically. The map preserves traces, commutes with the adjoint
+numerically. channel_map(d, tau) is the one dispatch over these kinds of
+channel: it builds the map once per tau, and evolve applies it. The map preserves traces, commutes with the adjoint
 (e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a semigroup
 in tau.
 
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -168,8 +171,11 @@ def two_level_damping_apply(C: np.ndarray, gamma: float, tau: float) -> np.ndarr
     Populations decay at gamma, coherences at gamma/2, and the lost excited
     population lands on the ground state (trace preserved).
     """
-    C = _check_operator(C, 2)
-    E = np.exp(-0.5 * gamma * tau)
+    return _damping_map(_check_operator(C, 2), np.exp(-0.5 * gamma * tau))
+
+
+def _damping_map(C: np.ndarray, E: float) -> np.ndarray:
+    """[[c_ee E^2, c_eg E], [c_ge E, c_gg + c_ee (1 - E^2)]] for a checked 2x2 C."""
     return np.array([
         [C[0, 0] * E * E, C[0, 1] * E],
         [C[1, 0] * E, C[1, 1] + C[0, 0] * (1.0 - E * E)],
@@ -196,16 +202,23 @@ def _envelope_pieces(gamma0: float, lam: float, tau: float) -> tuple[complex, co
     a = (d - lam) tau/2 = -gamma0 lam tau/(d + lam), written without the
     cancellation of d - lam. Both take d and lam over the scale of
     _nonmarkov_d, as at lam ~ 1e308 (Gamma = e^{-gamma0 tau/2}) gamma0 lam and
-    d + lam overflow and 1/d is subnormal."""
+    d + lam overflow and 1/d is subnormal. At critical coupling (d = 0) with
+    lam tau near the float limit the same scale keeps Gamma and gamma finite."""
     ds, scale = _nonmarkov_d(gamma0, lam)
     d = ds * scale
     x = d * (tau / 2.0)
     if math.isinf(x.imag):
         raise NoConvergence(f"the envelope phase d tau/2 overflows at tau={tau}")
-    if x.real <= 20.0:
-        ls = lam * (cmath.sinh(x) / d) if d else lam * (tau / 2.0)
-        return cmath.cosh(x), ls, -lam * tau / 2.0
     l = lam / scale
+    if x.real <= 20.0:
+        if d:
+            return cmath.cosh(x), lam * (cmath.sinh(x) / d), -lam * tau / 2.0
+        y = lam * (tau / 2.0)
+        if y < 2.0 ** 1023:  # critical coupling: Gamma = e^{-y} (1 + y)
+            return cmath.cosh(x), y, -lam * tau / 2.0
+        # 2y (in gamma) overflows: Gamma = e^{ln y - y} (1/y + 1), y from the scaled lam
+        ys = l * (tau / 2.0)
+        return 1.0 / ys / scale, 1.0, math.log(ys) + math.log(scale) - ys * scale
     # e^{-2x}; x may be infinite, and -2.0 * x would then hold 0 * inf = nan
     e = cmath.exp(-(x + x))
     return (1.0 + e) / 2.0, l * ((1.0 - e) / (2.0 * ds)), -gamma0 * l * tau / (ds.real + l)
@@ -251,12 +264,7 @@ def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
 
 def nonmarkov_channel_apply(C: np.ndarray, gamma0: float, lam: float, tau: float) -> np.ndarray:
     """Closed-form non-Markovian damping map on an arbitrary 2x2 matrix."""
-    C = _check_operator(C, 2)
-    G = nonmarkov_big_gamma(tau, gamma0, lam)
-    return np.array([
-        [C[0, 0] * G * G, C[0, 1] * G],
-        [C[1, 0] * G, C[1, 1] + C[0, 0] * (1.0 - G * G)],
-    ])
+    return _damping_map(_check_operator(C, 2), nonmarkov_big_gamma(tau, gamma0, lam))
 
 
 def _is_sigma_minus_channel(d: Dissipator) -> bool:
@@ -297,31 +305,32 @@ def _shared_nonmarkov_rate(d: Dissipator) -> NonMarkovJC:
     return rate
 
 
-def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
-    """Apply e^{D tau} to an arbitrary operator C.
+def channel_map(d: Dissipator, tau: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The map C -> e^{D tau}(C), built once for every operator at this tau.
 
-    Constant rates: matrix exponential of tau times the materialized
-    superoperator. A single sigma_- channel with a NonMarkovJC rate: the
-    closed-form map of nonmarkov_channel_apply, analytic across the poles of
-    gamma(tau). Channels that all share one NonMarkovJC rate: since
+    The one place that decides how each kind of channel evolves. Constant
+    rates: matrix exponential of tau times the materialized superoperator. A
+    single sigma_- channel with a NonMarkovJC rate: the closed-form map of
+    nonmarkov_channel_apply, analytic across the poles of gamma(tau).
+    Channels that all share one NonMarkovJC rate: since
     gamma(tau) = -2 Gamma'/Gamma, the map is exp(Lambda(tau) M_1) with the
     integrated rate Lambda = -2 ln Gamma(tau) and the unit-rate
     superoperator M_1; this raises NoConvergence when a rate pole lies
-    inside (0, tau]. Any other mix of rates raises NoConvergence.
+    inside (0, tau]. Any other mix of rates raises NoConvergence. The
+    returned map raises DimensionMismatch on an operator of the wrong shape.
     """
     if not np.isfinite(tau):
         raise NegativeTau("tau must be finite")
     if tau < 0.0:
         raise NegativeTau("tau must be >= 0")
-    C = _check_operator(C, d.dim)
     if tau == 0.0:
-        return C.copy()
+        return lambda C: _check_operator(C, d.dim).copy()
     if d.is_constant:
-        E = expm(d.superoperator * tau)
-        return _unvec(E @ _vec(C), d.dim)
+        return partial(apply_superoperator, expm(d.superoperator * tau))
     rate = _shared_nonmarkov_rate(d)
     if _is_sigma_minus_channel(d):
-        return nonmarkov_channel_apply(C, rate.gamma0, rate.lam, tau)
+        G = nonmarkov_big_gamma(tau, rate.gamma0, rate.lam)
+        return lambda C: _damping_map(_check_operator(C, 2), G)
     if _nonmarkov_pole_in(tau, rate.gamma0, rate.lam):
         raise NoConvergence(
             "the time-dependent rate diverges inside (0, tau] and this channel "
@@ -331,8 +340,12 @@ def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
     c, ls, a = _envelope_pieces(rate.gamma0, rate.lam, tau)
     integrated_rate = -2.0 * (a + np.log(_real_guarded(c + ls, "Gamma(tau)")))
     M_unit = _superoperator_matrix(d.channels, d.dim, unit_rates=True)
-    E = expm(integrated_rate * M_unit)
-    return _unvec(E @ _vec(C), d.dim)
+    return partial(apply_superoperator, expm(integrated_rate * M_unit))
+
+
+def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
+    """Apply e^{D tau} to an arbitrary operator C through the one dispatch, channel_map."""
+    return channel_map(d, tau)(C)
 
 
 @dataclass(frozen=True)

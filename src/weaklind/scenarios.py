@@ -182,11 +182,25 @@ def _unpack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     return taus, re
 
 
-def _lstsq_fit(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+def _power_fit(samples, power: int) -> tuple[float, float, float, float, float]:
+    """Least-squares fit of a + c*tau^power to Re(wv).
+
+    Returns (c, a, residual_rms, max_abs_residual, rel_residual), the last
+    being the residual norm relative to the norm of Re(wv).
+    """
+    taus, re = _unpack_samples(samples)
+    x = taus ** power
+    if len(taus) < 2 or len(np.unique(x)) < 2:
+        raise DegenerateFit("need at least two distinct tau samples")
+    design = np.column_stack([np.ones_like(taus), x])
+    coef, _, rank, _ = np.linalg.lstsq(design, re, rcond=None)
     if rank < design.shape[1]:
         raise DegenerateFit("design matrix is rank-deficient (degenerate tau grid)")
-    return coef, design @ coef - y
+    residuals = design @ coef - re
+    rnorm = float(np.linalg.norm(residuals))
+    ynorm = float(np.linalg.norm(re))
+    return (coef[1], float(coef[0]), float(np.sqrt(np.mean(residuals**2))),
+            float(np.abs(residuals).max()), rnorm / max(ynorm, 1e-300))
 
 
 def estimate_gamma(samples, epsilon: float) -> GammaEstimate:
@@ -197,19 +211,8 @@ def estimate_gamma(samples, epsilon: float) -> GammaEstimate:
     at tau = 0) recovers gamma = epsilon * slope. Expects the linear regime
     gamma*tau <~ 1e-2.
     """
-    taus, re = _unpack_samples(samples)
-    if len(taus) < 2 or len(np.unique(taus)) < 2:
-        raise DegenerateFit("need at least two distinct tau samples")
-    coef, residuals = _lstsq_fit(np.column_stack([np.ones_like(taus), taus]), re)
-    rnorm = float(np.linalg.norm(residuals))
-    ynorm = float(np.linalg.norm(re))
-    return GammaEstimate(
-        gamma_hat=float(epsilon * coef[1]),
-        intercept=float(coef[0]),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-        max_abs_residual=float(np.abs(residuals).max()),
-        rel_residual=rnorm / max(ynorm, 1e-300),
-    )
+    slope, *diagnostics = _power_fit(samples, 1)
+    return GammaEstimate(float(epsilon * slope), *diagnostics)
 
 
 def estimate_lambda(samples, epsilon: float, gamma0: float) -> LambdaEstimate:
@@ -222,19 +225,8 @@ def estimate_lambda(samples, epsilon: float, gamma0: float) -> LambdaEstimate:
     """
     if gamma0 <= 0.0:
         raise ValueError("gamma0 must be > 0")
-    taus, re = _unpack_samples(samples)
-    if len(taus) < 2 or len(np.unique(np.abs(taus))) < 2:
-        raise DegenerateFit("need at least two distinct tau samples")
-    coef, residuals = _lstsq_fit(np.column_stack([np.ones_like(taus), taus**2]), re)
-    rnorm = float(np.linalg.norm(residuals))
-    ynorm = float(np.linalg.norm(re))
-    return LambdaEstimate(
-        lambda_hat=float(2.0 * epsilon * coef[1] / gamma0),
-        intercept=float(coef[0]),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-        max_abs_residual=float(np.abs(residuals).max()),
-        rel_residual=rnorm / max(ynorm, 1e-300),
-    )
+    c, *diagnostics = _power_fit(samples, 2)
+    return LambdaEstimate(float(2.0 * epsilon * c / gamma0), *diagnostics)
 
 
 def classify_markovianity(samples) -> MarkovianityVerdict:

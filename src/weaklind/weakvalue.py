@@ -25,6 +25,7 @@ import cmath
 import hashlib
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +40,8 @@ from .errors import (
     NotDensity,
     PostselectionVanishes,
 )
-from .lindblad import Dissipator, NonMarkovJC, apply_superoperator, asymptotic_projector, evolve
+from .lindblad import Dissipator, NonMarkovJC, apply_superoperator, asymptotic_projector
+from .lindblad import channel_map, evolve  # noqa: F401  (bench/tracing.py patches evolve here)
 from .operators import SIGMA_X, SIGMA_Y, is_density, pure_density
 
 _VANISH_TOL = 1e-14
@@ -101,50 +103,50 @@ class WeakValueSample(NamedTuple):
     probability: float
 
 
+def _postselected_quotient(setup: WeakMeasurementSetup, d: Dissipator, build_map,
+                           where: str) -> WeakValueSample:
+    """Quotient of the post-selected traces of build_map() applied to A sigma_i and
+    sigma_i; d is checked before the map is built. `where` ends the messages."""
+    if d.dim != setup.dim:
+        raise DimensionMismatch(
+            f"dissipator dimension {d.dim} != setup dimension {setup.dim}")
+    apply = build_map()
+    num = complex(np.trace(setup.sigma_fI @ apply(setup.A_SI @ setup.sigma_i)))
+    den = complex(np.trace(setup.sigma_fI @ apply(setup.sigma_i)))
+    if not (cmath.isfinite(num) and cmath.isfinite(den)):
+        raise NoConvergence(f"the evolved traces are not finite{where}")
+    if abs(den) < _VANISH_TOL:
+        raise PostselectionVanishes(
+            f"post-selection probability vanishes{where} (|den|={abs(den):.3e})")
+    return WeakValueSample(value=num / den, probability=max(den.real, 0.0))
+
+
 def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator,
                            tau: float) -> WeakValueSample:
     """The dissipative weak value and the post-selection probability at tau.
 
-    Both the numerator operator A sigma_i and the bare sigma_i are pushed
-    through e^{D tau}; the quotient of the two post-selected traces is the
-    weak value, the denominator alone the probability. Raises
-    PostselectionVanishes when |denominator| < 1e-14 (orthogonal pre/post
-    selection, typically only possible at tau = 0), and NoConvergence when
-    either trace is not finite (rates so large that the propagator overflows).
+    A sigma_i and sigma_i go through one map e^{D tau} from channel_map; the
+    quotient of the two post-selected traces is the weak value, the
+    denominator alone the probability. Raises PostselectionVanishes when
+    |denominator| < 1e-14 (orthogonal pre/post selection, typically only
+    possible at tau = 0), and NoConvergence when either trace is not finite
+    (rates so large that the propagator overflows).
     """
-    if d.dim != setup.dim:
-        raise DimensionMismatch(
-            f"dissipator dimension {d.dim} != setup dimension {setup.dim}")
-    num_op = evolve(d, setup.A_SI @ setup.sigma_i, tau)
-    den_op = evolve(d, setup.sigma_i, tau)
-    num = complex(np.trace(setup.sigma_fI @ num_op))
-    den = complex(np.trace(setup.sigma_fI @ den_op))
-    if not (cmath.isfinite(num) and cmath.isfinite(den)):
-        raise NoConvergence(f"the evolved traces are not finite at tau={tau}")
-    if abs(den) < _VANISH_TOL:
-        raise PostselectionVanishes(
-            f"post-selection probability vanishes at tau={tau} (|den|={abs(den):.3e})")
-    return WeakValueSample(value=num / den, probability=max(den.real, 0.0))
+    return _postselected_quotient(setup, d, lambda: channel_map(d, tau), f" at tau={tau}")
 
 
 def weak_value_limit_infinite(setup: WeakMeasurementSetup, d: Dissipator) -> complex:
     """The tau -> infinity weak value via the asymptotic projector.
 
-    Exact spectral limit: no large-tau propagation is involved, so
+    The quotient of weak_value_dissipative with the projector P in place of
+    e^{D tau}: exact spectral limit, no large-tau propagation is involved, so
     degenerate asymptotic subspaces (ground-manifold coherences) are kept.
     For a channel with a unique ground state the result reduces to the plain
     expectation value Tr[A sigma_i].
     """
-    if d.dim != setup.dim:
-        raise DimensionMismatch(
-            f"dissipator dimension {d.dim} != setup dimension {setup.dim}")
-    P = asymptotic_projector(d)
-    num = complex(np.trace(setup.sigma_fI @ apply_superoperator(P, setup.A_SI @ setup.sigma_i)))
-    den = complex(np.trace(setup.sigma_fI @ apply_superoperator(P, setup.sigma_i)))
-    if abs(den) < _VANISH_TOL:
-        raise PostselectionVanishes(
-            f"asymptotic post-selection probability vanishes (|den|={abs(den):.3e})")
-    return num / den
+    return _postselected_quotient(
+        setup, d, lambda: partial(apply_superoperator, asymptotic_projector(d)),
+        " as tau -> infinity").value
 
 
 def _check_bloch(v, name: str) -> np.ndarray:
@@ -157,9 +159,22 @@ def _check_bloch(v, name: str) -> np.ndarray:
     return v
 
 
-def _attenuated(fI_vec: np.ndarray, gamma: float, tau: float) -> np.ndarray:
+def _bloch_denominator(i_vec, fI_vec, gamma: float, tau: float):
+    """Checked (i, f, f_gamma, den) of the closed Bloch forms, with the
+    post-selection denominator den = 1 + f_gamma.i + (f_gamma_z - f_z)."""
+    i_vec = _check_bloch(i_vec, "i_vec")
+    fI_vec = _check_bloch(fI_vec, "fI_vec")
+    if gamma < 0.0:
+        raise ValueError("gamma must be >= 0")
+    if tau < 0.0:
+        raise NegativeTau("tau must be >= 0")
     E = np.exp(-0.5 * gamma * tau)
-    return np.array([fI_vec[0] * E, fI_vec[1] * E, fI_vec[2] * E * E])
+    fg = np.array([fI_vec[0] * E, fI_vec[1] * E, fI_vec[2] * E * E])
+    den = 1.0 + float(np.dot(fg, i_vec)) + (fg[2] - fI_vec[2])
+    if abs(den) < _VANISH_TOL:
+        raise DenominatorVanishes(
+            f"weak-value denominator vanishes (|den|={abs(den):.3e})")
+    return i_vec, fI_vec, fg, den
 
 
 def weak_value_2level_analytic(i_vec, fI_vec, a: float, b: float, m_vec,
@@ -176,20 +191,10 @@ def weak_value_2level_analytic(i_vec, fI_vec, a: float, b: float, m_vec,
     operators through m = (1, -+1j, 0)/2 with a = 0, b = 1. All dot and
     cross products are bilinear (no conjugation).
     """
-    i_vec = _check_bloch(i_vec, "i_vec")
-    fI_vec = _check_bloch(fI_vec, "fI_vec")
     m_vec = np.asarray(m_vec, dtype=complex)
     if m_vec.shape != (3,):
         raise DimensionMismatch("m_vec must be a 3-vector")
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
-    if tau < 0.0:
-        raise NegativeTau("tau must be >= 0")
-    fg = _attenuated(fI_vec, gamma, tau)
-    den = 1.0 + float(np.dot(fg, i_vec)) + (fg[2] - fI_vec[2])
-    if abs(den) < _VANISH_TOL:
-        raise DenominatorVanishes(
-            f"weak-value denominator vanishes (|den|={abs(den):.3e})")
+    i_vec, fI_vec, fg, den = _bloch_denominator(i_vec, fI_vec, gamma, tau)
     num = (np.dot(fg, m_vec)
            + np.dot(i_vec, m_vec) * (1.0 + fg[2] - fI_vec[2])
            + 1j * np.dot(fg, np.cross(m_vec, i_vec)))
@@ -207,25 +212,12 @@ def weak_value_sigma_pm(i_vec, fI_vec, gamma: float, tau: float, sign) -> comple
 
     with den = 1 + fg.i + (fg_z - f_z). `sign` is "+"/"-" or +-1.
     """
-    if sign in ("+", 1, +1.0):
-        plus = True
-    elif sign in ("-", -1, -1.0):
-        plus = False
-    else:
+    if sign not in ("+", "-", 1, -1):
         raise ValueError("sign must be '+'/'-' or +-1")
-    i_vec = _check_bloch(i_vec, "i_vec")
-    fI_vec = _check_bloch(fI_vec, "fI_vec")
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
-    if tau < 0.0:
-        raise NegativeTau("tau must be >= 0")
-    fg = _attenuated(fI_vec, gamma, tau)
+    plus = sign in ("+", 1)
+    i_vec, fI_vec, fg, den = _bloch_denominator(i_vec, fI_vec, gamma, tau)
     ix, iy, iz = i_vec
     fz = fI_vec[2]
-    den = 1.0 + float(np.dot(fg, i_vec)) + (fg[2] - fz)
-    if abs(den) < _VANISH_TOL:
-        raise DenominatorVanishes(
-            f"weak-value denominator vanishes (|den|={abs(den):.3e})")
     if plus:
         num = (ix * (1.0 - fz + 2.0 * fg[2]) + fg[0] * (1.0 - iz)
                + 1j * (iy * (1.0 - fz + 2.0 * fg[2]) + fg[1] * (1.0 - iz)))
@@ -383,14 +375,10 @@ def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator, tau_grid) -> Weak
     gaps: list[int] = []
     for k, tau in enumerate(tau_grid):
         try:
-            sample = weak_value_dissipative(setup, d, float(tau))
+            values[k], probs[k] = weak_value_dissipative(setup, d, float(tau))
         except PostselectionVanishes:
-            values[k] = complex(np.nan, np.nan)
-            probs[k] = 0.0
+            values[k], probs[k] = complex(np.nan, np.nan), 0.0
             gaps.append(k)
-        else:
-            values[k] = sample.value
-            probs[k] = sample.probability
     metadata = {
         "setup_hash": setup.content_hash(),
         "channel": _channel_description(d),

@@ -351,10 +351,13 @@ def test_overflowing_rate_exits_2(tmp_path, capsys):
     assert not (out / "weak_value.csv").exists()
 
 
-@pytest.mark.parametrize("gamma0,lam", [(1.0, 1e308), (1e308, 1.0), (1e300, 1e300)])
+@pytest.mark.parametrize("gamma0,lam", [(1.0, 1e308), (1e308, 1.0), (1e300, 1e300),
+                                        (5e307, 1e308)])
 def test_memory_kernel_near_the_float_limit_runs(tmp_path, gamma0, lam):
     # the envelope is formed without overflow; at lam = 1e308 it reaches
-    # d tau/2 = inf (tau = 4), where Gamma is the Markov e^{-gamma0 tau/2}
+    # d tau/2 = inf (tau = 4), where Gamma is the Markov e^{-gamma0 tau/2};
+    # at critical coupling lam = 2 gamma0 = 1e308, lam tau/2 overflows and
+    # Gamma is 0, not e^{-inf} inf = NaN
     payload = two_level_config(
         channel={"named": "nonmarkov_jc", "gamma0": gamma0, "lam": lam},
         sweep={"start": 0.0, "stop": 4.0, "count": 9, "spacing": "linear"})

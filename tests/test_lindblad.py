@@ -1,5 +1,7 @@
 """Dissipation channels: generators, propagation, limits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,7 +29,7 @@ from weaklind import (
     weak_value_limit_infinite,
 )
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
-from weaklind.lindblad import SteadySpace
+from weaklind.lindblad import SteadySpace, channel_map
 
 seeds = st.integers(0, 10**6)
 
@@ -199,6 +201,23 @@ def test_nonmarkov_envelope_near_the_float_limit():
             G = nonmarkov_big_gamma(tau, gamma0, lam)
             assert np.isfinite(G) and abs(G) <= 1.0
         assert np.isfinite(nonmarkov_gamma(tau, 1e308, 1.0))
+
+
+def test_nonmarkov_critical_coupling_near_the_float_limit():
+    # lam = 2 gamma0 = 1e308: y = lam tau/2 overflows, yet Gamma = e^{-y} (1 + y)
+    # is 0 and gamma = 2 gamma0 y/(1 + y) stays finite, at most 2 gamma0
+    for tau in (1e-300, 0.5, 1.9, 4.0):
+        assert nonmarkov_big_gamma(tau, 5e307, 1e308) == 0.0
+        rate = nonmarkov_gamma(tau, 5e307, 1e308)
+        assert np.isfinite(rate) and 0.0 < rate <= 1e308
+
+
+def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
+    gamma0, lam = 0.5, 1.0
+    for tau in np.linspace(0.0, 30.0, 61).tolist() + [700.0, 1500.0]:
+        y = lam * (tau / 2.0)
+        assert nonmarkov_big_gamma(tau, gamma0, lam) == math.exp(-lam * tau / 2.0) * (1.0 + y)
+        assert nonmarkov_gamma(tau, gamma0, lam) == gamma0 * (2.0 * y / (1.0 + y))
 
 
 def test_nonmarkov_channel_pole_crossing():
@@ -394,6 +413,32 @@ def test_evolve_rejects_bad_inputs():
         evolve(d, np.eye(2), float("nan"))
     with pytest.raises(DimensionMismatch):
         evolve(d, np.eye(3), 1.0)
+    # tau is checked before the operator
+    with pytest.raises(NegativeTau):
+        evolve(d, np.eye(3), -0.1)
+
+
+def test_channel_map_serves_every_operator_at_one_tau():
+    rng = np.random.default_rng(11)
+    rate = NonMarkovJC(gamma0=1.0, lam=0.5)
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[1, 0] = 1.0
+    dissipators = [
+        build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.7)], dim=2),
+        build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], dim=2),
+        build_dissipator([DissipationChannel(jump=chain, rate=rate)], dim=3),
+    ]
+    for d in dissipators:
+        for tau in (0.0, 1.5):
+            apply = channel_map(d, tau)
+            for _ in range(2):
+                C = orc.random_matrix(rng, d.dim)
+                assert np.array_equal(apply(C), evolve(d, C, tau))
+            with pytest.raises(DimensionMismatch):
+                apply(np.eye(d.dim + 1))
+    C = np.eye(2, dtype=complex)
+    out = channel_map(dissipators[0], 0.0)(C)
+    assert np.array_equal(out, C) and out is not C
 
 
 def test_channel_validation():

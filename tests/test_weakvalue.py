@@ -1,5 +1,7 @@
 """Weak values under dissipation: trace formula, closed forms, limits, laws."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,12 +26,15 @@ from weaklind import (
     postselection_rotation,
     postselection_rotation_inverse,
     pure_density,
+    sodium_jump_operators,
     trace_over_tau,
     weak_value_2level_analytic,
     weak_value_dissipative,
     weak_value_limit_infinite,
     weak_value_sigma_pm,
 )
+from weaklind import lindblad
+from weaklind.cli import main
 from weaklind.errors import (
     DenominatorVanishes,
     DimensionMismatch,
@@ -501,3 +506,73 @@ def test_weak_value_affine_in_observable(seed):
     assert abs(combo.value - parts) < 1e-12 * max(1.0, abs(parts))
     # identity observable is exactly 1, any channel, any tau
     assert abs(base.value - 1.0) < 1e-12
+
+
+# ------------------------------------------------------- one map per tau
+
+GRID = np.linspace(0.0, 4.0, 5)   # N = 5 points, the first at tau = 0
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of expm and of the memory-kernel envelope made by weaklind.lindblad."""
+    seen = {"expm": 0, "envelope": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lindblad, "expm", counting("expm", lindblad.expm))
+    monkeypatch.setattr(lindblad, "nonmarkov_big_gamma",
+                        counting("envelope", lindblad.nonmarkov_big_gamma))
+    return seen
+
+
+def random_setup(rng, dim):
+    return WeakMeasurementSetup(sigma_i=orc.random_density(rng, dim),
+                                sigma_fI=orc.random_density(rng, dim),
+                                A_SI=orc.random_hermitian(rng, dim))
+
+
+def test_constant_rate_sweep_runs_one_expm_per_nonzero_tau(counts):
+    d = build_dissipator([DissipationChannel(jump=L, rate=1.0)
+                          for L, _ in sodium_jump_operators()], dim=6)
+    trace_over_tau(random_setup(np.random.default_rng(1), 6), d, GRID)
+    assert counts == {"expm": len(GRID) - 1, "envelope": 0}
+
+
+def test_memory_kernel_sweep_evaluates_one_envelope_per_nonzero_tau(counts):
+    rate = NonMarkovJC(gamma0=0.1, lam=1.0)
+    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], dim=2)
+    trace_over_tau(random_setup(np.random.default_rng(2), 2), d, GRID)
+    assert counts == {"expm": 0, "envelope": len(GRID) - 1}
+
+
+def test_shared_rate_chain_runs_one_expm_per_nonzero_tau(counts):
+    # strong coupling, every grid point before the first pole at tau* ~ 4.84
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[1, 0] = 1.0
+    d = build_dissipator(
+        [DissipationChannel(jump=chain, rate=NonMarkovJC(gamma0=1.0, lam=0.5))], dim=3)
+    trace_over_tau(random_setup(np.random.default_rng(3), 3), d, GRID)
+    assert counts == {"expm": len(GRID) - 1, "envelope": 0}
+
+
+def test_jc_shifts_run_one_expm_per_nonzero_tau_and_observable(counts, tmp_path, capsys):
+    payload = {
+        "version": 1,
+        "system": {"dimension": 2, "pre": {"bloch": [0.55, 0.15, 0.6]},
+                   "post": {"bloch": [-0.3, 0.45, -0.5]}},
+        "observable": {"named": "sigma_x"},
+        "channel": {"named": "amplitude_damping", "gamma": 0.5},
+        "sweep": {"start": 0.0, "stop": 4.0, "count": len(GRID), "spacing": "linear"},
+        "meter": {"omega_f": 1.3, "n_max": 20, "state": "number", "n": 2, "g": 1e-3,
+                  "t": 1.0, "Delta": 0.02, "model": "jc"},
+    }
+    cfg = tmp_path / "jc.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["shifts", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    # the sigma+ and sigma- traces each build one map per nonzero tau
+    assert counts == {"expm": 2 * (len(GRID) - 1), "envelope": 0}
