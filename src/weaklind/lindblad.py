@@ -14,10 +14,14 @@ non-Markovian damped-atom channel) the master equation dC/dtau = gamma(tau)
 D_1(C) is solved in closed form: gamma(tau) = -2 Gamma'/Gamma for the
 excited-amplitude envelope Gamma, so the map is exp(-2 ln Gamma(tau) D_1)
 whenever every channel shares that one rate. Nothing is integrated
-numerically. channel_map(d, tau) is the one dispatch over these kinds of
-channel: it builds the map once per tau, and evolve applies it. The map preserves traces, commutes with the adjoint
-(e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a semigroup
-in tau.
+numerically. exponent_scales(d, taus) gives each exponential map as
+exp(s M), one generator M with a scale s per tau; weakvalue evaluates a whole
+tau grid from one eigendecomposition of M, and falls back to channel_map
+when its guards fail. channel_map(d, tau) is the one dispatch at a single
+tau: one expm(s M), or the sigma_- memory kernel's closed form; evolve
+applies it. scipy.linalg is imported on the first expm only. The map
+preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
+and for constant rates forms a semigroup in tau.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -32,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, NegativeTau, NoConvergence
 from .operators import SIGMA_MINUS
@@ -116,6 +119,13 @@ class Dissipator:
             LdL = L.conj().T @ L
             out += ch.rate_at(tau) * (L @ C @ L.conj().T - 0.5 * (LdL @ C + C @ LdL))
         return out
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first call: importing scipy.linalg
+    takes about 0.2 s, and a sweep on the eigen kernel never needs it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(A)
 
 
 def _check_operator(C: np.ndarray, dim: int) -> np.ndarray:
@@ -305,42 +315,61 @@ def _shared_nonmarkov_rate(d: Dissipator) -> NonMarkovJC:
     return rate
 
 
+def exponent_scales(d: Dissipator, taus) -> tuple[np.ndarray, np.ndarray] | None:
+    """(M, s) with e^{D tau_k} = exp(s_k M) at every tau_k, or None for the
+    single sigma_- channel with a NonMarkovJC rate, whose map is a closed form.
+
+    The one definition of each exponential map. Constant rates: M is the
+    materialized superoperator and s = tau. Channels that all share one
+    NonMarkovJC rate: since gamma(tau) = -2 Gamma'/Gamma, M is the unit-rate
+    superoperator M_1 and s is the integrated rate Lambda(tau) = -2 ln Gamma(tau);
+    NoConvergence when a rate pole lies inside (0, tau]. Any other mix of
+    rates raises NoConvergence, and a negative or non-finite tau NegativeTau.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if not np.isfinite(taus).all():
+        raise NegativeTau("tau must be finite")
+    if (taus < 0.0).any():
+        raise NegativeTau("tau must be >= 0")
+    if d.is_constant:
+        return d.superoperator, taus
+    rate = _shared_nonmarkov_rate(d)
+    if _is_sigma_minus_channel(d):
+        return None
+
+    def integrated_rate(tau: float) -> float:
+        if _nonmarkov_pole_in(tau, rate.gamma0, rate.lam):
+            raise NoConvergence(
+                "the time-dependent rate diverges inside (0, tau] and this channel "
+                "structure has no regular continuation through the pole")
+        # -2 ln Gamma from Gamma = e^a (c + ls) > 0, which stays finite where
+        # Gamma itself underflows (gamma0 tau in the thousands)
+        c, ls, a = _envelope_pieces(rate.gamma0, rate.lam, tau)
+        return -2.0 * (a + np.log(_real_guarded(c + ls, "Gamma(tau)")))
+
+    M_unit = _superoperator_matrix(d.channels, d.dim, unit_rates=True)
+    return M_unit, np.array([integrated_rate(tau) for tau in taus.tolist()])
+
+
 def channel_map(d: Dissipator, tau: float) -> Callable[[np.ndarray], np.ndarray]:
     """The map C -> e^{D tau}(C), built once for every operator at this tau.
 
-    The one place that decides how each kind of channel evolves. Constant
-    rates: matrix exponential of tau times the materialized superoperator. A
-    single sigma_- channel with a NonMarkovJC rate: the closed-form map of
-    nonmarkov_channel_apply, analytic across the poles of gamma(tau).
-    Channels that all share one NonMarkovJC rate: since
-    gamma(tau) = -2 Gamma'/Gamma, the map is exp(Lambda(tau) M_1) with the
-    integrated rate Lambda = -2 ln Gamma(tau) and the unit-rate
-    superoperator M_1; this raises NoConvergence when a rate pole lies
-    inside (0, tau]. Any other mix of rates raises NoConvergence. The
+    The one place that decides how each kind of channel evolves at one tau.
+    A single sigma_- channel with a NonMarkovJC rate: the closed-form map of
+    nonmarkov_channel_apply, analytic across the poles of gamma(tau). Every
+    other channel: one matrix exponential expm(s M) of exponent_scales,
+    which also raises the NegativeTau and NoConvergence refusals. The
     returned map raises DimensionMismatch on an operator of the wrong shape.
     """
-    if not np.isfinite(tau):
-        raise NegativeTau("tau must be finite")
-    if tau < 0.0:
-        raise NegativeTau("tau must be >= 0")
+    form = exponent_scales(d, (tau,))
     if tau == 0.0:
         return lambda C: _check_operator(C, d.dim).copy()
-    if d.is_constant:
-        return partial(apply_superoperator, expm(d.superoperator * tau))
-    rate = _shared_nonmarkov_rate(d)
-    if _is_sigma_minus_channel(d):
+    if form is None:
+        rate = d.channels[0].rate
         G = nonmarkov_big_gamma(tau, rate.gamma0, rate.lam)
         return lambda C: _damping_map(_check_operator(C, 2), G)
-    if _nonmarkov_pole_in(tau, rate.gamma0, rate.lam):
-        raise NoConvergence(
-            "the time-dependent rate diverges inside (0, tau] and this channel "
-            "structure has no regular continuation through the pole")
-    # -2 ln Gamma from Gamma = e^a (c + ls) > 0, which stays finite where
-    # Gamma itself underflows (gamma0 tau in the thousands)
-    c, ls, a = _envelope_pieces(rate.gamma0, rate.lam, tau)
-    integrated_rate = -2.0 * (a + np.log(_real_guarded(c + ls, "Gamma(tau)")))
-    M_unit = _superoperator_matrix(d.channels, d.dim, unit_rates=True)
-    return partial(apply_superoperator, expm(integrated_rate * M_unit))
+    M, (s,) = form
+    return partial(apply_superoperator, expm(s * M))
 
 
 def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:

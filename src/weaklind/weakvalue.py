@@ -13,6 +13,18 @@ lowering/raising operators), in the infinite-time limit through the
 asymptotic projector, and in the short-time regimes used to estimate decay
 parameters.
 
+A tau grid is one batched kernel: with the generator M and scales s_k of
+lindblad.exponent_scales (s = tau for constant rates, the integrated rate
+for a shared memory-kernel rate), one eigendecomposition M = V diag(lam) V^-1,
+the row r = vec(sigma_fI^T)^T V and one solve V^-1 X for the operands
+X = (A sigma_i, sigma_i) give every trace as exp(outer(s, lam)) @ (r * V^-1 X).
+Its guards are decided once per grid: cond(V) <= 1e4 (_EIG_COND_MAX), a
+finite exponent bound max|lam| max|s|, and Re lam clamped to <= 0. Where a
+guard fails (a nearly defective generator such as an equal-rate cascade, or
+rates near the float limit), every tau goes through lindblad.channel_map and
+its one expm; the single sigma_- memory-kernel channel always does, in
+closed form. weak_value_dissipative is the one-point case of the same kernel.
+
 Bloch conventions: basis (|e>, |g>), sigma = (1 + r.pauli)/2, r_z = +1 for
 |e>. Dissipation attenuates the post-selection vector componentwise,
 f_gamma = (f_x E, f_y E, f_z E^2) with E = exp(-gamma tau/2); populations
@@ -23,9 +35,9 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -40,11 +52,20 @@ from .errors import (
     NotDensity,
     PostselectionVanishes,
 )
-from .lindblad import Dissipator, NonMarkovJC, apply_superoperator, asymptotic_projector
-from .lindblad import channel_map, evolve  # noqa: F401  (bench/tracing.py patches evolve here)
+from .lindblad import (
+    Dissipator,
+    NonMarkovJC,
+    _vec,
+    apply_superoperator,
+    asymptotic_projector,
+    channel_map,
+    exponent_scales,
+)
+from .lindblad import evolve  # noqa: F401  (bench/tracing.py patches evolve here)
 from .operators import SIGMA_X, SIGMA_Y, is_density, pure_density
 
 _VANISH_TOL = 1e-14
+_EIG_COND_MAX = 1e4
 _SHORT_TIME_GUARD = 0.05
 
 
@@ -103,16 +124,71 @@ class WeakValueSample(NamedTuple):
     probability: float
 
 
-def _postselected_quotient(setup: WeakMeasurementSetup, d: Dissipator, build_map,
-                           where: str) -> WeakValueSample:
-    """Quotient of the post-selected traces of build_map() applied to A sigma_i and
-    sigma_i; d is checked before the map is built. `where` ends the messages."""
+def _check_dimension(setup: WeakMeasurementSetup, d: Dissipator) -> None:
     if d.dim != setup.dim:
         raise DimensionMismatch(
             f"dissipator dimension {d.dim} != setup dimension {setup.dim}")
-    apply = build_map()
-    num = complex(np.trace(setup.sigma_fI @ apply(setup.A_SI @ setup.sigma_i)))
-    den = complex(np.trace(setup.sigma_fI @ apply(setup.sigma_i)))
+
+
+def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
+                  s: np.ndarray) -> np.ndarray | None:
+    """r^T exp(s_k M) X for every s_k, from one M = V diag(lam) V^-1.
+
+    None when a guard fails: eig does not converge, cond(V) exceeds
+    _EIG_COND_MAX (a nearly defective M), or the exponent bound
+    max|lam| max|s| is not finite. Re lam is clamped to <= 0, since a
+    bounded semigroup has no growing mode and roundoff must not make one.
+    """
+    try:
+        lam, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.cond(V) <= _EIG_COND_MAX:
+        return None
+    # in Python floats: an infinite bound must not raise a numpy overflow warning
+    lam_max = max(float(np.abs(lam.real).max()), float(np.abs(lam.imag).max()))
+    if not math.isfinite(lam_max * float(np.abs(s).max())):
+        return None
+    lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
+    weights = (r @ V)[:, None] * np.linalg.solve(V, X)
+    return np.exp(np.multiply.outer(s, lam)) @ weights
+
+
+def _postselected_traces(setup: WeakMeasurementSetup, d: Dissipator,
+                         taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tr[sigma_fI e^{D tau}(A sigma_i)] and Tr[sigma_fI e^{D tau}(sigma_i)] on taus.
+
+    Both come from one eigendecomposition of the generator of
+    lindblad.exponent_scales (_eigen_traces). Where that has no generator
+    (the sigma_- memory kernel) or a guard fails, every tau goes through
+    channel_map instead. NoConvergence names the first tau whose traces are
+    not finite.
+    """
+    _check_dimension(setup, d)
+    operands = (setup.A_SI @ setup.sigma_i, setup.sigma_i)
+    form = exponent_scales(d, taus)
+    traces = None
+    if form is not None:
+        # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
+        X = np.stack([_vec(C) for C in operands], axis=1)
+        traces = _eigen_traces(_vec(setup.sigma_fI.T), X, *form)
+    if traces is None:
+        rows = []
+        for tau in taus.tolist():
+            apply = channel_map(d, tau)
+            rows.append([complex(np.trace(setup.sigma_fI @ apply(C))) for C in operands])
+            if not all(map(cmath.isfinite, rows[-1])):  # a larger tau would overflow further
+                break
+        traces = np.array(rows)
+    bad = ~np.isfinite(traces).all(axis=1)
+    if bad.any():
+        raise NoConvergence(
+            f"the evolved traces are not finite at tau={taus[bad.argmax()].item()}")
+    return traces[:, 0], traces[:, 1]
+
+
+def _quotient(num: complex, den: complex, where: str) -> WeakValueSample:
+    """One weak value from its post-selected traces; `where` ends the messages."""
     if not (cmath.isfinite(num) and cmath.isfinite(den)):
         raise NoConvergence(f"the evolved traces are not finite{where}")
     if abs(den) < _VANISH_TOL:
@@ -125,14 +201,15 @@ def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator,
                            tau: float) -> WeakValueSample:
     """The dissipative weak value and the post-selection probability at tau.
 
-    A sigma_i and sigma_i go through one map e^{D tau} from channel_map; the
-    quotient of the two post-selected traces is the weak value, the
-    denominator alone the probability. Raises PostselectionVanishes when
-    |denominator| < 1e-14 (orthogonal pre/post selection, typically only
-    possible at tau = 0), and NoConvergence when either trace is not finite
-    (rates so large that the propagator overflows).
+    A one-point sweep of trace_over_tau's kernel: the quotient of the two
+    post-selected traces is the weak value, the denominator alone the
+    probability. Raises PostselectionVanishes when |denominator| < 1e-14
+    (orthogonal pre/post selection, typically only possible at tau = 0), and
+    NoConvergence when either trace is not finite (rates so large that the
+    propagator overflows).
     """
-    return _postselected_quotient(setup, d, lambda: channel_map(d, tau), f" at tau={tau}")
+    num, den = _postselected_traces(setup, d, np.array([tau], dtype=float))
+    return _quotient(complex(num[0]), complex(den[0]), f" at tau={tau}")
 
 
 def weak_value_limit_infinite(setup: WeakMeasurementSetup, d: Dissipator) -> complex:
@@ -144,9 +221,11 @@ def weak_value_limit_infinite(setup: WeakMeasurementSetup, d: Dissipator) -> com
     For a channel with a unique ground state the result reduces to the plain
     expectation value Tr[A sigma_i].
     """
-    return _postselected_quotient(
-        setup, d, lambda: partial(apply_superoperator, asymptotic_projector(d)),
-        " as tau -> infinity").value
+    _check_dimension(setup, d)
+    P = asymptotic_projector(d)
+    num, den = (complex(np.trace(setup.sigma_fI @ apply_superoperator(P, C)))
+                for C in (setup.A_SI @ setup.sigma_i, setup.sigma_i))
+    return _quotient(num, den, " as tau -> infinity").value
 
 
 def _check_bloch(v, name: str) -> np.ndarray:
@@ -370,15 +449,13 @@ def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator, tau_grid) -> Weak
         raise ValueError("tau_grid must be a nonempty 1-D array")
     if np.any(np.diff(tau_grid) <= 0.0):
         raise ValueError("tau_grid must be strictly increasing")
-    values = np.empty(len(tau_grid), dtype=complex)
-    probs = np.empty(len(tau_grid), dtype=float)
-    gaps: list[int] = []
-    for k, tau in enumerate(tau_grid):
-        try:
-            values[k], probs[k] = weak_value_dissipative(setup, d, float(tau))
-        except PostselectionVanishes:
-            values[k], probs[k] = complex(np.nan, np.nan), 0.0
-            gaps.append(k)
+    num, den = _postselected_traces(setup, d, tau_grid)
+    kept = np.abs(den) >= _VANISH_TOL
+    values = np.full(len(tau_grid), complex(np.nan, np.nan))
+    # Python's complex division, as in weak_value_dissipative, keeps the two bit-equal
+    values[kept] = [n / m for n, m in zip(num[kept].tolist(), den[kept].tolist())]
+    probs = np.where(kept, np.maximum(den.real, 0.0), 0.0)
+    gaps = np.flatnonzero(~kept).tolist()
     metadata = {
         "setup_hash": setup.content_hash(),
         "channel": _channel_description(d),

@@ -703,3 +703,23 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
                           text=True, cwd=str(tmp_path), env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_sweeps_leave_out_scipy_linalg(tmp_path):
+    # the eigen kernel and the memory-kernel closed form need no expm, so
+    # scipy.linalg is imported only by the expm fallback
+    runs = {
+        "sodium.json": ("weak-value", sodium_config()),
+        "jc.json": ("shifts", two_level_config(meter=meter_section(model="jc", state="number",
+                                                                   n=2.0))),
+        "memory.json": ("weak-value", two_level_config(
+            channel={"named": "nonmarkov_jc", "gamma0": 0.1, "lam": 1.0})),
+    }
+    argvs = [[cmd, "--config", write_cfg(tmp_path, payload, name), "--out", str(tmp_path)]
+             for name, (cmd, payload) in runs.items()]
+    probe = ("import sys; from weaklind.cli import main; "
+             f"print([main(argv) for argv in {argvs!r}], 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=str(tmp_path), env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] False"

@@ -33,12 +33,13 @@ from weaklind import (
     weak_value_limit_infinite,
     weak_value_sigma_pm,
 )
-from weaklind import lindblad
+from weaklind import lindblad, weakvalue
 from weaklind.cli import main
 from weaklind.errors import (
     DenominatorVanishes,
     DimensionMismatch,
     EpsilonOutOfRange,
+    NegativeTau,
     NotDensity,
     PostselectionVanishes,
 )
@@ -480,6 +481,14 @@ def test_trace_over_tau_rejects_unsorted_grid():
         trace_over_tau(setup, damping(), [0.1, 0.1, 1.0])
 
 
+def test_trace_over_tau_rejects_negative_and_nonfinite_tau():
+    # the whole grid is checked before the kernel evolves anything backwards
+    setup = random_2level_setup(np.random.default_rng(79))
+    for grid in ([-1.0, 0.0, 1.0], [0.0, np.nan]):
+        with pytest.raises(NegativeTau):
+            trace_over_tau(setup, damping(), grid)
+
+
 # ---------------------------------------------------------------- structure
 
 @given(seeds)
@@ -536,13 +545,6 @@ def random_setup(rng, dim):
                                 A_SI=orc.random_hermitian(rng, dim))
 
 
-def test_constant_rate_sweep_runs_one_expm_per_nonzero_tau(counts):
-    d = build_dissipator([DissipationChannel(jump=L, rate=1.0)
-                          for L, _ in sodium_jump_operators()], dim=6)
-    trace_over_tau(random_setup(np.random.default_rng(1), 6), d, GRID)
-    assert counts == {"expm": len(GRID) - 1, "envelope": 0}
-
-
 def test_memory_kernel_sweep_evaluates_one_envelope_per_nonzero_tau(counts):
     rate = NonMarkovJC(gamma0=0.1, lam=1.0)
     d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], dim=2)
@@ -550,17 +552,43 @@ def test_memory_kernel_sweep_evaluates_one_envelope_per_nonzero_tau(counts):
     assert counts == {"expm": 0, "envelope": len(GRID) - 1}
 
 
-def test_shared_rate_chain_runs_one_expm_per_nonzero_tau(counts):
-    # strong coupling, every grid point before the first pole at tau* ~ 4.84
+@pytest.fixture
+def eigs(monkeypatch):
+    """Calls of numpy.linalg.eig, the eigendecomposition of the batched kernel."""
+    seen = []
+    eig = np.linalg.eig
+
+    def counting(M):
+        seen.append(M.shape)
+        return eig(M)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return seen
+
+
+def shared_rate_chain(rate):
     chain = np.zeros((3, 3), dtype=complex)
     chain[1, 0] = 1.0
-    d = build_dissipator(
-        [DissipationChannel(jump=chain, rate=NonMarkovJC(gamma0=1.0, lam=0.5))], dim=3)
+    return build_dissipator([DissipationChannel(jump=chain, rate=rate)], dim=3)
+
+
+def test_constant_rate_sweep_runs_one_eig_and_no_expm(counts, eigs):
+    d = build_dissipator([DissipationChannel(jump=L, rate=1.0)
+                          for L, _ in sodium_jump_operators()], dim=6)
+    trace_over_tau(random_setup(np.random.default_rng(1), 6), d, GRID)
+    assert counts == {"expm": 0, "envelope": 0}
+    assert eigs == [(36, 36)]
+
+
+def test_shared_rate_chain_runs_one_eig_and_no_expm(counts, eigs):
+    # strong coupling, every grid point before the first pole at tau* ~ 4.84
+    d = shared_rate_chain(NonMarkovJC(gamma0=1.0, lam=0.5))
     trace_over_tau(random_setup(np.random.default_rng(3), 3), d, GRID)
-    assert counts == {"expm": len(GRID) - 1, "envelope": 0}
+    assert counts == {"expm": 0, "envelope": 0}
+    assert eigs == [(9, 9)]
 
 
-def test_jc_shifts_run_one_expm_per_nonzero_tau_and_observable(counts, tmp_path, capsys):
+def test_jc_shifts_run_one_eig_per_trace_and_no_expm(counts, eigs, tmp_path, capsys):
     payload = {
         "version": 1,
         "system": {"dimension": 2, "pre": {"bloch": [0.55, 0.15, 0.6]},
@@ -574,5 +602,86 @@ def test_jc_shifts_run_one_expm_per_nonzero_tau_and_observable(counts, tmp_path,
     cfg = tmp_path / "jc.json"
     cfg.write_text(json.dumps(payload))
     assert main(["shifts", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    # the sigma+ and sigma- traces each build one map per nonzero tau
-    assert counts == {"expm": 2 * (len(GRID) - 1), "envelope": 0}
+    # one eigendecomposition for the sigma+ trace and one for the sigma- trace
+    assert counts == {"expm": 0, "envelope": 0}
+    assert eigs == [(4, 4), (4, 4)]
+
+
+def test_defective_cascade_takes_the_expm_fallback(counts, eigs):
+    # equal rates on |0> -> |1> -> |2> make the superoperator defective
+    # (cond(V) ~ 2e16), where the eigen kernel would be wrong by 270%
+    jumps = np.zeros((2, 3, 3), dtype=complex)
+    jumps[0, 1, 0] = jumps[1, 2, 1] = 1.0
+    channels = [(L, 1.0) for L in jumps]
+    d = build_dissipator([DissipationChannel(jump=L, rate=r) for L, r in channels], dim=3)
+    setup = random_setup(np.random.default_rng(5), 3)
+    trace = trace_over_tau(setup, d, GRID)
+    assert counts == {"expm": len(GRID) - 1, "envelope": 0}
+    assert len(eigs) == 1
+    for tau, got in zip(GRID, trace.values):
+        want, _ = orc.weak_value_row(setup.sigma_i, setup.sigma_fI, setup.A_SI,
+                                     channels, 3, tau)
+        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+
+# ------------------------------------------------------ the batched kernel
+
+@given(seeds)
+def test_batched_trace_matches_the_per_point_channel_map(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    d = build_dissipator(
+        [DissipationChannel(jump=orc.random_matrix(rng, dim), rate=float(rng.uniform(0.2, 1.5)))
+         for _ in range(int(rng.integers(1, 4)))], dim=dim)
+    setup = random_setup(rng, dim)
+    taus = np.sort(rng.uniform(0.0, 3.0, 6))
+    trace = trace_over_tau(setup, d, taus)
+    for tau, value, prob in zip(taus, trace.values, trace.postselection_probs):
+        apply = lindblad.channel_map(d, tau)
+        num, den = (np.trace(setup.sigma_fI @ apply(C))
+                    for C in (setup.A_SI @ setup.sigma_i, setup.sigma_i))
+        if den.real <= 1e-3:
+            continue
+        assert abs(value - num / den) < 1e-9 * abs(num / den)
+        assert abs(prob - den.real) < 1e-9 * den.real
+
+
+def test_roundoff_growing_mode_is_clamped():
+    # a bounded semigroup has no growing mode; unclamped, Re lam = +1e-15
+    # would make e^{lam s} overflow at s = 1e18
+    M = np.diag([1e-15, -1.0]).astype(complex)
+    got = weakvalue._eigen_traces(np.ones(2), np.eye(2), M, np.array([0.0, 1e18]))
+    assert np.array_equal(got, [[1.0, 1.0], [1.0, 0.0]])
+
+
+def test_huge_tau_reaches_the_projector_limit():
+    # the weak value at tau = 1e12 is the projector's; the probability too
+    # where the kernel eigenvalues are exact zeros (sodium, damping)
+    sodium = build_dissipator([DissipationChannel(jump=L, rate=1.0)
+                               for L, _ in sodium_jump_operators()], dim=6)
+    rng = np.random.default_rng(7)
+    for d in [sodium, damping(0.8)] + [
+            build_dissipator([DissipationChannel(jump=orc.random_matrix(rng, 3), rate=1.0)],
+                             dim=3) for _ in range(20)]:
+        setup = random_setup(rng, d.dim)
+        want = weak_value_limit_infinite(setup, d)
+        trace = trace_over_tau(setup, d, [1.0, 1e12])
+        assert abs(trace.values[1] - want) < 1e-12 * max(1.0, abs(want))
+        if d.dim != 3:   # exact zero eigenvalues: the probability is the limit's too
+            P = asymptotic_projector(d)
+            want_prob = np.trace(setup.sigma_fI @ apply_superoperator(P, setup.sigma_i))
+            assert abs(trace.postselection_probs[1] - want_prob.real) < 1e-12
+
+
+def test_shared_rate_near_the_float_limit_reaches_the_unit_rate_limit():
+    # Lambda(tau) ~ gamma0 tau ~ 1e307: expm(Lambda M_1) is NaN there (evolve
+    # still is), but exp(Lambda lam_k) is exactly 0 or 1 on the eigen kernel
+    chain = shared_rate_chain(NonMarkovJC(gamma0=1e307, lam=1e308))
+    unit = build_dissipator([DissipationChannel(jump=chain.channels[0].jump, rate=1.0)], dim=3)
+    setup = random_setup(np.random.default_rng(9), 3)
+    trace = trace_over_tau(setup, chain, [1.0, 2.0, 4.0])
+    want = weak_value_limit_infinite(setup, unit)
+    assert not trace.gaps
+    assert np.all(np.abs(trace.values - want) < 1e-12 * max(1.0, abs(want)))
+
+
