@@ -4,7 +4,10 @@ Subcommands: weak-value (trace of the dissipative weak value over a tau
 grid), scenario <name> (packaged experiments), shifts (meter quadrature
 readout along the sweep), invert (weak value back from measured shifts).
 Sweeps run sequentially through weakvalue.trace_over_tau, one call per
-observable on the grid.
+observable on the grid. shifts reads the meter out on the whole grid at once
+(meter.rabi_shift_columns / jc_shift_columns, whose one-point case is
+rabi_shifts_number_state / jc_shifts), and each output table or float list
+is formatted in one % operation over a repeated row template.
 
 Determinism contract: identical config and package version produce
 byte-identical files. Every float is serialized with 17 significant digits
@@ -21,6 +24,7 @@ inversion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -50,8 +54,10 @@ from .meter import (
     baseline_averages,
     commutator_averages,
     invert_weak_value,
-    jc_shifts,
-    rabi_shifts_number_state,
+    jc_shift_columns,
+    jc_shifts,  # noqa: F401  (bench/tracing.py patches it here)
+    rabi_shift_columns,
+    rabi_shifts_number_state,  # noqa: F401  (bench/tracing.py patches it here)
 )
 from .operators import SIGMA_MINUS, SIGMA_PLUS, FockSpace
 from .scenarios import run_scenario
@@ -105,6 +111,12 @@ def _json_text(obj, indent: int = 0) -> str:
         items = list(obj)
         if not items:
             return "[]"
+        if all(isinstance(v, float) for v in items):
+            # one % over a repeated line template; %.17g writes the non-finite
+            # floats as nan/inf/-inf, json as NaN/Infinity/-Infinity
+            body = (f"{inner}%.17g,\n" * len(items))[:-2] % tuple(items)
+            return ("[\n" + body.replace("nan", "NaN").replace("inf", "Infinity")
+                    + f"\n{pad}]")
         parts = [f"{inner}{_json_text(v, indent + 1)}" for v in items]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -129,11 +141,19 @@ def _gamma_tau(char_rate: float, taus: np.ndarray) -> list[float]:
     return [char_rate * tau for tau in taus.tolist()]
 
 
+def _csv_text(header: str, table: np.ndarray) -> str:
+    """The header line, then one line per row of a float table with every
+    cell as _fmt writes it: one % over a repeated row template."""
+    rows, cols = table.shape
+    row = ("%.17g," * cols)[:-1] + "\n"
+    return header + "\n" + (row * rows) % tuple(table.ravel().tolist())
+
+
 def _trace_csv(trace: WeakValueTrace, char_rate: float) -> str:
-    lines = [CSV_HEADER]
-    rows = zip(_gamma_tau(char_rate, trace.tau_grid), trace.values, trace.postselection_probs)
-    lines += [",".join((_fmt(gt), _fmt(v.real), _fmt(v.imag), _fmt(p))) for gt, v, p in rows]
-    return "\n".join(lines) + "\n"
+    values = trace.values
+    return _csv_text(CSV_HEADER, np.column_stack((
+        _gamma_tau(char_rate, trace.tau_grid), values.real, values.imag,
+        trace.postselection_probs)))
 
 
 def _trace_json_obj(trace: WeakValueTrace, char_rate: float) -> dict:
@@ -242,42 +262,42 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
         traces = (trace_over_tau(setup(SIGMA_PLUS), d, taus),
                   trace_over_tau(setup(SIGMA_MINUS), d, taus))
 
-        def shift(tau, wvp, wvm):
-            rep = jc_shifts(wvp, wvm, mu0, m.g, m.t, tau, m.omega_f, m.Delta,
-                            hbar=m.hbar)
-            return (rep.Q_shift, rep.P_shift, wvp.real, wvp.imag, wvm.real, wvm.imag)
+        def columns(keep):
+            wvp, wvm = (tr.values[keep] for tr in traces)
+            Q, P = jc_shift_columns(wvp, wvm, mu0, m.g, m.t, taus[keep], m.omega_f,
+                                    m.Delta, hbar=m.hbar)
+            return Q, P, wvp.real, wvp.imag, wvm.real, wvm.imag
     else:
         header = "gamma_tau,q_shift,p_shift,re_wv,im_wv"
-        occupation = mu0.mean_n()
         traces = (trace_over_tau(setup(A), d, taus),)
 
-        def shift(tau, wv):
-            rep = rabi_shifts_number_state(occupation, wv, m.g, m.t, tau,
-                                           m.omega_f, hbar=m.hbar)
-            return (rep.Q_shift, rep.P_shift, wv.real, wv.imag)
+        def columns(keep):
+            wv = traces[0].values[keep]
+            Q, P = rabi_shift_columns(mu0.mean_n(), wv, m.g, m.t, taus[keep], m.omega_f,
+                                      hbar=m.hbar)
+            return Q, P, wv.real, wv.imag
 
     gaps = set().union(*(tr.gaps for tr in traces))
     if len(gaps) == len(taus):
         print("post-selection probability vanishes on the whole tau grid", file=sys.stderr)
         return EXIT_NO_POSTSELECTION
-    n_cols = len(header.split(",")) - 1
-    table = []
-    for k, (tau, gt) in enumerate(zip(taus.tolist(), _gamma_tau(char_rate, taus))):
-        cells = (float("nan"),) * n_cols
-        if k not in gaps:
-            try:
-                cells = shift(tau, *(tr.values[k] for tr in traces))
-            except ValueError as exc:  # an infinite phase or a non-finite ShiftReport
-                raise NoConvergence(f"the meter shifts are not finite at tau={tau}") from exc
-        table.append([gt, *cells])
+    keep = np.ones(len(taus), dtype=bool)
+    keep[list(gaps)] = False
+    cells = np.column_stack(columns(keep))
+    bad = ~np.isfinite(cells[:, :2]).all(axis=1)
+    if bad.any():  # an infinite phase, or shifts past the float range
+        tau = taus[keep][bad.argmax()].item()
+        raise NoConvergence(f"the meter shifts are not finite at tau={tau}")
+    table = np.full((len(taus), 1 + cells.shape[1]), np.nan)
+    table[:, 0] = _gamma_tau(char_rate, taus)
+    table[keep, 1:] = cells
     if fmt == "json":
         path = os.path.join(out_dir, "shifts.json")
-        doc = {"columns": header.split(","), "rows": table, "model": m.model}
+        doc = {"columns": header.split(","), "rows": table.tolist(), "model": m.model}
         _atomic_write(path, _json_text(doc) + "\n")
     else:
         path = os.path.join(out_dir, "shifts.csv")
-        lines = [header] + [",".join(map(_fmt, row)) for row in table]
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _atomic_write(path, _csv_text(header, table))
     print(f"wrote {path} ({len(taus)} points, {len(gaps)} gap(s))")
     return EXIT_OK
 
@@ -311,6 +331,7 @@ def cmd_invert(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weaklind",

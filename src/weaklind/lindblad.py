@@ -358,8 +358,9 @@ def channel_map(d: Dissipator, tau: float) -> Callable[[np.ndarray], np.ndarray]
     A single sigma_- channel with a NonMarkovJC rate: the closed-form map of
     nonmarkov_channel_apply, analytic across the poles of gamma(tau). Every
     other channel: one matrix exponential expm(s M) of exponent_scales,
-    which also raises the NegativeTau and NoConvergence refusals. The
-    returned map raises DimensionMismatch on an operator of the wrong shape.
+    which also raises the NegativeTau and NoConvergence refusals;
+    NoConvergence too when expm(s M) is not finite. The returned map raises
+    DimensionMismatch on an operator of the wrong shape.
     """
     form = exponent_scales(d, (tau,))
     if tau == 0.0:
@@ -369,7 +370,13 @@ def channel_map(d: Dissipator, tau: float) -> Callable[[np.ndarray], np.ndarray]
         G = nonmarkov_big_gamma(tau, rate.gamma0, rate.lam)
         return lambda C: _damping_map(_check_operator(C, 2), G)
     M, (s,) = form
-    return partial(apply_superoperator, expm(s * M))
+    # rates or scales near the float limit overflow s M or the scaling and
+    # squaring inside expm; the map is then refused, never returned as NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = expm(s * M)
+    if not np.isfinite(S).all():
+        raise NoConvergence(f"the channel map is not finite at tau={tau}")
+    return partial(apply_superoperator, S)
 
 
 def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:

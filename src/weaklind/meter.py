@@ -9,6 +9,12 @@ number/thermal/vacuum meters, and the rotating-wave forms driven by the
 lowering/raising weak values) and inverts measured shifts back to the weak
 value.
 
+The two closed forms are evaluated on a whole tau grid at once:
+rabi_shift_columns and jc_shift_columns take the weak values on the grid and
+return the Q and P arrays, with the arithmetic of the per-point formula, so
+each entry is bit-identical to a one-point call. rabi_shifts_number_state and
+jc_shifts are that one-point case, returning a checked ShiftReport.
+
 Conventions: quadratures Q = sqrt(hbar/2 omega_f)(ad + a),
 P = 1j sqrt(hbar omega_f/2)(ad - a); the system couples to
 N = sqrt(2 omega_f/hbar) Q. Interaction-picture operators carry phases
@@ -185,9 +191,20 @@ def shift_general(L_I: np.ndarray, N_I: np.ndarray, mu0, wv: complex,
     return float((num / den).real)
 
 
-def rabi_shifts_number_state(n: float, wv: complex, g: float, t: float, tau: float,
-                             omega_f: float, hbar: float = 1.0) -> ShiftReport:
-    """Quadrature shifts for a transverse (resonant) coupling, meter level n.
+def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """math.cos and math.sin of each angle, NaN where the angle is not finite.
+
+    math, not np.cos/np.sin: the two agree bit for bit only on some platforms.
+    """
+    angles = np.where(np.isinf(angles), np.nan, angles).tolist()
+    return (np.fromiter(map(math.cos, angles), float, len(angles)),
+            np.fromiter(map(math.sin, angles), float, len(angles)))
+
+
+def rabi_shift_columns(n: float, wv, g: float, t: float, taus, omega_f: float,
+                       hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature shifts for a transverse (resonant) coupling, meter level n,
+    on a whole tau grid: the Q and P arrays for the weak values wv[k] at taus[k].
 
     With theta = omega_f (t/2 + tau):
 
@@ -195,18 +212,30 @@ def rabi_shifts_number_state(n: float, wv: complex, g: float, t: float, tau: flo
         <P>_f = -2 g t sqrt(hbar omega_f/2) [cos(theta) Re(wv) + (2n+1) sin(theta) Im(wv)].
 
     The imaginary part of the weak value enters amplified by (2n+1); a
-    thermal meter uses the same forms with n -> n_eq.
+    thermal meter uses the same forms with n -> n_eq. An angle or product
+    past the float range gives a non-finite entry, not a warning; the caller
+    checks.
     """
     if n < 0.0:
         raise ValueError("occupation must be >= 0")
-    theta = omega_f * (0.5 * t + tau)
+    wv = np.asarray(wv, dtype=complex)
     factor = 2.0 * n + 1.0
     q_unit = math.sqrt(hbar / (2.0 * omega_f))
     p_unit = math.sqrt(hbar * omega_f / 2.0)
-    Q = -2.0 * g * t * q_unit * (math.sin(theta) * wv.real - factor * math.cos(theta) * wv.imag)
-    P = -2.0 * g * t * p_unit * (math.cos(theta) * wv.real + factor * math.sin(theta) * wv.imag)
-    return ShiftReport(Q_shift=Q, P_shift=P, g=g, t=t, tau=tau, omega_f=omega_f,
-                       Delta=0.0, weak_value_inputs=(complex(wv),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos, sin = _trig(omega_f * (0.5 * t + np.asarray(taus, dtype=float)))
+        Q = -2.0 * g * t * q_unit * (sin * wv.real - factor * cos * wv.imag)
+        P = -2.0 * g * t * p_unit * (cos * wv.real + factor * sin * wv.imag)
+    return Q, P
+
+
+def rabi_shifts_number_state(n: float, wv: complex, g: float, t: float, tau: float,
+                             omega_f: float, hbar: float = 1.0) -> ShiftReport:
+    """The one-point case of rabi_shift_columns, as a checked ShiftReport
+    (ValueError when a shift is not finite)."""
+    (Q,), (P,) = rabi_shift_columns(n, [wv], g, t, [tau], omega_f, hbar)
+    return ShiftReport(Q_shift=float(Q), P_shift=float(P), g=g, t=t, tau=tau,
+                       omega_f=omega_f, Delta=0.0, weak_value_inputs=(complex(wv),))
 
 
 def rabi_shifts_vacuum_polar(wv_modulus: float, wv_phase: float, g: float, t: float,
@@ -281,10 +310,21 @@ def baseline_averages(space: FockSpace, mu0: MeterState, t: float,
     )
 
 
-def jc_shifts(wv_plus: complex, wv_minus: complex, mu0: MeterState, g: float,
-              t: float, tau: float, omega_f: float, Delta: float,
-              hbar: float = 1.0) -> ShiftReport:
-    """Rotating-wave quadrature shifts driven by the raising/lowering weak values.
+def _cmul(ar, ai, br, bi):
+    """(ar + 1j ai)(br + 1j bi) as (real, imag), formed as CPython's and numpy's
+    complex scalars form it. numpy's vectorised complex multiply may fuse the
+    products and round differently, so the grid would not match the scalar
+    e^{1j chi} wv n bit for bit; a real n is the complex n + 0j there.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def jc_shift_columns(wv_plus, wv_minus, mu0: MeterState, g: float, t: float, taus,
+                     omega_f: float, Delta: float,
+                     hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Rotating-wave quadrature shifts driven by the raising/lowering weak
+    values, on a whole tau grid: the Q and P arrays for wv_plus[k] and
+    wv_minus[k] at taus[k].
 
     For an energy-diagonal meter (number level n or thermal occupation n_eq),
     with chi = Delta t/2 + omega_f (t + tau):
@@ -294,22 +334,40 @@ def jc_shifts(wv_plus: complex, wv_minus: complex, mu0: MeterState, g: float,
 
     The n and n+1 weights come from <ad a> and <a ad>; a vacuum meter reads
     out the lowering weak value alone. Valid within the rotating-wave window
-    Delta t << 1 (soft warning past 0.05).
+    Delta t << 1 (soft warning past 0.05, once per call). An angle or product
+    past the float range gives a non-finite entry, not a warning; the caller
+    checks.
     """
     if mu0.kind == "custom":
         raise ValueError("rotating-wave shifts support vacuum/number/thermal meters only")
     if abs(Delta * t) > 0.05:
         warnings.warn(f"Delta*t = {Delta * t:.3g} outside the rotating-wave "
                       "validity guard 0.05", stacklevel=2)
+    wv_plus = np.asarray(wv_plus, dtype=complex)
+    wv_minus = np.asarray(wv_minus, dtype=complex)
     n = mu0.mean_n()
-    chi = 0.5 * Delta * t + omega_f * (t + tau)
-    phase = complex(math.cos(chi), math.sin(chi))
     q_unit = math.sqrt(hbar / (2.0 * omega_f))
     p_unit = math.sqrt(hbar * omega_f / 2.0)
-    Q = 2.0 * g * t * q_unit * (phase * wv_plus * n + np.conj(phase) * wv_minus * (n + 1.0)).imag
-    P = 2.0 * g * t * p_unit * (phase * wv_plus * n - np.conj(phase) * wv_minus * (n + 1.0)).real
-    return ShiftReport(Q_shift=Q, P_shift=P, g=g, t=t, tau=tau, omega_f=omega_f,
-                       Delta=Delta, weak_value_inputs=(complex(wv_plus), complex(wv_minus)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos, sin = _trig(0.5 * Delta * t + omega_f * (t + np.asarray(taus, dtype=float)))
+        up_re, up_im = _cmul(*_cmul(cos, sin, wv_plus.real, wv_plus.imag), n, 0.0)
+        down_re, down_im = _cmul(*_cmul(cos, -sin, wv_minus.real, wv_minus.imag),
+                                 n + 1.0, 0.0)
+        Q = 2.0 * g * t * q_unit * (up_im + down_im)
+        P = 2.0 * g * t * p_unit * (up_re - down_re)
+    return Q, P
+
+
+def jc_shifts(wv_plus: complex, wv_minus: complex, mu0: MeterState, g: float,
+              t: float, tau: float, omega_f: float, Delta: float,
+              hbar: float = 1.0) -> ShiftReport:
+    """The one-point case of jc_shift_columns, as a checked ShiftReport
+    (ValueError when a shift is not finite)."""
+    (Q,), (P,) = jc_shift_columns([wv_plus], [wv_minus], mu0, g, t, [tau], omega_f, Delta,
+                                  hbar)
+    return ShiftReport(Q_shift=float(Q), P_shift=float(P), g=g, t=t, tau=tau,
+                       omega_f=omega_f, Delta=Delta,
+                       weak_value_inputs=(complex(wv_plus), complex(wv_minus)))
 
 
 def invert_weak_value(Q_f: float, P_f: float, averages: CommutatorAverages,
@@ -352,10 +410,12 @@ __all__ = [
     "quadratures_interaction",
     "meter_coupling_interaction",
     "shift_general",
+    "rabi_shift_columns",
     "rabi_shifts_number_state",
     "rabi_shifts_vacuum_polar",
     "commutator_averages",
     "baseline_averages",
+    "jc_shift_columns",
     "jc_shifts",
     "invert_weak_value",
 ]

@@ -19,7 +19,8 @@ for a shared memory-kernel rate), one eigendecomposition M = V diag(lam) V^-1,
 the row r = vec(sigma_fI^T)^T V and one solve V^-1 X for the operands
 X = (A sigma_i, sigma_i) give every trace as exp(outer(s, lam)) @ (r * V^-1 X).
 Its guards are decided once per grid: cond(V) <= 1e4 (_EIG_COND_MAX), a
-finite exponent bound max|lam| max|s|, and Re lam clamped to <= 0. Where a
+finite exponent bound max|lam| max|s|, Re lam clamped to <= 0, and
+eigenvalues within roundoff of 0 (16 n eps max|lam|) set to 0. Where a
 guard fails (a nearly defective generator such as an equal-rate cascade, or
 rates near the float limit), every tau goes through lindblad.channel_map and
 its one expm; the single sigma_- memory-kernel channel always does, in
@@ -137,7 +138,10 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
     None when a guard fails: eig does not converge, cond(V) exceeds
     _EIG_COND_MAX (a nearly defective M), or the exponent bound
     max|lam| max|s| is not finite. Re lam is clamped to <= 0, since a
-    bounded semigroup has no growing mode and roundoff must not make one.
+    bounded semigroup has no growing mode and roundoff must not make one,
+    and |lam| <= 16 n eps max|lam| (n = dim M) is set to exactly 0: the
+    roundoff of a kernel eigenvalue would otherwise decay or grow the
+    steady part at huge s (|lam| s of order 1 at s ~ 1e15).
     """
     try:
         lam, V = np.linalg.eig(M)
@@ -150,6 +154,7 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
     if not math.isfinite(lam_max * float(np.abs(s).max())):
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
+    lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
     weights = (r @ V)[:, None] * np.linalg.solve(V, X)
     return np.exp(np.multiply.outer(s, lam)) @ weights
 

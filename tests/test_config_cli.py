@@ -1,7 +1,9 @@
 """Config schema validation and command-line behavior."""
 
+import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -24,6 +26,7 @@ from weaklind import (
     commutator_averages,
     rabi_shifts_number_state,
 )
+from weaklind import cli
 from weaklind.cli import main
 from weaklind.config import (
     build_channel,
@@ -345,7 +348,7 @@ def test_overflowing_rate_exits_2(tmp_path, capsys):
     assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
                    "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "tau=" in err
+    assert err.startswith("error: ") and "tau=0.5" in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not (out / "weak_value.csv").exists()
@@ -570,6 +573,24 @@ def test_shifts_non_finite_exits_2(tmp_path, capsys, model, meter):
     assert not (out / "shifts.csv").exists()
 
 
+@pytest.mark.parametrize("model", ["rabi", "jc"])
+def test_shifts_name_the_first_overflowing_tau(tmp_path, capsys, model):
+    # omega_f = 1e307: the angle leaves the float range inside the grid, and
+    # the error names the first tau where it does, as the per-point loop did
+    meter = {**meter_section(model=model), "omega_f": 1e307}
+    sweep = {"start": 0.0, "stop": 40.0, "count": 81, "spacing": "linear"}
+    payload = two_level_config(meter=meter, sweep=sweep)
+    assert run_cli("shifts", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(tmp_path / "o")) == 2
+    t, Delta = meter["t"], meter.get("Delta", 0.0)
+    angle = ((lambda tau: 1e307 * (0.5 * t + tau)) if model == "rabi"
+             else (lambda tau: 0.5 * Delta * t + 1e307 * (t + tau)))
+    first = next(tau for tau in np.linspace(0.0, 40.0, 81).tolist()
+                 if math.isinf(angle(tau)))
+    assert 0.0 < first < 40.0
+    assert capsys.readouterr().err == f"error: the meter shifts are not finite at tau={first}\n"
+
+
 # ------------------------------------------------------------ CLI: inverse
 
 def test_invert_round_trip_via_cli(tmp_path):
@@ -662,6 +683,64 @@ def test_fuzzed_configs_reach_a_documented_exit_code(command, edits):
             code = run_cli(command, "--config", cfg, "--out", os.path.join(tmp, "o"))
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------- serialization
+
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+)
+
+
+@given(st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=20))
+def test_batched_csv_equals_the_per_cell_format(rows):
+    table = np.array(rows, dtype=float).reshape(len(rows), 3)
+    want = "a,b,c\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+    assert cli._csv_text("a,b,c", table) == want
+
+
+@given(st.lists(CELLS, min_size=1, max_size=30), st.integers(0, 3))
+def test_batched_json_float_list_equals_the_per_item_format(items, indent):
+    inner = "  " * (indent + 1)
+    want = ("[\n" + ",\n".join(inner + cli._json_float(v) for v in items)
+            + "\n" + "  " * indent + "]")
+    assert cli._json_text(items, indent) == want
+    assert cli._json_text(np.array(items), indent) == want
+    assert json.loads(want) == pytest.approx(items, nan_ok=True)
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, two_level_config())
+    assert main(["weak-value", "--config", cfg, "--out", str(tmp_path)]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for command in ("weak-value", "shifts"):
+        payload = two_level_config(meter=meter_section())
+        argv = [command, "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path)]
+        assert main(argv) == 0
+    assert built == []
+
+
+def test_benchmark_tracing_layers_resolve(monkeypatch):
+    # bench/tracing.py patches these module attributes; a name the program no
+    # longer exports would break traced benchmark runs
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks itself up
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attr}" for modules, attr, *_ in tracing.LAYERS
+               for module in modules if not hasattr(importlib.import_module(module), attr)]
+    assert tracing.LAYERS and missing == []
 
 
 # ------------------------------------------------------- entry-point smoke

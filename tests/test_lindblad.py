@@ -212,6 +212,22 @@ def test_nonmarkov_critical_coupling_near_the_float_limit():
         assert np.isfinite(rate) and 0.0 < rate <= 1e308
 
 
+def test_channel_map_refuses_a_non_finite_map():
+    # expm(s M) past the float range is NaN; the map is refused naming tau,
+    # for a shared memory-kernel rate (Lambda ~ 1e307) and a constant one
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[1, 0] = 1.0
+    shared = build_dissipator(
+        [DissipationChannel(jump=chain, rate=NonMarkovJC(gamma0=1e307, lam=1e308))], dim=3)
+    constant = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1e308)], dim=2)
+    for d, taus in ((shared, (0.5, 1.0, 4.0)), (constant, (0.5, 4.0))):
+        for tau in taus:
+            with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
+                channel_map(d, tau)
+            with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
+                evolve(d, np.eye(d.dim, dtype=complex), tau)
+
+
 def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
     gamma0, lam = 0.5, 1.0
     for tau in np.linspace(0.0, 30.0, 61).tolist() + [700.0, 1500.0]:

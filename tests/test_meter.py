@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as orc
 from weaklind import (
@@ -21,11 +23,13 @@ from weaklind import (
     build_dissipator,
     commutator_averages,
     invert_weak_value,
+    jc_shift_columns,
     jc_shifts,
     measured_operator_rabi,
     meter_coupling_interaction,
     quadratures,
     quadratures_interaction,
+    rabi_shift_columns,
     rabi_shifts_number_state,
     rabi_shifts_vacuum_polar,
     shift_general,
@@ -219,6 +223,80 @@ def test_jc_rejects_custom_meters_and_warns_off_resonance():
         jc_shifts(0j, 1j, MeterState.custom(rho), 0.01, 1.0, 0.0, 1.0, 0.0)
     with pytest.warns(UserWarning):
         jc_shifts(0j, 1j, MeterState.vacuum(), 0.01, 1.0, 0.0, 1.0, Delta=0.2)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _rabi_point(n, wv, g, t, tau, omega_f):
+    """The per-point transverse formula as written before the grid form."""
+    theta = omega_f * (0.5 * t + tau)
+    factor = 2.0 * n + 1.0
+    q_unit, p_unit = math.sqrt(1.0 / (2.0 * omega_f)), math.sqrt(omega_f / 2.0)
+    return (-2.0 * g * t * q_unit * (math.sin(theta) * wv.real
+                                     - factor * math.cos(theta) * wv.imag),
+            -2.0 * g * t * p_unit * (math.cos(theta) * wv.real
+                                     + factor * math.sin(theta) * wv.imag))
+
+
+def _jc_point(wv_plus, wv_minus, n, g, t, tau, omega_f, Delta):
+    """The per-point rotating-wave formula as written before the grid form,
+    on numpy complex scalars as a trace's values are."""
+    chi = 0.5 * Delta * t + omega_f * (t + tau)
+    phase = complex(math.cos(chi), math.sin(chi))
+    q_unit, p_unit = math.sqrt(1.0 / (2.0 * omega_f)), math.sqrt(omega_f / 2.0)
+    up = phase * wv_plus * n
+    down = np.conj(phase) * wv_minus * (n + 1.0)
+    return 2.0 * g * t * q_unit * (up + down).imag, 2.0 * g * t * p_unit * (up - down).real
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["vacuum", "number", "thermal"]))
+def test_grid_shifts_equal_the_per_point_forms_bit_for_bit(seed, kind):
+    # a grid long enough for numpy's vectorised loops, whose complex multiply
+    # may round differently from the scalar one
+    rng = np.random.default_rng(seed)
+    mu0 = {"vacuum": MeterState.vacuum(), "number": MeterState.number(int(rng.integers(1, 5))),
+           "thermal": MeterState.thermal(float(rng.uniform(0.0, 3.0)))}[kind]
+    n = mu0.mean_n()
+    taus = np.sort(rng.uniform(0.0, 40.0, 37))
+    wvp, wvm = ((rng.standard_normal(37) + 1j * rng.standard_normal(37))
+                * 10.0 ** rng.uniform(-3, 3, 37) for _ in range(2))
+    g, t, omega_f = 10.0 ** rng.uniform(-4, 0), rng.uniform(0.1, 2.0), rng.uniform(0.1, 5.0)
+    Delta = rng.uniform(-0.04, 0.04) / t
+    Q, P = rabi_shift_columns(n, wvm, g, t, taus, omega_f)
+    Qj, Pj = jc_shift_columns(wvp, wvm, mu0, g, t, taus, omega_f, Delta)
+    for k, tau in enumerate(taus.tolist()):
+        rep = rabi_shifts_number_state(n, wvm[k], g, t, tau, omega_f)
+        want = _rabi_point(n, wvm[k], g, t, tau, omega_f)
+        assert (_bits(Q[k]), _bits(P[k])) == (_bits(rep.Q_shift), _bits(rep.P_shift))
+        assert (_bits(Q[k]), _bits(P[k])) == tuple(map(_bits, want))
+        rep = jc_shifts(wvp[k], wvm[k], mu0, g, t, tau, omega_f, Delta)
+        want = _jc_point(wvp[k], wvm[k], n, g, t, tau, omega_f, Delta)
+        assert (_bits(Qj[k]), _bits(Pj[k])) == (_bits(rep.Q_shift), _bits(rep.P_shift))
+        assert (_bits(Qj[k]), _bits(Pj[k])) == tuple(map(_bits, want))
+
+
+def test_grid_shifts_mark_overflow_without_warnings():
+    # an angle past the float range gives NaN from that row on, and g t past
+    # it gives non-finite shifts everywhere; neither raises a numpy warning
+    taus = np.linspace(0.0, 40.0, 81)
+    wv = np.full(81, 0.3 - 0.2j)
+    Q, P = rabi_shift_columns(1.0, wv, 0.01, 1.0, taus, 1e307)
+    first = next(k for k, tau in enumerate(taus.tolist()) if math.isinf(1e307 * (0.5 + tau)))
+    assert np.isfinite(Q[:first]).all() and np.isnan(Q[first:]).all() and np.isnan(P[first:]).all()
+    Q, P = jc_shift_columns(wv, wv, MeterState.number(1), 1e308, 1e308, taus, 1.3, 0.0)
+    assert not np.isfinite(Q).any() and not np.isfinite(P).any()
+    with pytest.raises(ValueError):
+        jc_shifts(wv[0], wv[0], MeterState.number(1), 0.01, 1.0, 40.0, 1e307, 0.0)
+
+
+def test_jc_grid_warns_once_per_call():
+    taus = np.linspace(0.0, 1.0, 11)
+    with pytest.warns(UserWarning) as seen:
+        jc_shift_columns(np.zeros(11), np.ones(11), MeterState.vacuum(), 0.01, 1.0, taus,
+                         1.0, Delta=0.2)
+    assert len(seen) == 1
 
 
 def _jc_case(mu0, g, t=0.9, tau=0.4, omega_f=1.3, Delta=0.02):
