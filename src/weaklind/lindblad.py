@@ -17,9 +17,12 @@ whenever every channel shares that one rate. Nothing is integrated
 numerically. exponent_scales(d, taus) gives each exponential map as
 exp(s M), one generator M with a scale s per tau; weakvalue evaluates a whole
 tau grid from one eigendecomposition of M, and falls back to channel_map
-when its guards fail. channel_map(d, tau) is the one dispatch at a single
-tau: one expm(s M), or the sigma_- memory kernel's closed form; evolve
-applies it. scipy.linalg is imported on the first expm only. The map
+when its guards fail. The single sigma_- channel with a memory-kernel rate
+has no generator there: sigma_minus_maps(d, taus) stacks its closed-form
+damping maps over the grid, one envelope Gamma(tau) per nonzero tau.
+channel_map(d, tau) is the one dispatch at a single tau: one expm(s M), or
+the one-point case of sigma_minus_maps; evolve applies it. scipy.linalg is
+imported on the first expm only. The map
 preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
 and for constant rates forms a semigroup in tau.
 
@@ -38,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeTau, NoConvergence
-from .operators import SIGMA_MINUS
+from .operators import SIGMA_MINUS, _cmul
 
 _KERNEL_TOL = 1e-9
 
@@ -64,8 +67,13 @@ class NonMarkovJC:
     lam: float
 
     def __post_init__(self) -> None:
-        if self.gamma0 <= 0.0 or self.lam <= 0.0:
-            raise ValueError("gamma0 and lam must be strictly positive")
+        _check_memory_kernel(self.gamma0, self.lam)
+
+
+def _check_memory_kernel(gamma0: float, lam: float) -> None:
+    # the chained comparisons are False for NaN as well
+    if not (0.0 < gamma0 < math.inf and 0.0 < lam < math.inf):
+        raise ValueError("gamma0 and lam must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,13 @@ def build_dissipator(channels, dim: int) -> Dissipator:
     return Dissipator(dim=dim, channels=channels, superoperator=superop)
 
 
+def _check_tau(tau: float) -> None:
+    if not math.isfinite(tau):
+        raise NegativeTau("tau must be finite")
+    if tau < 0.0:
+        raise NegativeTau("tau must be >= 0")
+
+
 def two_level_damping_apply(C: np.ndarray, gamma: float, tau: float) -> np.ndarray:
     """Closed-form amplitude-damping map on an arbitrary 2x2 matrix.
 
@@ -179,17 +194,31 @@ def two_level_damping_apply(C: np.ndarray, gamma: float, tau: float) -> np.ndarr
         [[c_ee E^2, c_eg E], [c_ge E, c_gg + c_ee (1 - E^2)]]
 
     Populations decay at gamma, coherences at gamma/2, and the lost excited
-    population lands on the ground state (trace preserved).
+    population lands on the ground state (trace preserved). ValueError unless
+    gamma is finite and >= 0, NegativeTau unless tau is.
     """
-    return _damping_map(_check_operator(C, 2), np.exp(-0.5 * gamma * tau))
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and >= 0")
+    _check_tau(tau)
+    return _damping_maps(_check_operator(C, 2), np.array([np.exp(-0.5 * gamma * tau)]))[0]
 
 
-def _damping_map(C: np.ndarray, E: float) -> np.ndarray:
-    """[[c_ee E^2, c_eg E], [c_ge E, c_gg + c_ee (1 - E^2)]] for a checked 2x2 C."""
-    return np.array([
-        [C[0, 0] * E * E, C[0, 1] * E],
-        [C[1, 0] * E, C[1, 1] + C[0, 0] * (1.0 - E * E)],
-    ])
+def _damping_maps(C: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """[[c_ee G^2, c_eg G], [c_ge G, c_gg + c_ee (1 - G^2)]] at every G_k, stacked
+    (N, 2, 2), for a checked 2x2 C.
+
+    Each product of an entry with a real G is the scalar complex product
+    with G + 0j written in real arithmetic (_cmul), so that every row equals
+    the map formed entry by entry in complex scalars, bit for bit.
+    """
+    ee, eg, ge, gg = ((z.real, z.imag) for z in C.flat)
+    loss_re, loss_im = _cmul(*ee, 1.0 - G * G, 0.0)
+    entries = (_cmul(*_cmul(*ee, G, 0.0), G, 0.0), _cmul(*eg, G, 0.0), _cmul(*ge, G, 0.0),
+               (gg[0] + loss_re, gg[1] + loss_im))
+    maps = np.empty((len(G), 4, 2))
+    for k, (re, im) in enumerate(entries):
+        maps[:, k, 0], maps[:, k, 1] = re, im
+    return maps.view(complex).reshape(len(G), 2, 2)
 
 
 def _nonmarkov_d(gamma0: float, lam: float) -> tuple[complex, float]:
@@ -245,10 +274,11 @@ def nonmarkov_gamma(tau: float, gamma0: float, lam: float) -> float:
 
     gamma(0) = 0, gamma -> gamma0 for lam >> gamma0, and gamma ~ gamma0 lam tau
     for small tau. Strong coupling (lam < 2 gamma0) oscillates and diverges at
-    the zeros of the excited-amplitude envelope.
+    the zeros of the excited-amplitude envelope. NegativeTau unless tau is
+    finite and >= 0.
     """
-    if gamma0 <= 0.0 or lam <= 0.0:
-        raise ValueError("gamma0 and lam must be strictly positive")
+    _check_memory_kernel(gamma0, lam)
+    _check_tau(tau)
     c, ls, _ = _envelope_pieces(gamma0, lam, tau)
     value = gamma0 * (2.0 * ls / (c + ls))
     return _real_guarded(value, "gamma(tau)")
@@ -264,17 +294,23 @@ def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
     to exp(-gamma tau/2):
 
         [[c_ee G^2, c_eg G], [c_ge G, c_gg + c_ee (1 - G^2)]].
+
+    NegativeTau unless tau is finite and >= 0.
     """
-    if gamma0 <= 0.0 or lam <= 0.0:
-        raise ValueError("gamma0 and lam must be strictly positive")
+    _check_memory_kernel(gamma0, lam)
+    _check_tau(tau)
     c, ls, a = _envelope_pieces(gamma0, lam, tau)
     value = cmath.exp(a) * (c + ls)
     return _real_guarded(value, "Gamma(tau)")
 
 
 def nonmarkov_channel_apply(C: np.ndarray, gamma0: float, lam: float, tau: float) -> np.ndarray:
-    """Closed-form non-Markovian damping map on an arbitrary 2x2 matrix."""
-    return _damping_map(_check_operator(C, 2), nonmarkov_big_gamma(tau, gamma0, lam))
+    """Closed-form non-Markovian damping map on an arbitrary 2x2 matrix.
+
+    NegativeTau unless tau is finite and >= 0.
+    """
+    G = nonmarkov_big_gamma(tau, gamma0, lam)
+    return _damping_maps(_check_operator(C, 2), np.array([G]))[0]
 
 
 def _is_sigma_minus_channel(d: Dissipator) -> bool:
@@ -351,6 +387,26 @@ def exponent_scales(d: Dissipator, taus) -> tuple[np.ndarray, np.ndarray] | None
     return M_unit, np.array([integrated_rate(tau) for tau in taus.tolist()])
 
 
+def sigma_minus_maps(d: Dissipator, taus: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """C -> the (N, 2, 2) stack of e^{D tau_k}(C) for the single sigma_- channel
+    with a NonMarkovJC rate, the case where exponent_scales(d, taus) is None.
+
+    The closed form of nonmarkov_channel_apply on the whole grid: one
+    envelope Gamma(tau_k) from nonmarkov_big_gamma per nonzero tau, in order,
+    so NoConvergence names the first tau whose envelope phase overflows; the
+    map at tau = 0 is the identity. taus are checked by exponent_scales.
+    """
+    rate = d.channels[0].rate
+    G = np.array([nonmarkov_big_gamma(tau, rate.gamma0, rate.lam) if tau else 1.0
+                  for tau in taus.tolist()])
+    at_zero = (taus == 0.0)[:, None, None]
+
+    def apply(C: np.ndarray) -> np.ndarray:
+        C = _check_operator(C, 2)
+        return np.where(at_zero, C, _damping_maps(C, G))
+    return apply
+
+
 def channel_map(d: Dissipator, tau: float) -> Callable[[np.ndarray], np.ndarray]:
     """The map C -> e^{D tau}(C), built once for every operator at this tau.
 
@@ -366,9 +422,8 @@ def channel_map(d: Dissipator, tau: float) -> Callable[[np.ndarray], np.ndarray]
     if tau == 0.0:
         return lambda C: _check_operator(C, d.dim).copy()
     if form is None:
-        rate = d.channels[0].rate
-        G = nonmarkov_big_gamma(tau, rate.gamma0, rate.lam)
-        return lambda C: _damping_map(_check_operator(C, 2), G)
+        maps = sigma_minus_maps(d, np.array([tau]))
+        return lambda C: maps(C)[0]
     M, (s,) = form
     # rates or scales near the float limit overflow s M or the scaling and
     # squaring inside expm; the map is then refused, never returned as NaN

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularInversion
-from .operators import FockSpace, is_density, ladder
+from .operators import FockSpace, _cmul, is_density, ladder
 
 _SINGULAR_TOL = 1e-12
 
@@ -308,15 +308,6 @@ def baseline_averages(space: FockSpace, mu0: MeterState, t: float,
         P0=float(np.trace(P_I @ rho).real),
         N0=float(np.trace(N_I @ rho).real),
     )
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + 1j ai)(br + 1j bi) as (real, imag), formed as CPython's and numpy's
-    complex scalars form it. numpy's vectorised complex multiply may fuse the
-    products and round differently, so the grid would not match the scalar
-    e^{1j chi} wv n bit for bit; a real n is the complex n + 0j there.
-    """
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def jc_shift_columns(wv_plus, wv_minus, mu0: MeterState, g: float, t: float, taus,

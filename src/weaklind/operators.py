@@ -32,6 +32,16 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 
 
+def _cmul(ar, ai, br, bi):
+    """(ar + 1j ai)(br + 1j bi) as (real, imag), formed as CPython's and numpy's
+    complex scalars form it; a real factor b is the complex b + 0j there.
+    numpy's vectorised complex multiply may fuse the products and round
+    differently (the sign of an underflowed zero, the last bit of a sum), so
+    a grid formed with it would not match the scalar products bit for bit.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def pauli(axis: str) -> np.ndarray:
     """Return the Pauli matrix for axis 'x', 'y' or 'z' in the (|e>,|g>) basis."""
     try:

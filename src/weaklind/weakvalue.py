@@ -23,8 +23,10 @@ finite exponent bound max|lam| max|s|, Re lam clamped to <= 0, and
 eigenvalues within roundoff of 0 (16 n eps max|lam|) set to 0. Where a
 guard fails (a nearly defective generator such as an equal-rate cascade, or
 rates near the float limit), every tau goes through lindblad.channel_map and
-its one expm; the single sigma_- memory-kernel channel always does, in
-closed form. weak_value_dissipative is the one-point case of the same kernel.
+its one expm. The single sigma_- memory-kernel channel has no generator: its
+grid is the stack of closed-form damping maps of lindblad.sigma_minus_maps,
+one envelope Gamma(tau) per nonzero tau and one batched trace per operand.
+weak_value_dissipative is the one-point case of the same kernel.
 
 Bloch conventions: basis (|e>, |g>), sigma = (1 + r.pauli)/2, r_z = +1 for
 |e>. Dissipation attenuates the post-selection vector componentwise,
@@ -61,6 +63,7 @@ from .lindblad import (
     asymptotic_projector,
     channel_map,
     exponent_scales,
+    sigma_minus_maps,
 )
 from .lindblad import evolve  # noqa: F401  (bench/tracing.py patches evolve here)
 from .operators import SIGMA_X, SIGMA_Y, is_density, pure_density
@@ -164,10 +167,11 @@ def _postselected_traces(setup: WeakMeasurementSetup, d: Dissipator,
     """Tr[sigma_fI e^{D tau}(A sigma_i)] and Tr[sigma_fI e^{D tau}(sigma_i)] on taus.
 
     Both come from one eigendecomposition of the generator of
-    lindblad.exponent_scales (_eigen_traces). Where that has no generator
-    (the sigma_- memory kernel) or a guard fails, every tau goes through
-    channel_map instead. NoConvergence names the first tau whose traces are
-    not finite.
+    lindblad.exponent_scales (_eigen_traces), or, for the sigma_- memory
+    kernel, which has no generator, from the stacked closed-form maps of
+    sigma_minus_maps. Where a guard fails, or an envelope raises, every tau
+    goes through channel_map instead. NoConvergence names the first tau whose
+    traces are not finite or whose envelope fails.
     """
     _check_dimension(setup, d)
     operands = (setup.A_SI @ setup.sigma_i, setup.sigma_i)
@@ -177,6 +181,14 @@ def _postselected_traces(setup: WeakMeasurementSetup, d: Dissipator,
         # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
         X = np.stack([_vec(C) for C in operands], axis=1)
         traces = _eigen_traces(_vec(setup.sigma_fI.T), X, *form)
+    else:
+        try:
+            maps = sigma_minus_maps(d, taus)
+        except NoConvergence:
+            pass  # the loop below reports whichever fails first in tau: a trace or this envelope
+        else:
+            traces = np.stack([np.trace(setup.sigma_fI @ maps(C), axis1=1, axis2=2)
+                               for C in operands], axis=1)
     if traces is None:
         rows = []
         for tau in taus.tolist():

@@ -29,6 +29,7 @@ from weaklind import (
     weak_value_limit_infinite,
 )
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
+from weaklind import lindblad
 from weaklind.lindblad import SteadySpace, channel_map
 
 seeds = st.integers(0, 10**6)
@@ -226,6 +227,41 @@ def test_channel_map_refuses_a_non_finite_map():
                 channel_map(d, tau)
             with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
                 evolve(d, np.eye(d.dim, dtype=complex), tau)
+
+
+def scalar_damping_map(C, E):
+    """The damping map entry by entry in numpy's scalar complex arithmetic."""
+    return np.array([
+        [C[0, 0] * E * E, C[0, 1] * E],
+        [C[1, 0] * E, C[1, 1] + C[0, 0] * (1.0 - E * E)],
+    ])
+
+
+# signed zeros, subnormals and envelopes whose square underflows: where a
+# fused complex multiply would round the sign of a zero differently
+PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-160, 0.3, -0.7, 1.0, 1e300])
+ENVELOPES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-155, -1e-162, 1e-170, -1e-200])
+
+
+@given(st.lists(PARTS | st.floats(-2.0, 2.0), min_size=8, max_size=8),
+       st.lists(ENVELOPES | st.floats(-1.0, 1.0), min_size=1, max_size=40))
+def test_stacked_damping_maps_are_the_scalar_map_bit_for_bit(parts, envelopes):
+    C = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
+    G = np.array(envelopes)
+    maps = lindblad._damping_maps(C, G)
+    for E, got in zip(G, maps):
+        want = scalar_damping_map(C, float(E))
+        assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+
+
+def test_sigma_minus_maps_are_the_identity_at_tau_0():
+    d = build_dissipator(
+        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=1.0, lam=0.5))], dim=2)
+    # the damping map at G = 1 would form -0 - (-1)(0) = +0 in the corner
+    C = np.array([[complex(-0.0, -1.0), 0.5], [2.0, 1.0]])
+    maps = lindblad.sigma_minus_maps(d, np.array([0.0, 1.0]))(C)
+    assert np.array_equal(maps[0].view(np.uint64), C.view(np.uint64))
+    assert np.array_equal(maps[1], nonmarkov_channel_apply(C, 1.0, 0.5, 1.0))
 
 
 def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
@@ -432,6 +468,36 @@ def test_evolve_rejects_bad_inputs():
     # tau is checked before the operator
     with pytest.raises(NegativeTau):
         evolve(d, np.eye(3), -0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonmarkov_rate_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        NonMarkovJC(gamma0=bad, lam=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        NonMarkovJC(gamma0=1.0, lam=bad)
+    for envelope in (nonmarkov_big_gamma, nonmarkov_gamma):
+        with pytest.raises(ValueError, match="finite"):
+            envelope(1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            envelope(1.0, 0.1, bad)
+
+
+@pytest.mark.parametrize("tau", [-2.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_a_negative_or_non_finite_tau(tau):
+    C = np.eye(2, dtype=complex)
+    for call in (lambda: nonmarkov_big_gamma(tau, 0.1, 1.0),
+                 lambda: nonmarkov_gamma(tau, 0.1, 1.0),
+                 lambda: nonmarkov_channel_apply(C, 0.1, 1.0, tau),
+                 lambda: two_level_damping_apply(C, 0.5, tau)):
+        with pytest.raises(NegativeTau):
+            call()
+
+
+@pytest.mark.parametrize("gamma", [-0.5, math.nan, math.inf, -math.inf])
+def test_two_level_damping_rejects_a_negative_or_non_finite_rate(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+        two_level_damping_apply(np.eye(2, dtype=complex), gamma, 1.0)
 
 
 def test_channel_map_serves_every_operator_at_one_tau():

@@ -1,6 +1,7 @@
 """Weak values under dissipation: trace formula, closed forms, limits, laws."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from weaklind.errors import (
     DimensionMismatch,
     EpsilonOutOfRange,
     NegativeTau,
+    NoConvergence,
     NotDensity,
     PostselectionVanishes,
 )
@@ -552,6 +554,24 @@ def test_memory_kernel_sweep_evaluates_one_envelope_per_nonzero_tau(counts):
     assert counts == {"expm": 0, "envelope": len(GRID) - 1}
 
 
+def test_memory_kernel_sweep_builds_no_channel_map(counts, monkeypatch):
+    # strong coupling, the grid crosses the poles of gamma(tau) at ~4.84 and ~12.5
+    built = []
+
+    def counting(d, tau):
+        built.append(tau)
+        return lindblad.channel_map(d, tau)
+
+    monkeypatch.setattr(weakvalue, "channel_map", counting)
+    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(1.0, 0.5))],
+                         dim=2)
+    grid = np.linspace(0.0, 16.0, 33)
+    trace = trace_over_tau(random_setup(np.random.default_rng(4), 2), d, grid)
+    assert not trace.gaps
+    assert built == []
+    assert counts == {"expm": 0, "envelope": len(grid) - 1}
+
+
 @pytest.fixture
 def eigs(monkeypatch):
     """Calls of numpy.linalg.eig, the eigendecomposition of the batched kernel."""
@@ -644,6 +664,93 @@ def test_batched_trace_matches_the_per_point_channel_map(seed):
             continue
         assert abs(value - num / den) < 1e-9 * abs(num / den)
         assert abs(prob - den.real) < 1e-9 * den.real
+
+
+def bits(values):
+    """The IEEE bit patterns of a complex array, so that equality also sees
+    the sign of a zero and the place of a NaN."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+def per_point_traces(setup, d, taus):
+    """Tr[sigma_fI e^{D tau}(C)] for C = A sigma_i, sigma_i from one channel_map per tau."""
+    rows = []
+    for tau in taus:
+        apply = lindblad.channel_map(d, tau)
+        rows.append([complex(np.trace(setup.sigma_fI @ apply(C)))
+                     for C in (setup.A_SI @ setup.sigma_i, setup.sigma_i)])
+    return np.array(rows)
+
+
+def assert_sigma_minus_grid_is_the_per_point_map(setup, d, taus):
+    num, den = weakvalue._postselected_traces(setup, d, taus)
+    want = per_point_traces(setup, d, taus)
+    assert np.array_equal(bits(num), bits(want[:, 0]))
+    assert np.array_equal(bits(den), bits(want[:, 1]))
+    # the per-point quotient, with a NaN gap where post-selection vanishes
+    values = np.full(len(taus), complex(np.nan, np.nan))
+    probs = np.zeros(len(taus))
+    for k, (n, m) in enumerate(want.tolist()):
+        if abs(m) >= 1e-14:
+            values[k], probs[k] = n / m, max(m.real, 0.0)
+    trace = trace_over_tau(setup, d, taus)
+    assert np.array_equal(bits(trace.values), bits(values))
+    assert np.array_equal(trace.postselection_probs.view(np.uint64), probs.view(np.uint64))
+    assert trace.gaps == tuple(np.flatnonzero(np.isnan(values.real)).tolist())
+
+
+@given(seeds, st.booleans(), st.booleans())
+def test_memory_kernel_grid_is_the_per_point_channel_map_bit_for_bit(seed, strong, orthogonal):
+    rng = np.random.default_rng(seed)
+    gamma0 = float(rng.uniform(0.05, 3.0))
+    # strong coupling lam < 2 gamma0 has poles of gamma(tau), the first at
+    # tau* = 2 (pi - atan(delta/lam))/delta; the grid runs past several
+    lam = gamma0 * float(rng.uniform(0.05, 1.9) if strong else rng.uniform(2.1, 60.0))
+    delta = math.sqrt(abs(lam * lam - 2.0 * gamma0 * lam))
+    stop = (4.0 * 2.0 * math.pi / delta if strong else 30.0 / gamma0) * float(rng.uniform(0.5, 1.5))
+    taus = np.unique(rng.uniform(0.0, stop, int(rng.integers(1, 40))))
+    if rng.random() < 0.5:
+        taus = np.concatenate([[0.0], taus[taus > 0.0]])
+    if orthogonal:
+        # orthogonal pre/post pair: post-selection vanishes at tau = 0
+        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        perp = [-psi[1].conjugate(), psi[0].conjugate()]
+        setup = WeakMeasurementSetup(sigma_i=pure_density(psi), sigma_fI=pure_density(perp),
+                                     A_SI=orc.random_hermitian(rng, 2))
+    else:
+        setup = random_setup(rng, 2)
+    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0, lam))],
+                         dim=2)
+    assert_sigma_minus_grid_is_the_per_point_map(setup, d, taus)
+
+
+@pytest.mark.parametrize("gamma0,lam", [(1.0, 1e308), (1e308, 1.0), (1e300, 1e300),
+                                        (5e307, 1e308), (0.5, 1.0)])
+def test_memory_kernel_float_limit_grid_is_the_per_point_channel_map(gamma0, lam):
+    # the configs of test_memory_kernel_near_the_float_limit_runs, and
+    # ordinary critical coupling
+    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0, lam))],
+                         dim=2)
+    setup = random_setup(np.random.default_rng(6), 2)
+    assert_sigma_minus_grid_is_the_per_point_map(setup, d, np.linspace(0.0, 4.0, 9))
+
+
+def test_memory_kernel_envelope_failure_names_the_first_tau():
+    # gamma0 = lam = 1e308: the envelope phase d tau/2 overflows at tau = 4
+    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(1e308, 1e308))],
+                         dim=2)
+    setup = random_setup(np.random.default_rng(8), 2)
+    grid = np.linspace(0.0, 4.0, 9)
+    with pytest.raises(NoConvergence, match=r"phase d tau/2 overflows at tau=4\.0"):
+        trace_over_tau(setup, d, grid)
+    # an observable whose A sigma_i overflows makes every trace infinite; the
+    # per-tau loop then names the first tau, as before the envelope fails
+    c, s = math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)
+    huge = WeakMeasurementSetup(sigma_i=pure_density([c, s]), sigma_fI=setup.sigma_fI,
+                                A_SI=np.full((2, 2), 1.7e308, dtype=complex))
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence,
+                                                  match=r"not finite at tau=0\.5"):
+        trace_over_tau(huge, d, grid[1:])
 
 
 def test_roundoff_growing_mode_is_clamped():
