@@ -1,10 +1,22 @@
 """Run configuration: a versioned, strictly validated JSON document.
 
 The schema is deliberately rigid so that a config file pins a run
-bit-for-bit: a required integer `version`, complex numbers always spelled as
-[re, im] pairs, unknown fields and non-finite numbers (NaN, Infinity)
-rejected with field-path diagnostics, and all defaults explicit here rather
-than scattered through the commands.
+bit-for-bit: a required `version` that is the JSON integer 1, complex
+numbers always spelled as [re, im] pairs, and all defaults explicit here
+rather than scattered through the commands.
+
+Each section is a frozen dataclass whose fields carry their check, and one
+walk over the parsed JSON (_walk) applies them. The types are strict: a
+float field takes a JSON number and holds a Python float (10 becomes 10.0),
+an integer field takes only a JSON integer, and a string or a boolean is
+never a number. Pairs and vectors are tuples of their fixed length, lists
+are lists. Refused, each with its field path: unknown fields, non-finite
+numbers (NaN, Infinity, an integer past the float range), a value outside
+its Literal or bound, and a section that breaks its cross-field rule
+(exactly one state form, exactly one observable form, a coherent channel,
+an ordered sweep). sweep.count is at most COUNT_MAX = 10**6, so an
+oversized grid is refused before anything is allocated. Every failure
+becomes one `loc: msg` line of a single ConfigError.
 
 Sections are optional at the schema level; each CLI command states which
 ones it needs (weak-value: system/observable/channel/sweep; shifts: those
@@ -13,11 +25,12 @@ plus meter; invert: meter plus invert).
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Literal
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from .errors import ConfigError, WeaklindError
 from .lindblad import DissipationChannel, Dissipator, NonMarkovJC, build_dissipator
@@ -34,67 +47,220 @@ from .operators import (
 
 ComplexPair = tuple[float, float]
 
+COUNT_MAX = 10**6
+
 NAMED_OBSERVABLES = ("jy6", "sigma_x", "sigma_y", "sigma_z", "sigma_plus",
                      "sigma_minus", "identity")
 NAMED_CHANNELS = ("amplitude_damping", "sodium", "nonmarkov_jc")
 
+# A check is called as check(value, loc, errors): it returns the parsed value,
+# or records (loc, msg) in errors and returns _BAD. A loc is the value's path
+# as a linked pair (parent loc, key), () at the root, so that the walk builds
+# no path tuple for the values that pass.
+_BAD = object()
 
-class _StrictModel(BaseModel):
-    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
+
+def _fail(errors: list, loc: tuple, msg: str) -> object:
+    errors.append((loc, msg))
+    return _BAD
 
 
-class StateSpec(_StrictModel):
+def _path(loc: tuple) -> str:
+    keys = []
+    while loc:
+        loc, key = loc
+        keys.append(str(key))
+    return ".".join(reversed(keys)) or "<root>"
+
+
+def _number(kind: type, ge=None, gt=None, le=None):
+    """A float (any JSON number, held as float) or an int (JSON integers only)."""
+    wrong = f"Input should be a valid {'integer' if kind is int else 'number'}"
+
+    def check(v, loc, errors):
+        if type(v) is float:
+            if not math.isfinite(v):
+                return _fail(errors, loc, "Input should be a finite number")
+            if kind is int:
+                return _fail(errors, loc, wrong)
+        elif type(v) is int and kind is float:
+            try:
+                v = float(v)
+            except OverflowError:
+                return _fail(errors, loc, "Input should be a finite number")
+        elif type(v) is not kind:  # type(True) is bool, not int
+            return _fail(errors, loc, wrong)
+        if ge is not None and v < ge:
+            return _fail(errors, loc, f"Input should be greater than or equal to {ge}")
+        if gt is not None and v <= gt:
+            return _fail(errors, loc, f"Input should be greater than {gt}")
+        if le is not None and v > le:
+            return _fail(errors, loc, f"Input should be less than or equal to {le}")
+        return v
+    return check
+
+
+def _one_of(*values):
+    """A Literal: one of `values`, of the same type (true and 1.0 are not 1)."""
+    names = [repr(v) for v in values]
+    msg = "Input should be " + " or ".join(filter(None, (", ".join(names[:-1]), names[-1])))
+    types = {type(v) for v in values}
+
+    def check(v, loc, errors):
+        return v if type(v) in types and v in values else _fail(errors, loc, msg)
+    return check
+
+
+def _string(v, loc, errors):
+    return v if type(v) is str else _fail(errors, loc, "Input should be a valid string")
+
+
+_FLOAT = _number(float)
+_FLOAT_TYPE = {float}
+
+
+def _array(item, length: int | None = None):
+    """A JSON array of `item`s: a list, or with `length` a tuple of exactly that many."""
+    wrong = f"Input should be a valid {'list' if length is None else 'tuple'}"
+
+    def check(v, loc, errors):
+        if type(v) is not list:
+            return _fail(errors, loc, wrong)
+        if length is not None and len(v) > length:
+            return _fail(errors, loc, f"Tuple should have at most {length} items "
+                                      f"after validation, not {len(v)}")
+        if (item is _FLOAT and (length is None or len(v) == length)
+                and _FLOAT_TYPE.issuperset(map(type, v)) and all(map(math.isfinite, v))):
+            return list(v) if length is None else tuple(v)  # finite floats, as _FLOAT takes them
+        n = len(errors)
+        out = [item(x, (loc, k), errors) for k, x in enumerate(v)]
+        if length is None:
+            return out if len(errors) == n else _BAD
+        for k in range(len(v), length):
+            _fail(errors, (loc, k), "Field required")
+        return tuple(out) if len(errors) == n else _BAD
+    return check
+
+
+# section class -> (((field name, check, default), ...), {field name: default}),
+# filled by _section
+_SCHEMA: dict[type, tuple[tuple, dict]] = {}
+
+
+def _field(check, default=MISSING):
+    """A section field; a default of None also admits JSON null."""
+    return field(default=default, metadata={"check": check})
+
+
+class _Section:
+    """Base of the config sections, whose __post_init__ is their cross-field rule."""
+
+    def __post_init__(self) -> None:
+        """Raise ValueError to refuse the section; none by default."""
+
+
+def _section(cls):
+    """Make `cls` a frozen dataclass and record its fields for _walk."""
+    cls = dataclass(frozen=True, kw_only=True)(cls)
+    _SCHEMA[cls] = (tuple((f.name, f.metadata["check"], f.default) for f in fields(cls)),
+                    {f.name: f.default for f in fields(cls) if f.default is not MISSING})
+    return cls
+
+
+def _walk(cls, raw, loc, errors):
+    """Check a JSON object against a section: its fields in order, then unknown
+    keys, then (only when every field passed) the section's own __post_init__
+    rule, whose ValueError is reported at the section's path."""
+    if type(raw) is not dict:
+        return _fail(errors, loc, "Input should be a valid dictionary")
+    n = len(errors)
+    values = {}
+    checks, defaults = _SCHEMA[cls]
+    for name, check, default in checks:
+        v = raw.get(name, MISSING)
+        if v is MISSING:
+            if default is MISSING:
+                _fail(errors, (loc, name), "Field required")
+        else:
+            values[name] = v if v is None and default is None else check(v, (loc, name), errors)
+    if len(raw) > len(values):
+        for key in raw:
+            if key not in values:
+                _fail(errors, (loc, key), "Extra inputs are not permitted")
+    if len(errors) > n:
+        return _BAD
+    # what the generated __init__ does, without its object.__setattr__ per
+    # field of a frozen dataclass (a microsecond per section)
+    section = object.__new__(cls)
+    section.__dict__.update(defaults, **values)
+    try:
+        section.__post_init__()
+    except ValueError as exc:
+        return _fail(errors, loc, f"Value error, {exc}")
+    return section
+
+
+def _sub(cls):
+    return functools.partial(_walk, cls)
+
+
+_NONNEG = _number(float, ge=0)
+_POSITIVE = _number(float, gt=0)
+_PAIR = _array(_FLOAT, 2)
+_PAIRS = _array(_PAIR)
+
+
+@_section
+class StateSpec(_Section):
     """A pure state, as complex amplitudes or (two-level) a Bloch vector."""
 
-    amplitudes: list[ComplexPair] | None = None
-    bloch: tuple[float, float, float] | None = None
+    amplitudes: list[ComplexPair] | None = _field(_PAIRS, None)
+    bloch: tuple[float, float, float] | None = _field(_array(_FLOAT, 3), None)
 
-    @model_validator(mode="after")
-    def _exactly_one(self) -> "StateSpec":
+    def __post_init__(self) -> None:
         if (self.amplitudes is None) == (self.bloch is None):
             raise ValueError("give exactly one of 'amplitudes' or 'bloch'")
-        return self
 
 
-class SystemSpec(_StrictModel):
-    dimension: int = Field(ge=2)
-    pre: StateSpec
-    post: StateSpec
+@_section
+class SystemSpec(_Section):
+    dimension: int = _field(_number(int, ge=2))
+    pre: StateSpec = _field(_sub(StateSpec))
+    post: StateSpec = _field(_sub(StateSpec))
 
 
-class PauliCombo(_StrictModel):
+@_section
+class PauliCombo(_Section):
     """Observable a*identity + b*(m . pauli_vector), m complex."""
 
-    a: float = 0.0
-    b: float = 1.0
-    m: tuple[ComplexPair, ComplexPair, ComplexPair]
+    a: float = _field(_FLOAT, 0.0)
+    b: float = _field(_FLOAT, 1.0)
+    m: tuple[ComplexPair, ComplexPair, ComplexPair] = _field(_array(_PAIR, 3))
 
 
-class ObservableSpec(_StrictModel):
-    named: Literal["jy6", "sigma_x", "sigma_y", "sigma_z", "sigma_plus",
-                   "sigma_minus", "identity"] | None = None
-    matrix: list[list[ComplexPair]] | None = None
-    pauli: PauliCombo | None = None
+@_section
+class ObservableSpec(_Section):
+    named: str | None = _field(_one_of(*NAMED_OBSERVABLES), None)
+    matrix: list[list[ComplexPair]] | None = _field(_array(_PAIRS), None)
+    pauli: PauliCombo | None = _field(_sub(PauliCombo), None)
 
-    @model_validator(mode="after")
-    def _exactly_one(self) -> "ObservableSpec":
+    def __post_init__(self) -> None:
         given = sum(x is not None for x in (self.named, self.matrix, self.pauli))
         if given != 1:
             raise ValueError("give exactly one of 'named', 'matrix' or 'pauli'")
-        return self
 
 
-class ChannelSpec(_StrictModel):
-    named: Literal["amplitude_damping", "sodium", "nonmarkov_jc"] | None = None
-    gamma: float | None = Field(default=None, ge=0.0)
-    rate: float | None = Field(default=None, ge=0.0)
-    gamma0: float | None = Field(default=None, gt=0.0)
-    lam: float | None = Field(default=None, gt=0.0)
-    jumps: list[list[list[ComplexPair]]] | None = None
-    rates: list[float] | None = None
+@_section
+class ChannelSpec(_Section):
+    named: str | None = _field(_one_of(*NAMED_CHANNELS), None)
+    gamma: float | None = _field(_NONNEG, None)
+    rate: float | None = _field(_NONNEG, None)
+    gamma0: float | None = _field(_POSITIVE, None)
+    lam: float | None = _field(_POSITIVE, None)
+    jumps: list[list[list[ComplexPair]]] | None = _field(_array(_array(_PAIRS)), None)
+    rates: list[float] | None = _field(_array(_FLOAT), None)
 
-    @model_validator(mode="after")
-    def _coherent(self) -> "ChannelSpec":
+    def __post_init__(self) -> None:
         custom = self.jumps is not None or self.rates is not None
         if (self.named is None) == (not custom):
             raise ValueError("give exactly one of 'named' or 'jumps'+'rates'")
@@ -109,7 +275,7 @@ class ChannelSpec(_StrictModel):
                      if getattr(self, n) is not None]
             if stray:
                 raise ValueError(f"custom channel does not take {stray}")
-            return self
+            return
         wanted = {"amplitude_damping": ("gamma",), "sodium": ("rate",),
                   "nonmarkov_jc": ("gamma0", "lam")}[self.named]
         for n in wanted:
@@ -119,60 +285,62 @@ class ChannelSpec(_StrictModel):
                  if n not in wanted and getattr(self, n) is not None]
         if stray:
             raise ValueError(f"channel '{self.named}' does not take {stray}")
-        return self
 
 
-class SweepSpec(_StrictModel):
+@_section
+class SweepSpec(_Section):
     """Grid of dissipation times tau (the CSV abscissa is rate * tau)."""
 
-    start: float = Field(ge=0.0)
-    stop: float
-    count: int = Field(ge=1)
-    spacing: Literal["linear", "log"] = "linear"
+    start: float = _field(_NONNEG)
+    stop: float = _field(_FLOAT)
+    count: int = _field(_number(int, ge=1, le=COUNT_MAX))
+    spacing: str = _field(_one_of("linear", "log"), "linear")
 
-    @model_validator(mode="after")
-    def _ordered(self) -> "SweepSpec":
+    def __post_init__(self) -> None:
         if self.stop < self.start:
             raise ValueError("stop must be >= start")
         if self.count > 1 and self.stop == self.start:
             raise ValueError("count > 1 needs stop > start")
         if self.spacing == "log" and self.start <= 0.0:
             raise ValueError("log spacing needs start > 0")
-        return self
 
 
-class MeterSpec(_StrictModel):
-    omega_f: float = Field(gt=0.0)
-    n_max: int = Field(default=20, ge=1)
-    state: Literal["vacuum", "number", "thermal"] = "vacuum"
-    n: float = Field(default=0.0, ge=0.0)
-    g: float
-    t: float
-    Delta: float = 0.0
-    model: Literal["rabi", "jc"] = "rabi"
-    hbar: float = Field(default=1.0, gt=0.0)
+@_section
+class MeterSpec(_Section):
+    omega_f: float = _field(_POSITIVE)
+    n_max: int = _field(_number(int, ge=1), 20)
+    state: str = _field(_one_of("vacuum", "number", "thermal"), "vacuum")
+    n: float = _field(_NONNEG, 0.0)
+    g: float = _field(_FLOAT)
+    t: float = _field(_FLOAT)
+    Delta: float = _field(_FLOAT, 0.0)
+    model: str = _field(_one_of("rabi", "jc"), "rabi")
+    hbar: float = _field(_POSITIVE, 1.0)
 
 
-class InvertSpec(_StrictModel):
-    Q_f: float
-    P_f: float
-    tau: float = Field(ge=0.0)
+@_section
+class InvertSpec(_Section):
+    Q_f: float = _field(_FLOAT)
+    P_f: float = _field(_FLOAT)
+    tau: float = _field(_NONNEG)
 
 
-class OutputSpec(_StrictModel):
-    out_dir: str = "."
-    format: Literal["csv", "json"] = "csv"
+@_section
+class OutputSpec(_Section):
+    out_dir: str = _field(_string, ".")
+    format: str = _field(_one_of("csv", "json"), "csv")
 
 
-class RunConfig(_StrictModel):
-    version: Literal[1]
-    system: SystemSpec | None = None
-    observable: ObservableSpec | None = None
-    channel: ChannelSpec | None = None
-    sweep: SweepSpec | None = None
-    meter: MeterSpec | None = None
-    invert: InvertSpec | None = None
-    output: OutputSpec | None = None
+@_section
+class RunConfig(_Section):
+    version: int = _field(_one_of(1))
+    system: SystemSpec | None = _field(_sub(SystemSpec), None)
+    observable: ObservableSpec | None = _field(_sub(ObservableSpec), None)
+    channel: ChannelSpec | None = _field(_sub(ChannelSpec), None)
+    sweep: SweepSpec | None = _field(_sub(SweepSpec), None)
+    meter: MeterSpec | None = _field(_sub(MeterSpec), None)
+    invert: InvertSpec | None = _field(_sub(InvertSpec), None)
+    output: OutputSpec | None = _field(_sub(OutputSpec), None)
 
 
 def load_config(path: str) -> RunConfig:
@@ -186,14 +354,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    try:
-        return RunConfig.model_validate(raw)
-    except ValidationError as exc:
+    errors: list = []
+    cfg = _walk(RunConfig, raw, (), errors)
+    if errors:
         lines = [f"config {path} failed validation:"]
-        for err in exc.errors():
-            loc = ".".join(str(p) for p in err["loc"]) or "<root>"
-            lines.append(f"  {loc}: {err['msg']}")
-        raise ConfigError("\n".join(lines)) from exc
+        lines += [f"  {_path(loc)}: {msg}" for loc, msg in errors]
+        raise ConfigError("\n".join(lines))
+    return cfg
 
 
 def require_sections(cfg: RunConfig, *names: str) -> None:
@@ -262,13 +429,26 @@ def build_observable(cfg: RunConfig) -> np.ndarray:
         if mat.shape != (dim, dim):
             raise ConfigError(
                 f"observable.matrix shape {mat.shape} does not match dimension {dim}")
-        return mat
+        return _bounded(mat, "observable.matrix")
     combo = spec.pauli
     if dim != 2:
         raise ConfigError(f"observable.pauli needs dimension 2, got {dim}")
     m = _pairs_to_vector(combo.m)
-    return (combo.a * np.eye(2, dtype=complex)
-            + combo.b * (m[0] * pauli("x") + m[1] * pauli("y") + m[2] * pauli("z")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = (combo.a * np.eye(2, dtype=complex)
+             + combo.b * (m[0] * pauli("x") + m[1] * pauli("y") + m[2] * pauli("z")))
+    return _bounded(A, "observable.pauli")
+
+
+def _bounded(A: np.ndarray, what: str) -> np.ndarray:
+    """A, refused unless sum |A_jk| is finite. That sum bounds every entry of
+    A sigma for a density sigma, and every post-selected trace of it, so the
+    observable cannot make A sigma_i overflow at any tau."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = float(np.abs(A).sum())
+    if not math.isfinite(size):
+        raise ConfigError(f"{what}: the entries are too large: sum |A_jk| overflows")
+    return A
 
 
 def build_channel(cfg: RunConfig) -> tuple[Dissipator, float]:

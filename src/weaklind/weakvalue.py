@@ -49,7 +49,6 @@ from .errors import (
     DenominatorVanishes,
     DimensionMismatch,
     EpsilonOutOfRange,
-    NegativeTau,
     NoConvergence,
     NormTooLarge,
     NotDensity,
@@ -58,6 +57,7 @@ from .errors import (
 from .lindblad import (
     Dissipator,
     NonMarkovJC,
+    _check_tau,
     _vec,
     apply_superoperator,
     asymptotic_projector,
@@ -260,10 +260,9 @@ def _bloch_denominator(i_vec, fI_vec, gamma: float, tau: float):
     post-selection denominator den = 1 + f_gamma.i + (f_gamma_z - f_z)."""
     i_vec = _check_bloch(i_vec, "i_vec")
     fI_vec = _check_bloch(fI_vec, "fI_vec")
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
-    if tau < 0.0:
-        raise NegativeTau("tau must be >= 0")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and >= 0")
+    _check_tau(tau)
     E = np.exp(-0.5 * gamma * tau)
     fg = np.array([fI_vec[0] * E, fI_vec[1] * E, fI_vec[2] * E * E])
     den = 1.0 + float(np.dot(fg, i_vec)) + (fg[2] - fI_vec[2])

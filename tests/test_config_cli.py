@@ -219,6 +219,118 @@ def test_require_sections_names_missing_pieces(tmp_path):
     assert "system" in str(err.value)
 
 
+def full_config():
+    """A config with every section, each field spelled out once."""
+    return two_level_config(
+        meter=meter_section(),
+        invert={"Q_f": 0.01, "P_f": 0.02, "tau": 0.3},
+        output={"out_dir": "out", "format": "csv"})
+
+
+def _edit(path, value):
+    def apply(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return payload
+    return apply
+
+
+SECTION_PATHS = [(), ("system",), ("system", "pre"), ("observable",), ("channel",),
+                 ("sweep",), ("meter",), ("invert",), ("output",)]
+# (edit of full_config, expected "loc: msg" line); one case per schema rule
+REJECTIONS = [
+    *[(_edit((*path, "bogus"), 1), ".".join((*path, "bogus")) + ": Extra inputs are not permitted")
+      for path in SECTION_PATHS],
+    (_edit(("observable",), {"pauli": {"m": [[1, 0], [0, 0], [0, 0]], "c": 1}}),
+     "observable.pauli.c: Extra inputs are not permitted"),
+    # Literals
+    (_edit(("version",), 2), "version: Input should be 1"),
+    (_edit(("observable", "named"), "sigma_w"),
+     "observable.named: Input should be 'jy6', 'sigma_x', 'sigma_y', 'sigma_z', "
+     "'sigma_plus', 'sigma_minus' or 'identity'"),
+    (_edit(("channel", "named"), "dephasing"),
+     "channel.named: Input should be 'amplitude_damping', 'sodium' or 'nonmarkov_jc'"),
+    (_edit(("sweep", "spacing"), "geometric"), "sweep.spacing: Input should be 'linear' or 'log'"),
+    (_edit(("meter", "state"), "coherent"),
+     "meter.state: Input should be 'vacuum', 'number' or 'thermal'"),
+    (_edit(("meter", "model"), "dicke"), "meter.model: Input should be 'rabi' or 'jc'"),
+    (_edit(("output", "format"), "xml"), "output.format: Input should be 'csv' or 'json'"),
+    # bounds
+    (_edit(("system", "dimension"), 1), "system.dimension: Input should be greater than or equal to 2"),
+    (_edit(("channel", "gamma"), -0.5), "channel.gamma: Input should be greater than or equal to 0"),
+    (_edit(("channel",), {"named": "sodium", "rate": -1.0}),
+     "channel.rate: Input should be greater than or equal to 0"),
+    (_edit(("channel",), {"named": "nonmarkov_jc", "gamma0": 0.0, "lam": 1.0}),
+     "channel.gamma0: Input should be greater than 0"),
+    (_edit(("channel",), {"named": "nonmarkov_jc", "gamma0": 0.1, "lam": -1.0}),
+     "channel.lam: Input should be greater than 0"),
+    (_edit(("sweep", "start"), -1.0), "sweep.start: Input should be greater than or equal to 0"),
+    (_edit(("sweep", "count"), 0), "sweep.count: Input should be greater than or equal to 1"),
+    (_edit(("sweep", "count"), 10**12),
+     "sweep.count: Input should be less than or equal to 1000000"),
+    (_edit(("meter", "omega_f"), 0.0), "meter.omega_f: Input should be greater than 0"),
+    (_edit(("meter", "n_max"), 0), "meter.n_max: Input should be greater than or equal to 1"),
+    (_edit(("meter", "n"), -1.0), "meter.n: Input should be greater than or equal to 0"),
+    (_edit(("meter", "hbar"), -1.0), "meter.hbar: Input should be greater than 0"),
+    (_edit(("invert", "tau"), -0.3), "invert.tau: Input should be greater than or equal to 0"),
+    # fixed-length tuples
+    (_edit(("system", "pre"), {"bloch": [0.5, 0.5]}), "system.pre.bloch.2: Field required"),
+    (_edit(("system", "pre"), {"bloch": [0.5, 0.5, 0.5, 0.5]}),
+     "system.pre.bloch: Tuple should have at most 3 items after validation, not 4"),
+    (_edit(("system", "pre"), {"amplitudes": [[1, 0, 0], [0, 0]]}),
+     "system.pre.amplitudes.0: Tuple should have at most 2 items after validation, not 3"),
+    (_edit(("observable",), {"pauli": {"m": [[1, 0], [0, 0]]}}),
+     "observable.pauli.m.2: Field required"),
+    # a bool or a string where a number is expected
+    (_edit(("sweep", "count"), "3"), "sweep.count: Input should be a valid integer"),
+    (_edit(("sweep", "count"), True), "sweep.count: Input should be a valid integer"),
+    (_edit(("sweep", "count"), 3.0), "sweep.count: Input should be a valid integer"),
+    (_edit(("meter", "g"), "0.5"), "meter.g: Input should be a valid number"),
+    (_edit(("sweep", "stop"), True), "sweep.stop: Input should be a valid number"),
+    (_edit(("channel",), {"jumps": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]], "rates": ["0.7"]}),
+     "channel.rates.0: Input should be a valid number"),
+    (_edit(("version",), True), "version: Input should be 1"),
+    (_edit(("version",), 1.0), "version: Input should be 1"),
+    # an integer past the float range where a float is expected
+    (_edit(("sweep", "stop"), 10**400), "sweep.stop: Input should be a finite number"),
+    (lambda payload: [payload], "<root>: Input should be a valid dictionary"),
+]
+
+
+@pytest.mark.parametrize("edit,line", REJECTIONS,
+                         ids=[f"{k}-{line.split(':')[0]}" for k, (_, line) in enumerate(REJECTIONS)])
+def test_schema_rejections_exit_2_with_their_path(tmp_path, capsys, edit, line):
+    cfg = write_cfg(tmp_path, edit(full_config()))
+    assert run_cli("weak-value", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert f"error: config {cfg} failed validation:\n  {line}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "weak_value.csv").exists()
+
+
+def test_float_fields_spelled_as_ints_give_identical_outputs(tmp_path):
+    def payload(as_int):
+        num = int if as_int else float
+        cfg = two_level_config(
+            channel={"named": "amplitude_damping", "gamma": num(1)},
+            sweep={"start": num(0), "stop": num(10), "count": 6, "spacing": "linear"},
+            meter={**meter_section(), "omega_f": num(2), "n": num(0), "t": num(1)})
+        cfg["system"]["pre"] = {"amplitudes": [[num(3), num(0)], [num(4), num(0)]]}
+        return cfg
+    runs = {}
+    for as_int in (False, True):
+        cfg = write_cfg(tmp_path, payload(as_int), f"{as_int}.json")
+        out = tmp_path / str(as_int)
+        assert run_cli("weak-value", "--config", cfg, "--out", str(out), "--format", "json") == 0
+        assert run_cli("shifts", "--config", cfg, "--out", str(out)) == 0
+        runs[as_int] = [(out / name).read_bytes() for name in ("weak_value.json", "shifts.csv")]
+    assert runs[True] == runs[False]
+    assert json.loads(runs[True][0])["metadata"]["setup_hash"]
+    assert type(load_config(write_cfg(tmp_path, payload(True))).sweep.stop) is float
+
+
 # ------------------------------------------------------------- CLI: sweeps
 
 def run_cli(*argv):
@@ -351,6 +463,22 @@ def test_overflowing_rate_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "tau=0.5" in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert not (out / "weak_value.csv").exists()
+
+
+@pytest.mark.parametrize("observable,what", [
+    ({"matrix": [[[1.7e308, 0.0], [1.7e308, 0.0]], [[1.7e308, 0.0], [1.7e308, 0.0]]]},
+     "observable.matrix"),
+    ({"pauli": {"b": 1e308, "m": [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0]]}}, "observable.pauli"),
+])
+def test_overflowing_observable_exits_2_where_it_enters(tmp_path, capsys, observable, what):
+    payload = two_level_config(observable=observable)
+    payload["system"]["pre"] = {"bloch": [0.6, 0.0, 0.8]}
+    out = tmp_path / "o"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {what}: the entries are too large: sum |A_jk| overflows\n"
     assert not (out / "weak_value.csv").exists()
 
 
@@ -778,6 +906,14 @@ def test_module_entry_point_subprocess(tmp_path):
 
 def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     probe = "import sys, weaklind.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=str(tmp_path), env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_pydantic(tmp_path):
+    probe = "import sys, weaklind.cli; print('pydantic' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, cwd=str(tmp_path), env=subprocess_env())
     assert proc.returncode == 0, proc.stderr

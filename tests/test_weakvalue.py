@@ -251,6 +251,18 @@ def test_analytic_input_validation():
                                    [1, 0, 0], 0.5, -1.0)
 
 
+@pytest.mark.parametrize("gamma,tau,error", [
+    (math.nan, 1.0, ValueError), (math.inf, 0.0, ValueError), (-math.inf, 1.0, ValueError),
+    (0.5, math.nan, NegativeTau), (0.5, math.inf, NegativeTau), (math.inf, math.nan, ValueError),
+])
+def test_closed_forms_refuse_non_finite_gamma_and_tau(gamma, tau, error):
+    i_vec, f_vec = (0.6, 0.2, 0.5), (0.3, -0.5, -0.7)
+    with pytest.raises(error):
+        weak_value_2level_analytic(i_vec, f_vec, 0.0, 1.0, [1.0, 0, 0], gamma, tau)
+    with pytest.raises(error):
+        weak_value_sigma_pm(i_vec, f_vec, gamma, tau, "+")
+
+
 # ------------------------------------------------------------- ladder forms
 
 def test_sigma_pm_equals_complex_axis_form():
