@@ -5,18 +5,24 @@ bit-for-bit: a required `version` that is the JSON integer 1, complex
 numbers always spelled as [re, im] pairs, and all defaults explicit here
 rather than scattered through the commands.
 
-Each section is a frozen dataclass whose fields carry their check, and one
-walk over the parsed JSON (_walk) applies them. The types are strict: a
-float field takes a JSON number and holds a Python float (10 becomes 10.0),
-an integer field takes only a JSON integer, and a string or a boolean is
-never a number. Pairs and vectors are tuples of their fixed length, lists
-are lists. Refused, each with its field path: unknown fields, non-finite
-numbers (NaN, Infinity, an integer past the float range), a value outside
-its Literal or bound, and a section that breaks its cross-field rule
-(exactly one state form, exactly one observable form, a coherent channel,
-an ordered sweep). sweep.count is at most COUNT_MAX = 10**6, so an
-oversized grid is refused before anything is allocated. Every failure
-becomes one `loc: msg` line of a single ConfigError.
+Each section is a frozen dataclass whose fields carry their check in their
+metadata, and one walk (_walk) goes over the parsed JSON and fields(cls):
+each field is checked in order, then unknown keys are refused, and the
+section is built by its own __init__, whose __post_init__ holds its
+cross-field rule. The types are strict: a float field takes a JSON number
+and holds a Python float (10 becomes 10.0), an integer field takes only a
+JSON integer, and a string or a boolean is never a number. Pairs and
+vectors are tuples of their fixed length, lists are lists. Refused, each
+with its field path: unknown fields, non-finite numbers (NaN, Infinity, an
+integer past the float range), a value outside its Literal or bound, and a
+section that breaks its cross-field rule (exactly one state form, exactly
+one observable form, a coherent channel, an ordered sweep). The fields that
+size an allocation are bounded, so an oversized run is refused before
+anything is allocated: sweep.count is at most COUNT_MAX = 10**6,
+system.dimension at most DIMENSION_MAX = 32 (the Lindblad generator is
+d^2 x d^2) and meter.n_max at most N_MAX_MAX = 1000 (the Fock space). Every
+failure becomes one `loc: msg` line of a single ConfigError; a file that
+cannot be read or parsed is a ConfigError too.
 
 Sections are optional at the schema level; each CLI command states which
 ones it needs (weak-value: system/observable/channel/sweep; shifts: those
@@ -48,29 +54,22 @@ from .operators import (
 ComplexPair = tuple[float, float]
 
 COUNT_MAX = 10**6
+DIMENSION_MAX = 32
+N_MAX_MAX = 1000
 
 NAMED_OBSERVABLES = ("jy6", "sigma_x", "sigma_y", "sigma_z", "sigma_plus",
                      "sigma_minus", "identity")
 NAMED_CHANNELS = ("amplitude_damping", "sodium", "nonmarkov_jc")
 
 # A check is called as check(value, loc, errors): it returns the parsed value,
-# or records (loc, msg) in errors and returns _BAD. A loc is the value's path
-# as a linked pair (parent loc, key), () at the root, so that the walk builds
-# no path tuple for the values that pass.
+# or records (loc, msg) in errors and returns _BAD. A loc is the value's path,
+# a tuple of keys, () at the root.
 _BAD = object()
 
 
 def _fail(errors: list, loc: tuple, msg: str) -> object:
     errors.append((loc, msg))
     return _BAD
-
-
-def _path(loc: tuple) -> str:
-    keys = []
-    while loc:
-        loc, key = loc
-        keys.append(str(key))
-    return ".".join(reversed(keys)) or "<root>"
 
 
 def _number(kind: type, ge=None, gt=None, le=None):
@@ -116,7 +115,6 @@ def _string(v, loc, errors):
 
 
 _FLOAT = _number(float)
-_FLOAT_TYPE = {float}
 
 
 def _array(item, length: int | None = None):
@@ -129,22 +127,14 @@ def _array(item, length: int | None = None):
         if length is not None and len(v) > length:
             return _fail(errors, loc, f"Tuple should have at most {length} items "
                                       f"after validation, not {len(v)}")
-        if (item is _FLOAT and (length is None or len(v) == length)
-                and _FLOAT_TYPE.issuperset(map(type, v)) and all(map(math.isfinite, v))):
-            return list(v) if length is None else tuple(v)  # finite floats, as _FLOAT takes them
         n = len(errors)
-        out = [item(x, (loc, k), errors) for k, x in enumerate(v)]
-        if length is None:
-            return out if len(errors) == n else _BAD
-        for k in range(len(v), length):
-            _fail(errors, (loc, k), "Field required")
-        return tuple(out) if len(errors) == n else _BAD
+        out = [item(x, loc + (k,), errors) for k, x in enumerate(v)]
+        for k in range(len(v), length or 0):
+            _fail(errors, loc + (k,), "Field required")
+        if len(errors) > n:
+            return _BAD
+        return out if length is None else tuple(out)
     return check
-
-
-# section class -> (((field name, check, default), ...), {field name: default}),
-# filled by _section
-_SCHEMA: dict[type, tuple[tuple, dict]] = {}
 
 
 def _field(check, default=MISSING):
@@ -152,52 +142,33 @@ def _field(check, default=MISSING):
     return field(default=default, metadata={"check": check})
 
 
-class _Section:
-    """Base of the config sections, whose __post_init__ is their cross-field rule."""
-
-    def __post_init__(self) -> None:
-        """Raise ValueError to refuse the section; none by default."""
-
-
-def _section(cls):
-    """Make `cls` a frozen dataclass and record its fields for _walk."""
-    cls = dataclass(frozen=True, kw_only=True)(cls)
-    _SCHEMA[cls] = (tuple((f.name, f.metadata["check"], f.default) for f in fields(cls)),
-                    {f.name: f.default for f in fields(cls) if f.default is not MISSING})
-    return cls
+_section = dataclass(frozen=True, kw_only=True)
 
 
 def _walk(cls, raw, loc, errors):
     """Check a JSON object against a section: its fields in order, then unknown
-    keys, then (only when every field passed) the section's own __post_init__
-    rule, whose ValueError is reported at the section's path."""
+    keys, then (only when every field passed) build it with cls(**values); the
+    ValueError of its __post_init__ rule is reported at the section's path."""
     if type(raw) is not dict:
         return _fail(errors, loc, "Input should be a valid dictionary")
     n = len(errors)
     values = {}
-    checks, defaults = _SCHEMA[cls]
-    for name, check, default in checks:
-        v = raw.get(name, MISSING)
-        if v is MISSING:
-            if default is MISSING:
-                _fail(errors, (loc, name), "Field required")
-        else:
-            values[name] = v if v is None and default is None else check(v, (loc, name), errors)
-    if len(raw) > len(values):
-        for key in raw:
-            if key not in values:
-                _fail(errors, (loc, key), "Extra inputs are not permitted")
+    for f in fields(cls):
+        if f.name in raw:
+            v = raw[f.name]
+            values[f.name] = (v if v is None and f.default is None
+                              else f.metadata["check"](v, loc + (f.name,), errors))
+        elif f.default is MISSING:
+            _fail(errors, loc + (f.name,), "Field required")
+    for key in raw:
+        if key not in values:
+            _fail(errors, loc + (key,), "Extra inputs are not permitted")
     if len(errors) > n:
         return _BAD
-    # what the generated __init__ does, without its object.__setattr__ per
-    # field of a frozen dataclass (a microsecond per section)
-    section = object.__new__(cls)
-    section.__dict__.update(defaults, **values)
     try:
-        section.__post_init__()
+        return cls(**values)
     except ValueError as exc:
         return _fail(errors, loc, f"Value error, {exc}")
-    return section
 
 
 def _sub(cls):
@@ -211,7 +182,7 @@ _PAIRS = _array(_PAIR)
 
 
 @_section
-class StateSpec(_Section):
+class StateSpec:
     """A pure state, as complex amplitudes or (two-level) a Bloch vector."""
 
     amplitudes: list[ComplexPair] | None = _field(_PAIRS, None)
@@ -223,14 +194,14 @@ class StateSpec(_Section):
 
 
 @_section
-class SystemSpec(_Section):
-    dimension: int = _field(_number(int, ge=2))
+class SystemSpec:
+    dimension: int = _field(_number(int, ge=2, le=DIMENSION_MAX))
     pre: StateSpec = _field(_sub(StateSpec))
     post: StateSpec = _field(_sub(StateSpec))
 
 
 @_section
-class PauliCombo(_Section):
+class PauliCombo:
     """Observable a*identity + b*(m . pauli_vector), m complex."""
 
     a: float = _field(_FLOAT, 0.0)
@@ -239,7 +210,7 @@ class PauliCombo(_Section):
 
 
 @_section
-class ObservableSpec(_Section):
+class ObservableSpec:
     named: str | None = _field(_one_of(*NAMED_OBSERVABLES), None)
     matrix: list[list[ComplexPair]] | None = _field(_array(_PAIRS), None)
     pauli: PauliCombo | None = _field(_sub(PauliCombo), None)
@@ -251,7 +222,7 @@ class ObservableSpec(_Section):
 
 
 @_section
-class ChannelSpec(_Section):
+class ChannelSpec:
     named: str | None = _field(_one_of(*NAMED_CHANNELS), None)
     gamma: float | None = _field(_NONNEG, None)
     rate: float | None = _field(_NONNEG, None)
@@ -288,7 +259,7 @@ class ChannelSpec(_Section):
 
 
 @_section
-class SweepSpec(_Section):
+class SweepSpec:
     """Grid of dissipation times tau (the CSV abscissa is rate * tau)."""
 
     start: float = _field(_NONNEG)
@@ -306,9 +277,9 @@ class SweepSpec(_Section):
 
 
 @_section
-class MeterSpec(_Section):
+class MeterSpec:
     omega_f: float = _field(_POSITIVE)
-    n_max: int = _field(_number(int, ge=1), 20)
+    n_max: int = _field(_number(int, ge=1, le=N_MAX_MAX), 20)
     state: str = _field(_one_of("vacuum", "number", "thermal"), "vacuum")
     n: float = _field(_NONNEG, 0.0)
     g: float = _field(_FLOAT)
@@ -319,20 +290,20 @@ class MeterSpec(_Section):
 
 
 @_section
-class InvertSpec(_Section):
+class InvertSpec:
     Q_f: float = _field(_FLOAT)
     P_f: float = _field(_FLOAT)
     tau: float = _field(_NONNEG)
 
 
 @_section
-class OutputSpec(_Section):
+class OutputSpec:
     out_dir: str = _field(_string, ".")
     format: str = _field(_one_of("csv", "json"), "csv")
 
 
 @_section
-class RunConfig(_Section):
+class RunConfig:
     version: int = _field(_one_of(1))
     system: SystemSpec | None = _field(_sub(SystemSpec), None)
     observable: ObservableSpec | None = _field(_sub(ObservableSpec), None)
@@ -354,11 +325,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, too many digits
+        raise ConfigError(f"config {path} cannot be parsed: {exc}") from exc
     errors: list = []
     cfg = _walk(RunConfig, raw, (), errors)
     if errors:
         lines = [f"config {path} failed validation:"]
-        lines += [f"  {_path(loc)}: {msg}" for loc, msg in errors]
+        lines += [f"  {'.'.join(map(str, loc)) or '<root>'}: {msg}" for loc, msg in errors]
         raise ConfigError("\n".join(lines))
     return cfg
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -29,6 +30,16 @@ from weaklind import (
 from weaklind import cli
 from weaklind.cli import main
 from weaklind.config import (
+    ChannelSpec,
+    InvertSpec,
+    MeterSpec,
+    ObservableSpec,
+    OutputSpec,
+    PauliCombo,
+    RunConfig,
+    StateSpec,
+    SweepSpec,
+    SystemSpec,
     build_channel,
     build_observable,
     build_states,
@@ -296,6 +307,9 @@ REJECTIONS = [
     # an integer past the float range where a float is expected
     (_edit(("sweep", "stop"), 10**400), "sweep.stop: Input should be a finite number"),
     (lambda payload: [payload], "<root>: Input should be a valid dictionary"),
+    # the sizes that allocate memory (rows added last, so earlier ids stay put)
+    (_edit(("system", "dimension"), 200), "system.dimension: Input should be less than or equal to 32"),
+    (_edit(("meter", "n_max"), 10**12), "meter.n_max: Input should be less than or equal to 1000"),
 ]
 
 
@@ -308,6 +322,60 @@ def test_schema_rejections_exit_2_with_their_path(tmp_path, capsys, edit, line):
     assert f"error: config {cfg} failed validation:\n  {line}\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "weak_value.csv").exists()
+
+
+def test_simultaneous_errors_are_listed_in_walk_order(tmp_path):
+    payload = full_config()
+    payload["extra"] = 1
+    payload["system"]["pre"] = {"bloch": [0.5]}
+    payload["sweep"]["count"] = "5"
+    payload["meter"]["bogus"] = 0
+    path = write_cfg(tmp_path, payload)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == "\n".join([
+        f"config {path} failed validation:",
+        "  system.pre.bloch.1: Field required",
+        "  system.pre.bloch.2: Field required",
+        "  sweep.count: Input should be a valid integer",
+        "  meter.bogus: Extra inputs are not permitted",
+        "  extra: Extra inputs are not permitted",
+    ])
+
+
+def test_full_config_parses_to_its_typed_sections(tmp_path):
+    want = RunConfig(
+        version=1,
+        system=SystemSpec(dimension=2, pre=StateSpec(bloch=(0.55, 0.15, 0.6)),
+                          post=StateSpec(bloch=(-0.3, 0.45, -0.5))),
+        observable=ObservableSpec(named="sigma_x"),
+        channel=ChannelSpec(named="amplitude_damping", gamma=0.5),
+        sweep=SweepSpec(start=0.0, stop=2.0, count=5, spacing="linear"),
+        meter=MeterSpec(omega_f=1.3, n_max=20, state="vacuum", n=0.0, g=0.001, t=1.0,
+                        Delta=0.0, model="rabi", hbar=1.0),
+        invert=InvertSpec(Q_f=0.01, P_f=0.02, tau=0.3),
+        output=OutputSpec(out_dir="out", format="csv"))
+    payload = full_config()
+    payload["system"]["pre"] = {"amplitudes": [[1, 0], [0, -1]]}
+    payload["observable"] = {"pauli": {"m": [[1, 0], [0, 0], [0, 2]]}}
+    payload["channel"] = {"jumps": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]], "rates": [1]}
+    payload["meter"] = {"omega_f": 2, "g": 1, "t": 3}
+    del payload["output"]["format"]
+    want_edited = dataclasses.replace(
+        want,
+        system=dataclasses.replace(want.system,
+                                   pre=StateSpec(amplitudes=[(1.0, 0.0), (0.0, -1.0)])),
+        observable=ObservableSpec(pauli=PauliCombo(
+            a=0.0, b=1.0, m=((1.0, 0.0), (0.0, 0.0), (0.0, 2.0)))),
+        channel=ChannelSpec(jumps=[[[(0.0, 0.0), (0.0, 0.0)], [(1.0, 0.0), (0.0, 0.0)]]],
+                            rates=[1.0]),
+        meter=MeterSpec(omega_f=2.0, g=1.0, t=3.0),
+        output=OutputSpec(out_dir="out"))
+    for cfg, expected in ((full_config(), want),
+                          (payload, want_edited)):
+        got = load_config(write_cfg(tmp_path, cfg))
+        # == compares 1 and 1.0 alike; repr tells the parsed types apart
+        assert got == expected and repr(got) == repr(expected)
 
 
 def test_float_fields_spelled_as_ints_give_identical_outputs(tmp_path):
@@ -521,10 +589,20 @@ def test_missing_section_exits_2(tmp_path, capsys):
     assert "system" in capsys.readouterr().err
 
 
-def test_bad_config_file_exits_2(tmp_path):
+@pytest.mark.parametrize("blob,why", [
+    (b"{nope", "is not valid JSON: line 1 column 2"),
+    (b'{"version": 1, "output": {"out_dir": "\xff"}}', "cannot be parsed: 'utf-8' codec"),
+    (b"[" * 100_000 + b"]" * 100_000, "cannot be parsed: maximum recursion depth"),
+    (b'{"version": 1, "sweep": {"start": 0, "stop": ' + b"1" * 5000 + b', "count": 3}}',
+     "cannot be parsed: Exceeds the limit"),
+], ids=["malformed", "not-utf8", "deeply-nested", "long-integer"])
+def test_bad_config_file_exits_2(tmp_path, capsys, blob, why):
     path = tmp_path / "bad.json"
-    path.write_text("{nope")
+    path.write_bytes(blob)
     assert run_cli("weak-value", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} {why}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("amplitudes", [[[1e200, 0.0], [1.0, 0.0]],
