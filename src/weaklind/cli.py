@@ -3,11 +3,12 @@
 Subcommands: weak-value (trace of the dissipative weak value over a tau
 grid), scenario <name> (packaged experiments), shifts (meter quadrature
 readout along the sweep), invert (weak value back from measured shifts).
-Sweeps run sequentially through weakvalue.trace_over_tau, one call per
-observable on the grid. shifts reads the meter out on the whole grid at once
-(meter.rabi_shift_columns / jc_shift_columns, whose one-point case is
-rabi_shifts_number_state / jc_shifts), and each output table or float list
-is formatted in one % operation over a repeated row template.
+Each command sweeps its grid once through weakvalue.trace_over_tau (jc
+shifts stack sigma+ and sigma- into one observable over one denominator).
+shifts reads the meter out on the whole grid at once (rabi_shift_columns /
+jc_shift_columns of meter, whose one-point case is rabi_shifts_number_state
+/ jc_shifts), and each output table or float list is formatted in one %
+operation over a repeated row template.
 
 Determinism contract: identical config and package version produce
 byte-identical files. Every float is serialized with 17 significant digits
@@ -247,43 +248,33 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     m = cfg.meter
     mu0 = build_meter_state(cfg)
     taus = build_tau_grid(cfg)
-
-    def setup(A_SI):
-        return WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A_SI,
-                                    g=m.g, t=m.t)
-
     if m.model == "jc":
         if cfg.system.dimension != 2:
             raise ConfigError("jc shifts require a two-level system")
         if mu0.kind not in ("vacuum", "number", "thermal"):
             raise ConfigError("jc shifts need a vacuum/number/thermal meter")
         header = "gamma_tau,q_shift,p_shift,re_wv_plus,im_wv_plus,re_wv_minus,im_wv_minus"
-        # sigma+ and sigma- share the denominator, so both traces have the same gaps
-        traces = (trace_over_tau(setup(SIGMA_PLUS), d, taus),
-                  trace_over_tau(setup(SIGMA_MINUS), d, taus))
-
-        def columns(keep):
-            wvp, wvm = (tr.values[keep] for tr in traces)
-            Q, P = jc_shift_columns(wvp, wvm, mu0, m.g, m.t, taus[keep], m.omega_f,
-                                    m.Delta, hbar=m.hbar)
-            return Q, P, wvp.real, wvp.imag, wvm.real, wvm.imag
+        # one sweep for sigma+ and sigma-, which share the states and the denominator
+        A = np.stack([SIGMA_PLUS, SIGMA_MINUS])
     else:
         header = "gamma_tau,q_shift,p_shift,re_wv,im_wv"
-        traces = (trace_over_tau(setup(A), d, taus),)
-
-        def columns(keep):
-            wv = traces[0].values[keep]
-            Q, P = rabi_shift_columns(mu0.mean_n(), wv, m.g, m.t, taus[keep], m.omega_f,
-                                      hbar=m.hbar)
-            return Q, P, wv.real, wv.imag
-
-    gaps = set().union(*(tr.gaps for tr in traces))
-    if len(gaps) == len(taus):
+    setup = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A, g=m.g, t=m.t)
+    trace = trace_over_tau(setup, d, taus)
+    if len(trace.gaps) == len(taus):
         print("post-selection probability vanishes on the whole tau grid", file=sys.stderr)
         return EXIT_NO_POSTSELECTION
     keep = np.ones(len(taus), dtype=bool)
-    keep[list(gaps)] = False
-    cells = np.column_stack(columns(keep))
+    keep[list(trace.gaps)] = False
+    if m.model == "jc":
+        wvp, wvm = trace.values[keep].T.copy()
+        Q, P = jc_shift_columns(wvp, wvm, mu0, m.g, m.t, taus[keep], m.omega_f, m.Delta,
+                                hbar=m.hbar)
+        cells = np.column_stack((Q, P, wvp.real, wvp.imag, wvm.real, wvm.imag))
+    else:
+        wv = trace.values[keep]
+        Q, P = rabi_shift_columns(mu0.mean_n(), wv, m.g, m.t, taus[keep], m.omega_f,
+                                  hbar=m.hbar)
+        cells = np.column_stack((Q, P, wv.real, wv.imag))
     bad = ~np.isfinite(cells[:, :2]).all(axis=1)
     if bad.any():  # an infinite phase, or shifts past the float range
         tau = taus[keep][bad.argmax()].item()
@@ -298,7 +289,7 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     else:
         path = os.path.join(out_dir, "shifts.csv")
         _atomic_write(path, _csv_text(header, table))
-    print(f"wrote {path} ({len(taus)} points, {len(gaps)} gap(s))")
+    print(f"wrote {path} ({len(taus)} points, {len(trace.gaps)} gap(s))")
     return EXIT_OK
 
 

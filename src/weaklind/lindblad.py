@@ -14,15 +14,12 @@ non-Markovian damped-atom channel) the master equation dC/dtau = gamma(tau)
 D_1(C) is solved in closed form: gamma(tau) = -2 Gamma'/Gamma for the
 excited-amplitude envelope Gamma, so the map is exp(-2 ln Gamma(tau) D_1)
 whenever every channel shares that one rate. Nothing is integrated
-numerically. exponent_scales(d, taus) gives each exponential map as
-exp(s M), one generator M with a scale s per tau; weakvalue evaluates a whole
-tau grid from one eigendecomposition of M, and falls back to channel_map
-when its guards fail. The single sigma_- channel with a memory-kernel rate
-has no generator there: sigma_minus_maps(d, taus) stacks its closed-form
-damping maps over the grid, one envelope Gamma(tau) per nonzero tau.
-channel_map(d, tau) is the one dispatch at a single tau: one expm(s M), or
-the one-point case of sigma_minus_maps; evolve applies it. scipy.linalg is
-imported on the first expm only. The map
+numerically. traces_over_tau(d, F, operands, taus) gives Tr[F e^{D tau}(C)]
+on a whole tau grid for several operands: exp(s M) for one generator M with
+a scale s per tau, from one eigendecomposition of M or one expm per tau, or
+for the single sigma_- memory-kernel channel, which has no generator, its
+stacked closed-form maps. evolve(d, C, tau) applies the map at one tau.
+scipy.linalg is imported on the first expm only. The map
 preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
 and for constant rates forms a semigroup in tau.
 
@@ -34,9 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -44,6 +39,7 @@ from .errors import DimensionMismatch, NegativeTau, NoConvergence
 from .operators import SIGMA_MINUS, _cmul
 
 _KERNEL_TOL = 1e-9
+_EIG_COND_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -351,7 +347,7 @@ def _shared_nonmarkov_rate(d: Dissipator) -> NonMarkovJC:
     return rate
 
 
-def exponent_scales(d: Dissipator, taus) -> tuple[np.ndarray, np.ndarray] | None:
+def _exponent_scales(d: Dissipator, taus) -> tuple[np.ndarray, np.ndarray] | None:
     """(M, s) with e^{D tau_k} = exp(s_k M) at every tau_k, or None for the
     single sigma_- channel with a NonMarkovJC rate, whose map is a closed form.
 
@@ -387,56 +383,107 @@ def exponent_scales(d: Dissipator, taus) -> tuple[np.ndarray, np.ndarray] | None
     return M_unit, np.array([integrated_rate(tau) for tau in taus.tolist()])
 
 
-def sigma_minus_maps(d: Dissipator, taus: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """C -> the (N, 2, 2) stack of e^{D tau_k}(C) for the single sigma_- channel
-    with a NonMarkovJC rate, the case where exponent_scales(d, taus) is None.
-
-    The closed form of nonmarkov_channel_apply on the whole grid: one
-    envelope Gamma(tau_k) from nonmarkov_big_gamma per nonzero tau, in order,
-    so NoConvergence names the first tau whose envelope phase overflows; the
-    map at tau = 0 is the identity. taus are checked by exponent_scales.
-    """
-    rate = d.channels[0].rate
-    G = np.array([nonmarkov_big_gamma(tau, rate.gamma0, rate.lam) if tau else 1.0
-                  for tau in taus.tolist()])
-    at_zero = (taus == 0.0)[:, None, None]
-
-    def apply(C: np.ndarray) -> np.ndarray:
-        C = _check_operator(C, 2)
-        return np.where(at_zero, C, _damping_maps(C, G))
-    return apply
-
-
-def channel_map(d: Dissipator, tau: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The map C -> e^{D tau}(C), built once for every operator at this tau.
-
-    The one place that decides how each kind of channel evolves at one tau.
-    A single sigma_- channel with a NonMarkovJC rate: the closed-form map of
-    nonmarkov_channel_apply, analytic across the poles of gamma(tau). Every
-    other channel: one matrix exponential expm(s M) of exponent_scales,
-    which also raises the NegativeTau and NoConvergence refusals;
-    NoConvergence too when expm(s M) is not finite. The returned map raises
-    DimensionMismatch on an operator of the wrong shape.
-    """
-    form = exponent_scales(d, (tau,))
-    if tau == 0.0:
-        return lambda C: _check_operator(C, d.dim).copy()
-    if form is None:
-        maps = sigma_minus_maps(d, np.array([tau]))
-        return lambda C: maps(C)[0]
-    M, (s,) = form
+def _exponential_map(M: np.ndarray, s: float, tau: float) -> np.ndarray:
+    """expm(s M), refused with NoConvergence naming tau when it is not finite."""
     # rates or scales near the float limit overflow s M or the scaling and
     # squaring inside expm; the map is then refused, never returned as NaN
     with np.errstate(over="ignore", invalid="ignore"):
         S = expm(s * M)
     if not np.isfinite(S).all():
         raise NoConvergence(f"the channel map is not finite at tau={tau}")
-    return partial(apply_superoperator, S)
+    return S
+
+
+def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
+                  s: np.ndarray) -> np.ndarray | None:
+    """r^T exp(s_k M) X for every s_k, from one M = V diag(lam) V^-1.
+
+    None when a guard fails: eig does not converge, cond(V) exceeds
+    _EIG_COND_MAX (a nearly defective M), or the exponent bound
+    max|lam| max|s| is not finite. Re lam is clamped to <= 0, since a
+    bounded semigroup has no growing mode and roundoff must not make one,
+    and |lam| <= 16 n eps max|lam| (n = dim M) is set to exactly 0: the
+    roundoff of a kernel eigenvalue would otherwise decay or grow the
+    steady part at huge s (|lam| s of order 1 at s ~ 1e15).
+    """
+    try:
+        lam, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.cond(V) <= _EIG_COND_MAX:
+        return None
+    # in Python floats: an infinite bound must not raise a numpy overflow warning
+    lam_max = max(float(np.abs(lam.real).max()), float(np.abs(lam.imag).max()))
+    if not math.isfinite(lam_max * float(np.abs(s).max())):
+        return None
+    lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
+    lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
+    weights = (r @ V)[:, None] * np.linalg.solve(V, X)
+    return np.exp(np.multiply.outer(s, lam)) @ weights
+
+
+def traces_over_tau(d: Dissipator, F: np.ndarray, operands, taus) -> np.ndarray:
+    """Tr[F e^{D tau_n}(C_j)] for every tau_n of taus and operand C_j, an (N, k) array.
+
+    The single sigma_- channel with a NonMarkovJC rate takes the stacked
+    closed-form maps of nonmarkov_channel_apply, one envelope per nonzero tau.
+    Every other channel takes exp(s_n M) of _exponent_scales from one
+    eigendecomposition (_eigen_traces) or, where its guards fail, one expm per
+    nonzero tau from the same (M, s), serving every operand. Closed-form and
+    expm rows are bit for bit Tr[F evolve(d, C_j, tau_n)]. A row that is not
+    finite is returned for the caller to refuse (per-tau evaluation stops
+    there, leaving NaN). NoConvergence names the tau of a map that is not
+    finite, or of a failing envelope when every earlier row is finite.
+    """
+    taus = np.asarray(taus, dtype=float)
+    form = _exponent_scales(d, taus)
+    F = _check_operator(F, d.dim)
+    operands = [_check_operator(C, d.dim) for C in operands]
+    out = np.full((len(taus), len(operands)), complex(np.nan, np.nan))
+    if form is None:
+        rate, G, failure = d.channels[0].rate, [], None
+        try:
+            for tau in taus.tolist():
+                G.append(nonmarkov_big_gamma(tau, rate.gamma0, rate.lam) if tau else 1.0)
+        except NoConvergence as exc:
+            failure = exc
+        n = len(G)
+        at_zero = (taus[:n] == 0.0)[:, None, None]  # the identity, not the map at G = 1
+        for j, C in enumerate(operands):
+            maps = np.where(at_zero, C, _damping_maps(C, np.array(G)))
+            out[:n, j] = np.trace(F @ maps, axis1=1, axis2=2)
+        if failure is not None and np.isfinite(out[:n]).all():
+            raise failure
+        return out
+    M, s = form
+    # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
+    traces = _eigen_traces(_vec(F.T), np.stack([_vec(C) for C in operands], axis=1), M, s)
+    if traces is not None:
+        return traces
+    for k, tau in enumerate(taus.tolist()):
+        evolved = operands
+        if tau:
+            S = _exponential_map(M, s[k], tau)
+            evolved = [apply_superoperator(S, C) for C in operands]
+        out[k] = [np.trace(F @ C) for C in evolved]
+        if not np.isfinite(out[k]).all():  # a larger tau would overflow further
+            break
+    return out
 
 
 def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
-    """Apply e^{D tau} to an arbitrary operator C through the one dispatch, channel_map."""
-    return channel_map(d, tau)(C)
+    """Apply e^{D tau} to an arbitrary operator C: the one-point map of
+    traces_over_tau (a copy of C at tau = 0), with the same refusals."""
+    tau = float(tau)  # a numpy scalar tau would make the envelope warn on overflow
+    form = _exponent_scales(d, (tau,))
+    C = _check_operator(C, d.dim)
+    if tau == 0.0:
+        return C.copy()
+    if form is None:
+        rate = d.channels[0].rate
+        return nonmarkov_channel_apply(C, rate.gamma0, rate.lam, tau)
+    M, (s,) = form
+    return apply_superoperator(_exponential_map(M, s, tau), C)
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,10 @@ class MeterState:
         if self.kind not in ("vacuum", "number", "thermal", "custom"):
             raise ValueError(f"unknown meter state kind {self.kind!r}")
         if self.kind == "number":
-            if self.n < 0 or self.n != int(self.n):
+            if not (0.0 <= self.n < math.inf and self.n == int(self.n)):
                 raise ValueError("number state level must be a nonnegative integer")
-        if self.kind == "thermal" and self.n < 0.0:
-            raise ValueError("thermal occupation must be >= 0")
+        if self.kind == "thermal" and not 0.0 <= self.n < math.inf:
+            raise ValueError("thermal occupation must be finite and >= 0")
         if self.kind == "custom":
             rho = np.asarray(self.rho, dtype=complex)
             if not is_density(rho, tol=1e-10):
@@ -82,8 +82,8 @@ class MeterState:
     def thermal_from_temperature(cls, temperature: float, omega_f: float,
                                  hbar: float = 1.0, k_B: float = 1.0) -> "MeterState":
         """Thermal state at temperature T: n_eq = 1/(e^{hbar w/(k_B T)} - 1)."""
-        if temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
+        if not 0.0 < temperature < math.inf:
+            raise ValueError("temperature must be finite and > 0")
         n_eq = 1.0 / math.expm1(hbar * omega_f / (k_B * temperature))
         return cls(kind="thermal", n=n_eq)
 
@@ -216,8 +216,8 @@ def rabi_shift_columns(n: float, wv, g: float, t: float, taus, omega_f: float,
     past the float range gives a non-finite entry, not a warning; the caller
     checks.
     """
-    if n < 0.0:
-        raise ValueError("occupation must be >= 0")
+    if not 0.0 <= n < math.inf:
+        raise ValueError("occupation must be finite and >= 0")
     wv = np.asarray(wv, dtype=complex)
     factor = 2.0 * n + 1.0
     q_unit = math.sqrt(hbar / (2.0 * omega_f))

@@ -177,9 +177,14 @@ class MarkovianityVerdict(NamedTuple):
 
 
 def _unpack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, Re wv); DegenerateFit names the first sample that is not finite."""
     taus = np.array([float(t) for t, _ in samples])
-    re = np.array([complex(w).real for _, w in samples])
-    return taus, re
+    wv = np.array([complex(w) for _, w in samples])
+    bad = np.flatnonzero(~(np.isfinite(taus) & np.isfinite(wv)))
+    if len(bad):
+        k = bad[0]
+        raise DegenerateFit(f"sample {k} (tau={taus[k]}, wv={wv[k].item()}) is not finite")
+    return taus, np.ascontiguousarray(wv.real)
 
 
 def _power_fit(samples, power: int) -> tuple[float, float, float, float, float]:

@@ -13,20 +13,10 @@ lowering/raising operators), in the infinite-time limit through the
 asymptotic projector, and in the short-time regimes used to estimate decay
 parameters.
 
-A tau grid is one batched kernel: with the generator M and scales s_k of
-lindblad.exponent_scales (s = tau for constant rates, the integrated rate
-for a shared memory-kernel rate), one eigendecomposition M = V diag(lam) V^-1,
-the row r = vec(sigma_fI^T)^T V and one solve V^-1 X for the operands
-X = (A sigma_i, sigma_i) give every trace as exp(outer(s, lam)) @ (r * V^-1 X).
-Its guards are decided once per grid: cond(V) <= 1e4 (_EIG_COND_MAX), a
-finite exponent bound max|lam| max|s|, Re lam clamped to <= 0, and
-eigenvalues within roundoff of 0 (16 n eps max|lam|) set to 0. Where a
-guard fails (a nearly defective generator such as an equal-rate cascade, or
-rates near the float limit), every tau goes through lindblad.channel_map and
-its one expm. The single sigma_- memory-kernel channel has no generator: its
-grid is the stack of closed-form damping maps of lindblad.sigma_minus_maps,
-one envelope Gamma(tau) per nonzero tau and one batched trace per operand.
-weak_value_dissipative is the one-point case of the same kernel.
+A tau grid is one call of lindblad.traces_over_tau for the numerators and
+the denominator together; weak_value_dissipative is its one-point case. A_SI
+may be a (k, n, n) stack of observables sharing sigma_i, sigma_fI and the
+dissipator: each tau then gives k weak values over one shared denominator.
 
 Bloch conventions: basis (|e>, |g>), sigma = (1 + r.pauli)/2, r_z = +1 for
 |e>. Dissipation attenuates the post-selection vector componentwise,
@@ -58,18 +48,14 @@ from .lindblad import (
     Dissipator,
     NonMarkovJC,
     _check_tau,
-    _vec,
     apply_superoperator,
     asymptotic_projector,
-    channel_map,
-    exponent_scales,
-    sigma_minus_maps,
+    traces_over_tau,
 )
 from .lindblad import evolve  # noqa: F401  (bench/tracing.py patches evolve here)
 from .operators import SIGMA_X, SIGMA_Y, is_density, pure_density
 
 _VANISH_TOL = 1e-14
-_EIG_COND_MAX = 1e4
 _SHORT_TIME_GUARD = 0.05
 
 
@@ -79,7 +65,8 @@ class WeakMeasurementSetup:
 
     sigma_i and sigma_fI are density matrices (the post-selected one given
     directly in the interaction picture, where it is constant); A_SI is the
-    measured observable at the effective interaction midpoint. g and t are
+    measured observable at the effective interaction midpoint, or a (k, n, n)
+    stack of k observables measured on the same states. g and t are
     the coupling strength and interaction duration; their product is the
     small parameter of the meter-shift formulas and is carried along for
     them, not used by the weak value itself.
@@ -98,21 +85,36 @@ class WeakMeasurementSetup:
         for name, rho in (("sigma_i", sigma_i), ("sigma_fI", sigma_fI)):
             if not is_density(rho, tol=1e-10):
                 raise NotDensity(f"{name} is not a density matrix at tol 1e-10")
-        if A_SI.ndim != 2 or A_SI.shape[0] != A_SI.shape[1]:
-            raise DimensionMismatch("A_SI must be a square matrix")
-        if not (sigma_i.shape == sigma_fI.shape == A_SI.shape):
+        if A_SI.ndim not in (2, 3) or A_SI.shape[-1] != A_SI.shape[-2] or not len(A_SI):
+            raise DimensionMismatch("A_SI must be a square matrix or a nonempty stack of them")
+        if not (sigma_i.shape == sigma_fI.shape == A_SI.shape[-2:]):
             raise DimensionMismatch(
                 f"shape mismatch: sigma_i {sigma_i.shape}, sigma_fI {sigma_fI.shape}, "
                 f"A_SI {A_SI.shape}")
+        if not np.isfinite(A_SI).all():
+            raise ValueError("A_SI entries must be finite")
+        g, t = float(self.g), float(self.t)
+        if not (math.isfinite(g) and math.isfinite(t)):
+            raise ValueError("g and t must be finite")
         object.__setattr__(self, "sigma_i", sigma_i)
         object.__setattr__(self, "sigma_fI", sigma_fI)
         object.__setattr__(self, "A_SI", A_SI)
-        object.__setattr__(self, "g", float(self.g))
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "t", t)
 
     @property
     def dim(self) -> int:
         return self.sigma_i.shape[0]
+
+    @property
+    def stacked(self) -> bool:
+        return self.A_SI.ndim == 3
+
+    def operands(self) -> list[np.ndarray]:
+        """A_j sigma_i for each observable A_j, then sigma_i: the operators
+        whose post-selected traces are the numerators and the denominator."""
+        stack = self.A_SI.reshape(-1, self.dim, self.dim)
+        return [A @ self.sigma_i for A in stack] + [self.sigma_i]
 
     def content_hash(self) -> str:
         """SHA-256 over the states, observable, and couplings."""
@@ -124,7 +126,7 @@ class WeakMeasurementSetup:
 
 
 class WeakValueSample(NamedTuple):
-    value: complex
+    value: complex | np.ndarray
     probability: float
 
 
@@ -134,84 +136,32 @@ def _check_dimension(setup: WeakMeasurementSetup, d: Dissipator) -> None:
             f"dissipator dimension {d.dim} != setup dimension {setup.dim}")
 
 
-def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
-                  s: np.ndarray) -> np.ndarray | None:
-    """r^T exp(s_k M) X for every s_k, from one M = V diag(lam) V^-1.
-
-    None when a guard fails: eig does not converge, cond(V) exceeds
-    _EIG_COND_MAX (a nearly defective M), or the exponent bound
-    max|lam| max|s| is not finite. Re lam is clamped to <= 0, since a
-    bounded semigroup has no growing mode and roundoff must not make one,
-    and |lam| <= 16 n eps max|lam| (n = dim M) is set to exactly 0: the
-    roundoff of a kernel eigenvalue would otherwise decay or grow the
-    steady part at huge s (|lam| s of order 1 at s ~ 1e15).
-    """
-    try:
-        lam, V = np.linalg.eig(M)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.linalg.cond(V) <= _EIG_COND_MAX:
-        return None
-    # in Python floats: an infinite bound must not raise a numpy overflow warning
-    lam_max = max(float(np.abs(lam.real).max()), float(np.abs(lam.imag).max()))
-    if not math.isfinite(lam_max * float(np.abs(s).max())):
-        return None
-    lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
-    lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
-    weights = (r @ V)[:, None] * np.linalg.solve(V, X)
-    return np.exp(np.multiply.outer(s, lam)) @ weights
-
-
 def _postselected_traces(setup: WeakMeasurementSetup, d: Dissipator,
                          taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tr[sigma_fI e^{D tau}(A sigma_i)] and Tr[sigma_fI e^{D tau}(sigma_i)] on taus.
-
-    Both come from one eigendecomposition of the generator of
-    lindblad.exponent_scales (_eigen_traces), or, for the sigma_- memory
-    kernel, which has no generator, from the stacked closed-form maps of
-    sigma_minus_maps. Where a guard fails, or an envelope raises, every tau
-    goes through channel_map instead. NoConvergence names the first tau whose
-    traces are not finite or whose envelope fails.
-    """
+    """The (N, k) traces Tr[sigma_fI e^{D tau}(A_j sigma_i)] and the (N,)
+    Tr[sigma_fI e^{D tau}(sigma_i)]; NoConvergence names the first tau whose
+    traces are not finite."""
     _check_dimension(setup, d)
-    operands = (setup.A_SI @ setup.sigma_i, setup.sigma_i)
-    form = exponent_scales(d, taus)
-    traces = None
-    if form is not None:
-        # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
-        X = np.stack([_vec(C) for C in operands], axis=1)
-        traces = _eigen_traces(_vec(setup.sigma_fI.T), X, *form)
-    else:
-        try:
-            maps = sigma_minus_maps(d, taus)
-        except NoConvergence:
-            pass  # the loop below reports whichever fails first in tau: a trace or this envelope
-        else:
-            traces = np.stack([np.trace(setup.sigma_fI @ maps(C), axis1=1, axis2=2)
-                               for C in operands], axis=1)
-    if traces is None:
-        rows = []
-        for tau in taus.tolist():
-            apply = channel_map(d, tau)
-            rows.append([complex(np.trace(setup.sigma_fI @ apply(C))) for C in operands])
-            if not all(map(cmath.isfinite, rows[-1])):  # a larger tau would overflow further
-                break
-        traces = np.array(rows)
+    traces = traces_over_tau(d, setup.sigma_fI, setup.operands(), taus)
     bad = ~np.isfinite(traces).all(axis=1)
     if bad.any():
         raise NoConvergence(
             f"the evolved traces are not finite at tau={taus[bad.argmax()].item()}")
-    return traces[:, 0], traces[:, 1]
+    return traces[:, :-1], traces[:, -1]
 
 
-def _quotient(num: complex, den: complex, where: str) -> WeakValueSample:
-    """One weak value from its post-selected traces; `where` ends the messages."""
-    if not (cmath.isfinite(num) and cmath.isfinite(den)):
+def _quotient(nums: list[complex], den: complex, where: str,
+              stacked: bool) -> WeakValueSample:
+    """The weak value of each numerator over the shared denominator, an array
+    of them for a stacked A_SI; `where` ends the messages."""
+    if not all(map(cmath.isfinite, [*nums, den])):
         raise NoConvergence(f"the evolved traces are not finite{where}")
     if abs(den) < _VANISH_TOL:
         raise PostselectionVanishes(
             f"post-selection probability vanishes{where} (|den|={abs(den):.3e})")
-    return WeakValueSample(value=num / den, probability=max(den.real, 0.0))
+    values = [num / den for num in nums]
+    return WeakValueSample(value=np.array(values) if stacked else values[0],
+                           probability=max(den.real, 0.0))
 
 
 def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator,
@@ -223,26 +173,29 @@ def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator,
     probability. Raises PostselectionVanishes when |denominator| < 1e-14
     (orthogonal pre/post selection, typically only possible at tau = 0), and
     NoConvergence when either trace is not finite (rates so large that the
-    propagator overflows).
+    propagator overflows). For a stacked A_SI the value is the array of the k
+    weak values.
     """
     num, den = _postselected_traces(setup, d, np.array([tau], dtype=float))
-    return _quotient(complex(num[0]), complex(den[0]), f" at tau={tau}")
+    return _quotient(num[0].tolist(), complex(den[0]), f" at tau={tau}", setup.stacked)
 
 
-def weak_value_limit_infinite(setup: WeakMeasurementSetup, d: Dissipator) -> complex:
+def weak_value_limit_infinite(setup: WeakMeasurementSetup,
+                              d: Dissipator) -> complex | np.ndarray:
     """The tau -> infinity weak value via the asymptotic projector.
 
     The quotient of weak_value_dissipative with the projector P in place of
     e^{D tau}: exact spectral limit, no large-tau propagation is involved, so
     degenerate asymptotic subspaces (ground-manifold coherences) are kept.
     For a channel with a unique ground state the result reduces to the plain
-    expectation value Tr[A sigma_i].
+    expectation value Tr[A sigma_i]. For a stacked A_SI, the array of the k
+    limits.
     """
     _check_dimension(setup, d)
     P = asymptotic_projector(d)
-    num, den = (complex(np.trace(setup.sigma_fI @ apply_superoperator(P, C)))
-                for C in (setup.A_SI @ setup.sigma_i, setup.sigma_i))
-    return _quotient(num, den, " as tau -> infinity").value
+    *nums, den = (complex(np.trace(setup.sigma_fI @ apply_superoperator(P, C)))
+                  for C in setup.operands())
+    return _quotient(nums, den, " as tau -> infinity", setup.stacked).value
 
 
 def _check_bloch(v, name: str) -> np.ndarray:
@@ -426,7 +379,9 @@ class WeakValueTrace:
     """A weak-value curve over a tau grid.
 
     values holds NaN at grid points where post-selection vanishes; those
-    indices are listed in gaps and their probability is recorded as 0.
+    indices are listed in gaps and their probability is recorded as 0. For a
+    stacked A_SI, values is (N, k), one column per observable, and the gaps
+    and probabilities, which come from the shared denominator, are shared.
     """
 
     tau_grid: np.ndarray
@@ -467,9 +422,11 @@ def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator, tau_grid) -> Weak
         raise ValueError("tau_grid must be strictly increasing")
     num, den = _postselected_traces(setup, d, tau_grid)
     kept = np.abs(den) >= _VANISH_TOL
-    values = np.full(len(tau_grid), complex(np.nan, np.nan))
-    # Python's complex division, as in weak_value_dissipative, keeps the two bit-equal
-    values[kept] = [n / m for n, m in zip(num[kept].tolist(), den[kept].tolist())]
+    values = np.full(num.shape, complex(np.nan, np.nan))
+    for j in range(num.shape[1]):
+        # Python's complex division, as in weak_value_dissipative, keeps the two bit-equal
+        values[kept, j] = [n / m for n, m in zip(num[kept, j].tolist(), den[kept].tolist())]
+    values = values if setup.stacked else values[:, 0]
     probs = np.where(kept, np.maximum(den.real, 0.0), 0.0)
     gaps = np.flatnonzero(~kept).tolist()
     metadata = {

@@ -30,7 +30,7 @@ from weaklind import (
 )
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
 from weaklind import lindblad
-from weaklind.lindblad import SteadySpace, channel_map
+from weaklind.lindblad import SteadySpace, traces_over_tau
 
 seeds = st.integers(0, 10**6)
 
@@ -215,7 +215,8 @@ def test_nonmarkov_critical_coupling_near_the_float_limit():
 
 def test_channel_map_refuses_a_non_finite_map():
     # expm(s M) past the float range is NaN; the map is refused naming tau,
-    # for a shared memory-kernel rate (Lambda ~ 1e307) and a constant one
+    # for a shared memory-kernel rate (Lambda ~ 1e307) and a constant one,
+    # one tau at a time and on a grid whose exponent bound sends every tau to expm
     chain = np.zeros((3, 3), dtype=complex)
     chain[1, 0] = 1.0
     shared = build_dissipator(
@@ -224,9 +225,10 @@ def test_channel_map_refuses_a_non_finite_map():
     for d, taus in ((shared, (0.5, 1.0, 4.0)), (constant, (0.5, 4.0))):
         for tau in taus:
             with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
-                channel_map(d, tau)
-            with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
                 evolve(d, np.eye(d.dim, dtype=complex), tau)
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(NoConvergence, match=r"not finite at tau=0\.5"):
+        traces_over_tau(constant, eye, [eye], [0.0, 0.5, 4.0])
 
 
 def scalar_damping_map(C, E):
@@ -259,9 +261,13 @@ def test_sigma_minus_maps_are_the_identity_at_tau_0():
         [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=1.0, lam=0.5))], dim=2)
     # the damping map at G = 1 would form -0 - (-1)(0) = +0 in the corner
     C = np.array([[complex(-0.0, -1.0), 0.5], [2.0, 1.0]])
-    maps = lindblad.sigma_minus_maps(d, np.array([0.0, 1.0]))(C)
-    assert np.array_equal(maps[0].view(np.uint64), C.view(np.uint64))
-    assert np.array_equal(maps[1], nonmarkov_channel_apply(C, 1.0, 0.5, 1.0))
+    assert np.array_equal(evolve(d, C, 0.0).view(np.uint64), C.view(np.uint64))
+    assert np.array_equal(evolve(d, C, 1.0), nonmarkov_channel_apply(C, 1.0, 0.5, 1.0))
+    # the stacked grid takes the same two maps, bit for bit
+    F = orc.random_matrix(np.random.default_rng(12), 2)
+    got = traces_over_tau(d, F, [C, F], [0.0, 1.0])
+    want = [[np.trace(F @ evolve(d, X, tau)) for X in (C, F)] for tau in (0.0, 1.0)]
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
@@ -511,15 +517,18 @@ def test_channel_map_serves_every_operator_at_one_tau():
         build_dissipator([DissipationChannel(jump=chain, rate=rate)], dim=3),
     ]
     for d in dissipators:
+        F = orc.random_matrix(rng, d.dim)
+        operands = [orc.random_matrix(rng, d.dim) for _ in range(3)]
         for tau in (0.0, 1.5):
-            apply = channel_map(d, tau)
-            for _ in range(2):
-                C = orc.random_matrix(rng, d.dim)
-                assert np.array_equal(apply(C), evolve(d, C, tau))
-            with pytest.raises(DimensionMismatch):
-                apply(np.eye(d.dim + 1))
+            (row,) = traces_over_tau(d, F, operands, [tau])
+            want = [np.trace(F @ evolve(d, C, tau)) for C in operands]
+            assert np.allclose(row, want, rtol=1e-12, atol=1e-12)
+        with pytest.raises(DimensionMismatch):
+            traces_over_tau(d, F, [operands[0], np.eye(d.dim + 1)], [1.5])
+        with pytest.raises(DimensionMismatch):
+            evolve(d, np.eye(d.dim + 1), 1.5)
     C = np.eye(2, dtype=complex)
-    out = channel_map(dissipators[0], 0.0)(C)
+    out = evolve(dissipators[0], C, 0.0)
     assert np.array_equal(out, C) and out is not C
 
 

@@ -62,6 +62,25 @@ def test_meter_state_constructors():
         MeterState.custom(np.eye(3))   # trace 3
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MeterState.number(math.inf),
+    lambda: MeterState(kind="number", n=math.nan),
+    lambda: MeterState.thermal(math.nan),
+    lambda: MeterState.thermal(math.inf),
+    lambda: MeterState.thermal_from_temperature(math.nan, 1.0),
+    lambda: MeterState.thermal_from_temperature(math.inf, 1.0),
+])
+def test_meter_state_refuses_a_non_finite_occupation(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("n", [-0.5, math.nan, math.inf])
+def test_rabi_shift_columns_refuse_a_non_finite_occupation(n):
+    with pytest.raises(ValueError, match="occupation must be finite and >= 0"):
+        rabi_shift_columns(n, [1j], 1e-3, 1.0, [0.0], 1.3)
+
+
 def test_meter_density_matrices():
     dim = 25
     rho = MeterState.number(2).density_matrix(dim)

@@ -104,6 +104,21 @@ def test_estimate_gamma_degenerate_grids():
         estimate_gamma([(0.1, 1.0 + 0j), (0.1, 1.1 + 0j)], 0.01)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda s: estimate_gamma(s, 0.01),
+    lambda s: estimate_lambda(s, 0.01, 0.1),
+    classify_markovianity,
+], ids=["estimate_gamma", "estimate_lambda", "classify_markovianity"])
+@pytest.mark.parametrize("bad", [(0.02, complex(float("nan"), 1.0)), (float("nan"), 2.0 + 1j),
+                                 (float("inf"), 2.0 + 1j)], ids=["nan-wv", "nan-tau", "inf-tau"])
+def test_fits_refuse_a_non_finite_sample(fit, bad, capfd):
+    samples = [(0.01, 1.0 + 1j), bad, (0.03, 3.0 + 1j), (0.04, 4.0 + 1j), (0.05, 5.0 + 1j)]
+    with pytest.raises(DegenerateFit, match=r"sample 1 \(.*\) is not finite"):
+        fit(samples)
+    # refused before LAPACK sees it, which would print DLASCL lines for inf
+    assert capfd.readouterr() == ("", "")
+
+
 def test_estimate_lambda_on_synthetic_parabola():
     eps, gamma0, lam = 0.01, 0.2, 1.5
     taus = np.linspace(0.001, 0.01, 8) / lam

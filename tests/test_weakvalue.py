@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,10 +129,28 @@ def test_setup_validation():
         WeakMeasurementSetup(sigma_i=np.eye(2), sigma_fI=good, A_SI=pauli("x"))
     with pytest.raises(DimensionMismatch):
         WeakMeasurementSetup(sigma_i=good, sigma_fI=good, A_SI=np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        WeakMeasurementSetup(sigma_i=good, sigma_fI=good, A_SI=np.zeros((0, 2, 2)))
     setup = WeakMeasurementSetup(sigma_i=good, sigma_fI=good, A_SI=pauli("x"))
     with pytest.raises(DimensionMismatch):
         weak_value_dissipative(setup, build_dissipator(
             [DissipationChannel(jump=np.zeros((3, 3)), rate=1.0)], dim=3), 0.1)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("A_SI", np.array([[0.0, math.inf], [1.0, 0.0]]), "A_SI entries must be finite"),
+    ("A_SI", np.array([[[0.0, 1.0], [1.0, 0.0]], [[complex(0.0, math.nan), 0.0],
+                                                   [0.0, 1.0]]]), "A_SI entries must be finite"),
+    ("g", math.nan, "g and t must be finite"),
+    ("t", math.inf, "g and t must be finite"),
+])
+def test_setup_refuses_non_finite_entries_without_a_warning(field, value, match):
+    good = orc.random_density(np.random.default_rng(0), 2)
+    kwargs = {"sigma_i": good, "sigma_fI": good, "A_SI": pauli("x"), field: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            WeakMeasurementSetup(**kwargs)
 
 
 # ----------------------------------------------------------------- limits
@@ -570,11 +589,16 @@ def test_memory_kernel_sweep_builds_no_channel_map(counts, monkeypatch):
     # strong coupling, the grid crosses the poles of gamma(tau) at ~4.84 and ~12.5
     built = []
 
-    def counting(d, tau):
-        built.append(tau)
-        return lindblad.channel_map(d, tau)
+    def counting(name):
+        fn = getattr(lindblad, name)
 
-    monkeypatch.setattr(weakvalue, "channel_map", counting)
+        def wrapper(*args):
+            built.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("evolve", "_exponential_map", "nonmarkov_channel_apply"):
+        monkeypatch.setattr(lindblad, name, counting(name))
     d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(1.0, 0.5))],
                          dim=2)
     grid = np.linspace(0.0, 16.0, 33)
@@ -634,9 +658,9 @@ def test_jc_shifts_run_one_eig_per_trace_and_no_expm(counts, eigs, tmp_path, cap
     cfg = tmp_path / "jc.json"
     cfg.write_text(json.dumps(payload))
     assert main(["shifts", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    # one eigendecomposition for the sigma+ trace and one for the sigma- trace
+    # one eigendecomposition for the one sweep of sigma+ and sigma- together
     assert counts == {"expm": 0, "envelope": 0}
-    assert eigs == [(4, 4), (4, 4)]
+    assert eigs == [(4, 4)]
 
 
 def test_defective_cascade_takes_the_expm_fallback(counts, eigs):
@@ -656,6 +680,66 @@ def test_defective_cascade_takes_the_expm_fallback(counts, eigs):
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
+def test_shared_rate_cascade_fallback_builds_the_generator_once(counts, eigs, monkeypatch):
+    # the cascade of test_defective_cascade_takes_the_expm_fallback with one
+    # shared memory-kernel rate: every nonzero tau takes expm(Lambda(tau) M_1)
+    # from the one M_1 that the failed eigen kernel was given
+    builds = []
+    build = lindblad._superoperator_matrix
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "_superoperator_matrix", counting)
+    jumps = np.zeros((2, 3, 3), dtype=complex)
+    jumps[0, 1, 0] = jumps[1, 2, 1] = 1.0
+    rate = NonMarkovJC(gamma0=0.1, lam=1.0)
+    d = build_dissipator([DissipationChannel(jump=L, rate=rate) for L in jumps], dim=3)
+    setup = random_setup(np.random.default_rng(10), 3)
+    taus = np.linspace(0.0, 20.0, 41)
+    num, den = weakvalue._postselected_traces(setup, d, taus)
+    assert len(builds) == 1 and len(eigs) == 1
+    assert counts == {"expm": len(taus) - 1, "envelope": 0}
+    want = per_point_traces(setup, d, taus)
+    assert np.array_equal(bits(num[:, 0]), bits(want[:, 0]))
+    assert np.array_equal(bits(den), bits(want[:, 1]))
+
+
+def test_stacked_observables_share_one_sweep_and_its_gaps(eigs):
+    # an orthogonal pre/post pair: post-selection vanishes at tau = 0 for
+    # every observable of the stack at once
+    sigma_i, sigma_fI = pure_density([0.6, 0.8j]), pure_density([0.8, -0.6j])
+    A = [SIGMA_PLUS, SIGMA_MINUS, pauli("x"), orc.random_matrix(np.random.default_rng(14), 2)]
+    d = damping(0.7)
+    stacked = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=np.stack(A))
+    trace = trace_over_tau(stacked, d, GRID)
+    assert len(eigs) == 1
+    assert trace.values.shape == (len(GRID), len(A)) and trace.gaps == (0,)
+    assert np.isnan(trace.values[0]).all() and trace.postselection_probs[0] == 0.0
+    for j, A_j in enumerate(A):
+        single = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A_j)
+        one = trace_over_tau(single, d, GRID)
+        assert one.gaps == trace.gaps
+        np.testing.assert_allclose(trace.values[1:, j], one.values[1:], rtol=1e-12)
+        np.testing.assert_allclose(trace.postselection_probs, one.postselection_probs,
+                                   rtol=1e-12)
+    # the one-point sweep and the infinite-time limit give the k weak values
+    sample = weak_value_dissipative(stacked, d, 1.5)
+    limit = weak_value_limit_infinite(stacked, d)
+    assert sample.value.shape == limit.shape == (len(A),)
+    for j, A_j in enumerate(A):
+        single = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A_j)
+        one = weak_value_dissipative(single, d, 1.5)
+        assert abs(sample.value[j] - one.value) < 1e-12 * max(1.0, abs(one.value))
+        assert abs(sample.probability - one.probability) < 1e-12
+        assert limit[j] == weak_value_limit_infinite(single, d)
+    with pytest.raises(PostselectionVanishes):
+        weak_value_dissipative(stacked, d, 0.0)
+    with pytest.raises(DimensionMismatch):
+        WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=np.zeros((2, 3, 3)))
+
+
 # ------------------------------------------------------ the batched kernel
 
 @given(seeds)
@@ -669,8 +753,7 @@ def test_batched_trace_matches_the_per_point_channel_map(seed):
     taus = np.sort(rng.uniform(0.0, 3.0, 6))
     trace = trace_over_tau(setup, d, taus)
     for tau, value, prob in zip(taus, trace.values, trace.postselection_probs):
-        apply = lindblad.channel_map(d, tau)
-        num, den = (np.trace(setup.sigma_fI @ apply(C))
+        num, den = (np.trace(setup.sigma_fI @ lindblad.evolve(d, C, tau))
                     for C in (setup.A_SI @ setup.sigma_i, setup.sigma_i))
         if den.real <= 1e-3:
             continue
@@ -685,19 +768,15 @@ def bits(values):
 
 
 def per_point_traces(setup, d, taus):
-    """Tr[sigma_fI e^{D tau}(C)] for C = A sigma_i, sigma_i from one channel_map per tau."""
-    rows = []
-    for tau in taus:
-        apply = lindblad.channel_map(d, tau)
-        rows.append([complex(np.trace(setup.sigma_fI @ apply(C)))
-                     for C in (setup.A_SI @ setup.sigma_i, setup.sigma_i)])
-    return np.array(rows)
+    """Tr[sigma_fI e^{D tau}(C)] for C = A sigma_i, sigma_i from one evolve per tau."""
+    return np.array([[complex(np.trace(setup.sigma_fI @ lindblad.evolve(d, C, tau)))
+                      for C in (setup.A_SI @ setup.sigma_i, setup.sigma_i)] for tau in taus])
 
 
 def assert_sigma_minus_grid_is_the_per_point_map(setup, d, taus):
     num, den = weakvalue._postselected_traces(setup, d, taus)
     want = per_point_traces(setup, d, taus)
-    assert np.array_equal(bits(num), bits(want[:, 0]))
+    assert np.array_equal(bits(num[:, 0]), bits(want[:, 0]))
     assert np.array_equal(bits(den), bits(want[:, 1]))
     # the per-point quotient, with a NaN gap where post-selection vanishes
     values = np.full(len(taus), complex(np.nan, np.nan))
@@ -769,7 +848,7 @@ def test_roundoff_growing_mode_is_clamped():
     # a bounded semigroup has no growing mode; unclamped, Re lam = +1e-15
     # would make e^{lam s} overflow at s = 1e18
     M = np.diag([1e-15, -1.0]).astype(complex)
-    got = weakvalue._eigen_traces(np.ones(2), np.eye(2), M, np.array([0.0, 1e18]))
+    got = lindblad._eigen_traces(np.ones(2), np.eye(2), M, np.array([0.0, 1e18]))
     assert np.array_equal(got, [[1.0, 1.0], [1.0, 0.0]])
 
 
@@ -797,7 +876,7 @@ def test_huge_tau_reaches_the_projector_limit():
 
 def test_shared_rate_near_the_float_limit_reaches_the_unit_rate_limit():
     # Lambda(tau) ~ gamma0 tau ~ 1e307: expm(Lambda M_1) is NaN there (and
-    # channel_map refuses it), but exp(Lambda lam_k) is exactly 0 or 1 on the
+    # evolve refuses it), but exp(Lambda lam_k) is exactly 0 or 1 on the
     # eigen kernel
     chain = shared_rate_chain(NonMarkovJC(gamma0=1e307, lam=1e308))
     unit = build_dissipator([DissipationChannel(jump=chain.channels[0].jump, rate=1.0)], dim=3)
