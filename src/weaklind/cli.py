@@ -17,14 +17,15 @@ order, and files are written atomically (temp file + rename). JSON writes
 non-finite floats (the NaN of a gap) as the tokens NaN, Infinity and
 -Infinity, which Python's json reads back. Exit codes: 0 success, 2 config
 error, unknown scenario, numerical failure (NoConvergence, including
-non-finite meter shifts) or any other library error, 3 post-selection
-vanished on the whole grid, 4 scenario assertion failure, 5 singular
-inversion.
+non-finite meter shifts or a non-finite inverted weak value) or any other
+library error, 3 post-selection vanished on the whole grid, 4 scenario
+assertion failure, 5 singular inversion.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -61,7 +62,7 @@ from .meter import (
     rabi_shifts_number_state,  # noqa: F401  (bench/tracing.py patches it here)
 )
 from .operators import SIGMA_MINUS, SIGMA_PLUS, FockSpace
-from .scenarios import run_scenario
+from .scenarios import SCENARIOS, SHORT_TIME_CHANNELS, run_scenario
 from .weakvalue import (
     WeakMeasurementSetup,
     WeakValueTrace,
@@ -251,8 +252,6 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     if m.model == "jc":
         if cfg.system.dimension != 2:
             raise ConfigError("jc shifts require a two-level system")
-        if mu0.kind not in ("vacuum", "number", "thermal"):
-            raise ConfigError("jc shifts need a vacuum/number/thermal meter")
         header = "gamma_tau,q_shift,p_shift,re_wv_plus,im_wv_plus,re_wv_minus,im_wv_minus"
         # one sweep for sigma+ and sigma-, which share the states and the denominator
         A = np.stack([SIGMA_PLUS, SIGMA_MINUS])
@@ -299,13 +298,16 @@ def cmd_invert(cfg: RunConfig, out_dir: str) -> int:
     inv = cfg.invert
     space = FockSpace(n_max=m.n_max, omega_f=m.omega_f, hbar=m.hbar)
     mu0 = build_meter_state(cfg)
-    averages = commutator_averages(space, mu0, m.t, inv.tau)
-    baseline = baseline_averages(space, mu0, m.t, inv.tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        averages = commutator_averages(space, mu0, m.t, inv.tau)
+        baseline = baseline_averages(space, mu0, m.t, inv.tau)
     try:
         wv = invert_weak_value(inv.Q_f, inv.P_f, averages, baseline, m.g, m.t)
     except SingularInversion as exc:
         print(f"singular inversion: {exc}", file=sys.stderr)
         return EXIT_SINGULAR_INVERSION
+    if not cmath.isfinite(wv):  # an infinite meter phase, or a quotient past the float range
+        raise NoConvergence(f"the inverted weak value is not finite at tau={inv.tau}")
     doc = {
         "Q_f": inv.Q_f,
         "P_f": inv.P_f,
@@ -330,9 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "shifts, and shift inversion.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True, sweepy=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="path to a JSON run config")
+    def add_common(p, sweepy=True):
+        p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", default=None, help="output directory (default '.')")
         if sweepy:
             p.add_argument("--format", choices=("csv", "json"), default=None,
@@ -342,9 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_wv)
 
     p_sc = sub.add_parser("scenario", help="run a packaged experiment")
-    p_sc.add_argument("name", help="sodium-anomalous | sodium-constant | "
-                                   "estimate-gamma | classify | estimate-lambda")
-    p_sc.add_argument("--channel", choices=("amplitude_damping", "nonmarkov_jc"),
+    p_sc.add_argument("name", help=" | ".join(SCENARIOS))
+    p_sc.add_argument("--channel", choices=tuple(SHORT_TIME_CHANNELS),
                       default=None, help="generating channel for 'classify'")
     p_sc.add_argument("--seed", type=int, default=None,
                       help="inject seeded Gaussian noise (estimator demos only)")

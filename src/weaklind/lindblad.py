@@ -95,11 +95,6 @@ class DissipationChannel:
     def is_constant(self) -> bool:
         return isinstance(self.rate, float)
 
-    def rate_at(self, tau: float) -> float:
-        if isinstance(self.rate, float):
-            return self.rate
-        return nonmarkov_gamma(tau, self.rate.gamma0, self.rate.lam)
-
 
 @dataclass(frozen=True)
 class Dissipator:
@@ -113,16 +108,6 @@ class Dissipator:
     @property
     def is_constant(self) -> bool:
         return all(ch.is_constant for ch in self.channels)
-
-    def generator_apply(self, C: np.ndarray, tau: float = 0.0) -> np.ndarray:
-        """D(C) at time tau (tau only matters for time-dependent rates)."""
-        C = _check_operator(C, self.dim)
-        out = np.zeros_like(C)
-        for ch in self.channels:
-            L = ch.jump
-            LdL = L.conj().T @ L
-            out += ch.rate_at(tau) * (L @ C @ L.conj().T - 0.5 * (LdL @ C + C @ LdL))
-        return out
 
 
 def expm(A: np.ndarray) -> np.ndarray:

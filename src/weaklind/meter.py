@@ -33,38 +33,31 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularInversion
-from .operators import FockSpace, _cmul, is_density, ladder
+from .operators import FockSpace, _cmul, ladder
 
 _SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class MeterState:
-    """Initial meter state: vacuum, number level, thermal, or custom density.
+    """Initial meter state: vacuum, number level, or thermal.
 
-    Number, thermal, and vacuum states are diagonal in the energy basis, so
-    they satisfy the calibration requirement <N_I(t/2)>_0 = 0 and commute
-    with the field Hamiltonian. Custom densities carry no such guarantee and
-    are accepted only by the general shift formula.
+    All three are diagonal in the energy basis, so they satisfy the
+    calibration requirement <N_I(t/2)>_0 = 0 and commute with the field
+    Hamiltonian. Any other meter density goes to shift_general directly.
     """
 
     kind: str
     n: float = 0.0
-    rho: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("vacuum", "number", "thermal", "custom"):
+        if self.kind not in ("vacuum", "number", "thermal"):
             raise ValueError(f"unknown meter state kind {self.kind!r}")
         if self.kind == "number":
             if not (0.0 <= self.n < math.inf and self.n == int(self.n)):
                 raise ValueError("number state level must be a nonnegative integer")
         if self.kind == "thermal" and not 0.0 <= self.n < math.inf:
             raise ValueError("thermal occupation must be finite and >= 0")
-        if self.kind == "custom":
-            rho = np.asarray(self.rho, dtype=complex)
-            if not is_density(rho, tol=1e-10):
-                raise ValueError("custom meter state must be a density matrix")
-            object.__setattr__(self, "rho", rho)
 
     @classmethod
     def vacuum(cls) -> "MeterState":
@@ -80,31 +73,21 @@ class MeterState:
 
     @classmethod
     def thermal_from_temperature(cls, temperature: float, omega_f: float,
-                                 hbar: float = 1.0, k_B: float = 1.0) -> "MeterState":
-        """Thermal state at temperature T: n_eq = 1/(e^{hbar w/(k_B T)} - 1)."""
+                                 hbar: float = 1.0) -> "MeterState":
+        """Thermal state at temperature T (k_B = 1): n_eq = 1/(e^x - 1) with
+        x = hbar w/T, formed as e^{-x}/(1 - e^{-x}) so that a cold meter
+        (x past about 709, where e^x overflows) gets n_eq = 0."""
         if not 0.0 < temperature < math.inf:
             raise ValueError("temperature must be finite and > 0")
-        n_eq = 1.0 / math.expm1(hbar * omega_f / (k_B * temperature))
-        return cls(kind="thermal", n=n_eq)
-
-    @classmethod
-    def custom(cls, rho: np.ndarray) -> "MeterState":
-        return cls(kind="custom", rho=rho)
+        x = hbar * omega_f / temperature
+        return cls(kind="thermal", n=math.exp(-x) / -math.expm1(-x))
 
     def mean_n(self) -> float:
         """Mean occupation: n for number states, n_eq for thermal, 0 vacuum."""
-        if self.kind == "custom":
-            rho = self.rho
-            return float(np.real(np.sum(np.arange(rho.shape[0]) * np.diag(rho))))
         return self.n
 
     def density_matrix(self, dim: int) -> np.ndarray:
         """Materialize on a Fock space truncated at dim levels."""
-        if self.kind == "custom":
-            if self.rho.shape != (dim, dim):
-                raise ValueError(
-                    f"custom meter state has dimension {self.rho.shape[0]}, expected {dim}")
-            return self.rho.copy()
         rho = np.zeros((dim, dim), dtype=complex)
         if self.kind == "vacuum":
             rho[0, 0] = 1.0
@@ -329,8 +312,6 @@ def jc_shift_columns(wv_plus, wv_minus, mu0: MeterState, g: float, t: float, tau
     past the float range gives a non-finite entry, not a warning; the caller
     checks.
     """
-    if mu0.kind == "custom":
-        raise ValueError("rotating-wave shifts support vacuum/number/thermal meters only")
     if abs(Delta * t) > 0.05:
         warnings.warn(f"Delta*t = {Delta * t:.3g} outside the rotating-wave "
                       "validity guard 0.05", stacklevel=2)

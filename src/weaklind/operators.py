@@ -69,21 +69,20 @@ def is_density(rho: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(eigs.min() >= -tol)
 
 
-def pure_density(amplitudes: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """Projector |psi><psi| from a state vector, normalized by default."""
+def pure_density(amplitudes: np.ndarray) -> np.ndarray:
+    """Projector |psi><psi| from a state vector, normalized first."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if normalize:
-        with np.errstate(over="ignore"):
-            nrm = np.linalg.norm(psi)
-        if (nrm == 0.0 or not np.isfinite(nrm)) and np.any(psi != 0.0):
-            # the norm over- or underflowed: rescale by the largest component first
-            parts = np.stack([psi.real, psi.imag])
-            parts /= np.abs(parts).max()
-            psi = parts[0] + 1j * parts[1]
-            nrm = np.linalg.norm(psi)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        psi = psi / nrm
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(psi)
+    if (nrm == 0.0 or not np.isfinite(nrm)) and np.any(psi != 0.0):
+        # the norm over- or underflowed: rescale by the largest component first
+        parts = np.stack([psi.real, psi.imag])
+        parts /= np.abs(parts).max()
+        psi = parts[0] + 1j * parts[1]
+        nrm = np.linalg.norm(psi)
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    psi = psi / nrm
     return np.outer(psi, psi.conj())
 
 

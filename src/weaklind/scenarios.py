@@ -5,9 +5,15 @@ reference curves for an anomalous weak value under optical pumping: one
 state pair whose weak value grows anomalous with dissipation, and one
 orthogonal pair whose anomalous value survives unchanged because it is
 carried entirely by asymptotic ground-manifold coherences. The estimator
-scenarios run the two short-time protocols: reading a Markovian decay rate
-off the amplified linear growth of Re(wv), and discriminating a memory
-kernel by its quadratic-in-tau signature.
+scenarios run one short-time protocol: the amplification states at
+epsilon = 0.01 with A = sigma_x, one sigma_- channel, and ten points with
+rate*tau in [1e-3, 1e-2]. Read off amplitude damping, the amplified linear
+growth of Re(wv) gives the decay rate; read off the memory kernel, its
+quadratic growth gives the kernel width; the classifier tells the two apart.
+
+Two tables drive the scenarios: SHORT_TIME_CHANNELS names the protocol's
+channels (rate, tau scale, reported parameters, expected classifier
+verdict), and SCENARIOS maps each CLI name to its run.
 
 All scenarios are deterministic; Gaussian noise is injected only when an
 explicit seed is supplied (CLI robustness demos) and is always relative to
@@ -57,6 +63,14 @@ class ScenarioResult:
     verdict: dict
 
 
+_ALPHA = 0.0498
+# the two reference post-selected states of the six-level atom
+_ALKALI_POST = {
+    "anomalous": [_ALPHA, -0.995, 0.0, -_ALPHA * (1.0 + 1.0j), _ALPHA, -0.00734 + 0.00114j],
+    "constant": [0.0, 0.0, 0.0, 0.0, 0.989, -0.146 + 0.0226j],
+}
+
+
 def _alkali_setup(post: str) -> tuple[WeakMeasurementSetup, Dissipator]:
     """Six-level optical-pumping system with one of the two reference post states.
 
@@ -66,28 +80,21 @@ def _alkali_setup(post: str) -> tuple[WeakMeasurementSetup, Dissipator]:
     rate, so tau is directly the dimensionless rate*time product.
     """
     psi_i = pure_density([0.5, 0.5j, 0.5, 0.5, 0.0, 0.0])
-    alpha = 0.0498
-    if post == "anomalous":
-        amps = [alpha, -0.995, 0.0, -alpha * (1.0 + 1.0j), alpha, -0.00734 + 0.00114j]
-    elif post == "constant":
-        amps = [0.0, 0.0, 0.0, 0.0, 0.989, -0.146 + 0.0226j]
-    else:
-        raise ValueError(f"unknown post-selection tag {post!r}")
-    psi_f = pure_density(amps)
+    psi_f = pure_density(_ALKALI_POST[post])
     setup = WeakMeasurementSetup(sigma_i=psi_i, sigma_fI=psi_f, A_SI=jy_six_level())
     channels = [DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()]
     return setup, build_dissipator(channels, 6)
 
 
-def sodium_anomalous(n_points: int = 201) -> ScenarioResult:
-    """Trace of the anomalous-pair weak value over rate*tau in [0, 10].
+def sodium_anomalous() -> ScenarioResult:
+    """Trace of the anomalous-pair weak value over 201 points of rate*tau in [0, 10].
 
     Asserts the two reference endpoints: 0.0954 + 0j at tau = 0 (tol 5e-4)
     and -0.346 + 0.151j in the infinite-time limit (tol 2e-3, via the
     asymptotic projector, not large-tau propagation).
     """
     setup, d = _alkali_setup("anomalous")
-    grid = np.linspace(0.0, 10.0, n_points)
+    grid = np.linspace(0.0, 10.0, 201)
     trace = trace_over_tau(setup, d, grid)
     wv0 = complex(trace.values[0])
     wv_inf = weak_value_limit_infinite(setup, d)
@@ -110,8 +117,8 @@ def sodium_anomalous(n_points: int = 201) -> ScenarioResult:
     return ScenarioResult(name="sodium-anomalous", trace=trace, verdict=verdict)
 
 
-def sodium_constant(n_points: int = 401) -> ScenarioResult:
-    """Trace of the orthogonal constant pair over rate*tau in [0, 40].
+def sodium_constant() -> ScenarioResult:
+    """Trace of the orthogonal constant pair over 401 points of rate*tau in [0, 40].
 
     The pair is orthogonal at tau = 0 (recorded as a gap); for every tau > 0
     the weak value exists and is the same complex number with nonzero
@@ -119,7 +126,7 @@ def sodium_constant(n_points: int = 401) -> ScenarioResult:
     agreement with the asymptotic-projector value to 1e-8.
     """
     setup, d = _alkali_setup("constant")
-    grid = np.linspace(0.0, 40.0, n_points)
+    grid = np.linspace(0.0, 40.0, 401)
     trace = trace_over_tau(setup, d, grid)
     live = np.array([k for k in range(len(grid)) if k not in trace.gaps])
     if len(live) == 0:
@@ -268,15 +275,34 @@ def classify_markovianity(samples) -> MarkovianityVerdict:
     return MarkovianityVerdict(verdict, c1, c2, r1, r2)
 
 
-def _epsilon_sigma_x_setup(epsilon: float) -> WeakMeasurementSetup:
-    rho_i, rho_f = epsilon_states(epsilon)
-    return WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=SIGMA_X)
+class ShortTimeChannel(NamedTuple):
+    rate: float | NonMarkovJC
+    tau_scale: float        # taus = linspace(1e-3, 1e-2, 10) / tau_scale
+    params: dict            # what its verdicts report
+    expected: str           # the classifier's verdict on its data
 
 
-def _sample_trace(setup: WeakMeasurementSetup, d: Dissipator, taus: np.ndarray,
-                  rng: np.random.Generator | None) -> tuple[list, WeakValueTrace]:
-    """Evaluate the exact weak value on a grid, optionally noising the samples."""
-    trace = trace_over_tau(setup, d, taus)
+# The short-time protocol: the amplification states at EPSILON with
+# A = sigma_x, one sigma_- channel, and ten points with rate*tau in [1e-3, 1e-2].
+EPSILON = 0.01
+SHORT_TIME_CHANNELS = {
+    "amplitude_damping": ShortTimeChannel(0.1, 0.1, {"gamma": 0.1}, "Markovian"),
+    "nonmarkov_jc": ShortTimeChannel(NonMarkovJC(gamma0=0.1, lam=1.0), 1.0,
+                                     {"gamma0": 0.1, "lam": 1.0}, "strongly-non-Markovian"),
+}
+
+
+def _short_time_data(channel: str, rng: np.random.Generator | None,
+                     with_zero: bool) -> tuple[list, WeakValueTrace, dict]:
+    """The protocol's exact weak values on a named channel, noised when rng is
+    given and led by a tau = 0 sample when with_zero, and the verdict entries
+    that every short-time scenario reports."""
+    rate, scale, params, _ = SHORT_TIME_CHANNELS[channel]
+    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], 2)
+    rho_i, rho_f = epsilon_states(EPSILON)
+    setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=SIGMA_X)
+    taus = np.linspace(1e-3, 1e-2, 10) / scale
+    trace = trace_over_tau(setup, d, np.concatenate([[0.0], taus]) if with_zero else taus)
     values = trace.values.copy()
     if rng is not None:
         # relative noise per quadrature: the real part of these samples is
@@ -290,141 +316,83 @@ def _sample_trace(setup: WeakMeasurementSetup, d: Dissipator, taus: np.ndarray,
                                gaps=trace.gaps,
                                metadata={**trace.metadata, "noise_sigma": NOISE_SIGMA})
     samples = [(float(t), complex(v)) for t, v in zip(trace.tau_grid, values)]
-    return samples, trace
+    shared = {"characteristic_rate": params.get("gamma", params.get("gamma0")),
+              "epsilon": EPSILON, "noisy": rng is not None}
+    return samples, trace, shared
 
 
-def run_estimate_gamma(gamma: float = 0.1, epsilon: float = 0.01,
-                       n_points: int = 10,
-                       rng: np.random.Generator | None = None) -> ScenarioResult:
-    """Generate exact decay data in the linear regime and recover gamma.
+def _fit_entries(est, rel_err: float) -> dict:
+    """The fit diagnostics that both estimator verdicts report."""
+    return {"relative_error": rel_err, "intercept": est.intercept,
+            "residual_rms": est.residual_rms, "rel_residual": est.rel_residual}
 
-    Ten points with gamma*tau in [1e-3, 1e-2] on the amplification states;
-    asserts the estimate lands within 1% of the true rate.
-    """
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], 2)
-    setup = _epsilon_sigma_x_setup(epsilon)
-    taus = np.linspace(1e-3, 1e-2, n_points) / gamma
-    samples, trace = _sample_trace(setup, d, taus, rng)
-    est = estimate_gamma(samples, epsilon)
+
+def run_estimate_gamma(rng: np.random.Generator | None = None) -> ScenarioResult:
+    """Recover the amplitude-damping rate from the protocol's data; asserts
+    the estimate lands within 1% of the true rate."""
+    gamma = SHORT_TIME_CHANNELS["amplitude_damping"].params["gamma"]
+    samples, trace, verdict = _short_time_data("amplitude_damping", rng, with_zero=False)
+    est = estimate_gamma(samples, EPSILON)
     rel_err = abs(est.gamma_hat - gamma) / gamma
     if rel_err >= 0.01:
         raise ScenarioAssertionError(
             f"gamma estimate {est.gamma_hat} misses true rate {gamma} by {rel_err:.2%}")
-    verdict = {
-        "characteristic_rate": gamma,
-        "gamma_true": gamma,
-        "gamma_hat": est.gamma_hat,
-        "relative_error": rel_err,
-        "epsilon": epsilon,
-        "intercept": est.intercept,
-        "residual_rms": est.residual_rms,
-        "rel_residual": est.rel_residual,
-        "noisy": rng is not None,
-    }
+    verdict.update(gamma_true=gamma, gamma_hat=est.gamma_hat, **_fit_entries(est, rel_err))
     return ScenarioResult(name="estimate-gamma", trace=trace, verdict=verdict)
 
 
-def run_estimate_lambda(lam: float = 1.0, gamma0: float = 0.1, epsilon: float = 0.01,
-                        n_points: int = 10,
-                        rng: np.random.Generator | None = None) -> ScenarioResult:
-    """Generate exact memory-kernel data in the quadratic regime and recover lam.
-
-    Ten points with lam*tau in [1e-3, 1e-2]; asserts the estimate lands
-    within 2% of the true kernel width.
-    """
-    rate = NonMarkovJC(gamma0=gamma0, lam=lam)
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], 2)
-    setup = _epsilon_sigma_x_setup(epsilon)
-    taus = np.linspace(1e-3, 1e-2, n_points) / lam
-    samples, trace = _sample_trace(setup, d, taus, rng)
-    est = estimate_lambda(samples, epsilon, gamma0)
+def run_estimate_lambda(rng: np.random.Generator | None = None) -> ScenarioResult:
+    """Recover the memory-kernel width from the protocol's data; asserts the
+    estimate lands within 2% of the true kernel width."""
+    params = SHORT_TIME_CHANNELS["nonmarkov_jc"].params
+    gamma0, lam = params["gamma0"], params["lam"]
+    samples, trace, verdict = _short_time_data("nonmarkov_jc", rng, with_zero=False)
+    est = estimate_lambda(samples, EPSILON, gamma0)
     rel_err = abs(est.lambda_hat - lam) / lam
     if rel_err >= 0.02:
         raise ScenarioAssertionError(
             f"lambda estimate {est.lambda_hat} misses true width {lam} by {rel_err:.2%}")
-    verdict = {
-        "characteristic_rate": gamma0,
-        "lambda_true": lam,
-        "gamma0": gamma0,
-        "lambda_hat": est.lambda_hat,
-        "relative_error": rel_err,
-        "epsilon": epsilon,
-        "intercept": est.intercept,
-        "residual_rms": est.residual_rms,
-        "rel_residual": est.rel_residual,
-        "noisy": rng is not None,
-    }
+    verdict.update(lambda_true=lam, gamma0=gamma0, lambda_hat=est.lambda_hat,
+                   **_fit_entries(est, rel_err))
     return ScenarioResult(name="estimate-lambda", trace=trace, verdict=verdict)
 
 
-def run_classify(channel: str = "nonmarkov_jc",
-                 rng: np.random.Generator | None = None) -> ScenarioResult:
-    """Generate exact short-time data from a named channel and classify it.
-
-    channel "amplitude_damping" (gamma = 0.1) must come out "Markovian";
-    channel "nonmarkov_jc" (gamma0 = 0.1, lam = 1) must come out
-    "strongly-non-Markovian". A tau = 0 sample is included so the classifier
-    subtracts the exact offset.
-    """
-    epsilon = 0.01
-    if channel == "amplitude_damping":
-        gamma = 0.1
-        d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], 2)
-        taus = np.concatenate([[0.0], np.linspace(1e-3, 1e-2, 10) / gamma])
-        expected = "Markovian"
-        params = {"gamma": gamma}
-    elif channel == "nonmarkov_jc":
-        gamma0, lam = 0.1, 1.0
-        rate = NonMarkovJC(gamma0=gamma0, lam=lam)
-        d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], 2)
-        taus = np.concatenate([[0.0], np.linspace(1e-3, 1e-2, 10) / lam])
-        expected = "strongly-non-Markovian"
-        params = {"gamma0": gamma0, "lam": lam}
-    else:
+def run_classify(channel: str, rng: np.random.Generator | None = None) -> ScenarioResult:
+    """Classify the protocol's data from a named channel; asserts the
+    channel's verdict in SHORT_TIME_CHANNELS. A tau = 0 sample is included so
+    the classifier subtracts the exact offset."""
+    if channel not in SHORT_TIME_CHANNELS:
         raise ValueError(f"unknown channel for classification demo: {channel!r}")
-    setup = _epsilon_sigma_x_setup(epsilon)
-    samples, trace = _sample_trace(setup, d, taus, rng)
+    _, _, params, expected = SHORT_TIME_CHANNELS[channel]
+    samples, trace, verdict = _short_time_data(channel, rng, with_zero=True)
     result = classify_markovianity(samples)
     if result.verdict != expected:
         raise ScenarioAssertionError(
             f"classifier returned {result.verdict!r} on {channel} data "
             f"(expected {expected!r}; residuals {result.linear_rel_residual:.3e} "
             f"vs {result.quadratic_rel_residual:.3e})")
-    verdict = {
-        "characteristic_rate": params.get("gamma", params.get("gamma0")),
-        "channel": channel,
-        "params": params,
-        "verdict": result.verdict,
-        "expected": expected,
-        "linear_coeff": result.linear_coeff,
-        "quadratic_coeff": result.quadratic_coeff,
-        "linear_rel_residual": result.linear_rel_residual,
-        "quadratic_rel_residual": result.quadratic_rel_residual,
-        "epsilon": epsilon,
-        "noisy": rng is not None,
-    }
+    verdict.update(channel=channel, params=dict(params), expected=expected, **result._asdict())
     return ScenarioResult(name="classify", trace=trace, verdict=verdict)
 
 
-SCENARIO_NAMES = ("sodium-anomalous", "sodium-constant", "estimate-gamma",
-                  "classify", "estimate-lambda")
+# CLI name -> run(channel, rng); the order is the one the CLI help lists
+SCENARIOS = {
+    "sodium-anomalous": lambda channel, rng: sodium_anomalous(),
+    "sodium-constant": lambda channel, rng: sodium_constant(),
+    "estimate-gamma": lambda channel, rng: run_estimate_gamma(rng),
+    "classify": lambda channel, rng: run_classify(channel or "nonmarkov_jc", rng),
+    "estimate-lambda": lambda channel, rng: run_estimate_lambda(rng),
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def run_scenario(name: str, channel: str | None = None,
                  seed: int | None = None) -> ScenarioResult:
     """Dispatch a scenario by CLI name. Raises KeyError for unknown names."""
     rng = np.random.default_rng(seed) if seed is not None else None
-    if name == "sodium-anomalous":
-        return sodium_anomalous()
-    if name == "sodium-constant":
-        return sodium_constant()
-    if name == "estimate-gamma":
-        return run_estimate_gamma(rng=rng)
-    if name == "estimate-lambda":
-        return run_estimate_lambda(rng=rng)
-    if name == "classify":
-        return run_classify(channel=channel or "nonmarkov_jc", rng=rng)
-    raise KeyError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    if name not in SCENARIOS:
+        raise KeyError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    return SCENARIOS[name](channel, rng)
 
 
 __all__ = [
@@ -443,5 +411,8 @@ __all__ = [
     "run_estimate_lambda",
     "run_classify",
     "run_scenario",
+    "EPSILON",
+    "SHORT_TIME_CHANNELS",
+    "SCENARIOS",
     "SCENARIO_NAMES",
 ]

@@ -48,6 +48,7 @@ from weaklind.config import (
     require_sections,
 )
 from weaklind.errors import ConfigError
+from weaklind.scenarios import SCENARIO_NAMES, SCENARIOS, SHORT_TIME_CHANNELS
 
 SODIUM_PRE = [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]
 SODIUM_POST = [[0.0498, 0.0], [-0.995, 0.0], [0.0, 0.0], [-0.0498, -0.0498],
@@ -685,6 +686,14 @@ def test_scenario_flag_misuse_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path)) == 2
 
 
+def test_scenario_names_and_channels_are_the_tables_keys():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices["scenario"]._actions}
+    assert actions["name"].help.split(" | ") == list(SCENARIOS) == list(SCENARIO_NAMES)
+    assert list(actions["channel"].choices) == list(SHORT_TIME_CHANNELS)
+
+
 # ------------------------------------------------------------- CLI: shifts
 
 def meter_section(model="rabi", g=0.001, state="vacuum", n=0.0):
@@ -830,6 +839,21 @@ def test_invert_singular_exits_5(tmp_path):
     }
     cfg = write_cfg(tmp_path, payload)
     assert run_cli("invert", "--config", cfg, "--out", str(tmp_path)) == 5
+
+
+def test_invert_overflowing_meter_phase_exits_2(tmp_path, capsys):
+    # the readout phase omega_f (t + tau) = 2e308 is past the float range, so
+    # the inverted weak value would be NaN
+    payload = {
+        "version": 1,
+        "meter": {"omega_f": 1e308, "state": "vacuum", "g": 0.001, "t": 1.0},
+        "invert": {"Q_f": 0.01, "P_f": 0.02, "tau": 1.0},
+    }
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_cli("invert", "--config", cfg, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: the inverted weak value is not finite at tau=1.0\n"
+    assert not (out / "invert.json").exists()
 
 
 # --------------------------------------------------- CLI: fuzzed configs
