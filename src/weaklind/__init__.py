@@ -32,21 +32,13 @@ from .lindblad import (
     two_level_damping_apply,
 )
 from .meter import (
-    CommutatorAverages,
-    MeterBaseline,
     MeterState,
     ShiftReport,
-    baseline_averages,
-    commutator_averages,
     invert_weak_value,
     jc_shift_columns,
     jc_shifts,
-    meter_coupling_interaction,
-    quadratures_interaction,
     rabi_shift_columns,
     rabi_shifts_number_state,
-    rabi_shifts_vacuum_polar,
-    shift_general,
 )
 from .operators import (
     SIGMA_MINUS,
@@ -54,17 +46,13 @@ from .operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    FockSpace,
     bloch_to_density,
     density_to_bloch,
     is_density,
     is_hermitian,
     jy_six_level,
-    ladder,
-    number_operator,
     pauli,
     pure_density,
-    quadratures,
     sodium_jump_operators,
 )
 from .scenarios import (

@@ -2,7 +2,8 @@
 
 Subcommands: weak-value (trace of the dissipative weak value over a tau
 grid), scenario <name> (packaged experiments), shifts (meter quadrature
-readout along the sweep), invert (weak value back from measured shifts).
+readout along the sweep), invert (weak value back from measured shifts, by
+the algebraic inverse of the same closed forms, meter.invert_weak_value).
 Each command sweeps its grid once through weakvalue.trace_over_tau (jc
 shifts stack sigma+ and sigma- into one observable over one denominator).
 shifts reads the meter out on the whole grid at once (rabi_shift_columns /
@@ -19,7 +20,8 @@ non-finite floats (the NaN of a gap) as the tokens NaN, Infinity and
 error, unknown scenario, numerical failure (NoConvergence, including
 non-finite meter shifts or a non-finite inverted weak value) or any other
 library error, 3 post-selection vanished on the whole grid, 4 scenario
-assertion failure, 5 singular inversion.
+assertion failure, 5 singular inversion (g t = 0, or a jc meter with n > 0,
+whose two shifts mix the raising and lowering weak values).
 """
 
 from __future__ import annotations
@@ -53,15 +55,13 @@ from .errors import (
     WeaklindError,
 )
 from .meter import (
-    baseline_averages,
-    commutator_averages,
     invert_weak_value,
     jc_shift_columns,
     jc_shifts,  # noqa: F401  (bench/tracing.py patches it here)
     rabi_shift_columns,
     rabi_shifts_number_state,  # noqa: F401  (bench/tracing.py patches it here)
 )
-from .operators import SIGMA_MINUS, SIGMA_PLUS, FockSpace
+from .operators import SIGMA_MINUS, SIGMA_PLUS
 from .scenarios import SCENARIOS, SHORT_TIME_CHANNELS, run_scenario
 from .weakvalue import (
     WeakMeasurementSetup,
@@ -296,17 +296,13 @@ def cmd_invert(cfg: RunConfig, out_dir: str) -> int:
     require_sections(cfg, "meter", "invert")
     m = cfg.meter
     inv = cfg.invert
-    space = FockSpace(n_max=m.n_max, omega_f=m.omega_f, hbar=m.hbar)
-    mu0 = build_meter_state(cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        averages = commutator_averages(space, mu0, m.t, inv.tau)
-        baseline = baseline_averages(space, mu0, m.t, inv.tau)
     try:
-        wv = invert_weak_value(inv.Q_f, inv.P_f, averages, baseline, m.g, m.t)
+        wv = invert_weak_value(inv.Q_f, inv.P_f, build_meter_state(cfg), m.model, m.g, m.t,
+                               inv.tau, m.omega_f, m.Delta, hbar=m.hbar)
     except SingularInversion as exc:
         print(f"singular inversion: {exc}", file=sys.stderr)
         return EXIT_SINGULAR_INVERSION
-    if not cmath.isfinite(wv):  # an infinite meter phase, or a quotient past the float range
+    if not cmath.isfinite(wv):  # an infinite phase, or a scale 2 g t unit of 0 or inf
         raise NoConvergence(f"the inverted weak value is not finite at tau={inv.tau}")
     doc = {
         "Q_f": inv.Q_f,

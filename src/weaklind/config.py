@@ -18,11 +18,12 @@ integer past the float range), a value outside its Literal or bound, and a
 section that breaks its cross-field rule (exactly one state form, exactly
 one observable form, a coherent channel, an ordered sweep). The fields that
 size an allocation are bounded, so an oversized run is refused before
-anything is allocated: sweep.count is at most COUNT_MAX = 10**6,
+anything is allocated: sweep.count is at most COUNT_MAX = 10**6 and
 system.dimension at most DIMENSION_MAX = 32 (the Lindblad generator is
-d^2 x d^2) and meter.n_max at most N_MAX_MAX = 1000 (the Fock space). Every
-failure becomes one `loc: msg` line of a single ConfigError; a file that
-cannot be read or parsed is a ConfigError too.
+d^2 x d^2). meter.n_max (at most N_MAX_MAX = 1000) sizes nothing, since the
+readout forms need only the mean occupation; it bounds a number meter's
+level. Every failure becomes one `loc: msg` line of a single ConfigError; a
+file that cannot be read or parsed is a ConfigError too.
 
 Sections are optional at the schema level; each CLI command states which
 ones it needs (weak-value: system/observable/channel/sweep; shifts: those

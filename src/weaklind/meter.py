@@ -4,10 +4,12 @@ The meter couples to the system through its position-like quadrature for a
 short time t; after conditioning on the post-selected system state, the
 meter quadrature averages shift by amounts proportional to g t and to the
 real and imaginary parts of the weak value. This module evaluates those
-shifts (general quotient form, transverse-coupling closed forms for
-number/thermal/vacuum meters, and the rotating-wave forms driven by the
-lowering/raising weak values) and inverts measured shifts back to the weak
-value.
+shifts in the paper's closed forms, which depend on the meter only through
+its mean occupation n: the transverse (rabi) coupling driven by the weak
+value, and the rotating-wave (jc) coupling driven by the raising/lowering
+weak values. invert_weak_value is the algebraic inverse of the same two
+forms, so a weak value read back from its own shifts is recovered to
+rounding.
 
 The two closed forms are evaluated on a whole tau grid at once:
 rabi_shift_columns and jc_shift_columns take the weak values on the grid and
@@ -28,14 +30,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularInversion
-from .operators import FockSpace, _cmul, ladder
-
-_SINGULAR_TOL = 1e-12
+from .operators import _cmul
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class MeterState:
 
     All three are diagonal in the energy basis, so they satisfy the
     calibration requirement <N_I(t/2)>_0 = 0 and commute with the field
-    Hamiltonian. Any other meter density goes to shift_general directly.
+    Hamiltonian; the readout forms need only their mean occupation.
     """
 
     kind: str
@@ -86,28 +85,6 @@ class MeterState:
         """Mean occupation: n for number states, n_eq for thermal, 0 vacuum."""
         return self.n
 
-    def density_matrix(self, dim: int) -> np.ndarray:
-        """Materialize on a Fock space truncated at dim levels."""
-        rho = np.zeros((dim, dim), dtype=complex)
-        if self.kind == "vacuum":
-            rho[0, 0] = 1.0
-        elif self.kind == "number":
-            level = int(self.n)
-            if level >= dim:
-                raise ValueError(f"number level {level} outside truncation {dim}")
-            rho[level, level] = 1.0
-        else:
-            # geometric weights x^k with x = n_eq/(1+n_eq), renormalized on
-            # the truncated space
-            if self.n == 0.0:
-                rho[0, 0] = 1.0
-            else:
-                x = self.n / (1.0 + self.n)
-                weights = x ** np.arange(dim)
-                weights /= weights.sum()
-                np.fill_diagonal(rho, weights)
-        return rho
-
 
 @dataclass(frozen=True)
 class ShiftReport:
@@ -128,50 +105,17 @@ class ShiftReport:
                 raise ValueError(f"{name} must be finite")
 
 
-def quadratures_interaction(space: FockSpace, t_prime: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q and P in the interaction picture at time t_prime."""
-    a, ad = ladder(space)
-    up = np.exp(1j * space.omega_f * t_prime)
-    Q = np.sqrt(space.hbar / (2.0 * space.omega_f)) * (ad * up + a * np.conj(up))
-    P = 1j * np.sqrt(space.hbar * space.omega_f / 2.0) * (ad * up - a * np.conj(up))
-    return Q, P
+def _units(omega_f: float, hbar: float) -> tuple[float, float]:
+    """The quadrature units sqrt(hbar/2 omega_f) and sqrt(hbar omega_f/2)."""
+    return math.sqrt(hbar / (2.0 * omega_f)), math.sqrt(hbar * omega_f / 2.0)
 
 
-def meter_coupling_interaction(space: FockSpace, t_half: float) -> np.ndarray:
-    """The coupled meter operator N_I = ad e^{1j w s} + a e^{-1j w s} at s = t_half.
-
-    Dimensionless: equals sqrt(2 omega_f/hbar) Q_I(t_half).
-    """
-    a, ad = ladder(space)
-    up = np.exp(1j * space.omega_f * t_half)
-    return ad * up + a * np.conj(up)
-
-
-def shift_general(L_I: np.ndarray, N_I: np.ndarray, mu0, wv: complex,
-                  g: float, t: float) -> float:
-    """Post-selected average of L_I to first order in g t, with denominator.
-
-        <L>_f = [<L_I>_0 - 1j g t Re(wv) <[L_I, N_I]>_0 + g t Im(wv) <{L_I, N_I}>_0]
-                / [1 + 2 g t Im(wv) <N_I>_0].
-
-    mu0 is a MeterState or an explicit density matrix on the same space as
-    the operators. The quotient is exact for the first-order joint state;
-    meters calibrated to <N_I>_0 = 0 make the denominator exactly 1.
-    """
-    L_I = np.asarray(L_I, dtype=complex)
-    N_I = np.asarray(N_I, dtype=complex)
-    if isinstance(mu0, MeterState):
-        rho = mu0.density_matrix(L_I.shape[0])
-    else:
-        rho = np.asarray(mu0, dtype=complex)
-    gt = g * t
-    L0 = np.trace(L_I @ rho)
-    N0 = np.trace(N_I @ rho)
-    comm = np.trace((L_I @ N_I - N_I @ L_I) @ rho)
-    anti = np.trace((L_I @ N_I + N_I @ L_I) @ rho)
-    num = L0 - 1j * gt * wv.real * comm + gt * wv.imag * anti
-    den = 1.0 + 2.0 * gt * wv.imag * N0
-    return float((num / den).real)
+def _rotating_wave_guard(Delta: float, t: float) -> None:
+    """Warn (once per call, at the caller's caller) when Delta t leaves the
+    rotating-wave window."""
+    if abs(Delta * t) > 0.05:
+        warnings.warn(f"Delta*t = {Delta * t:.3g} outside the rotating-wave "
+                      "validity guard 0.05", stacklevel=3)
 
 
 def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +147,7 @@ def rabi_shift_columns(n: float, wv, g: float, t: float, taus, omega_f: float,
         raise ValueError("occupation must be finite and >= 0")
     wv = np.asarray(wv, dtype=complex)
     factor = 2.0 * n + 1.0
-    q_unit = math.sqrt(hbar / (2.0 * omega_f))
-    p_unit = math.sqrt(hbar * omega_f / 2.0)
+    q_unit, p_unit = _units(omega_f, hbar)
     with np.errstate(over="ignore", invalid="ignore"):
         cos, sin = _trig(omega_f * (0.5 * t + np.asarray(taus, dtype=float)))
         Q = -2.0 * g * t * q_unit * (sin * wv.real - factor * cos * wv.imag)
@@ -219,78 +162,6 @@ def rabi_shifts_number_state(n: float, wv: complex, g: float, t: float, tau: flo
     (Q,), (P,) = rabi_shift_columns(n, [wv], g, t, [tau], omega_f, hbar)
     return ShiftReport(Q_shift=float(Q), P_shift=float(P), g=g, t=t, tau=tau,
                        omega_f=omega_f, Delta=0.0, weak_value_inputs=(complex(wv),))
-
-
-def rabi_shifts_vacuum_polar(wv_modulus: float, wv_phase: float, g: float, t: float,
-                             tau: float, omega_f: float, hbar: float = 1.0) -> ShiftReport:
-    """Vacuum-meter shifts in polar form: a rotation in meter phase space.
-
-        <Q>_f =  2 g t sqrt(hbar/2 omega_f) |wv| sin(phase - theta),
-        <P>_f = -2 g t sqrt(hbar omega_f/2) |wv| cos(phase - theta),
-
-    theta = omega_f (t/2 + tau). Identical to rabi_shifts_number_state(0, .).
-    """
-    theta = omega_f * (0.5 * t + tau)
-    q_unit = math.sqrt(hbar / (2.0 * omega_f))
-    p_unit = math.sqrt(hbar * omega_f / 2.0)
-    Q = 2.0 * g * t * q_unit * wv_modulus * math.sin(wv_phase - theta)
-    P = -2.0 * g * t * p_unit * wv_modulus * math.cos(wv_phase - theta)
-    wv = wv_modulus * complex(math.cos(wv_phase), math.sin(wv_phase))
-    return ShiftReport(Q_shift=Q, P_shift=P, g=g, t=t, tau=tau, omega_f=omega_f,
-                       Delta=0.0, weak_value_inputs=(wv,))
-
-
-class CommutatorAverages(NamedTuple):
-    comm_Q: complex
-    comm_P: complex
-    anti_Q: complex
-    anti_P: complex
-
-
-class MeterBaseline(NamedTuple):
-    Q0: float
-    P0: float
-    N0: float
-
-
-def commutator_averages(space: FockSpace, mu0: MeterState, t: float,
-                        tau: float) -> CommutatorAverages:
-    """Averages of [Q_I, N_I], [P_I, N_I], {Q_I, N_I}, {P_I, N_I} over mu0.
-
-    Readout quadratures at t + tau, coupling operator at t/2. The
-    commutators are proportional to the identity, hence state-independent:
-
-        <[Q_I, N_I]>_0 = -2j sqrt(hbar/2 omega_f) sin[omega_f (t/2 + tau)],
-        <[P_I, N_I]>_0 = -2j sqrt(hbar omega_f/2) cos[omega_f (t/2 + tau)].
-
-    The anticommutators carry a (2 <ad a>_0 + 1) factor plus a^2 and ad^2
-    terms that vanish for energy-diagonal states.
-    """
-    if space.n_max < 2:
-        warnings.warn("n_max < 2 truncates the anticommutator a^2/ad^2 terms",
-                      stacklevel=2)
-    rho = mu0.density_matrix(space.dim)
-    Q_I, P_I = quadratures_interaction(space, t + tau)
-    N_I = meter_coupling_interaction(space, 0.5 * t)
-    out = []
-    for L in (Q_I, P_I):
-        out.append(complex(np.trace((L @ N_I - N_I @ L) @ rho)))
-    for L in (Q_I, P_I):
-        out.append(complex(np.trace((L @ N_I + N_I @ L) @ rho)))
-    return CommutatorAverages(*out)
-
-
-def baseline_averages(space: FockSpace, mu0: MeterState, t: float,
-                      tau: float) -> MeterBaseline:
-    """Unconditioned averages <Q_I>, <P_I> (at t + tau) and <N_I> (at t/2)."""
-    rho = mu0.density_matrix(space.dim)
-    Q_I, P_I = quadratures_interaction(space, t + tau)
-    N_I = meter_coupling_interaction(space, 0.5 * t)
-    return MeterBaseline(
-        Q0=float(np.trace(Q_I @ rho).real),
-        P0=float(np.trace(P_I @ rho).real),
-        N0=float(np.trace(N_I @ rho).real),
-    )
 
 
 def jc_shift_columns(wv_plus, wv_minus, mu0: MeterState, g: float, t: float, taus,
@@ -312,14 +183,11 @@ def jc_shift_columns(wv_plus, wv_minus, mu0: MeterState, g: float, t: float, tau
     past the float range gives a non-finite entry, not a warning; the caller
     checks.
     """
-    if abs(Delta * t) > 0.05:
-        warnings.warn(f"Delta*t = {Delta * t:.3g} outside the rotating-wave "
-                      "validity guard 0.05", stacklevel=2)
+    _rotating_wave_guard(Delta, t)
     wv_plus = np.asarray(wv_plus, dtype=complex)
     wv_minus = np.asarray(wv_minus, dtype=complex)
     n = mu0.mean_n()
-    q_unit = math.sqrt(hbar / (2.0 * omega_f))
-    p_unit = math.sqrt(hbar * omega_f / 2.0)
+    q_unit, p_unit = _units(omega_f, hbar)
     with np.errstate(over="ignore", invalid="ignore"):
         cos, sin = _trig(0.5 * Delta * t + omega_f * (t + np.asarray(taus, dtype=float)))
         up_re, up_im = _cmul(*_cmul(cos, sin, wv_plus.real, wv_plus.imag), n, 0.0)
@@ -342,51 +210,51 @@ def jc_shifts(wv_plus: complex, wv_minus: complex, mu0: MeterState, g: float,
                        weak_value_inputs=(complex(wv_plus), complex(wv_minus)))
 
 
-def invert_weak_value(Q_f: float, P_f: float, averages: CommutatorAverages,
-                      baseline: MeterBaseline, g: float, t: float) -> complex:
-    """Recover the weak value from the two measured quadrature averages.
+def invert_weak_value(Q_f: float, P_f: float, mu0: MeterState, model: str, g: float,
+                      t: float, tau: float, omega_f: float, Delta: float,
+                      hbar: float = 1.0) -> complex:
+    """Recover the weak value from the two measured quadrature averages: the
+    algebraic inverse of rabi_shift_columns or jc_shift_columns at one tau.
 
-    Cross-multiplying the general shift quotient for L = Q_I and L = P_I
-    gives a real linear 2x2 system in (gt Re(wv), gt Im(wv)):
+    With q = Q_f/(2 g t sqrt(hbar/2 omega_f)) and p = P_f/(2 g t sqrt(hbar omega_f/2)):
 
-        [-1j C_Q] x + [A_Q - 2 N0 Q_f] y = Q_f - Q0,
-        [-1j C_P] x + [A_P - 2 N0 P_f] y = P_f - P0,
+    - model "rabi", theta = omega_f (t/2 + tau), occupation n:
+          wv = -sin(theta) q - cos(theta) p + 1j (cos(theta) q - sin(theta) p)/(2n+1);
+    - model "jc" on an empty meter (n = 0), chi = Delta t/2 + omega_f (t + tau):
+          wv_minus = e^{1j chi} (-p + 1j q),
+      with the rotating-wave warning of jc_shift_columns.
 
-    with C = commutator averages (purely imaginary) and A = anticommutator
-    averages. Solved by Cramer's rule; raises SingularInversion when the
-    determinant is below 1e-12 in magnitude (shift pattern does not
-    constrain the weak value) or when g t = 0.
+    Raises SingularInversion when g t = 0 (the shifts carry no weak-value
+    information) and for a jc meter with n > 0, whose shifts mix the raising
+    and lowering weak values: four real unknowns from two quadratures. The
+    arithmetic runs in numpy floats, so a scale 2 g t sqrt(.) that is 0 or
+    past the float range, or an angle past it, gives a non-finite weak
+    value, not an exception; the caller checks.
     """
-    gt = g * t
-    if gt == 0.0:
+    n = mu0.mean_n()
+    if model == "jc" and n > 0.0:
+        raise SingularInversion(
+            f"meter.model 'jc' with occupation n = {n:g} > 0: the shifts mix the "
+            "raising and lowering weak values, four real unknowns from two quadratures")
+    if g * t == 0.0:
         raise SingularInversion("g*t = 0: shifts carry no weak-value information")
-    a11 = (-1j * averages.comm_Q).real
-    a21 = (-1j * averages.comm_P).real
-    a12 = averages.anti_Q.real - 2.0 * baseline.N0 * Q_f
-    a22 = averages.anti_P.real - 2.0 * baseline.N0 * P_f
-    b1 = Q_f - baseline.Q0
-    b2 = P_f - baseline.P0
-    det = a11 * a22 - a12 * a21
-    if abs(det) < _SINGULAR_TOL:
-        raise SingularInversion(f"inversion determinant {det:.3e} below 1e-12")
-    re_gt = (b1 * a22 - a12 * b2) / det
-    im_gt = (a11 * b2 - b1 * a21) / det
-    return complex(re_gt / gt, im_gt / gt)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = 2.0 * g * t * np.array(_units(omega_f, hbar))
+        # an infinite scale sends every weak value to non-finite shifts: no inverse
+        q, p = np.array([Q_f, P_f]) / np.where(np.isinf(scale), np.nan, scale)
+        if model == "jc":
+            _rotating_wave_guard(Delta, t)
+            (cos,), (sin,) = _trig(np.array([0.5 * Delta * t + omega_f * (t + tau)]))
+            return complex(*_cmul(cos, sin, -p, q))
+        (cos,), (sin,) = _trig(np.array([omega_f * (0.5 * t + tau)]))
+        return complex(-sin * q - cos * p, (cos * q - sin * p) / (2.0 * n + 1.0))
 
 
 __all__ = [
     "MeterState",
     "ShiftReport",
-    "CommutatorAverages",
-    "MeterBaseline",
-    "quadratures_interaction",
-    "meter_coupling_interaction",
-    "shift_general",
     "rabi_shift_columns",
     "rabi_shifts_number_state",
-    "rabi_shifts_vacuum_polar",
-    "commutator_averages",
-    "baseline_averages",
     "jc_shift_columns",
     "jc_shifts",
     "invert_weak_value",

@@ -1,7 +1,6 @@
 """Finite-dimensional complex operator algebra.
 
-Pauli and Bloch machinery for two-level systems, truncated Fock-space ladder
-operators and field quadratures for the meter mode, and the six-level
+Pauli and Bloch machinery for two-level systems and the six-level
 angular-momentum system (a J_g=1/2 <-> J_e=3/2 optical transition, four
 excited Zeeman sublevels above two degenerate ground ones).
 
@@ -11,13 +10,10 @@ Two-level basis order is (|e>, |g>), so sigma_z = diag(1, -1) and the Bloch
 decomposition of a density matrix is rho = (1 + r.sigma)/2 with r_z = +1 for
 the excited state. Six-level basis order is
 (|e,-3/2>, |e,-1/2>, |e,1/2>, |e,3/2>, |g,-1/2>, |g,1/2>), i.e. increasing
-magnetic quantum number within each block, excited block first. hbar defaults
-to 1 and the field frequency omega_f stays an explicit parameter.
+magnetic quantum number within each block, excited block first.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,56 +108,6 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
         float(np.trace(rho @ SIGMA_Y).real),
         float(np.trace(rho @ SIGMA_Z).real),
     ])
-
-
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncated single-mode Fock space.
-
-    n_max is the highest retained number state (dimension n_max + 1).
-    The canonical commutator [Q, P] = i*hbar*1 holds exactly outside the
-    truncation corner (n_max, n_max), where [a, a'] picks up -n_max instead
-    of 1; tests pin that artifact.
-    """
-
-    n_max: int
-    omega_f: float
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.omega_f <= 0.0 or self.hbar <= 0.0:
-            raise ValueError("omega_f and hbar must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-
-def ladder(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation operators (a, a_dagger) on the truncated basis.
-
-    a|n> = sqrt(n)|n-1>; a_dagger is the conjugate transpose.
-    """
-    n = np.arange(1, space.dim)
-    a = np.zeros((space.dim, space.dim), dtype=complex)
-    a[n - 1, n] = np.sqrt(n)
-    return a, a.conj().T
-
-
-def number_operator(space: FockSpace) -> np.ndarray:
-    """a_dagger a, diagonal (0, 1, ..., n_max)."""
-    a, adag = ladder(space)
-    return adag @ a
-
-
-def quadratures(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Field quadratures Q = sqrt(hbar/2w)(a' + a), P = i sqrt(hbar w/2)(a' - a)."""
-    a, adag = ladder(space)
-    q = np.sqrt(space.hbar / (2.0 * space.omega_f)) * (adag + a)
-    p = 1.0j * np.sqrt(space.hbar * space.omega_f / 2.0) * (adag - a)
-    return q, p
 
 
 def jy_six_level() -> np.ndarray:

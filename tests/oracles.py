@@ -172,6 +172,25 @@ def _meter_ops(dim_m: int, omega_f: float, hbar: float):
     return a, a.conj().T
 
 
+def meter_density(kind: str, n: float, dim: int) -> np.ndarray:
+    """A vacuum, number or thermal meter density on the first dim Fock levels.
+
+    Thermal weights are the geometric x^k with x = n/(1+n), renormalized on
+    the truncated space, so the truncated mean occupation approaches n as
+    dim grows.
+    """
+    weights = np.zeros(dim)
+    if kind == "thermal" and n > 0.0:
+        weights = (n / (1.0 + n)) ** np.arange(dim)
+        weights /= weights.sum()
+    else:
+        level = int(n) if kind == "number" else 0
+        if level >= dim:
+            raise ValueError(f"number level {level} outside truncation {dim}")
+        weights[level] = 1.0
+    return np.diag(weights).astype(complex)
+
+
 def _quadratures_at(dim_m: int, omega_f: float, hbar: float, t_prime: float):
     a, ad = _meter_ops(dim_m, omega_f, hbar)
     up = np.exp(1j * omega_f * t_prime)

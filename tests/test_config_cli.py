@@ -21,10 +21,9 @@ from hypothesis import strategies as st
 
 import weaklind
 from weaklind import (
-    FockSpace,
     MeterState,
-    baseline_averages,
-    commutator_averages,
+    invert_weak_value,
+    rabi_shift_columns,
     rabi_shifts_number_state,
 )
 from weaklind import cli
@@ -824,11 +823,8 @@ def test_invert_round_trip_via_cli(tmp_path):
     got = complex(*doc["weak_value"])
     assert abs(got - wv) < 1e-10
     # cross-check against the in-process inversion path
-    space = FockSpace(n_max=30, omega_f=omega_f)
-    avg = commutator_averages(space, MeterState.number(n), t, tau)
-    base = baseline_averages(space, MeterState.number(n), t, tau)
-    from weaklind import invert_weak_value
-    assert abs(invert_weak_value(rep.Q_shift, rep.P_shift, avg, base, g, t) - got) < 1e-14
+    assert abs(invert_weak_value(rep.Q_shift, rep.P_shift, MeterState.number(n), "rabi",
+                                 g, t, tau, omega_f, 0.0) - got) < 1e-14
 
 
 def test_invert_singular_exits_5(tmp_path):
@@ -842,8 +838,8 @@ def test_invert_singular_exits_5(tmp_path):
 
 
 def test_invert_overflowing_meter_phase_exits_2(tmp_path, capsys):
-    # the readout phase omega_f (t + tau) = 2e308 is past the float range, so
-    # the inverted weak value would be NaN
+    # 2 omega_f overflows, so the quadrature unit sqrt(hbar/2 omega_f) is 0
+    # and the inverted weak value is not finite
     payload = {
         "version": 1,
         "meter": {"omega_f": 1e308, "state": "vacuum", "g": 0.001, "t": 1.0},
@@ -853,6 +849,77 @@ def test_invert_overflowing_meter_phase_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("invert", "--config", cfg, "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: the inverted weak value is not finite at tau=1.0\n"
+    assert not (out / "invert.json").exists()
+
+
+def _invert_cli(tmp_path, meter, Q_f, P_f, tau):
+    """Run `invert` on one meter section; the exit code and the output directory."""
+    payload = {"version": 1, "meter": meter, "invert": {"Q_f": Q_f, "P_f": P_f, "tau": tau}}
+    out = tmp_path / "out"
+    return run_cli("invert", "--config", write_cfg(tmp_path, payload), "--out", str(out)), out
+
+
+def test_invert_round_trips_the_rabi_shifts_at_any_n_max(tmp_path):
+    # the inverse reads the same closed form as `shifts`, so a thermal meter
+    # does not depend on the truncation and a number level may sit at n_max
+    omega_f, g, t, tau = 1.3, 0.001, 1.0, 0.7
+    wv = 0.7 - 1.3j
+    meters = [{"state": "vacuum"}, {"state": "number", "n": 3, "n_max": 3}]
+    meters += [{"state": "thermal", "n": n, "n_max": n_max}
+               for n in (0.5, 3.0) for n_max in (4, 1000)]
+    for meter in meters:
+        meter.update(omega_f=omega_f, g=g, t=t)
+        (Q,), (P,) = rabi_shift_columns(meter.get("n", 0.0), [wv], g, t, [tau], omega_f)
+        code, out = _invert_cli(tmp_path, meter, float(Q), float(P), tau)
+        assert code == 0, meter
+        got = complex(*json.loads((out / "invert.json").read_text())["weak_value"])
+        assert abs(got - wv) <= 1e-12 * abs(wv), (meter, got)
+
+
+def test_invert_jc_vacuum_recovers_the_lowering_weak_value_of_shifts(tmp_path):
+    meter = {"omega_f": 1.3, "state": "vacuum", "g": 0.001, "t": 1.0, "Delta": 0.02,
+             "model": "jc"}
+    cfg = write_cfg(tmp_path, two_level_config(meter=meter, output={"format": "json"}),
+                    name="shifts.json")
+    assert run_cli("shifts", "--config", cfg, "--out", str(tmp_path / "shifts")) == 0
+    doc = json.loads((tmp_path / "shifts" / "shifts.json").read_text())
+    gamma_tau, q, p, _, _, re_m, im_m = doc["rows"][3]
+    code, out = _invert_cli(tmp_path, meter, q, p, gamma_tau / 0.5)
+    assert code == 0
+    got = complex(*json.loads((out / "invert.json").read_text())["weak_value"])
+    want = complex(re_m, im_m)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("state", [{"state": "number", "n": 2}, {"state": "thermal", "n": 0.4}])
+def test_invert_jc_refuses_an_occupied_meter(tmp_path, capsys, state):
+    meter = {"omega_f": 1.3, "g": 0.001, "t": 1.0, "model": "jc", **state}
+    code, out = _invert_cli(tmp_path, meter, 0.01, 0.02, 0.3)
+    assert code == 5
+    assert "meter.model" in capsys.readouterr().err
+    assert not (out / "invert.json").exists()
+
+
+def test_invert_jc_warns_off_resonance(tmp_path):
+    meter = {"omega_f": 1.3, "g": 0.001, "t": 1.0, "Delta": 0.2, "model": "jc"}
+    with pytest.warns(UserWarning, match="rotating-wave"):
+        code, _ = _invert_cli(tmp_path, meter, 0.01, 0.02, 0.3)
+    assert code == 0
+
+
+@pytest.mark.parametrize("meter", [
+    {"omega_f": 1e308},                  # 2 omega_f overflows: sqrt(hbar/2 omega_f) is 0
+    {"hbar": 5e-324},                    # sqrt(hbar/2 omega_f) underflows to 0
+    {"omega_f": 10.0, "hbar": 1e308},    # sqrt(hbar omega_f/2) overflows
+    {"g": 1e200, "t": 1e200},            # 2 g t overflows
+])
+def test_invert_degenerate_scale_exits_2(tmp_path, capsys, meter):
+    # the forward shifts are 0 or not finite for every weak value: there is no inverse
+    meter = {"omega_f": 1.3, "state": "vacuum", "g": 0.001, "t": 1.0, **meter}
+    code, out = _invert_cli(tmp_path, meter, 0.01, 0.02, 0.4)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: the inverted weak value is not finite at tau=0.4\n"
     assert not (out / "invert.json").exists()
 
 

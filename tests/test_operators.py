@@ -12,17 +12,13 @@ from weaklind import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    FockSpace,
     bloch_to_density,
     density_to_bloch,
     is_density,
     is_hermitian,
     jy_six_level,
-    ladder,
-    number_operator,
     pauli,
     pure_density,
-    quadratures,
     sodium_jump_operators,
 )
 from weaklind.operators import NormTooLarge
@@ -101,24 +97,25 @@ def test_is_density_checks():
 
 
 def test_fock_ladder_matrix_elements():
-    space = FockSpace(n_max=6, omega_f=1.3)
-    a, ad = ladder(space)
-    assert space.dim == 7
+    # the meter operators of the joint-readout oracle
+    a, ad = orc._meter_ops(7, 1.3, 1.0)
     for n in range(1, 7):
         assert abs(a[n - 1, n] - np.sqrt(n)) < 1e-15
     np.testing.assert_allclose(ad, a.conj().T)
     comm = a @ ad - ad @ a
     # canonical commutator away from the truncation corner
     np.testing.assert_allclose(np.diag(comm)[:-1], np.ones(6), atol=1e-14)
-    np.testing.assert_allclose(number_operator(space), ad @ a, atol=1e-14)
+    np.testing.assert_allclose(ad @ a, np.diag(np.arange(7.0)), atol=1e-14)
 
 
 def test_quadrature_commutator():
-    space = FockSpace(n_max=10, omega_f=0.7, hbar=2.0)
-    Q, P = quadratures(space)
+    Q, P = orc._quadratures_at(11, 0.7, 2.0, 0.0)
     comm = Q @ P - P @ Q
     np.testing.assert_allclose(np.diag(comm)[:-1], 1j * 2.0 * np.ones(10), atol=1e-13)
     assert is_hermitian(Q) and is_hermitian(P)
+    # the interaction picture rotates Q into P / omega_f a quarter period on
+    Qt, _ = orc._quadratures_at(11, 0.7, 2.0, 0.5 * np.pi / 0.7)
+    np.testing.assert_allclose(Qt, P / 0.7, atol=1e-13)
 
 
 def test_jy_six_level_matches_ladder_construction():
