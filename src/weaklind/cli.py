@@ -8,8 +8,11 @@ Each command sweeps its grid once through weakvalue.trace_over_tau (jc
 shifts stack sigma+ and sigma- into one observable over one denominator).
 shifts reads the meter out on the whole grid at once (rabi_shift_columns /
 jc_shift_columns of meter, whose one-point case is rabi_shifts_number_state
-/ jc_shifts), and each output table or float list is formatted in one %
-operation over a repeated row template.
+/ jc_shifts). An output table or float list of at least _G17_MIN_CELLS
+cells, most of them zeros or 1e-6 < |x| < 1e17, is computed in numpy
+(_g17_text): exactly for those cells and through '%.17g' % x for every
+other one, with the bytes of %. Any other is formatted in one % operation
+over a repeated row template.
 
 Determinism contract: identical config and package version produce
 byte-identical files. Every float is serialized with 17 significant digits
@@ -79,6 +82,179 @@ EXIT_SCENARIO_ASSERTION = 4
 EXIT_SINGULAR_INVERSION = 5
 
 
+# Large tables are formatted by _g17_text (see _csv_text). _g17_cells writes
+# each cell into a row of _G17_WIDTH bytes, NUL where nothing is printed:
+#   column 0        the sign
+#   columns 1-5     "0." and up to three zeros of 0.000ddd (-4 <= X <= -1)
+#   column 6 + 2j   digit j of the 17
+#   column 7 + 2j   the point, where it follows digit j
+#   columns 39-42   "e-05" or "e-06" (X = -5, -6)
+# with X the decimal exponent of the printed value.
+_G17_MIN_CELLS = 400  # below it one % pass is faster (measured)
+_G17_BLOCK = 4096
+_G17_WIDTH = 43
+# 10**k for k = 0..22, each an exact double
+_POW10 = np.array([1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+                   1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22])
+
+
+def _byte_table(rows, width: int, dtype) -> np.ndarray:
+    """One item of dtype per row of bytes, NUL-padded to width bytes."""
+    return np.frombuffer(b"".join(r.ljust(width, b"\0") for r in rows), dtype)
+
+
+# for X = -6..16: columns 0-7, the digit after which the point falls (17:
+# none) and columns 39-42
+_LEAD = _byte_table([b"\0" + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")
+                     for x in range(-6, 17)], 8, np.uint64)
+_POINT_AFTER = np.array([0, 0, 17, 17, 17, 17] + list(range(17)))
+_EXPONENT = _byte_table([b"e-0%d" % -x if x < -4 else b"" for x in range(-6, 17)], 4,
+                        np.uint32)
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+
+
+def _in_range(v: np.ndarray) -> np.ndarray:
+    """Where _digits17 computes |x| = v: 1e-6 < v < 1e17."""
+    return (v > 1e-6) & (v < 1e17)
+
+
+@functools.cache
+def _quad_text() -> np.ndarray:
+    """The four digits of q = 0..9999 at every other byte of a uint64."""
+    q = np.arange(10000, dtype=np.uint16)
+    text = np.zeros((10000, 8), np.uint8)
+    for col, unit in enumerate((1000, 100, 10, 1)):
+        text[:, 2 * col] = q // unit % 10 + ord("0")
+    return text.view(np.uint64).ravel()
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p the rounded a*b and p + e = a*b exactly: Dekker's product
+    with Veltkamp's split by 2**27 + 1, exact while nothing overflows or
+    underflows. e = ((ah*bh - p) + ah*bl + al*bh) + al*bl, summed in place."""
+    p = a * b
+    ah = a * 134217729.0
+    ah -= ah - a
+    al = a - ah
+    bh = b * 134217729.0
+    bh -= bh - b
+    bl = b - bh
+    e = ah * bh
+    e -= p
+    ah *= bl
+    e += ah
+    bh *= al
+    e += bh
+    al *= bl
+    e += al
+    return p, e
+
+
+def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, X) such that v, with 1e-6 < v < 1e17, rounded to 17 significant
+    digits is D * 10**(X - 16), 10**16 <= D < 10**17.
+
+    v * 10**k = p + e exactly, where k = 16 - X puts p + e in [1e16, 1e17).
+    floor(log10 v) can be one off next to a power of ten; one step mends it,
+    and the signs of (p - 1e16) + e and (p - 1e17) + e are exact. p + e is
+    rounded to an integer with ties to even, as CPython's dtoa rounds them;
+    p >= 1e16 > 2**53 is an even integer, so rint(e) decides. No double below
+    10**(X+1) lies close enough to it to round up to 10**17, so X stands.
+    """
+    k = np.clip(16 - np.floor(np.log10(v)).astype(np.intp), 0, 22)
+    p, e = _two_product(v, np.take(_POW10, k))
+    low = (p - 1e16) + e < 0
+    moved = np.flatnonzero(low | ((p - 1e17) + e >= 0))
+    if len(moved):
+        k[moved] += np.where(low[moved], 1, -1)
+        p[moved], e[moved] = _two_product(v[moved], np.take(_POW10, k[moved]))
+    return p.astype(np.int64) + np.rint(e).astype(np.int64), 16 - k
+
+
+def _g17_cells(x: np.ndarray, cells: np.ndarray) -> None:
+    """Write '%.17g' % x[i] into row i of cells, a NUL-filled uint8 matrix at
+    least _G17_WIDTH wide, in the layout above.
+
+    Cells with 1e-6 < |x| < 1e17 are computed exactly in numpy (_digits17),
+    and so are the zeros. (The double nearest 1e-6 lies below 10**-6 and
+    prints as 9.9...e-07.) Every other cell (subnormals, NaN, infinities,
+    the rest) is '%.17g' % x itself.
+    """
+    v = np.abs(x)
+    fast = _in_range(v)
+    v[~fast] = 1.0
+    digits, X = _digits17(v)
+    first = digits // 10**16
+    rest = digits - first * 10**16
+    high = rest // 10**8
+    row = X + 6
+    cells[:, :8].view(np.uint64)[:, 0] = np.take(_LEAD, row)
+    cells[:, 0] = (x < 0) * np.uint8(ord("-"))
+    cells[:, 6] = first + ord("0")
+    # digits 1-16 in four groups of four, one uint64 of columns 8-39 each
+    quad_text = _quad_text()
+    quads = cells[:, 8:40].view(np.uint64)
+    for i, part in enumerate((high, rest - high * 10**8)):
+        top = part // 10**4
+        quads[:, 2 * i] = np.take(quad_text, top)
+        quads[:, 2 * i + 1] = np.take(quad_text, part - top * 10**4)
+    cells[:, 39:43].view(np.uint32)[:, 0] = np.take(_EXPONENT, row)
+    # %g drops the zeros that trail the point, which only rows ending in 0 have
+    significant = np.full(len(x), 17)
+    short = np.flatnonzero((cells[:, 38] == ord("0")) & fast)
+    if len(short):
+        text = cells[short, 6:40:2]
+        significant[short] = 17 - np.argmax(text[:, ::-1] != ord("0"), axis=1)
+        text *= np.arange(17) < np.maximum(significant[short], X[short] + 1)[:, None]
+        cells[short, 6:40:2] = text
+    after = np.take(_POINT_AFTER, row)
+    point = np.flatnonzero(significant > after + 1)
+    cells[point, 7 + 2 * after[point]] = ord(".")
+    # the other cells went through as 1.0: zeros become "0" or "-0", and the
+    # rest '%.17g' % x, padded to 24 bytes (the most it writes) with NULs
+    others = np.flatnonzero(~fast)
+    cells[others, :_G17_WIDTH] = 0
+    zero = others[x[others] == 0]
+    cells[zero, 0] = np.signbit(x[zero]) * np.uint8(ord("-"))
+    cells[zero, 6] = ord("0")
+    others = others[x[others] != 0]
+    if len(others):
+        text = ("%-24.17g" * len(others)) % tuple(x[others].tolist())
+        cells[others, :24] = np.frombuffer(text.encode("ascii").translate(_SPACE_TO_NUL),
+                                           np.uint8).reshape(-1, 24)
+
+
+def _g17_pays(values: np.ndarray) -> bool:
+    """Whether _g17_text beats one % pass over values: at least
+    _G17_MIN_CELLS cells, at least half of them ones that _g17_cells computes
+    itself (the others cost it more than they cost %)."""
+    if values.size < _G17_MIN_CELLS:
+        return False
+    v = np.abs(values)
+    return 2 * np.count_nonzero(_in_range(v) | (v == 0)) >= v.size
+
+
+def _g17_text(table: np.ndarray, seps: list[bytes]) -> str:
+    """Every cell of a float64 table as '%.17g' writes it, each followed by
+    the separator of its column (all of one length), row after row.
+
+    Rows go through _g17_cells about _G17_BLOCK cells at a time, which bounds
+    the temporaries.
+    """
+    rows, cols = table.shape
+    tail = np.frombuffer(b"".join(seps), np.uint8).reshape(cols, -1)
+    step = max(1, _G17_BLOCK // cols)
+    pieces = []
+    for start in range(0, rows, step):
+        block = table[start:start + step]
+        raw = bytearray(block.size * (_G17_WIDTH + tail.shape[1]))
+        cells = np.frombuffer(raw, np.uint8).reshape(len(block), cols, -1)
+        cells[:, :, _G17_WIDTH:] = tail
+        _g17_cells(block.ravel(), cells.reshape(block.size, -1))
+        pieces.append(raw.translate(None, b"\0").decode("ascii"))
+    return "".join(pieces)
+
+
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
@@ -114,9 +290,13 @@ def _json_text(obj, indent: int = 0) -> str:
         if not items:
             return "[]"
         if all(isinstance(v, float) for v in items):
-            # one % over a repeated line template; %.17g writes the non-finite
+            # the cells of _csv_text, one per line; %.17g writes the non-finite
             # floats as nan/inf/-inf, json as NaN/Infinity/-Infinity
-            body = (f"{inner}%.17g,\n" * len(items))[:-2] % tuple(items)
+            if len(items) >= _G17_MIN_CELLS and _g17_pays(values := np.array(items)):
+                sep = f",\n{inner}"
+                body = inner + _g17_text(values[:, None], [sep.encode()])[:-len(sep)]
+            else:
+                body = (f"{inner}%.17g,\n" * len(items))[:-2] % tuple(items)
             return ("[\n" + body.replace("nan", "NaN").replace("inf", "Infinity")
                     + f"\n{pad}]")
         parts = [f"{inner}{_json_text(v, indent + 1)}" for v in items]
@@ -145,10 +325,21 @@ def _gamma_tau(char_rate: float, taus: np.ndarray) -> list[float]:
 
 def _csv_text(header: str, table: np.ndarray) -> str:
     """The header line, then one line per row of a float table with every
-    cell as _fmt writes it: one % over a repeated row template."""
+    cell as _fmt writes it.
+
+    A table of at least _G17_MIN_CELLS cells (400, where the two paths break
+    even), at least half of them zeros or 1e-6 < |x| < 1e17, goes through
+    _g17_text, which computes the same bytes in numpy: exactly, with no
+    tolerance (Dekker's exact product by 10**k, rounded half to even to 17
+    digits), for those cells, and by '%.17g' % x itself for every other one
+    (subnormals, NaN, infinities, the rest). Any other table is one % over a
+    repeated row template (_g17_pays).
+    """
     rows, cols = table.shape
-    row = ("%.17g," * cols)[:-1] + "\n"
-    return header + "\n" + (row * rows) % tuple(table.ravel().tolist())
+    if not _g17_pays(table):
+        row = ("%.17g," * cols)[:-1] + "\n"
+        return header + "\n" + (row * rows) % tuple(table.ravel().tolist())
+    return header + "\n" + _g17_text(table, [b","] * (cols - 1) + [b"\n"])
 
 
 def _trace_csv(trace: WeakValueTrace, char_rate: float) -> str:
@@ -212,8 +403,9 @@ def cmd_weak_value(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_scenario(name: str, out_dir: str, fmt: str, channel: str | None,
+def cmd_scenario(name: str, out_flag: str | None, fmt: str, channel: str | None,
                  seed: int | None) -> int:
+    """Run a scenario, then write its files; a refused run makes no directory."""
     try:
         result = run_scenario(name, channel=channel, seed=seed)
     except (KeyError, ValueError) as exc:
@@ -223,6 +415,7 @@ def cmd_scenario(name: str, out_dir: str, fmt: str, channel: str | None,
     except ScenarioAssertionError as exc:
         print(f"scenario assertion failed: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ASSERTION
+    out_dir = _resolve_out(None, out_flag)
     char_rate = float(result.verdict.get("characteristic_rate", 1.0))
     doc = {"name": result.name, "verdict": result.verdict}
     paths = []
@@ -367,9 +560,8 @@ def main(argv=None) -> int:
                 print("error: --channel applies to the 'classify' scenario only",
                       file=sys.stderr)
                 return EXIT_CONFIG
-            out_dir = _resolve_out(None, args.out)
             fmt = _resolve_format(None, args.format)
-            return cmd_scenario(args.name, out_dir, fmt, args.channel, args.seed)
+            return cmd_scenario(args.name, args.out, fmt, args.channel, args.seed)
         cfg = load_config(args.config)
         out_dir = _resolve_out(cfg, args.out)
         if args.command == "weak-value":

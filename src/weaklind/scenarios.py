@@ -202,7 +202,7 @@ def _power_fit(samples, power: int) -> tuple[float, float, float, float, float]:
     """
     taus, re = _unpack_samples(samples)
     x = taus ** power
-    if len(taus) < 2 or len(np.unique(x)) < 2:
+    if len(taus) < 2 or (x == x[0]).all():
         raise DegenerateFit("need at least two distinct tau samples")
     design = np.column_stack([np.ones_like(taus), x])
     coef, _, rank, _ = np.linalg.lstsq(design, re, rcond=None)

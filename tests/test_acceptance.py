@@ -4,9 +4,7 @@ Each test prints an `ACCEPTANCE PASS` line on success; under `pytest -v` the
 per-test PASSED/FAILED line doubles as the checklist entry.
 """
 
-import math
 import time
-import warnings
 
 import numpy as np
 from scipy.linalg import expm

@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import decimal
+import fractions
 import importlib.util
 import io
 import json
@@ -641,9 +643,11 @@ def test_non_increasing_grid_exits_2(tmp_path, capsys, sweep):
 # ---------------------------------------------------------- CLI: scenarios
 
 def test_scenario_unknown_name_exits_2(tmp_path, capsys):
-    assert run_cli("scenario", "no-such-thing", "--out", str(tmp_path)) == 2
+    out = tmp_path / "fresh" / "out"
+    assert run_cli("scenario", "no-such-thing", "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "unknown scenario" in err and "sodium-anomalous" in err
+    assert not out.exists() and not out.parent.exists()
 
 
 def test_scenario_sodium_anomalous_artifacts(tmp_path):
@@ -1009,6 +1013,132 @@ def test_batched_json_float_list_equals_the_per_item_format(items, indent):
     assert json.loads(want) == pytest.approx(items, nan_ok=True)
 
 
+def _per_cell_csv(table):
+    return "h\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in table.tolist())
+
+
+@pytest.fixture
+def numpy_path(monkeypatch):
+    """Send every table through the numpy formatter, whatever its cells, and
+    count the cells it computes itself (zeros, 1e-6 < |x| < 1e17)."""
+    computed = []
+    real = cli._g17_cells
+
+    def counting(x, cells):
+        v = np.abs(x)
+        computed.append(int((((v > 1e-6) & (v < 1e17)) | (v == 0)).sum()))
+        real(x, cells)
+
+    monkeypatch.setattr(cli, "_g17_pays", lambda values: True)
+    monkeypatch.setattr(cli, "_g17_cells", counting)
+    return computed
+
+
+def _assert_csv_per_cell(values, cols=4):
+    """_csv_text on a table of values gives the bytes of the per-cell format."""
+    values = np.asarray(values, dtype=float).ravel()
+    values = np.concatenate([values, np.ones(-len(values) % cols)])
+    table = values.reshape(-1, cols)
+    assert cli._csv_text("h", table) == _per_cell_csv(table)
+
+
+def _with_neighbours(xs):
+    xs = np.asarray(xs, dtype=float)
+    both = np.concatenate([xs, -xs])
+    return np.concatenate([both, np.nextafter(both, 0), np.nextafter(both, np.inf)])
+
+
+def test_batched_csv_powers_of_ten_and_their_neighbours(numpy_path):
+    # 10**j for every decade a double reaches, each 1 ulp up and down: the
+    # decimal exponent of the numpy path is one off next to these
+    assert [int(p) for p in cli._POW10] == [10**k for k in range(23)]
+    powers = [float(f"1e{j}") for j in range(-323, 309)]
+    _assert_csv_per_cell(np.tile(_with_neighbours(powers), 2))
+    assert sum(numpy_path) > 0
+
+
+def test_batched_csv_notation_switches_and_fast_range_edges(numpy_path):
+    # %g turns to 0.000ddd at 1e-4, to d.ddde-05 below it, and to d.ddde+16
+    # at 1e17; the numpy path covers 1e-6 < |x| < 1e17
+    edges = [1e-4, 1e-5, 1e-6, 1e16, 1e17]
+    near = [e + k * np.spacing(e) for e in edges for k in range(-40, 41)]
+    _assert_csv_per_cell(_with_neighbours(near + [0.5, 0.25, 100.0, 1200000.0, 1e15 + 0.25]))
+    assert sum(numpy_path) > 0
+
+
+def _decimal_ties(rng, per_exponent=60):
+    """Doubles m / 2**j (m odd) whose exact decimal has 18 significant digits
+    ending in 5: halfway between two 17-digit decimals."""
+    ties = []
+    for j in range(2, 40):
+        lo = -(-2**j * 10**17 // 10**j)  # ceil(10**(17 - j) * 2**j)
+        hi = min(2**j * 10**18 // 10**j, 2**53)
+        if hi - lo < 2:
+            continue
+        for m in rng.integers(lo, hi, per_exponent).tolist():
+            ties.append((m | 1) / 2**j)
+    return ties
+
+
+def test_batched_csv_rounds_ties_to_even(numpy_path):
+    ties = _decimal_ties(np.random.default_rng(4385))
+    for x in ties:
+        digits = format(decimal.Decimal(x), "f").replace(".", "").strip("0")
+        assert len(digits) == 18 and digits.endswith("5"), x
+    assert len(ties) >= 1000
+    assert "%.17g" % (1e15 + 0.25) == "1000000000000000.2"
+    _assert_csv_per_cell(_with_neighbours(ties + [1e15 + 0.25]))
+    assert sum(numpy_path) >= len(ties)
+
+
+def test_batched_csv_random_bit_patterns(numpy_path):
+    rng = np.random.default_rng(20251019)
+    _assert_csv_per_cell(rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64))
+    # the same with the binary exponent inside the numpy path's range
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    bits |= rng.integers(1003, 1080, 10**5, dtype=np.uint64) << np.uint64(52)
+    _assert_csv_per_cell(bits.view(np.float64))
+    assert sum(numpy_path) > 10**5
+
+
+def test_batched_output_mixes_the_numpy_path_and_the_per_cell_fallback(numpy_path):
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-6, -1e-7, 1e17, -1e300,
+               math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(7)
+    plain = rng.choice([-1.0, 1.0], 2000) * rng.uniform(1, 10, 2000) * 10.0 ** rng.integers(
+        -5, 17, 2000)
+    values = np.concatenate([plain, special * 20])
+    rng.shuffle(values)
+    _assert_csv_per_cell(values, cols=5)
+    items = values.tolist()
+    want = "[\n" + ",\n".join("    " + cli._json_float(v) for v in items) + "\n  ]"
+    assert cli._json_text(items, 1) == want
+    # the numpy path computed the plain cells and the zeros; the other special
+    # ones, which it leaves out, only come out right through the fallback
+    assert sum(numpy_path) == 2 * (len(plain) + 2 * 20)
+
+
+def test_the_numpy_formatter_runs_where_it_pays():
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((100, 4))
+    assert cli._g17_pays(table) and cli._g17_pays(np.zeros((100, 4)))
+    assert not cli._g17_pays(table[:99])  # fewer than _G17_MIN_CELLS cells
+    table[:51] = math.nan  # most cells would go through '%.17g' % x anyway
+    assert not cli._g17_pays(table)
+    assert not cli._g17_pays(np.full((100, 4), 1e-9))
+
+
+def test_no_fast_path_value_rounds_up_to_the_next_decade():
+    # a 17-digit rounding up to 10**(X+1) would need a double within 5e-18
+    # (relative) below a power of ten; none of the decades 1e-5..1e17 has one
+    for n in range(-5, 18):
+        power = fractions.Fraction(10) ** n
+        below = float(power)
+        if fractions.Fraction(below) >= power:
+            below = math.nextafter(below, 0)
+        assert fractions.Fraction(below) < power * (1 - fractions.Fraction(5, 10**18)), n
+
+
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, two_level_config())
     assert main(["weak-value", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -1087,6 +1217,18 @@ def test_cli_import_leaves_out_pydantic(tmp_path):
                           text=True, cwd=str(tmp_path), env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_estimators_leave_out_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, which costs a fresh estimator run ~17 ms
+    argvs = [["scenario", name, "--seed", "1", "--out", str(tmp_path)]
+             for name in ("estimate-gamma", "estimate-lambda")]
+    probe = ("import sys; from weaklind.cli import main; "
+             f"print([(main(argv), 'numpy.ma' in sys.modules) for argv in {argvs!r}])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=str(tmp_path), env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[(0, False), (0, False)]"
 
 
 def test_sweeps_leave_out_scipy_linalg(tmp_path):

@@ -11,7 +11,6 @@ from weaklind import (
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     bloch_to_density,
     density_to_bloch,
     is_density,
