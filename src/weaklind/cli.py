@@ -8,11 +8,8 @@ Each command sweeps its grid once through weakvalue.trace_over_tau (jc
 shifts stack sigma+ and sigma- into one observable over one denominator).
 shifts reads the meter out on the whole grid at once (rabi_shift_columns /
 jc_shift_columns of meter, whose one-point case is rabi_shifts_number_state
-/ jc_shifts). An output table or float list of at least _G17_MIN_CELLS
-cells, most of them zeros or 1e-6 < |x| < 1e17, is computed in numpy
-(_g17_text): exactly for those cells and through '%.17g' % x for every
-other one, with the bytes of %. Any other is formatted in one % operation
-over a repeated row template.
+/ jc_shifts). Output tables and float lists are formatted in one %
+operation, or in numpy with the same bytes when large (_g17_text).
 
 Determinism contract: identical config and package version produce
 byte-identical files. Every float is serialized with 17 significant digits
@@ -82,15 +79,15 @@ EXIT_SCENARIO_ASSERTION = 4
 EXIT_SINGULAR_INVERSION = 5
 
 
-# Large tables are formatted by _g17_text (see _csv_text). _g17_cells writes
-# each cell into a row of _G17_WIDTH bytes, NUL where nothing is printed:
+# _g17_cells writes each cell into a row of _G17_WIDTH bytes, NUL where
+# nothing is printed:
 #   column 0        the sign
 #   columns 1-5     "0." and up to three zeros of 0.000ddd (-4 <= X <= -1)
 #   column 6 + 2j   digit j of the 17
 #   column 7 + 2j   the point, where it follows digit j
 #   columns 39-42   "e-05" or "e-06" (X = -5, -6)
 # with X the decimal exponent of the printed value.
-_G17_MIN_CELLS = 400  # below it one % pass is faster (measured)
+_G17_MIN_CELLS = 400
 _G17_BLOCK = 4096
 _G17_WIDTH = 43
 # 10**k for k = 0..22, each an exact double
@@ -111,11 +108,6 @@ _POINT_AFTER = np.array([0, 0, 17, 17, 17, 17] + list(range(17)))
 _EXPONENT = _byte_table([b"e-0%d" % -x if x < -4 else b"" for x in range(-6, 17)], 4,
                         np.uint32)
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
-
-
-def _in_range(v: np.ndarray) -> np.ndarray:
-    """Where _digits17 computes |x| = v: 1e-6 < v < 1e17."""
-    return (v > 1e-6) & (v < 1e17)
 
 
 @functools.cache
@@ -175,13 +167,13 @@ def _g17_cells(x: np.ndarray, cells: np.ndarray) -> None:
     """Write '%.17g' % x[i] into row i of cells, a NUL-filled uint8 matrix at
     least _G17_WIDTH wide, in the layout above.
 
-    Cells with 1e-6 < |x| < 1e17 are computed exactly in numpy (_digits17),
-    and so are the zeros. (The double nearest 1e-6 lies below 10**-6 and
-    prints as 9.9...e-07.) Every other cell (subnormals, NaN, infinities,
-    the rest) is '%.17g' % x itself.
+    Cells with 1e-6 < |x| < 1e17 are computed exactly in numpy (_digits17).
+    (The double nearest 1e-6 lies below 10**-6 and prints as 9.9...e-07.)
+    Every other cell (zeros, subnormals, NaN, infinities, the rest) is
+    '%.17g' % x itself.
     """
     v = np.abs(x)
-    fast = _in_range(v)
+    fast = (v > 1e-6) & (v < 1e17)
     v[~fast] = 1.0
     digits, X = _digits17(v)
     first = digits // 10**16
@@ -210,36 +202,23 @@ def _g17_cells(x: np.ndarray, cells: np.ndarray) -> None:
     after = np.take(_POINT_AFTER, row)
     point = np.flatnonzero(significant > after + 1)
     cells[point, 7 + 2 * after[point]] = ord(".")
-    # the other cells went through as 1.0: zeros become "0" or "-0", and the
-    # rest '%.17g' % x, padded to 24 bytes (the most it writes) with NULs
+    # the other cells went through as 1.0 and become '%.17g' % x, padded to
+    # 24 bytes (the most it writes) with NULs
     others = np.flatnonzero(~fast)
-    cells[others, :_G17_WIDTH] = 0
-    zero = others[x[others] == 0]
-    cells[zero, 0] = np.signbit(x[zero]) * np.uint8(ord("-"))
-    cells[zero, 6] = ord("0")
-    others = others[x[others] != 0]
     if len(others):
+        cells[others, :_G17_WIDTH] = 0
         text = ("%-24.17g" * len(others)) % tuple(x[others].tolist())
         cells[others, :24] = np.frombuffer(text.encode("ascii").translate(_SPACE_TO_NUL),
                                            np.uint8).reshape(-1, 24)
-
-
-def _g17_pays(values: np.ndarray) -> bool:
-    """Whether _g17_text beats one % pass over values: at least
-    _G17_MIN_CELLS cells, at least half of them ones that _g17_cells computes
-    itself (the others cost it more than they cost %)."""
-    if values.size < _G17_MIN_CELLS:
-        return False
-    v = np.abs(values)
-    return 2 * np.count_nonzero(_in_range(v) | (v == 0)) >= v.size
 
 
 def _g17_text(table: np.ndarray, seps: list[bytes]) -> str:
     """Every cell of a float64 table as '%.17g' writes it, each followed by
     the separator of its column (all of one length), row after row.
 
-    Rows go through _g17_cells about _G17_BLOCK cells at a time, which bounds
-    the temporaries.
+    The bytes are those of one % pass; from _G17_MIN_CELLS cells on, where
+    the two break even, this is the faster. Rows go through _g17_cells about
+    _G17_BLOCK cells at a time, which bounds the temporaries.
     """
     rows, cols = table.shape
     tail = np.frombuffer(b"".join(seps), np.uint8).reshape(cols, -1)
@@ -292,9 +271,9 @@ def _json_text(obj, indent: int = 0) -> str:
         if all(isinstance(v, float) for v in items):
             # the cells of _csv_text, one per line; %.17g writes the non-finite
             # floats as nan/inf/-inf, json as NaN/Infinity/-Infinity
-            if len(items) >= _G17_MIN_CELLS and _g17_pays(values := np.array(items)):
+            if len(items) >= _G17_MIN_CELLS:
                 sep = f",\n{inner}"
-                body = inner + _g17_text(values[:, None], [sep.encode()])[:-len(sep)]
+                body = inner + _g17_text(np.array(items)[:, None], [sep.encode()])[:-len(sep)]
             else:
                 body = (f"{inner}%.17g,\n" * len(items))[:-2] % tuple(items)
             return ("[\n" + body.replace("nan", "NaN").replace("inf", "Infinity")
@@ -325,18 +304,11 @@ def _gamma_tau(char_rate: float, taus: np.ndarray) -> list[float]:
 
 def _csv_text(header: str, table: np.ndarray) -> str:
     """The header line, then one line per row of a float table with every
-    cell as _fmt writes it.
-
-    A table of at least _G17_MIN_CELLS cells (400, where the two paths break
-    even), at least half of them zeros or 1e-6 < |x| < 1e17, goes through
-    _g17_text, which computes the same bytes in numpy: exactly, with no
-    tolerance (Dekker's exact product by 10**k, rounded half to even to 17
-    digits), for those cells, and by '%.17g' % x itself for every other one
-    (subnormals, NaN, infinities, the rest). Any other table is one % over a
-    repeated row template (_g17_pays).
+    cell as _fmt writes it: one % over a repeated row template, or _g17_text
+    for a large table.
     """
     rows, cols = table.shape
-    if not _g17_pays(table):
+    if table.size < _G17_MIN_CELLS:
         row = ("%.17g," * cols)[:-1] + "\n"
         return header + "\n" + (row * rows) % tuple(table.ravel().tolist())
     return header + "\n" + _g17_text(table, [b","] * (cols - 1) + [b"\n"])

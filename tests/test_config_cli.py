@@ -1019,17 +1019,15 @@ def _per_cell_csv(table):
 
 @pytest.fixture
 def numpy_path(monkeypatch):
-    """Send every table through the numpy formatter, whatever its cells, and
-    count the cells it computes itself (zeros, 1e-6 < |x| < 1e17)."""
+    """Count the cells the numpy formatter computes itself (1e-6 < |x| < 1e17)."""
     computed = []
     real = cli._g17_cells
 
     def counting(x, cells):
         v = np.abs(x)
-        computed.append(int((((v > 1e-6) & (v < 1e17)) | (v == 0)).sum()))
+        computed.append(int(((v > 1e-6) & (v < 1e17)).sum()))
         real(x, cells)
 
-    monkeypatch.setattr(cli, "_g17_pays", lambda values: True)
     monkeypatch.setattr(cli, "_g17_cells", counting)
     return computed
 
@@ -1113,19 +1111,18 @@ def test_batched_output_mixes_the_numpy_path_and_the_per_cell_fallback(numpy_pat
     items = values.tolist()
     want = "[\n" + ",\n".join("    " + cli._json_float(v) for v in items) + "\n  ]"
     assert cli._json_text(items, 1) == want
-    # the numpy path computed the plain cells and the zeros; the other special
-    # ones, which it leaves out, only come out right through the fallback
-    assert sum(numpy_path) == 2 * (len(plain) + 2 * 20)
+    # the numpy path computed the plain cells; the special ones, which it
+    # leaves out, only come out right through the fallback
+    assert sum(numpy_path) == 2 * len(plain)
 
 
-def test_the_numpy_formatter_runs_where_it_pays():
-    rng = np.random.default_rng(3)
-    table = rng.standard_normal((100, 4))
-    assert cli._g17_pays(table) and cli._g17_pays(np.zeros((100, 4)))
-    assert not cli._g17_pays(table[:99])  # fewer than _G17_MIN_CELLS cells
-    table[:51] = math.nan  # most cells would go through '%.17g' % x anyway
-    assert not cli._g17_pays(table)
-    assert not cli._g17_pays(np.full((100, 4), 1e-9))
+def test_the_numpy_formatter_runs_from_the_crossover(numpy_path):
+    table = np.random.default_rng(3).standard_normal((100, 4))
+    assert cli._G17_MIN_CELLS == table.size
+    _assert_csv_per_cell(table[:99])
+    assert numpy_path == []
+    _assert_csv_per_cell(table)
+    assert numpy_path == [table.size]
 
 
 def test_no_fast_path_value_rounds_up_to_the_next_decade():
