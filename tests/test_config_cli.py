@@ -640,6 +640,19 @@ def test_non_increasing_grid_exits_2(tmp_path, capsys, sweep):
     assert not (tmp_path / "o" / "shifts.csv").exists()
 
 
+def test_out_under_a_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "f"
+    blocker.write_text("x")
+    cfg = write_cfg(tmp_path, two_level_config())
+    before = sorted(tmp_path.rglob("*"))
+    for argv in (["scenario", "classify"], ["weak-value", "--config", cfg]):
+        assert run_cli(*argv, "--out", str(blocker / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "x"
+
+
 # ---------------------------------------------------------- CLI: scenarios
 
 def test_scenario_unknown_name_exits_2(tmp_path, capsys):
@@ -744,6 +757,32 @@ def test_shifts_jc_csv_and_json(tmp_path):
     assert doc["model"] == "jc"
     assert doc["rows"][0][0] == 0.0
     assert len(doc["rows"]) == len(rows)
+
+
+@pytest.mark.parametrize("model", ["jc", "rabi"])
+def test_large_shifts_json_is_the_per_row_text(tmp_path, model):
+    # the rows table goes through _g17_text in one pass; the bytes are those
+    # of the rows as nested lists, gap rows (NaN) included
+    payload = two_level_config(meter=meter_section(model=model),
+                               sweep={"start": 0.0, "stop": 10.0, "count": 1000})
+    payload["system"]["pre"] = {"bloch": [0.0, 0.0, 1.0]}
+    payload["system"]["post"] = {"bloch": [0.0, 0.0, -1.0]}  # a gap at tau = 0
+    out = tmp_path / "o"
+    for fmt in ("csv", "json"):
+        assert run_cli("shifts", "--config", write_cfg(tmp_path, payload), "--out", str(out),
+                       "--format", fmt) == 0
+    header, rows = read_csv(out / "shifts.csv")
+    assert all(map(math.isnan, rows[0][1:]))
+    doc = {"columns": header, "rows": rows, "model": model}
+    assert (out / "shifts.json").read_text() == cli._json_text(doc) + "\n"
+
+
+def test_json_float_table_is_the_nested_list_text():
+    rng = np.random.default_rng(11)
+    table = rng.standard_normal((100, 5)) * 10.0 ** rng.integers(-320, 300, (100, 5))
+    table.flat[:7] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-6]
+    for t in (table, table[:, :4], table[:80], table[:3], table[:2, :1], table[:0]):
+        assert cli._json_text({"rows": t}, 1) == cli._json_text({"rows": t.tolist()}, 1)
 
 
 def test_shifts_jc_requires_two_levels(tmp_path):
@@ -1218,14 +1257,17 @@ def test_cli_import_leaves_out_pydantic(tmp_path):
 
 def test_estimators_leave_out_numpy_ma(tmp_path):
     # np.unique imports numpy.ma, which costs a fresh estimator run ~17 ms
+    # (so does a sodium sweep, whose kernel finds its distinct eigenvalues)
     argvs = [["scenario", name, "--seed", "1", "--out", str(tmp_path)]
              for name in ("estimate-gamma", "estimate-lambda")]
+    argvs.append(["weak-value", "--config", write_cfg(tmp_path, sodium_config()),
+                  "--out", str(tmp_path)])
     probe = ("import sys; from weaklind.cli import main; "
              f"print([(main(argv), 'numpy.ma' in sys.modules) for argv in {argvs!r}])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, cwd=str(tmp_path), env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[(0, False), (0, False)]"
+    assert proc.stdout.strip().splitlines()[-1] == "[(0, False), (0, False), (0, False)]"
 
 
 def test_sweeps_leave_out_scipy_linalg(tmp_path):

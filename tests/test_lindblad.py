@@ -550,3 +550,100 @@ def test_steady_state_requires_constant_rates():
     )
     with pytest.raises(NoConvergence):
         steady_state(d)
+
+
+# ------------------------------------------- bit-for-bit kernel rewrites
+
+def kron_superoperator(channels, dim, unit_rates):
+    """The column-stacked superoperator written with np.kron, summed channel
+    by channel from zero."""
+    eye = np.eye(dim)
+    M = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for ch in channels:
+        L = ch.jump
+        LdL = L.conj().T @ L
+        piece = np.kron(L.conj(), L) - 0.5 * (np.kron(eye, LdL) + np.kron(LdL.T, eye))
+        M += piece if unit_rates else ch.rate * piece
+    return M
+
+
+def wide_jump(rng, dim):
+    """Entries of magnitude 1e-200 to 1e150, with exact +0.0 and -0.0 parts."""
+    parts = rng.standard_normal((dim, dim, 2)) * 10.0 ** rng.uniform(-200, 150, (dim, dim, 2))
+    parts[rng.random(parts.shape) < 0.15] = 0.0
+    parts[rng.random(parts.shape) < 0.15] = -0.0
+    return parts[..., 0] + 1j * parts[..., 1]
+
+
+def test_superoperator_is_the_kron_form_bit_for_bit():
+    rng = np.random.default_rng(21)
+    cases = [([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()], 6),
+             ([DissipationChannel(jump=SIGMA_MINUS, rate=0.7)], 2)]
+    for _ in range(300):
+        dim = int(rng.integers(2, 6))
+        cases.append(([DissipationChannel(jump=wide_jump(rng, dim),
+                                          rate=float(rng.choice([0.0, 1.0, rng.uniform(0, 5)])))
+                       for _ in range(int(rng.integers(1, 5)))], dim))
+    for channels, dim in cases:
+        for unit_rates in (False, True):
+            got = lindblad._superoperator_matrix(channels, dim, unit_rates)
+            want = kron_superoperator(channels, dim, unit_rates)
+            assert got.tobytes() == want.tobytes()
+
+
+def exp_outer_traces(r, X, M, s):
+    """_eigen_traces with one exponential per eigenvalue, duplicates included."""
+    try:
+        lam, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.cond(V) <= lindblad._EIG_COND_MAX:
+        return None
+    lam_max = max(float(np.abs(lam.real).max()), float(np.abs(lam.imag).max()))
+    if not math.isfinite(lam_max * float(np.abs(s).max())):
+        return None
+    lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
+    lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
+    weights = (r @ V)[:, None] * np.linalg.solve(V, X)
+    return np.exp(np.multiply.outer(s, lam)) @ weights
+
+
+def test_eigen_traces_are_the_per_eigenvalue_exponentials_bit_for_bit():
+    rng = np.random.default_rng(22)
+    sodium = build_dissipator([DissipationChannel(jump=L, rate=1.0)
+                               for L, _ in sodium_jump_operators()], dim=6)
+    damping = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.7)], dim=2)
+    generators = [sodium.superoperator, damping.superoperator,
+                  np.diag([1e-15, -1.0]).astype(complex)]  # the clamped growing mode
+    for _ in range(40):
+        _, dim, channels = random_setup(int(rng.integers(10**6)))
+        generators.append(build_dissipator(channels, dim=dim).superoperator)
+    generators += [orc.random_matrix(rng, n) - 3.0 * np.eye(n) for n in (2, 3, 5, 8)]
+    checked = 0
+    for M in generators:
+        n = len(M)
+        r, X = orc.random_matrix(rng, n)[0], orc.random_matrix(rng, n)[:, :3]
+        for s in (np.concatenate(([0.0], np.sort(rng.uniform(0.0, 20.0, 30)), [1e18])),
+                  np.linspace(0.0, 40.0, 101)):
+            got, want = lindblad._eigen_traces(r, X, M, s), exp_outer_traces(r, X, M, s)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+                checked += 1
+    assert checked > 80
+
+
+def test_eigen_traces_exponentiate_each_distinct_eigenvalue_once(monkeypatch):
+    seen = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    s = np.array([0.0, 0.5, 2.0])
+    got = lindblad._eigen_traces(np.ones(4), np.eye(4),
+                                 np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex), s)
+    assert seen == [(3, 2)]
+    assert np.array_equal(got, [[1.0] + [v] * 3 for v in exp(-s)])
