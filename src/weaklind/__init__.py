@@ -4,7 +4,6 @@ channel maps, and the dissipation-estimation protocols built on them."""
 from .errors import (
     ConfigError,
     DegenerateFit,
-    DenominatorVanishes,
     DimensionMismatch,
     EpsilonOutOfRange,
     NegativeTau,
@@ -20,16 +19,11 @@ from .lindblad import (
     DissipationChannel,
     Dissipator,
     NonMarkovJC,
-    SteadySpace,
     apply_superoperator,
     asymptotic_projector,
     build_dissipator,
     evolve,
     nonmarkov_big_gamma,
-    nonmarkov_channel_apply,
-    nonmarkov_gamma,
-    steady_state,
-    two_level_damping_apply,
 )
 from .meter import (
     MeterState,
@@ -47,7 +41,6 @@ from .operators import (
     SIGMA_Y,
     SIGMA_Z,
     bloch_to_density,
-    density_to_bloch,
     is_density,
     is_hermitian,
     jy_six_level,
@@ -69,16 +62,9 @@ from .weakvalue import (
     WeakValueSample,
     WeakValueTrace,
     epsilon_states,
-    markov_short_time_wv,
-    measured_operator_rabi,
-    nonmarkov_short_time_wv,
-    postselection_rotation,
-    postselection_rotation_inverse,
     trace_over_tau,
-    weak_value_2level_analytic,
     weak_value_dissipative,
     weak_value_limit_infinite,
-    weak_value_sigma_pm,
 )
 
 __version__ = "0.1.0"

@@ -33,8 +33,8 @@ import functools
 import json
 import math
 import os
+import random
 import sys
-import tempfile
 
 import numpy as np
 
@@ -294,8 +294,21 @@ def _json_text(obj, indent: int = 0) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a new temporary file beside path, then rename it over path.
+
+    The temporary file is created with mode 0o666, as open(path, "w") creates
+    a file, so the output gets the permissions the umask leaves
+    (tempfile.mkstemp would make it 0o600). Its name is random; a name that
+    exists already is drawn again.
+    """
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    while True:
+        tmp = os.path.join(directory, f".tmp-{random.getrandbits(48):012x}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

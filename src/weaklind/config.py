@@ -289,6 +289,10 @@ class MeterSpec:
     model: str = _field(_one_of("rabi", "jc"), "rabi")
     hbar: float = _field(_POSITIVE, 1.0)
 
+    def __post_init__(self) -> None:
+        if self.state == "vacuum" and self.n != 0.0:
+            raise ValueError(f"meter state 'vacuum' does not take n = {self.n:g}")
+
 
 @_section
 class InvertSpec:

@@ -35,10 +35,6 @@ class PostselectionVanishes(WeaklindError):
     """The post-selection probability is numerically zero."""
 
 
-class DenominatorVanishes(WeaklindError):
-    """A closed-form weak-value denominator is numerically zero."""
-
-
 class EpsilonOutOfRange(WeaklindError):
     """The small parameter of the nearly-orthogonal state pair is invalid."""
 

@@ -7,21 +7,21 @@ is
 
 with jump operators L_i and nonnegative rates gamma_i. For constant rates the
 map e^{D tau} is computed exactly (to roundoff) by exponentiating the
-materialized superoperator M. The steady space and the tau -> infinity limit
-P = R (L' R)^{-1} L' both come from the right and left kernels R and L of
-one SVD of M, under one rank rule. For the named time-dependent rate (the
-non-Markovian damped-atom channel) the master equation dC/dtau = gamma(tau)
-D_1(C) is solved in closed form: gamma(tau) = -2 Gamma'/Gamma for the
-excited-amplitude envelope Gamma, so the map is exp(-2 ln Gamma(tau) D_1)
-whenever every channel shares that one rate. Nothing is integrated
-numerically. traces_over_tau(d, F, operands, taus) gives Tr[F e^{D tau}(C)]
-on a whole tau grid for several operands: exp(s M) for one generator M with
-a scale s per tau, from one eigendecomposition of M or one expm per tau, or
-for the single sigma_- memory-kernel channel, which has no generator, its
-stacked closed-form maps. evolve(d, C, tau) applies the map at one tau.
-scipy.linalg is imported on the first expm only. The map
-preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
-and for constant rates forms a semigroup in tau.
+materialized superoperator M. The tau -> infinity limit P = R (L' R)^{-1} L'
+comes from the right and left kernels R and L of one SVD of M. For the named
+time-dependent rate (the non-Markovian damped-atom channel) the master
+equation dC/dtau = gamma(tau) D_1(C) is solved in closed form:
+gamma(tau) = -2 Gamma'/Gamma for the excited-amplitude envelope Gamma, so
+the map is exp(-2 ln Gamma(tau) D_1) whenever every channel shares that one
+rate. Nothing is integrated numerically. traces_over_tau(d, F, operands,
+taus) gives Tr[F e^{D tau}(C)] on a whole tau grid for several operands:
+exp(s M) for one generator M with a scale s per tau, from one
+eigendecomposition of M or one expm per tau, or for the single sigma_-
+memory-kernel channel, which has no generator, its stacked closed-form maps.
+evolve(d, C, tau) applies the map at one tau. scipy.linalg is imported on
+the first expm only. The map preserves traces, commutes with the adjoint
+(e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a semigroup
+in tau.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -174,23 +174,6 @@ def _check_tau(tau: float) -> None:
         raise NegativeTau("tau must be >= 0")
 
 
-def two_level_damping_apply(C: np.ndarray, gamma: float, tau: float) -> np.ndarray:
-    """Closed-form amplitude-damping map on an arbitrary 2x2 matrix.
-
-    In the (|e>,|g>) basis, with E = exp(-gamma tau / 2):
-
-        [[c_ee E^2, c_eg E], [c_ge E, c_gg + c_ee (1 - E^2)]]
-
-    Populations decay at gamma, coherences at gamma/2, and the lost excited
-    population lands on the ground state (trace preserved). ValueError unless
-    gamma is finite and >= 0, NegativeTau unless tau is.
-    """
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError("gamma must be finite and >= 0")
-    _check_tau(tau)
-    return _damping_maps(_check_operator(C, 2), np.array([np.exp(-0.5 * gamma * tau)]))[0]
-
-
 def _damping_maps(C: np.ndarray, G: np.ndarray) -> np.ndarray:
     """[[c_ee G^2, c_eg G], [c_ge G, c_gg + c_ee (1 - G^2)]] at every G_k, stacked
     (N, 2, 2), for a checked 2x2 C.
@@ -257,21 +240,6 @@ def _real_guarded(z: complex, what: str) -> float:
     return z.real
 
 
-def nonmarkov_gamma(tau: float, gamma0: float, lam: float) -> float:
-    """The time-dependent decay rate gamma(tau) of the non-Markovian channel.
-
-    gamma(0) = 0, gamma -> gamma0 for lam >> gamma0, and gamma ~ gamma0 lam tau
-    for small tau. Strong coupling (lam < 2 gamma0) oscillates and diverges at
-    the zeros of the excited-amplitude envelope. NegativeTau unless tau is
-    finite and >= 0.
-    """
-    _check_memory_kernel(gamma0, lam)
-    _check_tau(tau)
-    c, ls, _ = _envelope_pieces(gamma0, lam, tau)
-    value = gamma0 * (2.0 * ls / (c + ls))
-    return _real_guarded(value, "gamma(tau)")
-
-
 def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
     """Excited-state amplitude envelope Gamma(tau) of the non-Markovian channel.
 
@@ -290,15 +258,6 @@ def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
     c, ls, a = _envelope_pieces(gamma0, lam, tau)
     value = cmath.exp(a) * (c + ls)
     return _real_guarded(value, "Gamma(tau)")
-
-
-def nonmarkov_channel_apply(C: np.ndarray, gamma0: float, lam: float, tau: float) -> np.ndarray:
-    """Closed-form non-Markovian damping map on an arbitrary 2x2 matrix.
-
-    NegativeTau unless tau is finite and >= 0.
-    """
-    G = nonmarkov_big_gamma(tau, gamma0, lam)
-    return _damping_maps(_check_operator(C, 2), np.array([G]))[0]
 
 
 def _is_sigma_minus_channel(d: Dissipator) -> bool:
@@ -426,7 +385,7 @@ def traces_over_tau(d: Dissipator, F: np.ndarray, operands, taus) -> np.ndarray:
     """Tr[F e^{D tau_n}(C_j)] for every tau_n of taus and operand C_j, an (N, k) array.
 
     The single sigma_- channel with a NonMarkovJC rate takes the stacked
-    closed-form maps of nonmarkov_channel_apply, one envelope per nonzero tau.
+    closed-form maps of _damping_maps, one envelope per nonzero tau.
     Every other channel takes exp(s_n M) of _exponent_scales from one
     eigendecomposition (_eigen_traces) or, where its guards fail, one expm per
     nonzero tau from the same (M, s), serving every operand. Closed-form and
@@ -481,29 +440,26 @@ def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
         return C.copy()
     if form is None:
         rate = d.channels[0].rate
-        return nonmarkov_channel_apply(C, rate.gamma0, rate.lam, tau)
+        G = nonmarkov_big_gamma(tau, rate.gamma0, rate.lam)
+        return _damping_maps(C, np.array([G]))[0]
     M, (s,) = form
     return apply_superoperator(_exponential_map(M, s, tau), C)
 
 
-@dataclass(frozen=True)
-class SteadySpace:
-    """Basis of the asymptotic subspace of a dissipator (degenerate case)."""
+def asymptotic_projector(d: Dissipator) -> np.ndarray:
+    """The superoperator P = lim_{tau->inf} e^{D tau} (constant rates).
 
-    basis: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def _kernels(d: Dissipator) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left kernels (R, L) of a constant-rate superoperator M.
-
-    One SVD M = U diag(s) Vh makes the rank decision: singular values below
-    1e-9 count as zero, and NoConvergence is raised unless a x100 gap
-    separates them from the rest. M R = 0 and L' M = 0.
+    Spectral projector onto the kernel of the superoperator M along the
+    decaying modes, P = R (L' R)^{-1} L' with the right and left kernels
+    (M R = 0, L' M = 0) of one SVD M = U diag(s) Vh. The SVD makes the rank
+    decision: singular values below 1e-9 count as zero, and NoConvergence is
+    raised unless a x100 gap separates them from the rest. Zero is a
+    semisimple eigenvalue of a bounded Lindblad semigroup (Albert & Jiang,
+    PRA 89, 022118, 2014), so L' R is invertible. Never computed by
+    large-tau propagation.
     """
+    if not d.is_constant:
+        raise NoConvergence("asymptotic projector requires constant rates")
     U, svals, Vh = np.linalg.svd(d.superoperator)
     n_zero = int(np.sum(svals < _KERNEL_TOL))
     if n_zero == 0:
@@ -513,43 +469,7 @@ def _kernels(d: Dissipator) -> tuple[np.ndarray, np.ndarray]:
     smallest_kept = svals[-n_zero - 1] if n_zero < len(svals) else np.inf
     if smallest_kept < 100.0 * max(largest_zero, _KERNEL_TOL / 100.0):
         raise NoConvergence("kernel rank determination is ambiguous")
-    return Vh[-n_zero:].conj().T, U[:, -n_zero:]
-
-
-def steady_state(d: Dissipator):
-    """Right kernel of the materialized superoperator, from one SVD.
-
-    Returns the unique normalized steady density matrix when the kernel is
-    one-dimensional, otherwise a SteadySpace whose basis spans all asymptotic
-    operators (including ground-manifold coherences for degenerate ground
-    states). Shares the rank rule of asymptotic_projector: NoConvergence
-    when the kernel rank is ambiguous at tolerance 1e-9.
-    """
-    if not d.is_constant:
-        raise NoConvergence("steady_state requires constant rates")
-    mats = [_unvec(r, d.dim) for r in _kernels(d)[0].T]
-    if len(mats) == 1:
-        rho = mats[0]
-        rho = rho / np.trace(rho)
-        # a unique fixed point of a trace-preserving positive map is a state
-        rho = (rho + rho.conj().T) / 2.0
-        return rho
-    return SteadySpace(basis=tuple(mats))
-
-
-def asymptotic_projector(d: Dissipator) -> np.ndarray:
-    """The superoperator P = lim_{tau->inf} e^{D tau} (constant rates).
-
-    Spectral projector onto the kernel of the superoperator M along the
-    decaying modes, P = R (L' R)^{-1} L' with the right and left kernels of
-    one SVD of M (rank rule shared with steady_state). Zero is a semisimple
-    eigenvalue of a bounded Lindblad semigroup (Albert & Jiang, PRA 89,
-    022118, 2014), so L' R is invertible. Never computed by large-tau
-    propagation.
-    """
-    if not d.is_constant:
-        raise NoConvergence("asymptotic projector requires constant rates")
-    R, L = _kernels(d)
+    R, L = Vh[-n_zero:].conj().T, U[:, -n_zero:]
     return R @ np.linalg.solve(L.conj().T @ R, L.conj().T)
 
 

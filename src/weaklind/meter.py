@@ -52,6 +52,8 @@ class MeterState:
     def __post_init__(self) -> None:
         if self.kind not in ("vacuum", "number", "thermal"):
             raise ValueError(f"unknown meter state kind {self.kind!r}")
+        if self.kind == "vacuum" and self.n != 0.0:
+            raise ValueError("a vacuum meter has occupation 0")
         if self.kind == "number":
             if not (0.0 <= self.n < math.inf and self.n == int(self.n)):
                 raise ValueError("number state level must be a nonnegative integer")
@@ -69,17 +71,6 @@ class MeterState:
     @classmethod
     def thermal(cls, n_eq: float) -> "MeterState":
         return cls(kind="thermal", n=float(n_eq))
-
-    @classmethod
-    def thermal_from_temperature(cls, temperature: float, omega_f: float,
-                                 hbar: float = 1.0) -> "MeterState":
-        """Thermal state at temperature T (k_B = 1): n_eq = 1/(e^x - 1) with
-        x = hbar w/T, formed as e^{-x}/(1 - e^{-x}) so that a cold meter
-        (x past about 709, where e^x overflows) gets n_eq = 0."""
-        if not 0.0 < temperature < math.inf:
-            raise ValueError("temperature must be finite and > 0")
-        x = hbar * omega_f / temperature
-        return cls(kind="thermal", n=math.exp(-x) / -math.expm1(-x))
 
     def mean_n(self) -> float:
         """Mean occupation: n for number states, n_eq for thermal, 0 vacuum."""

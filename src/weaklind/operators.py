@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NormTooLarge, NotDensity
+from .errors import NormTooLarge
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -92,22 +92,6 @@ def bloch_to_density(v) -> np.ndarray:
     if norm > 1.0 + 1e-12:
         raise NormTooLarge(f"Bloch vector norm {norm} exceeds 1")
     return 0.5 * (np.eye(2, dtype=complex) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
-
-
-def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector (x, y, z) of a 2x2 density matrix.
-
-    Components are r_j = Tr[rho sigma_j]; round-trips with bloch_to_density
-    to better than 1e-12. Raises NotDensity for non-states.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2) or not is_density(rho, tol=1e-10):
-        raise NotDensity("expected a 2x2 density matrix")
-    return np.array([
-        float(np.trace(rho @ SIGMA_X).real),
-        float(np.trace(rho @ SIGMA_Y).real),
-        float(np.trace(rho @ SIGMA_Z).real),
-    ])
 
 
 def jy_six_level() -> np.ndarray:

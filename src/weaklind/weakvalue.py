@@ -7,21 +7,15 @@ constant in the interaction picture), conditions the meter on
     A_w(tau) = Tr[sigma_fI e^{D tau}(A sigma_i)] / Tr[sigma_fI e^{D tau}(sigma_i)],
 
 where the denominator is the post-selection probability. This module
-evaluates the quotient numerically for any dissipator, in closed Bloch form
-for a two-level atom under amplitude damping (including the non-Hermitian
-lowering/raising operators), in the infinite-time limit through the
-asymptotic projector, and in the short-time regimes used to estimate decay
-parameters.
+evaluates the quotient numerically for any dissipator, on a tau grid or at
+one tau, and in the infinite-time limit through the asymptotic projector;
+epsilon_states gives the nearly orthogonal pre/post pair whose short-time
+weak values the estimation scenarios fit.
 
 A tau grid is one call of lindblad.traces_over_tau for the numerators and
 the denominator together; weak_value_dissipative is its one-point case. A_SI
 may be a (k, n, n) stack of observables sharing sigma_i, sigma_fI and the
 dissipator: each tau then gives k weak values over one shared denominator.
-
-Bloch conventions: basis (|e>, |g>), sigma = (1 + r.pauli)/2, r_z = +1 for
-|e>. Dissipation attenuates the post-selection vector componentwise,
-f_gamma = (f_x E, f_y E, f_z E^2) with E = exp(-gamma tau/2); populations
-relax twice as fast as coherences.
 """
 
 from __future__ import annotations
@@ -29,34 +23,29 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    DenominatorVanishes,
     DimensionMismatch,
     EpsilonOutOfRange,
     NoConvergence,
-    NormTooLarge,
     NotDensity,
     PostselectionVanishes,
 )
 from .lindblad import (
     Dissipator,
     NonMarkovJC,
-    _check_tau,
     apply_superoperator,
     asymptotic_projector,
     traces_over_tau,
 )
 from .lindblad import evolve  # noqa: F401  (bench/tracing.py patches evolve here)
-from .operators import SIGMA_X, SIGMA_Y, is_density, pure_density
+from .operators import is_density, pure_density
 
 _VANISH_TOL = 1e-14
-_SHORT_TIME_GUARD = 0.05
 
 
 @dataclass(frozen=True)
@@ -198,127 +187,6 @@ def weak_value_limit_infinite(setup: WeakMeasurementSetup,
     return _quotient(nums, den, " as tau -> infinity", setup.stacked).value
 
 
-def _check_bloch(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise DimensionMismatch(f"{name} must be a real 3-vector")
-    norm = float(np.linalg.norm(v))
-    if norm > 1.0 + 1e-12:
-        raise NormTooLarge(f"{name} has norm {norm} > 1")
-    return v
-
-
-def _bloch_denominator(i_vec, fI_vec, gamma: float, tau: float):
-    """Checked (i, f, f_gamma, den) of the closed Bloch forms, with the
-    post-selection denominator den = 1 + f_gamma.i + (f_gamma_z - f_z)."""
-    i_vec = _check_bloch(i_vec, "i_vec")
-    fI_vec = _check_bloch(fI_vec, "fI_vec")
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError("gamma must be finite and >= 0")
-    _check_tau(tau)
-    E = np.exp(-0.5 * gamma * tau)
-    fg = np.array([fI_vec[0] * E, fI_vec[1] * E, fI_vec[2] * E * E])
-    den = 1.0 + float(np.dot(fg, i_vec)) + (fg[2] - fI_vec[2])
-    if abs(den) < _VANISH_TOL:
-        raise DenominatorVanishes(
-            f"weak-value denominator vanishes (|den|={abs(den):.3e})")
-    return i_vec, fI_vec, fg, den
-
-
-def weak_value_2level_analytic(i_vec, fI_vec, a: float, b: float, m_vec,
-                               gamma: float, tau: float) -> complex:
-    """Closed-form weak value of A = a*1 + b*(m.pauli) under amplitude damping.
-
-    With the attenuated post-selection vector f_gamma (see module docstring),
-
-        A_w = a + b * [f_gamma.m + (i.m)(1 + f_gamma_z - f_z)
-                       + 1j * f_gamma.(m x i)]
-                  / [1 + f_gamma.i + (f_gamma_z - f_z)].
-
-    m may be complex, which covers the non-Hermitian lowering/raising
-    operators through m = (1, -+1j, 0)/2 with a = 0, b = 1. All dot and
-    cross products are bilinear (no conjugation).
-    """
-    m_vec = np.asarray(m_vec, dtype=complex)
-    if m_vec.shape != (3,):
-        raise DimensionMismatch("m_vec must be a 3-vector")
-    i_vec, fI_vec, fg, den = _bloch_denominator(i_vec, fI_vec, gamma, tau)
-    num = (np.dot(fg, m_vec)
-           + np.dot(i_vec, m_vec) * (1.0 + fg[2] - fI_vec[2])
-           + 1j * np.dot(fg, np.cross(m_vec, i_vec)))
-    return complex(a + b * num / den)
-
-
-def weak_value_sigma_pm(i_vec, fI_vec, gamma: float, tau: float, sign) -> complex:
-    """Weak value of the raising (+) or lowering (-) operator, closed form.
-
-    The printed expansions of the general Bloch formula at m = (1, +-1j, 0)/2:
-
-        lower: [i_x(1 - f_z) + fg_x(1 + i_z) - 1j*(i_y(1 - f_z) + fg_y(1 + i_z))] / (2 den)
-        raise: [i_x(1 - f_z + 2 fg_z) + fg_x(1 - i_z)
-                + 1j*(i_y(1 - f_z + 2 fg_z) + fg_y(1 - i_z))] / (2 den)
-
-    with den = 1 + fg.i + (fg_z - f_z). `sign` is "+"/"-" or +-1.
-    """
-    if sign not in ("+", "-", 1, -1):
-        raise ValueError("sign must be '+'/'-' or +-1")
-    plus = sign in ("+", 1)
-    i_vec, fI_vec, fg, den = _bloch_denominator(i_vec, fI_vec, gamma, tau)
-    ix, iy, iz = i_vec
-    fz = fI_vec[2]
-    if plus:
-        num = (ix * (1.0 - fz + 2.0 * fg[2]) + fg[0] * (1.0 - iz)
-               + 1j * (iy * (1.0 - fz + 2.0 * fg[2]) + fg[1] * (1.0 - iz)))
-    else:
-        num = (ix * (1.0 - fz) + fg[0] * (1.0 + iz)
-               - 1j * (iy * (1.0 - fz) + fg[1] * (1.0 + iz)))
-    return complex(num / (2.0 * den))
-
-
-def measured_operator_rabi(omega_a: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The effective observable picked out by a resonant transverse coupling.
-
-    Sampling the interaction at its midpoint rotates sigma_x clockwise by
-    half the accumulated phase: cos(w t/2) sigma_x - sin(w t/2) sigma_y.
-    Returns the operator and its unit Bloch direction
-    (cos(w t/2), -sin(w t/2), 0).
-    """
-    half = 0.5 * omega_a * t
-    op = np.cos(half) * SIGMA_X - np.sin(half) * SIGMA_Y
-    n_vec = np.array([np.cos(half), -np.sin(half), 0.0])
-    return op, n_vec
-
-
-def postselection_rotation(f_vec, omega_a: float, t_plus_tau: float) -> np.ndarray:
-    """Clockwise z-rotation taking a lab-frame post-selection vector to the
-    interaction picture at time t + tau.
-
-    (f_x cos + f_y sin, f_y cos - f_x sin, f_z) with angle omega_a (t + tau).
-    """
-    f_vec = _check_bloch(f_vec, "f_vec")
-    th = omega_a * t_plus_tau
-    c, s = np.cos(th), np.sin(th)
-    return np.array([f_vec[0] * c + f_vec[1] * s,
-                     f_vec[1] * c - f_vec[0] * s,
-                     f_vec[2]])
-
-
-def postselection_rotation_inverse(fI_vec, omega_a: float, t_plus_tau: float) -> np.ndarray:
-    """Lab-frame vector that lands on a fixed interaction-picture target.
-
-    Inverse (counterclockwise) rotation; composing with
-    postselection_rotation at the same angle is the identity. This is the
-    vector an experimentalist must actually post-select on to keep the
-    interaction-picture choice constant while tau is scanned.
-    """
-    fI_vec = _check_bloch(fI_vec, "fI_vec")
-    th = omega_a * t_plus_tau
-    c, s = np.cos(th), np.sin(th)
-    return np.array([fI_vec[0] * c - fI_vec[1] * s,
-                     fI_vec[1] * c + fI_vec[0] * s,
-                     fI_vec[2]])
-
-
 def epsilon_states(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Nearly orthogonal pre/post pair with overlap eps^2/4, for amplification.
 
@@ -337,41 +205,6 @@ def epsilon_states(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     psi_i = pure_density([abs(epsilon) / 2.0, -np.sign(epsilon)])
     psi_f = pure_density([(1.0 - 1j) / np.sqrt(2.0), epsilon / np.sqrt(2.0)])
     return psi_i, psi_f
-
-
-def markov_short_time_wv(gamma: float, tau: float, epsilon: float) -> complex:
-    """First-order law for the sigma_x weak value on the epsilon states.
-
-        tau gamma / eps + 1j (2 - tau gamma) / eps.
-
-    The real part grows linearly with slope gamma/eps: dissipation amplified
-    by 1/eps. Valid for gamma tau << 1; a warning is emitted past 0.05.
-    """
-    if epsilon == 0.0:
-        raise EpsilonOutOfRange("epsilon must be nonzero")
-    if gamma * tau > _SHORT_TIME_GUARD:
-        warnings.warn(f"gamma*tau = {gamma * tau:.3g} exceeds the first-order "
-                      "validity guard 0.05", stacklevel=2)
-    return complex(tau * gamma / epsilon, (2.0 - tau * gamma) / epsilon)
-
-
-def nonmarkov_short_time_wv(gamma0: float, lam: float, tau: float,
-                            epsilon: float) -> complex:
-    """Short-time law for the sigma_x weak value with a memory kernel.
-
-        lam tau^2 gamma0 / (2 eps) + 1j (4 - lam tau^2 gamma0) / (2 eps).
-
-    The real part is quadratic in tau (the instantaneous rate itself starts
-    at zero), which separates this regime from the Markovian linear one.
-    Valid for lam tau << 1 and gamma0 tau << 1; warns past 0.05.
-    """
-    if epsilon == 0.0:
-        raise EpsilonOutOfRange("epsilon must be nonzero")
-    if lam * tau > _SHORT_TIME_GUARD or gamma0 * tau > _SHORT_TIME_GUARD:
-        warnings.warn(f"lam*tau = {lam * tau:.3g}, gamma0*tau = {gamma0 * tau:.3g}: "
-                      "outside the short-time validity guard 0.05", stacklevel=2)
-    quad = lam * tau * tau * gamma0
-    return complex(quad / (2.0 * epsilon), (4.0 - quad) / (2.0 * epsilon))
 
 
 @dataclass(frozen=True)
@@ -444,13 +277,6 @@ __all__ = [
     "WeakValueTrace",
     "weak_value_dissipative",
     "weak_value_limit_infinite",
-    "weak_value_2level_analytic",
-    "weak_value_sigma_pm",
-    "measured_operator_rabi",
-    "postselection_rotation",
-    "postselection_rotation_inverse",
     "epsilon_states",
-    "markov_short_time_wv",
-    "nonmarkov_short_time_wv",
     "trace_over_tau",
 ]

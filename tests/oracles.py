@@ -2,7 +2,8 @@
 
 Everything here deliberately uses different conventions and algorithms than
 the library: row-stacking vectorization instead of column-stacking, Kraus
-maps instead of exponentiated generators, Radau integration of the
+maps instead of exponentiated generators, closed Bloch-vector formulas
+and first-order short-time laws instead of traces, Radau integration of the
 second-order envelope ODE instead of the closed hyperbolic form or the
 regularized rate equation, large-time exponentials instead of spectral
 projectors, and exact-unitary joint-state simulation instead of first-order
@@ -78,6 +79,43 @@ def asymptotic_apply(channels, dim: int, C: np.ndarray) -> np.ndarray:
     if np.abs(out1 - out2).max() > 1e-11 * max(1.0, np.abs(out2).max()):
         raise AssertionError("large-time limit did not stabilize")
     return out2
+
+
+# ------------------------------------------------- two-level closed forms
+
+def weak_value_bloch(i_vec, f_vec, a: float, b: float, m_vec, gamma: float, tau: float):
+    """Weak value of A = a*1 + b*(m.pauli) under amplitude damping, on Bloch vectors.
+
+    Basis (|e>, |g>), r_z = +1 for |e>. Damping attenuates the post-selection
+    vector to f_gamma = (f_x E, f_y E, f_z E^2) with E = exp(-gamma tau/2), and
+
+        A_w = a + b [f_gamma.m + (i.m)(1 + f_gamma_z - f_z) + 1j f_gamma.(m x i)]
+                  / [1 + f_gamma.i + (f_gamma_z - f_z)].
+
+    m may be complex: m = (1, +-1j, 0)/2 with a = 0, b = 1 gives the raising
+    and lowering operators. Dot and cross products do not conjugate.
+    """
+    i_vec, f_vec = np.asarray(i_vec, dtype=float), np.asarray(f_vec, dtype=float)
+    m_vec = np.asarray(m_vec, dtype=complex)
+    E = np.exp(-0.5 * gamma * tau)
+    fg = f_vec * np.array([E, E, E * E])
+    den = 1.0 + fg @ i_vec + (fg[2] - f_vec[2])
+    num = (fg @ m_vec + (i_vec @ m_vec) * (1.0 + fg[2] - f_vec[2])
+           + 1j * (fg @ np.cross(m_vec, i_vec)))
+    return complex(a + b * num / den)
+
+
+def markov_short_time_wv(gamma: float, tau: float, epsilon: float) -> complex:
+    """First-order sigma_x weak value on the epsilon states under constant
+    damping (gamma tau << 1): tau gamma/eps + 1j (2 - tau gamma)/eps."""
+    return complex(tau * gamma / epsilon, (2.0 - tau * gamma) / epsilon)
+
+
+def nonmarkov_short_time_wv(gamma0: float, lam: float, tau: float, epsilon: float) -> complex:
+    """The same with the memory kernel (lam tau, gamma0 tau << 1), quadratic in tau:
+    lam tau^2 gamma0/(2 eps) + 1j (4 - lam tau^2 gamma0)/(2 eps)."""
+    quad = lam * tau * tau * gamma0
+    return complex(quad / (2.0 * epsilon), (4.0 - quad) / (2.0 * epsilon))
 
 
 # ------------------------------------------------- non-Markovian envelope

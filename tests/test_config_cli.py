@@ -312,6 +312,8 @@ REJECTIONS = [
     # the sizes that allocate memory (rows added last, so earlier ids stay put)
     (_edit(("system", "dimension"), 200), "system.dimension: Input should be less than or equal to 32"),
     (_edit(("meter", "n_max"), 10**12), "meter.n_max: Input should be less than or equal to 1000"),
+    # a vacuum meter has no occupation to give
+    (_edit(("meter", "n"), 3), "meter: Value error, meter state 'vacuum' does not take n = 3"),
 ]
 
 
@@ -653,6 +655,19 @@ def test_out_under_a_regular_file_exits_2(tmp_path, capsys):
     assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_files_get_the_mode_the_umask_leaves(tmp_path, umask, mode):
+    # the mode open(path, "w") gives a new file: 0o666 less the umask
+    old = os.umask(umask)
+    try:
+        assert run_cli("scenario", "estimate-gamma", "--seed", "1", "--out", str(tmp_path)) == 0
+    finally:
+        os.umask(old)
+    written = sorted(tmp_path.iterdir())
+    assert len(written) == 2 and not [p for p in written if p.name.startswith(".tmp-")]
+    assert [p.stat().st_mode & 0o777 for p in written] == [mode, mode]
+
+
 # ---------------------------------------------------------- CLI: scenarios
 
 def test_scenario_unknown_name_exits_2(tmp_path, capsys):
@@ -941,6 +956,18 @@ def test_invert_jc_refuses_an_occupied_meter(tmp_path, capsys, state):
     assert code == 5
     assert "meter.model" in capsys.readouterr().err
     assert not (out / "invert.json").exists()
+
+
+def test_invert_refuses_an_occupation_on_a_vacuum_meter(tmp_path, capsys):
+    # a vacuum meter has n = 0; a nonzero n would otherwise be dropped silently
+    meter = {"omega_f": 1.3, "state": "vacuum", "n": 3, "g": 0.001, "t": 1.0}
+    code, out = _invert_cli(tmp_path, meter, 0.01, 0.02, 0.3)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "  meter: Value error, meter state 'vacuum' does not take n = 3\n" in err
+    assert not (out / "invert.json").exists()
+    code, _ = _invert_cli(tmp_path, {**meter, "n": 0}, 0.01, 0.02, 0.3)
+    assert code == 0
 
 
 def test_invert_jc_warns_off_resonance(tmp_path):

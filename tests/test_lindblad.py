@@ -20,17 +20,13 @@ from weaklind import (
     build_dissipator,
     evolve,
     nonmarkov_big_gamma,
-    nonmarkov_channel_apply,
-    nonmarkov_gamma,
     pauli,
     sodium_jump_operators,
-    steady_state,
-    two_level_damping_apply,
     weak_value_limit_infinite,
 )
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
 from weaklind import lindblad
-from weaklind.lindblad import SteadySpace, traces_over_tau
+from weaklind.lindblad import traces_over_tau
 
 seeds = st.integers(0, 10**6)
 
@@ -123,35 +119,43 @@ def test_positivity_preserved_on_densities():
         assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() > -1e-12
 
 
+def damping(gamma):
+    return build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], dim=2)
+
+
 def test_two_level_damping_closed_form():
     rng = np.random.default_rng(11)
     gamma = 0.7
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], dim=2)
+    d = damping(gamma)
     for _ in range(100):
         C = orc.random_matrix(rng, 2)
         for gtau in (0.1, 1.0, 10.0):
             tau = gtau / gamma
-            closed = two_level_damping_apply(C, gamma, tau)
-            assert np.abs(closed - evolve(d, C, tau)).max() < 1e-10
-            assert np.abs(closed - orc.kraus_damping(C, gamma, tau)).max() < 1e-12
+            assert np.abs(evolve(d, C, tau) - orc.kraus_damping(C, gamma, tau)).max() < 1e-10
 
 
 def test_two_level_damping_moves_population_down():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    out = two_level_damping_apply(rho, 1.0, np.log(4.0))  # E^2 = 1/4
+    out = evolve(damping(1.0), rho, np.log(4.0))  # E^2 = 1/4
     np.testing.assert_allclose(np.diag(out).real, [0.25, 0.75], atol=1e-14)
 
 
 # ----------------------------------------------------- time-dependent rate
 
 def test_nonmarkov_gamma_limits():
+    # the integrated rate Lambda(tau) = -2 ln Gamma that scales the unit-rate
+    # generator of a shared memory-kernel channel
     gamma0, lam = 0.3, 30.0   # weak coupling
-    assert nonmarkov_gamma(0.0, gamma0, lam) == 0.0
-    # memoryless limit: rate saturates at gamma0 once lam*tau >> 1
-    assert abs(nonmarkov_gamma(2.0, gamma0, lam) - gamma0) < 0.02 * gamma0
-    # early growth is linear with slope gamma0*lam
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[1, 0] = 1.0
+    d = build_dissipator([DissipationChannel(jump=chain, rate=NonMarkovJC(gamma0, lam))], 3)
     t = 1e-6
-    assert abs(nonmarkov_gamma(t, gamma0, lam) / t - gamma0 * lam) < 1e-3 * gamma0 * lam
+    _, (at_zero, at_2, past_2, early) = lindblad._exponent_scales(d, [0.0, 2.0, 2.1, t])
+    assert at_zero == 0.0
+    # memoryless limit: the rate saturates at gamma0 once lam*tau >> 1
+    assert abs((past_2 - at_2) / 0.1 - gamma0) < 0.02 * gamma0
+    # the rate grows linearly from 0 with slope gamma0*lam: Lambda ~ gamma0 lam t^2/2
+    assert abs(early / (t * t / 2.0) - gamma0 * lam) < 1e-3 * gamma0 * lam
 
 
 def test_nonmarkov_big_gamma_against_ode():
@@ -180,7 +184,6 @@ def test_nonmarkov_short_memory_does_not_overflow():
         want = (0.5 * np.exp(-gamma0 * lam * tau / (d + lam)) * (1.0 + lam / d)
                 + 0.5 * np.exp(-(d + lam) * tau / 2.0) * (1.0 - lam / d))
         assert abs(nonmarkov_big_gamma(tau, gamma0, lam) - want) < 1e-14
-        assert abs(nonmarkov_gamma(tau, gamma0, lam) - gamma0) < 1e-4
     d = build_dissipator(
         [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=gamma0, lam=lam))],
         dim=2,
@@ -202,16 +205,12 @@ def test_nonmarkov_envelope_near_the_float_limit():
         for gamma0, lam in ((1e308, 1.0), (1e300, 1e300)):
             G = nonmarkov_big_gamma(tau, gamma0, lam)
             assert np.isfinite(G) and abs(G) <= 1.0
-        assert np.isfinite(nonmarkov_gamma(tau, 1e308, 1.0))
 
 
 def test_nonmarkov_critical_coupling_near_the_float_limit():
-    # lam = 2 gamma0 = 1e308: y = lam tau/2 overflows, yet Gamma = e^{-y} (1 + y)
-    # is 0 and gamma = 2 gamma0 y/(1 + y) stays finite, at most 2 gamma0
+    # lam = 2 gamma0 = 1e308: y = lam tau/2 overflows, yet Gamma = e^{-y} (1 + y) is 0
     for tau in (1e-300, 0.5, 1.9, 4.0):
         assert nonmarkov_big_gamma(tau, 5e307, 1e308) == 0.0
-        rate = nonmarkov_gamma(tau, 5e307, 1e308)
-        assert np.isfinite(rate) and 0.0 < rate <= 1e308
 
 
 def test_channel_map_refuses_a_non_finite_map():
@@ -263,7 +262,8 @@ def test_sigma_minus_maps_are_the_identity_at_tau_0():
     # the damping map at G = 1 would form -0 - (-1)(0) = +0 in the corner
     C = np.array([[complex(-0.0, -1.0), 0.5], [2.0, 1.0]])
     assert np.array_equal(evolve(d, C, 0.0).view(np.uint64), C.view(np.uint64))
-    assert np.array_equal(evolve(d, C, 1.0), nonmarkov_channel_apply(C, 1.0, 0.5, 1.0))
+    G = nonmarkov_big_gamma(1.0, 1.0, 0.5)
+    assert np.array_equal(evolve(d, C, 1.0), scalar_damping_map(C, G))
     # the stacked grid takes the same two maps, bit for bit
     F = orc.random_matrix(np.random.default_rng(12), 2)
     got = traces_over_tau(d, F, [C, F], [0.0, 1.0])
@@ -276,7 +276,6 @@ def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
     for tau in np.linspace(0.0, 30.0, 61).tolist() + [700.0, 1500.0]:
         y = lam * (tau / 2.0)
         assert nonmarkov_big_gamma(tau, gamma0, lam) == math.exp(-lam * tau / 2.0) * (1.0 + y)
-        assert nonmarkov_gamma(tau, gamma0, lam) == gamma0 * (2.0 * y / (1.0 + y))
 
 
 def test_nonmarkov_channel_pole_crossing():
@@ -290,7 +289,7 @@ def test_nonmarkov_channel_pole_crossing():
     C = orc.random_matrix(rng, 2)
     for tau in np.linspace(0.2, 5.0, 13):
         got = evolve(d, C, tau)
-        closed = nonmarkov_channel_apply(C, gamma0, lam, tau)
+        closed = scalar_damping_map(C, nonmarkov_big_gamma(tau, gamma0, lam))
         ode = orc.nonmarkov_apply_ode(C, gamma0, lam, tau)
         assert np.abs(got - closed).max() < 1e-7
         assert np.abs(got - ode).max() < 1e-7
@@ -395,21 +394,25 @@ def test_mixed_rates_are_refused():
 # ------------------------------------------------------------------ limits
 
 def test_steady_state_amplitude_damping():
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.0)], dim=2)
-    rho = steady_state(d)
-    np.testing.assert_allclose(rho, np.diag([0.0, 1.0]), atol=1e-10)
+    # every state ends in the ground state
+    P = asymptotic_projector(damping(1.0))
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        rho = apply_superoperator(P, orc.random_density(rng, 2))
+        np.testing.assert_allclose(rho, np.diag([0.0, 1.0]), atol=1e-10)
 
 
 def test_steady_state_sodium_is_degenerate():
     channels = [DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()]
     d = build_dissipator(channels, dim=6)
     M = orc.superop_row(as_oracle(channels), 6)
-    space = steady_state(d)
-    assert isinstance(space, SteadySpace)
-    assert space.dim == 4   # full ground 2x2 block survives, coherences included
     P = asymptotic_projector(d)
-    assert abs(np.trace(P) - space.dim) < 1e-12
-    for B in space.basis:
+    # full ground 2x2 block survives, coherences included
+    assert np.linalg.matrix_rank(P) == 4
+    assert abs(np.trace(P) - 4) < 1e-12
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        B = apply_superoperator(P, orc.random_matrix(rng, 6))
         assert np.abs(M @ orc.vec_row(B)).max() < 1e-9
         assert np.abs(apply_superoperator(P, B) - B).max() < 1e-12
 
@@ -421,7 +424,7 @@ def test_ambiguous_kernel_rank_is_refused_everywhere():
     setup = WeakMeasurementSetup(sigma_i=np.diag([0.6, 0.4]).astype(complex),
                                  sigma_fI=np.full((2, 2), 0.5, dtype=complex),
                                  A_SI=pauli("x"))
-    for limit in (steady_state, asymptotic_projector,
+    for limit in (asymptotic_projector,
                   lambda d: weak_value_limit_infinite(setup, d)):
         with pytest.raises(NoConvergence, match="ambiguous"):
             limit(d)
@@ -482,28 +485,28 @@ def test_nonmarkov_rate_rejects_non_finite_parameters(bad):
         NonMarkovJC(gamma0=bad, lam=1.0)
     with pytest.raises(ValueError, match="finite"):
         NonMarkovJC(gamma0=1.0, lam=bad)
-    for envelope in (nonmarkov_big_gamma, nonmarkov_gamma):
-        with pytest.raises(ValueError, match="finite"):
-            envelope(1.0, bad, 1.0)
-        with pytest.raises(ValueError, match="finite"):
-            envelope(1.0, 0.1, bad)
+    with pytest.raises(ValueError, match="finite"):
+        nonmarkov_big_gamma(1.0, bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        nonmarkov_big_gamma(1.0, 0.1, bad)
 
 
 @pytest.mark.parametrize("tau", [-2.0, -5e-324, math.nan, math.inf, -math.inf])
 def test_closed_forms_reject_a_negative_or_non_finite_tau(tau):
     C = np.eye(2, dtype=complex)
+    memory = build_dissipator(
+        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=0.1, lam=1.0))], dim=2)
     for call in (lambda: nonmarkov_big_gamma(tau, 0.1, 1.0),
-                 lambda: nonmarkov_gamma(tau, 0.1, 1.0),
-                 lambda: nonmarkov_channel_apply(C, 0.1, 1.0, tau),
-                 lambda: two_level_damping_apply(C, 0.5, tau)):
+                 lambda: evolve(memory, C, tau),
+                 lambda: evolve(damping(0.5), C, tau)):
         with pytest.raises(NegativeTau):
             call()
 
 
 @pytest.mark.parametrize("gamma", [-0.5, math.nan, math.inf, -math.inf])
 def test_two_level_damping_rejects_a_negative_or_non_finite_rate(gamma):
-    with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
-        two_level_damping_apply(np.eye(2, dtype=complex), gamma, 1.0)
+    with pytest.raises(ValueError, match="constant rate must be finite and >= 0"):
+        damping(gamma)
 
 
 def test_channel_map_serves_every_operator_at_one_tau():
@@ -549,7 +552,7 @@ def test_steady_state_requires_constant_rates():
         dim=2,
     )
     with pytest.raises(NoConvergence):
-        steady_state(d)
+        asymptotic_projector(d)
 
 
 # ------------------------------------------- bit-for-bit kernel rewrites

@@ -21,24 +21,16 @@ from weaklind import (
     bloch_to_density,
     build_dissipator,
     epsilon_states,
-    markov_short_time_wv,
-    measured_operator_rabi,
-    nonmarkov_short_time_wv,
     pauli,
-    postselection_rotation,
-    postselection_rotation_inverse,
     pure_density,
     sodium_jump_operators,
     trace_over_tau,
-    weak_value_2level_analytic,
     weak_value_dissipative,
     weak_value_limit_infinite,
-    weak_value_sigma_pm,
 )
 from weaklind import lindblad, weakvalue
 from weaklind.cli import main
 from weaklind.errors import (
-    DenominatorVanishes,
     DimensionMismatch,
     EpsilonOutOfRange,
     NegativeTau,
@@ -213,7 +205,7 @@ def test_analytic_gamma_zero_matches_pure_state_formula(seed):
     setup = WeakMeasurementSetup(
         sigma_i=bloch_to_density(i_vec), sigma_fI=bloch_to_density(f_vec), A_SI=A)
     want = weak_value_dissipative(setup, damping(), 0.0).value
-    got = weak_value_2level_analytic(i_vec, f_vec, a, b, m_vec, gamma=0.0, tau=0.0)
+    got = orc.weak_value_bloch(i_vec, f_vec, a, b, m_vec, gamma=0.0, tau=0.0)
     assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
@@ -233,41 +225,48 @@ def test_analytic_matches_trace_formula_with_damping():
         sample = weak_value_dissipative(setup, d, tau)
         if sample.probability < 1e-2:
             continue
-        got = weak_value_2level_analytic(i_vec, f_vec, a, b, m_vec, gamma, tau)
+        got = orc.weak_value_bloch(i_vec, f_vec, a, b, m_vec, gamma, tau)
         assert abs(got - sample.value) < 1e-9 * max(1.0, abs(sample.value))
         checked += 1
 
 
+def bloch_setup(i_vec, f_vec, A):
+    return WeakMeasurementSetup(sigma_i=bloch_to_density(i_vec),
+                                sigma_fI=bloch_to_density(f_vec), A_SI=A)
+
+
 def test_analytic_long_time_limit():
-    # full attenuation wipes the post-selection dependence: the closed form
+    # full attenuation wipes the post-selection dependence: the weak value
     # collapses to the plain expectation a + b (m . i)
     rng = np.random.default_rng(43)
+    d = damping(1.0)
     for _ in range(20):
         i_vec, f_vec = bloch_interior(rng), bloch_interior(rng)
         m_vec = rng.standard_normal(3)
         a, b = 0.3, 1.2
-        got = weak_value_2level_analytic(i_vec, f_vec, a, b, m_vec, 1.0, 80.0)
+        A = a * np.eye(2) + b * sum(m_vec[k] * pauli("xyz"[k]) for k in range(3))
+        got = weak_value_dissipative(bloch_setup(i_vec, f_vec, A), d, 80.0).value
         want = a + b * np.dot(m_vec, i_vec)
         assert abs(got - want) < 1e-9
 
 
 def test_analytic_denominator_vanishes():
-    # pre and post anti-parallel on the z axis at gamma = 0
-    with pytest.raises(DenominatorVanishes):
-        weak_value_2level_analytic([0, 0, 1.0], [0, 0, -1.0], 0.0, 1.0,
-                                   [1.0, 0, 0], gamma=0.0, tau=0.0)
+    # pre and post anti-parallel on the z axis at tau = 0
+    setup = bloch_setup([0, 0, 1.0], [0, 0, -1.0], pauli("x"))
+    with pytest.raises(PostselectionVanishes):
+        weak_value_dissipative(setup, damping(), 0.0)
 
 
 def test_analytic_input_validation():
+    # a Bloch vector past the sphere, a negative rate and a negative tau are
+    # refused where each enters
     with pytest.raises(Exception):
-        weak_value_2level_analytic([0, 0, 2.0], [0, 0, 0.1], 0.0, 1.0,
-                                   [1, 0, 0], 0.5, 1.0)
+        bloch_setup([0, 0, 2.0], [0, 0, 0.1], pauli("x"))
     with pytest.raises(ValueError):
-        weak_value_2level_analytic([0, 0, 0.5], [0, 0, 0.1], 0.0, 1.0,
-                                   [1, 0, 0], -0.5, 1.0)
+        damping(-0.5)
     with pytest.raises(Exception):
-        weak_value_2level_analytic([0, 0, 0.5], [0, 0, 0.1], 0.0, 1.0,
-                                   [1, 0, 0], 0.5, -1.0)
+        weak_value_dissipative(bloch_setup([0, 0, 0.5], [0, 0, 0.1], pauli("x")),
+                               damping(0.5), -1.0)
 
 
 @pytest.mark.parametrize("gamma,tau,error", [
@@ -275,37 +274,42 @@ def test_analytic_input_validation():
     (0.5, math.nan, NegativeTau), (0.5, math.inf, NegativeTau), (math.inf, math.nan, ValueError),
 ])
 def test_closed_forms_refuse_non_finite_gamma_and_tau(gamma, tau, error):
-    i_vec, f_vec = (0.6, 0.2, 0.5), (0.3, -0.5, -0.7)
-    with pytest.raises(error):
-        weak_value_2level_analytic(i_vec, f_vec, 0.0, 1.0, [1.0, 0, 0], gamma, tau)
-    with pytest.raises(error):
-        weak_value_sigma_pm(i_vec, f_vec, gamma, tau, "+")
+    # the rate is refused where the channel is built, tau where it is evolved
+    for A in (pauli("x"), SIGMA_PLUS):
+        setup = bloch_setup((0.6, 0.2, 0.5), (0.3, -0.5, -0.7), A)
+        with pytest.raises(error):
+            weak_value_dissipative(setup, damping(gamma), tau)
 
 
 # ------------------------------------------------------------- ladder forms
 
+LADDERS = np.stack([SIGMA_PLUS, SIGMA_MINUS])
+
+
 def test_sigma_pm_equals_complex_axis_form():
+    # the ladder weak values are the Bloch formula at m = (1, +-1j, 0)/2
     rng = np.random.default_rng(47)
     gamma = 0.8
+    d = damping(gamma)
     m_plus = np.array([1.0, 1j, 0.0]) / 2.0
     m_minus = np.array([1.0, -1j, 0.0]) / 2.0
     checked = 0
     while checked < 200:
         i_vec, f_vec = bloch_interior(rng), bloch_interior(rng)
         tau = float(rng.uniform(0.0, 3.0))
-        try:
-            plus = weak_value_sigma_pm(i_vec, f_vec, gamma, tau, "+")
-            minus = weak_value_sigma_pm(i_vec, f_vec, gamma, tau, "-")
-        except DenominatorVanishes:
+        sample = weak_value_dissipative(bloch_setup(i_vec, f_vec, LADDERS), d, tau)
+        if sample.probability < 1e-2:
             continue
-        via_m_plus = weak_value_2level_analytic(i_vec, f_vec, 0.0, 1.0, m_plus, gamma, tau)
-        via_m_minus = weak_value_2level_analytic(i_vec, f_vec, 0.0, 1.0, m_minus, gamma, tau)
+        plus, minus = sample.value
+        via_m_plus = orc.weak_value_bloch(i_vec, f_vec, 0.0, 1.0, m_plus, gamma, tau)
+        via_m_minus = orc.weak_value_bloch(i_vec, f_vec, 0.0, 1.0, m_minus, gamma, tau)
         assert abs(plus - via_m_plus) < 1e-11 * max(1.0, abs(plus))
         assert abs(minus - via_m_minus) < 1e-11 * max(1.0, abs(minus))
         checked += 1
 
 
 def test_sigma_pm_matches_trace_formula():
+    # against the row-stacking propagator of the oracle stack
     rng = np.random.default_rng(53)
     gamma = 0.5
     d = damping(gamma)
@@ -313,20 +317,12 @@ def test_sigma_pm_matches_trace_formula():
     while checked < 100:
         i_vec, f_vec = bloch_interior(rng), bloch_interior(rng)
         tau = float(rng.uniform(0.0, 3.0))
-        setups = {
-            "+": WeakMeasurementSetup(sigma_i=bloch_to_density(i_vec),
-                                      sigma_fI=bloch_to_density(f_vec),
-                                      A_SI=SIGMA_PLUS),
-            "-": WeakMeasurementSetup(sigma_i=bloch_to_density(i_vec),
-                                      sigma_fI=bloch_to_density(f_vec),
-                                      A_SI=SIGMA_MINUS),
-        }
-        sample = weak_value_dissipative(setups["+"], d, tau)
+        sample = weak_value_dissipative(bloch_setup(i_vec, f_vec, LADDERS), d, tau)
         if sample.probability < 1e-2:
             continue
-        for sign, setup in setups.items():
-            want = weak_value_dissipative(setup, d, tau).value
-            got = weak_value_sigma_pm(i_vec, f_vec, gamma, tau, sign)
+        for A, got in zip(LADDERS, sample.value):
+            want, _ = orc.weak_value_row(bloch_to_density(i_vec), bloch_to_density(f_vec), A,
+                                         [(SIGMA_MINUS, gamma)], 2, tau)
             assert abs(got - want) < 1e-9 * max(1.0, abs(want))
         checked += 1
 
@@ -334,75 +330,44 @@ def test_sigma_pm_matches_trace_formula():
 def test_sigma_pm_combination_identities():
     rng = np.random.default_rng(59)
     gamma = 0.9
+    d = damping(gamma)
+    stack = np.stack([SIGMA_PLUS, SIGMA_MINUS, pauli("x"), pauli("y")])
     for _ in range(50):
         i_vec, f_vec = bloch_interior(rng), bloch_interior(rng)
         tau = float(rng.uniform(0.05, 2.0))
-        plus = weak_value_sigma_pm(i_vec, f_vec, gamma, tau, "+")
-        minus = weak_value_sigma_pm(i_vec, f_vec, gamma, tau, "-")
-        sx = weak_value_2level_analytic(i_vec, f_vec, 0.0, 1.0, [1, 0, 0], gamma, tau)
-        sy = weak_value_2level_analytic(i_vec, f_vec, 0.0, 1.0, [0, 1, 0], gamma, tau)
+        plus, minus, sx, sy = weak_value_dissipative(bloch_setup(i_vec, f_vec, stack), d,
+                                                     tau).value
         assert abs((plus + minus) - sx) < 1e-10 * max(1.0, abs(sx))
         assert abs((plus - minus) - 1j * sy) < 1e-10 * max(1.0, abs(sy))
 
 
 def test_sigma_pm_excited_to_ground_edge_case():
     # |e> pre, |g> post: both ladder numerators vanish identically for tau > 0
-    plus = weak_value_sigma_pm([0, 0, 1.0], [0, 0, -1.0], 1.0, 0.7, "+")
-    minus = weak_value_sigma_pm([0, 0, 1.0], [0, 0, -1.0], 1.0, 0.7, "-")
+    setup = bloch_setup([0, 0, 1.0], [0, 0, -1.0], LADDERS)
+    plus, minus = weak_value_dissipative(setup, damping(1.0), 0.7).value
     assert plus == 0.0
     assert minus == 0.0
-    with pytest.raises(DenominatorVanishes):
-        weak_value_sigma_pm([0, 0, 1.0], [0, 0, -1.0], 1.0, 0.0, "+")
-    with pytest.raises(ValueError):
-        weak_value_sigma_pm([0, 0, 0.5], [0, 0, 0.1], 1.0, 0.5, "*")
+    with pytest.raises(PostselectionVanishes):
+        weak_value_dissipative(setup, damping(1.0), 0.0)
 
 
 # -------------------------------------------------- rotating-frame helpers
 
-def test_measured_operator_rabi_axes():
-    op0, n0 = measured_operator_rabi(omega_a=2.0, t=0.0)
-    np.testing.assert_allclose(op0, pauli("x"), atol=1e-15)
-    np.testing.assert_allclose(n0, [1.0, 0.0, 0.0], atol=1e-15)
-    op, n = measured_operator_rabi(omega_a=np.pi, t=1.0)   # omega_a t / 2 = pi/2
-    np.testing.assert_allclose(op, -pauli("y"), atol=1e-12)
-    np.testing.assert_allclose(n, [0.0, -1.0, 0.0], atol=1e-12)
-    # always a unit transverse axis
-    _, n2 = measured_operator_rabi(omega_a=1.7, t=2.3)
-    assert abs(np.linalg.norm(n2) - 1.0) < 1e-14
-    assert n2[2] == 0.0
-
-
-def test_postselection_rotation_round_trip():
-    rng = np.random.default_rng(61)
-    for _ in range(50):
-        f = bloch_interior(rng)
-        omega_a, t_plus_tau = float(rng.uniform(0.1, 5)), float(rng.uniform(0, 4))
-        fwd = postselection_rotation(f, omega_a, t_plus_tau)
-        back = postselection_rotation_inverse(fwd, omega_a, t_plus_tau)
-        np.testing.assert_allclose(back, f, atol=1e-12)
-        assert fwd[2] == f[2]                       # z is invariant
-        assert abs(np.linalg.norm(fwd) - np.linalg.norm(f)) < 1e-12
-    np.testing.assert_allclose(
-        postselection_rotation([0.3, 0.4, 0.1], 1.0, 0.0), [0.3, 0.4, 0.1])
-
-
 def test_rotation_consistency_with_time_dependent_operator():
-    # weak value of the rotating transverse operator, computed two ways:
-    # time-dependent operator in the trace formula versus the fixed-axis
-    # closed form with the post-selection axis counter-rotated
+    # the midpoint-rotated transverse operator cos(w t/2) sigma_x - sin(w t/2) sigma_y
+    # in the trace formula against the Bloch formula on its unit axis
     rng = np.random.default_rng(67)
     gamma, omega_a = 0.4, 1.3
     d = damping(gamma)
     for _ in range(25):
         i_vec, fI_vec = bloch_interior(rng), bloch_interior(rng)
         t, tau = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
-        op, n_vec = measured_operator_rabi(omega_a, t)
-        setup = WeakMeasurementSetup(
-            sigma_i=bloch_to_density(i_vec), sigma_fI=bloch_to_density(fI_vec), A_SI=op)
-        sample = weak_value_dissipative(setup, d, tau)
+        n_vec = np.array([np.cos(0.5 * omega_a * t), -np.sin(0.5 * omega_a * t), 0.0])
+        op = n_vec[0] * pauli("x") + n_vec[1] * pauli("y")
+        sample = weak_value_dissipative(bloch_setup(i_vec, fI_vec, op), d, tau)
         if sample.probability < 1e-2:
             continue
-        got = weak_value_2level_analytic(i_vec, fI_vec, 0.0, 1.0, n_vec, gamma, tau)
+        got = orc.weak_value_bloch(i_vec, fI_vec, 0.0, 1.0, n_vec, gamma, tau)
         assert abs(got - sample.value) < 1e-9 * max(1.0, abs(sample.value))
 
 
@@ -433,23 +398,19 @@ def test_epsilon_states_exact_initial_weak_value():
 
 def test_markov_short_time_law():
     eps, gamma = 0.01, 1.0
-    assert abs(markov_short_time_wv(gamma, 0.0, eps) - 2j / eps) < 1e-12 / eps
+    assert abs(orc.markov_short_time_wv(gamma, 0.0, eps) - 2j / eps) < 1e-12 / eps
     d = damping(gamma)
     rho_i, rho_f = epsilon_states(eps)
     setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=pauli("x"))
     for gtau in (1e-4, 1e-3, 1e-2):
         exact = weak_value_dissipative(setup, d, gtau / gamma).value
-        law = markov_short_time_wv(gamma, gtau / gamma, eps)
+        law = orc.markov_short_time_wv(gamma, gtau / gamma, eps)
         assert abs(law - exact) / abs(exact) < 0.01
-    with pytest.warns(UserWarning):
-        markov_short_time_wv(gamma, 0.06, eps)
-    with pytest.raises(EpsilonOutOfRange):
-        markov_short_time_wv(gamma, 1e-3, 0.0)
 
 
 def test_nonmarkov_short_time_law():
     eps, gamma0, lam = 0.01, 0.1, 1.0
-    assert abs(nonmarkov_short_time_wv(gamma0, lam, 0.0, eps) - 2j / eps) < 1e-12 / eps
+    assert abs(orc.nonmarkov_short_time_wv(gamma0, lam, 0.0, eps) - 2j / eps) < 1e-12 / eps
     d = build_dissipator(
         [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=gamma0, lam=lam))],
         dim=2,
@@ -458,21 +419,19 @@ def test_nonmarkov_short_time_law():
     setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=pauli("x"))
     for tau in (1e-3, 3e-3, 1e-2):
         exact = weak_value_dissipative(setup, d, tau).value
-        law = nonmarkov_short_time_wv(gamma0, lam, tau, eps)
+        law = orc.nonmarkov_short_time_wv(gamma0, lam, tau, eps)
         assert abs(law - exact) / abs(exact) < 0.01
-    with pytest.warns(UserWarning):
-        nonmarkov_short_time_wv(gamma0, lam, 0.3, eps)
 
 
 def test_markov_law_real_part_ratio():
     # the quadratic-memory law grows like tau^2 where the memoryless law is
     # linear: quartering tau quarters one and sixteenths the other
     eps = 0.01
-    lin1 = markov_short_time_wv(1.0, 4e-3, eps).real
-    lin2 = markov_short_time_wv(1.0, 1e-3, eps).real
+    lin1 = orc.markov_short_time_wv(1.0, 4e-3, eps).real
+    lin2 = orc.markov_short_time_wv(1.0, 1e-3, eps).real
     assert abs(lin1 / lin2 - 4.0) < 1e-9
-    quad1 = nonmarkov_short_time_wv(0.1, 1.0, 4e-3, eps).real
-    quad2 = nonmarkov_short_time_wv(0.1, 1.0, 1e-3, eps).real
+    quad1 = orc.nonmarkov_short_time_wv(0.1, 1.0, 4e-3, eps).real
+    quad2 = orc.nonmarkov_short_time_wv(0.1, 1.0, 1e-3, eps).real
     assert abs(quad1 / quad2 - 16.0) < 1e-9
 
 
@@ -597,7 +556,7 @@ def test_memory_kernel_sweep_builds_no_channel_map(counts, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("evolve", "_exponential_map", "nonmarkov_channel_apply"):
+    for name in ("evolve", "_exponential_map"):
         monkeypatch.setattr(lindblad, name, counting(name))
     d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(1.0, 0.5))],
                          dim=2)
