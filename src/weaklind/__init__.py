@@ -26,7 +26,6 @@ from .lindblad import (
     nonmarkov_big_gamma,
 )
 from .meter import (
-    MeterState,
     ShiftReport,
     invert_weak_value,
     jc_shift_columns,

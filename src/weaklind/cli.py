@@ -8,8 +8,9 @@ Each command sweeps its grid once through weakvalue.trace_over_tau (jc
 shifts stack sigma+ and sigma- into one observable over one denominator).
 shifts reads the meter out on the whole grid at once (rabi_shift_columns /
 jc_shift_columns of meter, whose one-point case is rabi_shifts_number_state
-/ jc_shifts). Output tables and float lists are formatted in one %
-operation, or in numpy with the same bytes when large (_g17_text).
+/ jc_shifts). One writer, _g17_text, formats every CSV table, JSON float
+array and JSON rows table: one % operation when small, numpy with the same
+bytes from _G17_MIN_CELLS cells on.
 
 Determinism contract: identical config and package version produce
 byte-identical files. Every float is serialized with 17 significant digits
@@ -19,8 +20,9 @@ non-finite floats (the NaN of a gap) as the tokens NaN, Infinity and
 -Infinity, which Python's json reads back. Exit codes: 0 success, 2 config
 error, unknown scenario, numerical failure (NoConvergence, including
 non-finite meter shifts or a non-finite inverted weak value), an output
-directory that cannot be created (such as one under a regular file) or any
-other library error, 3 post-selection vanished on the whole grid, 4
+directory that cannot be created (such as one under a regular file), an
+output file that cannot be written (such as one whose path is a directory)
+or any other library error, 3 post-selection vanished on the whole grid, 4
 scenario assertion failure, 5 singular inversion (g t = 0, or a jc meter
 with n > 0, whose two shifts mix the raising and lowering weak values).
 """
@@ -41,8 +43,8 @@ import numpy as np
 from .config import (
     RunConfig,
     build_channel,
-    build_meter_state,
     build_observable,
+    build_occupation,
     build_states,
     build_tau_grid,
     load_config,
@@ -213,16 +215,22 @@ def _g17_cells(x: np.ndarray, cells: np.ndarray) -> None:
                                            np.uint8).reshape(-1, 24)
 
 
-def _g17_text(table: np.ndarray, seps: list[bytes]) -> str:
+def _g17_text(table: np.ndarray, seps: list[str]) -> str:
     """Every cell of a float64 table as '%.17g' writes it, each followed by
-    the separator of its column (all of one length), row after row.
+    the separator of its column, row after row.
 
-    The bytes are those of one % pass; from _G17_MIN_CELLS cells on, where
-    the two break even, this is the faster. Rows go through _g17_cells about
-    _G17_BLOCK cells at a time, which bounds the temporaries.
+    Below _G17_MIN_CELLS cells, where the two break even, this is one % pass
+    over a repeated row template; from there on the same bytes come from
+    _g17_cells, about _G17_BLOCK cells at a time, which bounds the
+    temporaries. There the separators are NUL-padded to one length and the
+    NULs dropped with the rest.
     """
     rows, cols = table.shape
-    tail = np.frombuffer(b"".join(seps), np.uint8).reshape(cols, -1)
+    if table.size < _G17_MIN_CELLS:
+        return ("".join("%.17g" + sep for sep in seps) * rows) % tuple(table.ravel().tolist())
+    width = max(map(len, seps))
+    tail = np.frombuffer(b"".join(sep.encode().ljust(width, b"\0") for sep in seps),
+                         np.uint8).reshape(cols, -1)
     step = max(1, _G17_BLOCK // cols)
     pieces = []
     for start in range(0, rows, step):
@@ -265,29 +273,23 @@ def _json_text(obj, indent: int = 0) -> str:
         parts = [f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
                  for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size:
-        # a float table as the list of its rows, in one _g17_text pass (from
-        # about 20 rows on faster than one % pass per row); the shorter cell
-        # separator is NUL-padded to the row separator's length, NULs are dropped
-        cell, row = f",\n{inner}  ", f"\n{inner}],\n{inner}[\n{inner}  "
-        seps = [cell.encode().ljust(len(row), b"\0")] * (obj.shape[1] - 1) + [row.encode()]
-        body = _g17_text(obj, seps)[:-len(row)]
-        return (f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{pad}]"
-                .replace("nan", "NaN").replace("inf", "Infinity"))
+    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2)
+            and obj.size):
+        # a float array one cell per line, a table as the list of its rows, in
+        # one _g17_text pass; %.17g writes the non-finite floats as
+        # nan/inf/-inf, json as NaN/Infinity/-Infinity
+        if obj.ndim == 1:
+            sep = f",\n{inner}"
+            text = f"[\n{inner}{_g17_text(obj[:, None], [sep])[:-len(sep)]}\n{pad}]"
+        else:
+            cell, row = f",\n{inner}  ", f"\n{inner}],\n{inner}[\n{inner}  "
+            body = _g17_text(obj, [cell] * (obj.shape[1] - 1) + [row])[:-len(row)]
+            text = f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{pad}]"
+        return text.replace("nan", "NaN").replace("inf", "Infinity")
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
         if not items:
             return "[]"
-        if all(isinstance(v, float) for v in items):
-            # the cells of _csv_text, one per line; %.17g writes the non-finite
-            # floats as nan/inf/-inf, json as NaN/Infinity/-Infinity
-            if len(items) >= _G17_MIN_CELLS:
-                sep = f",\n{inner}"
-                body = inner + _g17_text(np.array(items)[:, None], [sep.encode()])[:-len(sep)]
-            else:
-                body = (f"{inner}%.17g,\n" * len(items))[:-2] % tuple(items)
-            return ("[\n" + body.replace("nan", "NaN").replace("inf", "Infinity")
-                    + f"\n{pad}]")
         parts = [f"{inner}{_json_text(v, indent + 1)}" for v in items]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -299,24 +301,29 @@ def _atomic_write(path: str, text: str) -> None:
     The temporary file is created with mode 0o666, as open(path, "w") creates
     a file, so the output gets the permissions the umask leaves
     (tempfile.mkstemp would make it 0o600). Its name is random; a name that
-    exists already is drawn again.
+    exists already is drawn again. An OSError on the way (path is a
+    directory, the disk is full) removes the temporary file and becomes a
+    ConfigError naming path.
     """
     directory = os.path.dirname(path) or "."
-    while True:
-        tmp = os.path.join(directory, f".tmp-{random.getrandbits(48):012x}")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        while True:
+            tmp = os.path.join(directory, f".tmp-{random.getrandbits(48):012x}")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _gamma_tau(char_rate: float, taus: np.ndarray) -> list[float]:
@@ -327,14 +334,8 @@ def _gamma_tau(char_rate: float, taus: np.ndarray) -> list[float]:
 
 def _csv_text(header: str, table: np.ndarray) -> str:
     """The header line, then one line per row of a float table with every
-    cell as _fmt writes it: one % over a repeated row template, or _g17_text
-    for a large table.
-    """
-    rows, cols = table.shape
-    if table.size < _G17_MIN_CELLS:
-        row = ("%.17g," * cols)[:-1] + "\n"
-        return header + "\n" + (row * rows) % tuple(table.ravel().tolist())
-    return header + "\n" + _g17_text(table, [b","] * (cols - 1) + [b"\n"])
+    cell as _fmt writes it."""
+    return header + "\n" + _g17_text(table, [","] * (table.shape[1] - 1) + ["\n"])
 
 
 def _trace_csv(trace: WeakValueTrace, char_rate: float) -> str:
@@ -347,10 +348,10 @@ def _trace_csv(trace: WeakValueTrace, char_rate: float) -> str:
 def _trace_json_obj(trace: WeakValueTrace, char_rate: float) -> dict:
     return {
         "columns": CSV_HEADER.split(","),
-        "gamma_tau": _gamma_tau(char_rate, trace.tau_grid),
-        "re_wv": [v.real for v in trace.values],
-        "im_wv": [v.imag for v in trace.values],
-        "postselect_prob": list(trace.postselection_probs),
+        "gamma_tau": np.array(_gamma_tau(char_rate, trace.tau_grid)),
+        "re_wv": trace.values.real,
+        "im_wv": trace.values.imag,
+        "postselect_prob": trace.postselection_probs,
         "gaps": list(trace.gaps),
         "metadata": trace.metadata,
     }
@@ -365,8 +366,9 @@ def _resolve_out(cfg: RunConfig | None, out_flag: str | None) -> str:
         out = "."
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out!r}: {exc.strerror or exc}")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot create output directory {out!r}: {reason}")
     return out
 
 
@@ -438,7 +440,7 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     A = build_observable(cfg)
     d, char_rate = build_channel(cfg)
     m = cfg.meter
-    mu0 = build_meter_state(cfg)
+    n = build_occupation(cfg)
     taus = build_tau_grid(cfg)
     if m.model == "jc":
         if cfg.system.dimension != 2:
@@ -457,13 +459,12 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     keep[list(trace.gaps)] = False
     if m.model == "jc":
         wvp, wvm = trace.values[keep].T.copy()
-        Q, P = jc_shift_columns(wvp, wvm, mu0, m.g, m.t, taus[keep], m.omega_f, m.Delta,
+        Q, P = jc_shift_columns(n, wvp, wvm, m.g, m.t, taus[keep], m.omega_f, m.Delta,
                                 hbar=m.hbar)
         cells = np.column_stack((Q, P, wvp.real, wvp.imag, wvm.real, wvm.imag))
     else:
         wv = trace.values[keep]
-        Q, P = rabi_shift_columns(mu0.mean_n(), wv, m.g, m.t, taus[keep], m.omega_f,
-                                  hbar=m.hbar)
+        Q, P = rabi_shift_columns(n, wv, m.g, m.t, taus[keep], m.omega_f, hbar=m.hbar)
         cells = np.column_stack((Q, P, wv.real, wv.imag))
     bad = ~np.isfinite(cells[:, :2]).all(axis=1)
     if bad.any():  # an infinite phase, or shifts past the float range
@@ -488,7 +489,7 @@ def cmd_invert(cfg: RunConfig, out_dir: str) -> int:
     m = cfg.meter
     inv = cfg.invert
     try:
-        wv = invert_weak_value(inv.Q_f, inv.P_f, build_meter_state(cfg), m.model, m.g, m.t,
+        wv = invert_weak_value(build_occupation(cfg), inv.Q_f, inv.P_f, m.model, m.g, m.t,
                                inv.tau, m.omega_f, m.Delta, hbar=m.hbar)
     except SingularInversion as exc:
         print(f"singular inversion: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import ConfigError, WeaklindError
 from .lindblad import DissipationChannel, Dissipator, NonMarkovJC, build_dissipator
-from .meter import MeterState
 from .operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -484,17 +483,19 @@ def build_tau_grid(cfg: RunConfig) -> np.ndarray:
     return grid
 
 
-def build_meter_state(cfg: RunConfig) -> MeterState:
+def build_occupation(cfg: RunConfig) -> float:
+    """The meter's mean occupation: 0.0 for the vacuum (also for n = -0.0),
+    the level for a number state, n for a thermal meter."""
     spec = cfg.meter
     if spec.state == "vacuum":
-        return MeterState.vacuum()
+        return 0.0
     if spec.state == "number":
         if spec.n != int(spec.n):
             raise ConfigError(f"meter.n must be an integer level, got {spec.n}")
         if int(spec.n) > spec.n_max:
             raise ConfigError(f"meter level {int(spec.n)} exceeds n_max {spec.n_max}")
-        return MeterState.number(int(spec.n))
-    return MeterState.thermal(spec.n)
+        return float(int(spec.n))
+    return spec.n
 
 
 __all__ = [
@@ -514,7 +515,7 @@ __all__ = [
     "build_observable",
     "build_channel",
     "build_tau_grid",
-    "build_meter_state",
+    "build_occupation",
     "NAMED_OBSERVABLES",
     "NAMED_CHANNELS",
 ]

@@ -9,7 +9,10 @@ its mean occupation n: the transverse (rabi) coupling driven by the weak
 value, and the rotating-wave (jc) coupling driven by the raising/lowering
 weak values. invert_weak_value is the algebraic inverse of the same two
 forms, so a weak value read back from its own shifts is recovered to
-rounding.
+rounding. A vacuum, number or thermal meter is diagonal in the energy
+basis, so it satisfies the calibration <N_I(t/2)>_0 = 0 and commutes with
+the field Hamiltonian; every readout takes its n first, as a float, and
+refuses one that is not finite or is negative.
 
 The two closed forms are evaluated on a whole tau grid at once:
 rabi_shift_columns and jc_shift_columns take the weak values on the grid and
@@ -38,46 +41,6 @@ from .operators import _cmul
 
 
 @dataclass(frozen=True)
-class MeterState:
-    """Initial meter state: vacuum, number level, or thermal.
-
-    All three are diagonal in the energy basis, so they satisfy the
-    calibration requirement <N_I(t/2)>_0 = 0 and commute with the field
-    Hamiltonian; the readout forms need only their mean occupation.
-    """
-
-    kind: str
-    n: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("vacuum", "number", "thermal"):
-            raise ValueError(f"unknown meter state kind {self.kind!r}")
-        if self.kind == "vacuum" and self.n != 0.0:
-            raise ValueError("a vacuum meter has occupation 0")
-        if self.kind == "number":
-            if not (0.0 <= self.n < math.inf and self.n == int(self.n)):
-                raise ValueError("number state level must be a nonnegative integer")
-        if self.kind == "thermal" and not 0.0 <= self.n < math.inf:
-            raise ValueError("thermal occupation must be finite and >= 0")
-
-    @classmethod
-    def vacuum(cls) -> "MeterState":
-        return cls(kind="vacuum")
-
-    @classmethod
-    def number(cls, n: int) -> "MeterState":
-        return cls(kind="number", n=float(n))
-
-    @classmethod
-    def thermal(cls, n_eq: float) -> "MeterState":
-        return cls(kind="thermal", n=float(n_eq))
-
-    def mean_n(self) -> float:
-        """Mean occupation: n for number states, n_eq for thermal, 0 vacuum."""
-        return self.n
-
-
-@dataclass(frozen=True)
 class ShiftReport:
     """Quadrature shifts together with every input that produced them."""
 
@@ -94,6 +57,12 @@ class ShiftReport:
         for name in ("Q_shift", "P_shift", "g", "t", "tau", "omega_f", "Delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+
+
+def _check_occupation(n: float) -> None:
+    """Refuse a mean meter occupation that is not finite or is negative."""
+    if not 0.0 <= n < math.inf:
+        raise ValueError("occupation must be finite and >= 0")
 
 
 def _units(omega_f: float, hbar: float) -> tuple[float, float]:
@@ -134,8 +103,7 @@ def rabi_shift_columns(n: float, wv, g: float, t: float, taus, omega_f: float,
     past the float range gives a non-finite entry, not a warning; the caller
     checks.
     """
-    if not 0.0 <= n < math.inf:
-        raise ValueError("occupation must be finite and >= 0")
+    _check_occupation(n)
     wv = np.asarray(wv, dtype=complex)
     factor = 2.0 * n + 1.0
     q_unit, p_unit = _units(omega_f, hbar)
@@ -155,12 +123,12 @@ def rabi_shifts_number_state(n: float, wv: complex, g: float, t: float, tau: flo
                        omega_f=omega_f, Delta=0.0, weak_value_inputs=(complex(wv),))
 
 
-def jc_shift_columns(wv_plus, wv_minus, mu0: MeterState, g: float, t: float, taus,
+def jc_shift_columns(n: float, wv_plus, wv_minus, g: float, t: float, taus,
                      omega_f: float, Delta: float,
                      hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Rotating-wave quadrature shifts driven by the raising/lowering weak
-    values, on a whole tau grid: the Q and P arrays for wv_plus[k] and
-    wv_minus[k] at taus[k].
+    values, meter occupation n, on a whole tau grid: the Q and P arrays for
+    wv_plus[k] and wv_minus[k] at taus[k].
 
     For an energy-diagonal meter (number level n or thermal occupation n_eq),
     with chi = Delta t/2 + omega_f (t + tau):
@@ -174,10 +142,10 @@ def jc_shift_columns(wv_plus, wv_minus, mu0: MeterState, g: float, t: float, tau
     past the float range gives a non-finite entry, not a warning; the caller
     checks.
     """
+    _check_occupation(n)
     _rotating_wave_guard(Delta, t)
     wv_plus = np.asarray(wv_plus, dtype=complex)
     wv_minus = np.asarray(wv_minus, dtype=complex)
-    n = mu0.mean_n()
     q_unit, p_unit = _units(omega_f, hbar)
     with np.errstate(over="ignore", invalid="ignore"):
         cos, sin = _trig(0.5 * Delta * t + omega_f * (t + np.asarray(taus, dtype=float)))
@@ -189,19 +157,18 @@ def jc_shift_columns(wv_plus, wv_minus, mu0: MeterState, g: float, t: float, tau
     return Q, P
 
 
-def jc_shifts(wv_plus: complex, wv_minus: complex, mu0: MeterState, g: float,
-              t: float, tau: float, omega_f: float, Delta: float,
-              hbar: float = 1.0) -> ShiftReport:
+def jc_shifts(n: float, wv_plus: complex, wv_minus: complex, g: float, t: float,
+              tau: float, omega_f: float, Delta: float, hbar: float = 1.0) -> ShiftReport:
     """The one-point case of jc_shift_columns, as a checked ShiftReport
     (ValueError when a shift is not finite)."""
-    (Q,), (P,) = jc_shift_columns([wv_plus], [wv_minus], mu0, g, t, [tau], omega_f, Delta,
+    (Q,), (P,) = jc_shift_columns(n, [wv_plus], [wv_minus], g, t, [tau], omega_f, Delta,
                                   hbar)
     return ShiftReport(Q_shift=float(Q), P_shift=float(P), g=g, t=t, tau=tau,
                        omega_f=omega_f, Delta=Delta,
                        weak_value_inputs=(complex(wv_plus), complex(wv_minus)))
 
 
-def invert_weak_value(Q_f: float, P_f: float, mu0: MeterState, model: str, g: float,
+def invert_weak_value(n: float, Q_f: float, P_f: float, model: str, g: float,
                       t: float, tau: float, omega_f: float, Delta: float,
                       hbar: float = 1.0) -> complex:
     """Recover the weak value from the two measured quadrature averages: the
@@ -222,7 +189,7 @@ def invert_weak_value(Q_f: float, P_f: float, mu0: MeterState, model: str, g: fl
     past the float range, or an angle past it, gives a non-finite weak
     value, not an exception; the caller checks.
     """
-    n = mu0.mean_n()
+    _check_occupation(n)
     if model == "jc" and n > 0.0:
         raise SingularInversion(
             f"meter.model 'jc' with occupation n = {n:g} > 0: the shifts mix the "
@@ -242,7 +209,6 @@ def invert_weak_value(Q_f: float, P_f: float, mu0: MeterState, model: str, g: fl
 
 
 __all__ = [
-    "MeterState",
     "ShiftReport",
     "rabi_shift_columns",
     "rabi_shifts_number_state",

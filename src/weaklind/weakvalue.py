@@ -13,14 +13,15 @@ epsilon_states gives the nearly orthogonal pre/post pair whose short-time
 weak values the estimation scenarios fit.
 
 A tau grid is one call of lindblad.traces_over_tau for the numerators and
-the denominator together; weak_value_dissipative is its one-point case. A_SI
-may be a (k, n, n) stack of observables sharing sigma_i, sigma_fI and the
-dissipator: each tau then gives k weak values over one shared denominator.
+the denominator together; weak_value_dissipative is its one-point case. One
+function, _weak_values, forms the quotient of every grid, every point and
+the projector's limit. A_SI may be a (k, n, n) stack of observables sharing
+sigma_i, sigma_fI and the dissipator: each tau then gives k weak values over
+one shared denominator.
 """
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import math
 from dataclasses import dataclass
@@ -139,25 +140,38 @@ def _postselected_traces(setup: WeakMeasurementSetup, d: Dissipator,
     return traces[:, :-1], traces[:, -1]
 
 
-def _quotient(nums: list[complex], den: complex, where: str,
-              stacked: bool) -> WeakValueSample:
-    """The weak value of each numerator over the shared denominator, an array
-    of them for a stacked A_SI; `where` ends the messages."""
-    if not all(map(cmath.isfinite, [*nums, den])):
-        raise NoConvergence(f"the evolved traces are not finite{where}")
-    if abs(den) < _VANISH_TOL:
-        raise PostselectionVanishes(
-            f"post-selection probability vanishes{where} (|den|={abs(den):.3e})")
-    values = [num / den for num in nums]
-    return WeakValueSample(value=np.array(values) if stacked else values[0],
-                           probability=max(den.real, 0.0))
+def _weak_values(num: np.ndarray,
+                 den: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quotients of the finite post-selected traces num (N, k) over den
+    (N,): the (N, k) weak values, NaN where |den| < _VANISH_TOL; the (N,)
+    probabilities, the real part of den clamped at 0 and 0 there; and the
+    (N,) mask of the rows kept. Each quotient is Python's complex division.
+    """
+    kept = np.abs(den) >= _VANISH_TOL
+    values = np.full(num.shape, complex(np.nan, np.nan))
+    for j in range(num.shape[1]):
+        values[kept, j] = [n / m for n, m in zip(num[kept, j].tolist(), den[kept].tolist())]
+    probs = np.where(kept, np.maximum(den.real, 0.0), 0.0)
+    return values, probs, kept
+
+
+def _one_point(num: np.ndarray, den: np.ndarray, where: str,
+               stacked: bool) -> WeakValueSample:
+    """The one-row case of _weak_values; PostselectionVanishes at a gap, with
+    `where` ending the message."""
+    values, probs, kept = _weak_values(num, den)
+    if not kept[0]:
+        raise PostselectionVanishes(f"post-selection probability vanishes{where} "
+                                    f"(|den|={abs(den[0]):.3e})")
+    return WeakValueSample(value=values[0] if stacked else complex(values[0, 0]),
+                           probability=float(probs[0]))
 
 
 def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator,
                            tau: float) -> WeakValueSample:
     """The dissipative weak value and the post-selection probability at tau.
 
-    A one-point sweep of trace_over_tau's kernel: the quotient of the two
+    The one-point case of trace_over_tau: the quotient of the two
     post-selected traces is the weak value, the denominator alone the
     probability. Raises PostselectionVanishes when |denominator| < 1e-14
     (orthogonal pre/post selection, typically only possible at tau = 0), and
@@ -166,7 +180,7 @@ def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator,
     weak values.
     """
     num, den = _postselected_traces(setup, d, np.array([tau], dtype=float))
-    return _quotient(num[0].tolist(), complex(den[0]), f" at tau={tau}", setup.stacked)
+    return _one_point(num, den, f" at tau={tau}", setup.stacked)
 
 
 def weak_value_limit_infinite(setup: WeakMeasurementSetup,
@@ -182,9 +196,12 @@ def weak_value_limit_infinite(setup: WeakMeasurementSetup,
     """
     _check_dimension(setup, d)
     P = asymptotic_projector(d)
-    *nums, den = (complex(np.trace(setup.sigma_fI @ apply_superoperator(P, C)))
-                  for C in setup.operands())
-    return _quotient(nums, den, " as tau -> infinity", setup.stacked).value
+    traces = np.array([[np.trace(setup.sigma_fI @ apply_superoperator(P, C))
+                        for C in setup.operands()]])
+    if not np.isfinite(traces).all():
+        raise NoConvergence("the evolved traces are not finite as tau -> infinity")
+    return _one_point(traces[:, :-1], traces[:, -1], " as tau -> infinity",
+                      setup.stacked).value
 
 
 def epsilon_states(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -253,14 +270,8 @@ def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator, tau_grid) -> Weak
         raise ValueError("tau_grid must be a nonempty 1-D array")
     if np.any(np.diff(tau_grid) <= 0.0):
         raise ValueError("tau_grid must be strictly increasing")
-    num, den = _postselected_traces(setup, d, tau_grid)
-    kept = np.abs(den) >= _VANISH_TOL
-    values = np.full(num.shape, complex(np.nan, np.nan))
-    for j in range(num.shape[1]):
-        # Python's complex division, as in weak_value_dissipative, keeps the two bit-equal
-        values[kept, j] = [n / m for n, m in zip(num[kept, j].tolist(), den[kept].tolist())]
+    values, probs, kept = _weak_values(*_postselected_traces(setup, d, tau_grid))
     values = values if setup.stacked else values[:, 0]
-    probs = np.where(kept, np.maximum(den.real, 0.0), 0.0)
     gaps = np.flatnonzero(~kept).tolist()
     metadata = {
         "setup_hash": setup.content_hash(),

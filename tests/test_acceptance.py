@@ -14,7 +14,6 @@ from test_lindblad import random_setup
 from test_meter import _jc_case, _rabi_case
 from weaklind import (
     DissipationChannel,
-    MeterState,
     NonMarkovJC,
     SIGMA_MINUS,
     WeakMeasurementSetup,
@@ -223,8 +222,8 @@ def test_criterion_09_meter_shift_error_is_second_order_in_coupling():
     for n in (0, 1):
         errs = [_rabi_case(n, gt / 0.9) for gt in (1e-2, 1e-3)]
         ratios.append(errs[0] / errs[1])
-    for mu0 in (MeterState.vacuum(), MeterState.thermal(0.4)):
-        errs = [_jc_case(mu0, gt / 0.9) for gt in (1e-2, 1e-3)]
+    for kind, n in (("vacuum", 0.0), ("thermal", 0.4)):
+        errs = [_jc_case(kind, n, gt / 0.9) for gt in (1e-2, 1e-3)]
         ratios.append(errs[0] / errs[1])
     for ratio in ratios:
         assert 80.0 < ratio < 120.0, ratios
@@ -239,8 +238,8 @@ def test_criterion_10_inversion_round_trip():
     for n in (0, 1, 5):
         for t, tau in ((0.9, 0.4), (1.4, 1.1)):    # two phase settings
             rep = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
-            got = invert_weak_value(rep.Q_shift, rep.P_shift, MeterState.number(n), "rabi",
-                                    g, t, tau, omega_f, 0.0)
+            got = invert_weak_value(n, rep.Q_shift, rep.P_shift, "rabi", g, t, tau, omega_f,
+                                    0.0)
             dev = abs(got - wv)
             assert dev < 1e-10, (n, t, tau, dev)
             worst = max(worst, dev)

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import dataclasses
 import decimal
+import errno
 import fractions
 import importlib.util
 import io
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 
 import weaklind
 from weaklind import (
-    MeterState,
     invert_weak_value,
     rabi_shift_columns,
     rabi_shifts_number_state,
@@ -655,6 +655,53 @@ def test_out_under_a_regular_file_exits_2(tmp_path, capsys):
     assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("command, name", [("shifts", "shifts.csv"), ("invert", "invert.json"),
+                                           ("scenario", "classify.json")])
+def test_an_output_file_that_is_a_directory_exits_2(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    payload = two_level_config(meter=meter_section(),
+                               invert={"Q_f": 0.001, "P_f": 0.002, "tau": 0.4})
+    argv = (["scenario", "classify", "--format", "json"] if command == "scenario"
+            else [command, "--config", write_cfg(tmp_path, payload)])
+    assert run_cli(*argv, "--out", str(out)) == 2
+    path = str(out / name)
+    assert capsys.readouterr().err == (
+        f"error: cannot write {path!r}: {os.strerror(errno.EISDIR)}\n")
+    assert [p.name for p in out.iterdir()] == [name]  # no temporary file is left
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _no_space_after_close(fd, *args, **kwargs):
+    os.close(fd)
+    _no_space()
+
+
+@pytest.mark.parametrize("stage, fail", [("open", _no_space), ("fdopen", _no_space_after_close),
+                                         ("replace", _no_space)])
+def test_atomic_write_turns_an_os_error_into_a_config_error(tmp_path, monkeypatch, stage, fail):
+    # creating, writing or renaming the temporary file
+    path = str(tmp_path / "out.csv")
+    monkeypatch.setattr(cli.os, stage, fail)
+    with pytest.raises(ConfigError) as info:
+        cli._atomic_write(path, "text")
+    monkeypatch.undo()
+    assert str(info.value) == f"cannot write {path!r}: {os.strerror(errno.ENOSPC)}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_nul_in_the_output_directory_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, two_level_config(output={"out_dir": "a\u0000b"}))
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli("weak-value", "--config", cfg) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot create output directory 'a\\x00b': embedded null byte\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_output_files_get_the_mode_the_umask_leaves(tmp_path, umask, mode):
     # the mode open(path, "w") gives a new file: 0o666 less the umask
@@ -774,12 +821,11 @@ def test_shifts_jc_csv_and_json(tmp_path):
     assert len(doc["rows"]) == len(rows)
 
 
-@pytest.mark.parametrize("model", ["jc", "rabi"])
-def test_large_shifts_json_is_the_per_row_text(tmp_path, model):
-    # the rows table goes through _g17_text in one pass; the bytes are those
-    # of the rows as nested lists, gap rows (NaN) included
+def _assert_shifts_json_is_the_per_row_text(tmp_path, model, count):
+    """The rows table goes through _g17_text in one pass; the bytes are those
+    of the rows as nested lists, gap rows (NaN) included."""
     payload = two_level_config(meter=meter_section(model=model),
-                               sweep={"start": 0.0, "stop": 10.0, "count": 1000})
+                               sweep={"start": 0.0, "stop": 10.0, "count": count})
     payload["system"]["pre"] = {"bloch": [0.0, 0.0, 1.0]}
     payload["system"]["post"] = {"bloch": [0.0, 0.0, -1.0]}  # a gap at tau = 0
     out = tmp_path / "o"
@@ -790,6 +836,19 @@ def test_large_shifts_json_is_the_per_row_text(tmp_path, model):
     assert all(map(math.isnan, rows[0][1:]))
     doc = {"columns": header, "rows": rows, "model": model}
     assert (out / "shifts.json").read_text() == cli._json_text(doc) + "\n"
+
+
+@pytest.mark.parametrize("model", ["jc", "rabi"])
+def test_large_shifts_json_is_the_per_row_text(tmp_path, model):
+    _assert_shifts_json_is_the_per_row_text(tmp_path, model, 1000)
+
+
+@pytest.mark.parametrize("model, count", [("jc", 57), ("rabi", 79)])
+def test_small_shifts_json_is_one_percent_pass(tmp_path, model, count, numpy_path):
+    # 399 and 395 cells: below _G17_MIN_CELLS the rows table, like the CSV,
+    # is one % pass and the numpy formatter never runs
+    _assert_shifts_json_is_the_per_row_text(tmp_path, model, count)
+    assert numpy_path == []
 
 
 def test_json_float_table_is_the_nested_list_text():
@@ -881,8 +940,8 @@ def test_invert_round_trip_via_cli(tmp_path):
     got = complex(*doc["weak_value"])
     assert abs(got - wv) < 1e-10
     # cross-check against the in-process inversion path
-    assert abs(invert_weak_value(rep.Q_shift, rep.P_shift, MeterState.number(n), "rabi",
-                                 g, t, tau, omega_f, 0.0) - got) < 1e-14
+    assert abs(invert_weak_value(n, rep.Q_shift, rep.P_shift, "rabi", g, t, tau, omega_f,
+                                 0.0) - got) < 1e-14
 
 
 def test_invert_singular_exits_5(tmp_path):
@@ -1174,9 +1233,8 @@ def test_batched_output_mixes_the_numpy_path_and_the_per_cell_fallback(numpy_pat
     values = np.concatenate([plain, special * 20])
     rng.shuffle(values)
     _assert_csv_per_cell(values, cols=5)
-    items = values.tolist()
-    want = "[\n" + ",\n".join("    " + cli._json_float(v) for v in items) + "\n  ]"
-    assert cli._json_text(items, 1) == want
+    want = "[\n" + ",\n".join("    " + cli._json_float(v) for v in values.tolist()) + "\n  ]"
+    assert cli._json_text(values, 1) == want
     # the numpy path computed the plain cells; the special ones, which it
     # leaves out, only come out right through the fallback
     assert sum(numpy_path) == 2 * len(plain)
@@ -1189,6 +1247,35 @@ def test_the_numpy_formatter_runs_from_the_crossover(numpy_path):
     assert numpy_path == []
     _assert_csv_per_cell(table)
     assert numpy_path == [table.size]
+
+
+@pytest.mark.parametrize("cells, cols", [(399, 7), (400, 5), (401, 1)])
+def test_the_writer_is_one_g17_pass_in_every_layout(cells, cols, numpy_path):
+    # a CSV table, a JSON float array and a JSON rows table on each side of
+    # _G17_MIN_CELLS: the bytes of one % pass, from numpy from 400 cells on
+    rng = np.random.default_rng(cells)
+    values = rng.standard_normal(cells) * 10.0 ** rng.integers(-30, 30, cells)
+    values[:10] = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                   1e-310, -2.2250738585072014e-308, 1e-6]
+    rng.shuffle(values)
+    table = values.reshape(-1, cols)
+    items = tuple(values.tolist())
+    json_tokens = {"nan": "NaN", "inf": "Infinity"}
+
+    def tokens(text):
+        for old, new in json_tokens.items():
+            text = text.replace(old, new)
+        return text
+
+    row = ("%.17g," * cols)[:-1] + "\n"
+    assert cli._csv_text("h", table) == "h\n" + (row * len(table)) % items
+    want = "[\n" + tokens(("    %.17g,\n" * cells)[:-2] % items) + "\n  ]"
+    assert cli._json_text(values, 1) == want
+    row = "    [\n" + ",\n".join(["      %.17g"] * cols) + "\n    ],\n"
+    want = "[\n" + tokens((row * len(table))[:-2] % items) + "\n  ]"
+    assert cli._json_text(table, 1) == want
+    np.testing.assert_array_equal(np.array(json.loads(want)), table)
+    assert len(numpy_path) == (3 if cells >= cli._G17_MIN_CELLS else 0)
 
 
 def test_no_fast_path_value_rounds_up_to_the_next_decade():

@@ -1,5 +1,6 @@
 """Meter readout formulas against the exact joint-state simulation."""
 
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from weaklind import (
     SIGMA_X,
     SIGMA_Y,
     DissipationChannel,
-    MeterState,
     ShiftReport,
     WeakMeasurementSetup,
     bloch_to_density,
@@ -26,7 +26,8 @@ from weaklind import (
     rabi_shifts_number_state,
     weak_value_dissipative,
 )
-from weaklind.errors import SingularInversion
+from weaklind.config import build_occupation, load_config
+from weaklind.errors import ConfigError, SingularInversion
 
 SIGMA_I = bloch_to_density([0.55, 0.15, 0.6])
 SIGMA_F = bloch_to_density([-0.3, 0.45, -0.5])
@@ -37,32 +38,40 @@ def damping():
     return build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=GAMMA)], dim=2)
 
 
-# ---------------------------------------------------------------- MeterState
+# --------------------------------------------------------------- occupation
 
-def test_meter_state_constructors():
-    assert MeterState.vacuum().mean_n() == 0.0
-    assert MeterState.number(3).mean_n() == 3.0
-    assert MeterState.thermal(0.7).mean_n() == 0.7
-    with pytest.raises(ValueError):
-        MeterState.number(-1)
-    with pytest.raises(ValueError):
-        MeterState(kind="number", n=1.5)
-    with pytest.raises(ValueError):
-        MeterState(kind="rabi")
-    with pytest.raises(ValueError):
-        MeterState(kind="vacuum", n=3.0)
+def _occupation(tmp_path, **meter):
+    """build_occupation of a config whose meter section is `meter`."""
+    path = tmp_path / "meter.json"
+    path.write_text(json.dumps({"version": 1, "meter": {"omega_f": 1.3, "g": 1e-3, "t": 1.0,
+                                                         **meter}}))
+    return build_occupation(load_config(str(path)))
+
+
+def test_meter_state_constructors(tmp_path):
+    # the readouts take the meter's mean occupation, a plain float
+    assert _occupation(tmp_path) == 0.0
+    assert math.copysign(1.0, _occupation(tmp_path, state="vacuum", n=-0.0)) == 1.0
+    assert _occupation(tmp_path, state="number", n=3) == 3.0
+    assert type(_occupation(tmp_path, state="number", n=3)) is float
+    assert _occupation(tmp_path, state="thermal", n=0.7) == 0.7
+    for meter in ({"state": "number", "n": -1}, {"state": "number", "n": 1.5},
+                  {"state": "rabi"}, {"state": "vacuum", "n": 3.0}):
+        with pytest.raises(ConfigError):
+            _occupation(tmp_path, **meter)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: MeterState.number(math.inf),
-    lambda: MeterState(kind="number", n=math.nan),
-    lambda: MeterState.thermal(math.nan),
-    lambda: MeterState.thermal(math.inf),
-    lambda: MeterState.number(-math.inf),
-    lambda: MeterState(kind="thermal", n=-math.inf),
+    lambda: rabi_shifts_number_state(math.inf, 1j, 1e-3, 1.0, 0.0, 1.3),
+    lambda: jc_shift_columns(math.nan, [0j], [1j], 1e-3, 1.0, [0.0], 1.3, 0.0),
+    lambda: jc_shifts(math.nan, 0j, 1j, 1e-3, 1.0, 0.0, 1.3, 0.0),
+    lambda: invert_weak_value(math.inf, 0.1, 0.2, "rabi", 1e-3, 1.0, 0.0, 1.3, 0.0),
+    lambda: invert_weak_value(-math.inf, 0.1, 0.2, "jc", 1e-3, 1.0, 0.0, 1.3, 0.0),
+    lambda: rabi_shift_columns(-math.inf, [1j], 1e-3, 1.0, [0.0], 1.3),
 ])
 def test_meter_state_refuses_a_non_finite_occupation(make):
-    with pytest.raises(ValueError):
+    # one check, shared by every readout, before any other refusal
+    with pytest.raises(ValueError, match="occupation must be finite and >= 0"):
         make()
 
 
@@ -140,8 +149,7 @@ def test_rabi_formula_relative_error_is_second_order_in_gt():
 def test_jc_vacuum_reduces_to_polar_rotation():
     g, t, tau, omega_f, Delta = 0.01, 0.9, 0.4, 1.3, 0.02
     wv_minus = 1.1 - 0.8j
-    report = jc_shifts(0.5 + 0.5j, wv_minus, MeterState.vacuum(), g, t, tau,
-                       omega_f, Delta)
+    report = jc_shifts(0.0, 0.5 + 0.5j, wv_minus, g, t, tau, omega_f, Delta)
     chi = 0.5 * Delta * t + omega_f * (t + tau)
     phase = math.atan2(wv_minus.imag, wv_minus.real)
     qu, pu = math.sqrt(1 / (2 * omega_f)), math.sqrt(omega_f / 2)
@@ -149,12 +157,12 @@ def test_jc_vacuum_reduces_to_polar_rotation():
     assert abs(report.P_shift + 2 * g * t * pu * abs(wv_minus) * math.cos(phase - chi)) < 1e-13
 
 
-def test_jc_rejects_custom_meters_and_warns_off_resonance():
+def test_jc_rejects_custom_meters_and_warns_off_resonance(tmp_path):
     # a meter is vacuum, number or thermal: the readout forms need only its occupation
-    with pytest.raises(ValueError, match="unknown meter state kind"):
-        MeterState(kind="custom")
+    with pytest.raises(ConfigError, match="meter.state"):
+        _occupation(tmp_path, state="custom")
     with pytest.warns(UserWarning):
-        jc_shifts(0j, 1j, MeterState.vacuum(), 0.01, 1.0, 0.0, 1.0, Delta=0.2)
+        jc_shifts(0.0, 0j, 1j, 0.01, 1.0, 0.0, 1.0, Delta=0.2)
 
 
 def _bits(x) -> bytes:
@@ -188,22 +196,21 @@ def test_grid_shifts_equal_the_per_point_forms_bit_for_bit(seed, kind):
     # a grid long enough for numpy's vectorised loops, whose complex multiply
     # may round differently from the scalar one
     rng = np.random.default_rng(seed)
-    mu0 = {"vacuum": MeterState.vacuum(), "number": MeterState.number(int(rng.integers(1, 5))),
-           "thermal": MeterState.thermal(float(rng.uniform(0.0, 3.0)))}[kind]
-    n = mu0.mean_n()
+    n = {"vacuum": 0.0, "number": float(rng.integers(1, 5)),
+         "thermal": float(rng.uniform(0.0, 3.0))}[kind]
     taus = np.sort(rng.uniform(0.0, 40.0, 37))
     wvp, wvm = ((rng.standard_normal(37) + 1j * rng.standard_normal(37))
                 * 10.0 ** rng.uniform(-3, 3, 37) for _ in range(2))
     g, t, omega_f = 10.0 ** rng.uniform(-4, 0), rng.uniform(0.1, 2.0), rng.uniform(0.1, 5.0)
     Delta = rng.uniform(-0.04, 0.04) / t
     Q, P = rabi_shift_columns(n, wvm, g, t, taus, omega_f)
-    Qj, Pj = jc_shift_columns(wvp, wvm, mu0, g, t, taus, omega_f, Delta)
+    Qj, Pj = jc_shift_columns(n, wvp, wvm, g, t, taus, omega_f, Delta)
     for k, tau in enumerate(taus.tolist()):
         rep = rabi_shifts_number_state(n, wvm[k], g, t, tau, omega_f)
         want = _rabi_point(n, wvm[k], g, t, tau, omega_f)
         assert (_bits(Q[k]), _bits(P[k])) == (_bits(rep.Q_shift), _bits(rep.P_shift))
         assert (_bits(Q[k]), _bits(P[k])) == tuple(map(_bits, want))
-        rep = jc_shifts(wvp[k], wvm[k], mu0, g, t, tau, omega_f, Delta)
+        rep = jc_shifts(n, wvp[k], wvm[k], g, t, tau, omega_f, Delta)
         want = _jc_point(wvp[k], wvm[k], n, g, t, tau, omega_f, Delta)
         assert (_bits(Qj[k]), _bits(Pj[k])) == (_bits(rep.Q_shift), _bits(rep.P_shift))
         assert (_bits(Qj[k]), _bits(Pj[k])) == tuple(map(_bits, want))
@@ -217,21 +224,20 @@ def test_grid_shifts_mark_overflow_without_warnings():
     Q, P = rabi_shift_columns(1.0, wv, 0.01, 1.0, taus, 1e307)
     first = next(k for k, tau in enumerate(taus.tolist()) if math.isinf(1e307 * (0.5 + tau)))
     assert np.isfinite(Q[:first]).all() and np.isnan(Q[first:]).all() and np.isnan(P[first:]).all()
-    Q, P = jc_shift_columns(wv, wv, MeterState.number(1), 1e308, 1e308, taus, 1.3, 0.0)
+    Q, P = jc_shift_columns(1.0, wv, wv, 1e308, 1e308, taus, 1.3, 0.0)
     assert not np.isfinite(Q).any() and not np.isfinite(P).any()
     with pytest.raises(ValueError):
-        jc_shifts(wv[0], wv[0], MeterState.number(1), 0.01, 1.0, 40.0, 1e307, 0.0)
+        jc_shifts(1.0, wv[0], wv[0], 0.01, 1.0, 40.0, 1e307, 0.0)
 
 
 def test_jc_grid_warns_once_per_call():
     taus = np.linspace(0.0, 1.0, 11)
     with pytest.warns(UserWarning) as seen:
-        jc_shift_columns(np.zeros(11), np.ones(11), MeterState.vacuum(), 0.01, 1.0, taus,
-                         1.0, Delta=0.2)
+        jc_shift_columns(0.0, np.zeros(11), np.ones(11), 0.01, 1.0, taus, 1.0, Delta=0.2)
     assert len(seen) == 1
 
 
-def _jc_case(mu0, g, t=0.9, tau=0.4, omega_f=1.3, Delta=0.02):
+def _jc_case(kind, n, g, t=0.9, tau=0.4, omega_f=1.3, Delta=0.02):
     d = damping()
     wv_plus = weak_value_dissipative(
         WeakMeasurementSetup(sigma_i=SIGMA_I, sigma_fI=SIGMA_F, A_SI=SIGMA_PLUS),
@@ -239,16 +245,16 @@ def _jc_case(mu0, g, t=0.9, tau=0.4, omega_f=1.3, Delta=0.02):
     wv_minus = weak_value_dissipative(
         WeakMeasurementSetup(sigma_i=SIGMA_I, sigma_fI=SIGMA_F, A_SI=SIGMA_MINUS),
         d, tau).value
-    report = jc_shifts(wv_plus, wv_minus, mu0, g, t, tau, omega_f, Delta)
-    rho_m = orc.meter_density(mu0.kind, mu0.n, 21)
+    report = jc_shifts(n, wv_plus, wv_minus, g, t, tau, omega_f, Delta)
+    rho_m = orc.meter_density(kind, n, 21)
     oq, op, _ = orc.jc_joint_readout(SIGMA_I, SIGMA_F, rho_m, g, t, tau, omega_f, GAMMA, Delta)
     return (math.hypot(report.Q_shift - oq, report.P_shift - op)
             / math.hypot(oq, op))
 
 
 def test_jc_formula_relative_error_is_second_order_in_gt():
-    for mu0 in (MeterState.vacuum(), MeterState.number(1), MeterState.thermal(0.4)):
-        errs = [_jc_case(mu0, gt / 0.9) for gt in (1e-2, 1e-3)]
+    for kind, n in (("vacuum", 0.0), ("number", 1.0), ("thermal", 0.4)):
+        errs = [_jc_case(kind, n, gt / 0.9) for gt in (1e-2, 1e-3)]
         ratio = errs[0] / errs[1]
         assert 80.0 < ratio < 120.0, ratio
 
@@ -262,34 +268,33 @@ def test_inversion_round_trip():
     for n in (0, 1, 5):
         for t, tau in ((0.9, 0.4), (1.4, 1.1)):
             report = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
-            got = invert_weak_value(report.Q_shift, report.P_shift, MeterState.number(n),
-                                    "rabi", g, t, tau, omega_f, 0.0)
+            got = invert_weak_value(n, report.Q_shift, report.P_shift, "rabi", g, t, tau,
+                                    omega_f, 0.0)
             assert abs(got - wv) < 1e-10
 
 
 def test_inversion_singular_cases():
     with pytest.raises(SingularInversion):
-        invert_weak_value(0.1, 0.2, MeterState.vacuum(), "rabi", 0.0, 1.0, 0.2, 1.0, 0.0)
+        invert_weak_value(0.0, 0.1, 0.2, "rabi", 0.0, 1.0, 0.2, 1.0, 0.0)
     # a jc meter with n > 0 reads out both ladder weak values at once
-    for mu0 in (MeterState.number(1), MeterState.thermal(0.4)):
+    for n in (1.0, 0.4):
         with pytest.raises(SingularInversion, match="meter.model"):
-            invert_weak_value(0.1, 0.2, mu0, "jc", 0.01, 1.0, 0.2, 1.0, 0.0)
+            invert_weak_value(n, 0.1, 0.2, "jc", 0.01, 1.0, 0.2, 1.0, 0.0)
 
 
 @given(st.integers(0, 10**6), st.sampled_from(["vacuum", "number", "thermal", "jc"]))
 def test_inversion_undoes_the_closed_forms(seed, kind):
     rng = np.random.default_rng(seed)
-    mu0 = {"vacuum": MeterState.vacuum(), "jc": MeterState.vacuum(),
-           "number": MeterState.number(int(rng.integers(1, 6))),
-           "thermal": MeterState.thermal(float(rng.uniform(0.0, 3.0)))}[kind]
+    n = {"vacuum": 0.0, "jc": 0.0, "number": float(rng.integers(1, 6)),
+         "thermal": float(rng.uniform(0.0, 3.0))}[kind]
     wv = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 3)
     g, t, omega_f = 10.0 ** rng.uniform(-4, 0), rng.uniform(0.1, 2.0), rng.uniform(0.1, 5.0)
     tau, hbar = rng.uniform(0.0, 20.0), 10.0 ** rng.uniform(-2, 2)
     Delta = rng.uniform(-0.04, 0.04) / t
     if kind == "jc":
-        (Q,), (P,) = jc_shift_columns([0.3j], [wv], mu0, g, t, [tau], omega_f, Delta, hbar)
+        (Q,), (P,) = jc_shift_columns(n, [0.3j], [wv], g, t, [tau], omega_f, Delta, hbar)
     else:
-        (Q,), (P,) = rabi_shift_columns(mu0.mean_n(), [wv], g, t, [tau], omega_f, hbar)
+        (Q,), (P,) = rabi_shift_columns(n, [wv], g, t, [tau], omega_f, hbar)
     model = "jc" if kind == "jc" else "rabi"
-    got = invert_weak_value(float(Q), float(P), mu0, model, g, t, tau, omega_f, Delta, hbar)
+    got = invert_weak_value(n, float(Q), float(P), model, g, t, tau, omega_f, Delta, hbar)
     assert abs(got - wv) <= 1e-12 * abs(wv)

@@ -451,6 +451,50 @@ def test_trace_over_tau_basic():
     assert "setup_hash" in trace.metadata and "channel" in trace.metadata
 
 
+def _row_by_row(kernel):
+    """traces_over_tau evaluated one tau at a time, as a one-point call does."""
+    return lambda d, F, operands, taus: np.concatenate(
+        [kernel(d, F, operands, [tau]) for tau in np.asarray(taus).tolist()])
+
+
+@given(seeds, st.sampled_from([2, 3]), st.integers(0, 3))
+def test_grid_rows_and_points_are_one_quotient(seed, dim, k):
+    # one quotient (weakvalue._weak_values) serves the grid and the point: on
+    # equal traces each trace_over_tau row is weak_value_dissipative at its
+    # tau, value and probability, as IEEE bit patterns. The kernel itself
+    # rounds a row of an N-row grid differently from a one-row grid (its
+    # complex matmul), so the bitwise check takes the grid's traces one tau
+    # at a time; the grid as it runs agrees to 1e-12.
+    rng = np.random.default_rng(seed)
+    d = build_dissipator([DissipationChannel(jump=orc.random_matrix(rng, dim),
+                                             rate=float(rng.uniform(0.1, 2.0)))
+                          for _ in range(int(rng.integers(1, 4)))], dim)
+    basis = np.linalg.qr(orc.random_matrix(rng, dim))[0]
+    A = (orc.random_matrix(rng, dim) if k == 0
+         else np.stack([orc.random_matrix(rng, dim) for _ in range(k)]))
+    # an orthogonal pre/post pair: a gap at tau = 0
+    setup = WeakMeasurementSetup(sigma_i=pure_density(basis[:, 0]),
+                                 sigma_fI=pure_density(basis[:, 1]), A_SI=A)
+    taus = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 5.0, 7))])
+    grid = trace_over_tau(setup, d, taus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weakvalue, "traces_over_tau", _row_by_row(lindblad.traces_over_tau))
+        rows = trace_over_tau(setup, d, taus)
+    assert 0 in grid.gaps and grid.gaps == rows.gaps
+    for j, tau in enumerate(taus.tolist()):
+        if j in rows.gaps:
+            with pytest.raises(PostselectionVanishes):
+                weak_value_dissipative(setup, d, tau)
+            continue
+        point = weak_value_dissipative(setup, d, tau)
+        value = np.asarray(point.value, dtype=complex)
+        assert np.asarray(rows.values[j]).tobytes() == value.tobytes()
+        assert (np.float64(rows.postselection_probs[j]).tobytes()
+                == np.float64(point.probability).tobytes())
+        assert np.abs(grid.values[j] - value).max() <= 1e-12 * max(1.0, np.abs(value).max())
+        assert abs(grid.postselection_probs[j] - point.probability) <= 1e-12
+
+
 def test_trace_over_tau_flags_gaps():
     setup = WeakMeasurementSetup(
         sigma_i=pure_density([1.0, 0.0]),
