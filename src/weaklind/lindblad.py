@@ -5,23 +5,18 @@ is
 
     D(C) = sum_i gamma_i (L_i C L_i' - 1/2 {L_i' L_i, C}),
 
-with jump operators L_i and nonnegative rates gamma_i. For constant rates the
-map e^{D tau} is computed exactly (to roundoff) by exponentiating the
-materialized superoperator M. The tau -> infinity limit P = R (L' R)^{-1} L'
-comes from the right and left kernels R and L of one SVD of M. For the named
-time-dependent rate (the non-Markovian damped-atom channel) the master
-equation dC/dtau = gamma(tau) D_1(C) is solved in closed form:
-gamma(tau) = -2 Gamma'/Gamma for the excited-amplitude envelope Gamma, so
-the map is exp(-2 ln Gamma(tau) D_1) whenever every channel shares that one
-rate. Nothing is integrated numerically. traces_over_tau(d, F, operands,
-taus) gives Tr[F e^{D tau}(C)] on a whole tau grid for several operands:
-exp(s M) for one generator M with a scale s per tau, from one
-eigendecomposition of M or one expm per tau, or for the single sigma_-
-memory-kernel channel, which has no generator, its stacked closed-form maps.
-evolve(d, C, tau) applies the map at one tau. scipy.linalg is imported on
-the first expm only. The map preserves traces, commutes with the adjoint
-(e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a semigroup
-in tau.
+with jump operators L_i and nonnegative rates gamma_i. Each kind of channel
+has one map. Constant rates take exp(tau M) of the materialized
+superoperator M, and the tau -> infinity limit P = R (L' R)^{-1} L' comes
+from the right and left kernels R and L of one SVD of M. The named
+time-dependent rate (the non-Markovian damped-atom channel) is accepted only
+on a single sigma_- channel at dim 2, where the map is closed form through
+the excited-amplitude envelope Gamma(tau); nothing is integrated
+numerically. traces_over_tau(d, F, operands, taus) gives Tr[F e^{D tau}(C)]
+on a whole tau grid for several operands, and evolve(d, C, tau) applies the
+map at one tau. scipy.linalg is imported on the first expm only. The map
+preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
+and for constant rates forms a semigroup in tau.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -31,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,10 +82,13 @@ class DissipationChannel:
         if not np.all(np.isfinite(jump.view(float))):
             raise ValueError("jump operator entries must be finite")
         object.__setattr__(self, "jump", jump)
-        if isinstance(self.rate, (int, float)):
-            if not np.isfinite(self.rate) or self.rate < 0.0:
+        if isinstance(self.rate, numbers.Real):
+            rate = float(self.rate)  # numpy scalars included
+            if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError("constant rate must be finite and >= 0")
-            object.__setattr__(self, "rate", float(self.rate))
+            object.__setattr__(self, "rate", rate)
+        elif not isinstance(self.rate, NonMarkovJC):
+            raise TypeError("rate must be a real number or a NonMarkovJC")
 
     @property
     def is_constant(self) -> bool:
@@ -138,7 +137,7 @@ def _kron4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A[:, None, :, None] * B[None, :, None, :]
 
 
-def _superoperator_matrix(channels, dim: int, unit_rates: bool = False) -> np.ndarray:
+def _superoperator_matrix(channels, dim: int) -> np.ndarray:
     # one channel at a time: a (dim,)*4 term is already 16 MB at dim 32
     eye = np.eye(dim)
     M = np.zeros((dim * dim, dim * dim), dtype=complex)
@@ -146,12 +145,17 @@ def _superoperator_matrix(channels, dim: int, unit_rates: bool = False) -> np.nd
         L = ch.jump
         LdL = L.conj().T @ L
         piece = _kron4(L.conj(), L) - 0.5 * (_kron4(eye, LdL) + _kron4(LdL.T, eye))
-        M += (piece if unit_rates else ch.rate * piece).reshape(M.shape)
+        M += (ch.rate * piece).reshape(M.shape)
     return M
 
 
 def build_dissipator(channels, dim: int) -> Dissipator:
-    """Assemble a Dissipator, materializing the superoperator for constant rates."""
+    """Assemble a Dissipator, materializing the superoperator for constant rates.
+
+    A NonMarkovJC rate is accepted only on a single channel at dim 2 whose
+    jump is sigma_- = |g><e| (to 1e-12 on the entries), the one channel
+    whose map has a closed form; anything else raises ValueError.
+    """
     channels = tuple(channels)
     if not channels:
         raise ValueError("at least one dissipation channel is required")
@@ -164,6 +168,9 @@ def build_dissipator(channels, dim: int) -> Dissipator:
     superop = None
     if all(ch.is_constant for ch in channels):
         superop = _superoperator_matrix(channels, dim)
+    elif dim != 2 or len(channels) != 1 or np.abs(channels[0].jump - SIGMA_MINUS).max() > 1e-12:
+        raise ValueError("a NonMarkovJC rate is supported only on a single sigma_- "
+                         "channel at dim 2")
     return Dissipator(dim=dim, channels=channels, superoperator=superop)
 
 
@@ -260,105 +267,31 @@ def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
     return _real_guarded(value, "Gamma(tau)")
 
 
-def _is_sigma_minus_channel(d: Dissipator) -> bool:
-    """One two-level channel whose jump is exactly |g><e|."""
-    if d.dim != 2 or len(d.channels) != 1:
-        return False
-    return bool(np.abs(d.channels[0].jump - SIGMA_MINUS).max() <= 1e-12)
-
-
-def _nonmarkov_pole_in(tau: float, gamma0: float, lam: float) -> bool:
-    """True when gamma(tau') diverges for some tau' in (0, tau].
-
-    Poles exist only at strong coupling (lam < 2 gamma0), at the zeros of
-    q(tau) = cos(delta tau/2) + (lam/delta) sin(delta tau/2); the first one is
-    at tau* = 2(pi - atan(delta/lam))/delta.
-    """
-    if lam >= 2.0 * gamma0:
-        return False
-    ds, scale = _nonmarkov_d(gamma0, lam)
-    delta = ds.imag * scale
-    tau_star = 2.0 * (np.pi - np.arctan2(delta, lam)) / delta
-    return tau >= tau_star
-
-
-def _shared_nonmarkov_rate(d: Dissipator) -> NonMarkovJC:
-    """The one NonMarkovJC rate every channel of d carries.
-
-    Only then is the map a closed form: all channels scale with the same
-    gamma(tau), so the generators at different times commute. Any other mix
-    (constant with time-dependent rates, or memory kernels with different
-    parameters) is refused.
-    """
-    rate = d.channels[0].rate
-    if not isinstance(rate, NonMarkovJC) or any(ch.rate != rate for ch in d.channels):
-        raise NoConvergence(
-            "time-dependent rates are supported only when every channel shares "
-            "one NonMarkovJC rate; this dissipator mixes rates")
-    return rate
-
-
-def _exponent_scales(d: Dissipator, taus) -> tuple[np.ndarray, np.ndarray] | None:
-    """(M, s) with e^{D tau_k} = exp(s_k M) at every tau_k, or None for the
-    single sigma_- channel with a NonMarkovJC rate, whose map is a closed form.
-
-    The one definition of each exponential map. Constant rates: M is the
-    materialized superoperator and s = tau. Channels that all share one
-    NonMarkovJC rate: since gamma(tau) = -2 Gamma'/Gamma, M is the unit-rate
-    superoperator M_1 and s is the integrated rate Lambda(tau) = -2 ln Gamma(tau);
-    NoConvergence when a rate pole lies inside (0, tau]. Any other mix of
-    rates raises NoConvergence, and a negative or non-finite tau NegativeTau.
-    """
-    taus = np.asarray(taus, dtype=float)
-    if not np.isfinite(taus).all():
-        raise NegativeTau("tau must be finite")
-    if (taus < 0.0).any():
-        raise NegativeTau("tau must be >= 0")
-    if d.is_constant:
-        return d.superoperator, taus
-    rate = _shared_nonmarkov_rate(d)
-    if _is_sigma_minus_channel(d):
-        return None
-
-    def integrated_rate(tau: float) -> float:
-        if _nonmarkov_pole_in(tau, rate.gamma0, rate.lam):
-            raise NoConvergence(
-                "the time-dependent rate diverges inside (0, tau] and this channel "
-                "structure has no regular continuation through the pole")
-        # -2 ln Gamma from Gamma = e^a (c + ls) > 0, which stays finite where
-        # Gamma itself underflows (gamma0 tau in the thousands)
-        c, ls, a = _envelope_pieces(rate.gamma0, rate.lam, tau)
-        return -2.0 * (a + np.log(_real_guarded(c + ls, "Gamma(tau)")))
-
-    M_unit = _superoperator_matrix(d.channels, d.dim, unit_rates=True)
-    return M_unit, np.array([integrated_rate(tau) for tau in taus.tolist()])
-
-
-def _exponential_map(M: np.ndarray, s: float, tau: float) -> np.ndarray:
-    """expm(s M), refused with NoConvergence naming tau when it is not finite."""
-    # rates or scales near the float limit overflow s M or the scaling and
-    # squaring inside expm; the map is then refused, never returned as NaN
+def _exponential_map(M: np.ndarray, tau: float) -> np.ndarray:
+    """expm(tau M), refused with NoConvergence naming tau when it is not finite."""
+    # rates near the float limit overflow tau M or the scaling and squaring
+    # inside expm; the map is then refused, never returned as NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        S = expm(s * M)
+        S = expm(tau * M)
     if not np.isfinite(S).all():
         raise NoConvergence(f"the channel map is not finite at tau={tau}")
     return S
 
 
 def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
-                  s: np.ndarray) -> np.ndarray | None:
-    """r^T exp(s_k M) X for every s_k, from one M = V diag(lam) V^-1.
+                  taus: np.ndarray) -> np.ndarray | None:
+    """r^T exp(tau_k M) X for every tau_k, from one M = V diag(lam) V^-1.
 
     None when a guard fails: eig does not converge, cond(V) exceeds
     _EIG_COND_MAX (a nearly defective M), or the exponent bound
-    max|lam| max|s| is not finite. Re lam is clamped to <= 0, since a
+    max|lam| max|tau| is not finite. Re lam is clamped to <= 0, since a
     bounded semigroup has no growing mode and roundoff must not make one,
     and |lam| <= 16 n eps max|lam| (n = dim M) is set to exactly 0: the
     roundoff of a kernel eigenvalue would otherwise decay or grow the
-    steady part at huge s (|lam| s of order 1 at s ~ 1e15). exp(outer(s, lam))
-    is evaluated once per bitwise-distinct lam and its columns gathered, which
-    gives the same bits: the six-level sodium M (36 x 36) has three, 0,
-    -Gamma/2 and -Gamma.
+    steady part at huge tau (|lam| tau of order 1 at tau ~ 1e15).
+    exp(outer(tau, lam)) is evaluated once per bitwise-distinct lam and its
+    columns gathered, which gives the same bits: the six-level sodium M
+    (36 x 36) has three, 0, -Gamma/2 and -Gamma.
     """
     try:
         lam, V = np.linalg.eig(M)
@@ -368,7 +301,7 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
         return None
     # in Python floats: an infinite bound must not raise a numpy overflow warning
     lam_max = max(float(np.abs(lam.real).max()), float(np.abs(lam.imag).max()))
-    if not math.isfinite(lam_max * float(np.abs(s).max())):
+    if not math.isfinite(lam_max * float(np.abs(taus).max())):
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
     lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
@@ -378,28 +311,31 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
     cols = [slot.setdefault(key, len(slot)) for key in lam.view("V16").tolist()]
     distinct = np.empty(len(slot), dtype=complex)
     distinct[cols] = lam
-    return np.take(np.exp(np.multiply.outer(s, distinct)), cols, axis=1) @ weights
+    return np.take(np.exp(np.multiply.outer(taus, distinct)), cols, axis=1) @ weights
 
 
 def traces_over_tau(d: Dissipator, F: np.ndarray, operands, taus) -> np.ndarray:
     """Tr[F e^{D tau_n}(C_j)] for every tau_n of taus and operand C_j, an (N, k) array.
 
-    The single sigma_- channel with a NonMarkovJC rate takes the stacked
-    closed-form maps of _damping_maps, one envelope per nonzero tau.
-    Every other channel takes exp(s_n M) of _exponent_scales from one
+    Constant rates take exp(tau_n M) of the superoperator M from one
     eigendecomposition (_eigen_traces) or, where its guards fail, one expm per
-    nonzero tau from the same (M, s), serving every operand. Closed-form and
-    expm rows are bit for bit Tr[F evolve(d, C_j, tau_n)]. A row that is not
-    finite is returned for the caller to refuse (per-tau evaluation stops
-    there, leaving NaN). NoConvergence names the tau of a map that is not
-    finite, or of a failing envelope when every earlier row is finite.
+    nonzero tau, serving every operand. The sigma_- memory kernel takes the
+    stacked closed-form maps of _damping_maps, one envelope per nonzero tau.
+    Closed-form and expm rows are bit for bit Tr[F evolve(d, C_j, tau_n)]. A
+    row that is not finite is returned for the caller to refuse (per-tau
+    evaluation stops there, leaving NaN). NegativeTau unless every tau is
+    finite and >= 0; NoConvergence names the tau of a map that is not finite,
+    or of a failing envelope when every earlier row is finite.
     """
     taus = np.asarray(taus, dtype=float)
-    form = _exponent_scales(d, taus)
+    if not np.isfinite(taus).all():
+        raise NegativeTau("tau must be finite")
+    if (taus < 0.0).any():
+        raise NegativeTau("tau must be >= 0")
     F = _check_operator(F, d.dim)
     operands = [_check_operator(C, d.dim) for C in operands]
     out = np.full((len(taus), len(operands)), complex(np.nan, np.nan))
-    if form is None:
+    if not d.is_constant:
         rate, G, failure = d.channels[0].rate, [], None
         try:
             for tau in taus.tolist():
@@ -414,15 +350,15 @@ def traces_over_tau(d: Dissipator, F: np.ndarray, operands, taus) -> np.ndarray:
         if failure is not None and np.isfinite(out[:n]).all():
             raise failure
         return out
-    M, s = form
+    M = d.superoperator
     # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
-    traces = _eigen_traces(_vec(F.T), np.stack([_vec(C) for C in operands], axis=1), M, s)
+    traces = _eigen_traces(_vec(F.T), np.stack([_vec(C) for C in operands], axis=1), M, taus)
     if traces is not None:
         return traces
     for k, tau in enumerate(taus.tolist()):
         evolved = operands
         if tau:
-            S = _exponential_map(M, s[k], tau)
+            S = _exponential_map(M, tau)
             evolved = [apply_superoperator(S, C) for C in operands]
         out[k] = [np.trace(F @ C) for C in evolved]
         if not np.isfinite(out[k]).all():  # a larger tau would overflow further
@@ -434,16 +370,15 @@ def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
     """Apply e^{D tau} to an arbitrary operator C: the one-point map of
     traces_over_tau (a copy of C at tau = 0), with the same refusals."""
     tau = float(tau)  # a numpy scalar tau would make the envelope warn on overflow
-    form = _exponent_scales(d, (tau,))
+    _check_tau(tau)
     C = _check_operator(C, d.dim)
     if tau == 0.0:
         return C.copy()
-    if form is None:
+    if not d.is_constant:
         rate = d.channels[0].rate
         G = nonmarkov_big_gamma(tau, rate.gamma0, rate.lam)
         return _damping_maps(C, np.array([G]))[0]
-    M, (s,) = form
-    return apply_superoperator(_exponential_map(M, s, tau), C)
+    return apply_superoperator(_exponential_map(d.superoperator, tau), C)
 
 
 def asymptotic_projector(d: Dissipator) -> np.ndarray:

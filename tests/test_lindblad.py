@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 
 import oracles as orc
 from weaklind import (
     SIGMA_MINUS,
     DissipationChannel,
-    Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
     apply_superoperator,
@@ -142,22 +140,6 @@ def test_two_level_damping_moves_population_down():
 
 # ----------------------------------------------------- time-dependent rate
 
-def test_nonmarkov_gamma_limits():
-    # the integrated rate Lambda(tau) = -2 ln Gamma that scales the unit-rate
-    # generator of a shared memory-kernel channel
-    gamma0, lam = 0.3, 30.0   # weak coupling
-    chain = np.zeros((3, 3), dtype=complex)
-    chain[1, 0] = 1.0
-    d = build_dissipator([DissipationChannel(jump=chain, rate=NonMarkovJC(gamma0, lam))], 3)
-    t = 1e-6
-    _, (at_zero, at_2, past_2, early) = lindblad._exponent_scales(d, [0.0, 2.0, 2.1, t])
-    assert at_zero == 0.0
-    # memoryless limit: the rate saturates at gamma0 once lam*tau >> 1
-    assert abs((past_2 - at_2) / 0.1 - gamma0) < 0.02 * gamma0
-    # the rate grows linearly from 0 with slope gamma0*lam: Lambda ~ gamma0 lam t^2/2
-    assert abs(early / (t * t / 2.0) - gamma0 * lam) < 1e-3 * gamma0 * lam
-
-
 def test_nonmarkov_big_gamma_against_ode():
     for gamma0, lam in ((1.0, 10.0), (1.0, 2.0), (1.0, 0.5)):
         taus = np.linspace(0.0, 5.0, 41)
@@ -214,18 +196,12 @@ def test_nonmarkov_critical_coupling_near_the_float_limit():
 
 
 def test_channel_map_refuses_a_non_finite_map():
-    # expm(s M) past the float range is NaN; the map is refused naming tau,
-    # for a shared memory-kernel rate (Lambda ~ 1e307) and a constant one,
+    # expm(tau M) past the float range is NaN; the map is refused naming tau,
     # one tau at a time and on a grid whose exponent bound sends every tau to expm
-    chain = np.zeros((3, 3), dtype=complex)
-    chain[1, 0] = 1.0
-    shared = build_dissipator(
-        [DissipationChannel(jump=chain, rate=NonMarkovJC(gamma0=1e307, lam=1e308))], dim=3)
     constant = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1e308)], dim=2)
-    for d, taus in ((shared, (0.5, 1.0, 4.0)), (constant, (0.5, 4.0))):
-        for tau in taus:
-            with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
-                evolve(d, np.eye(d.dim, dtype=complex), tau)
+    for tau in (0.5, 4.0):
+        with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
+            evolve(constant, np.eye(2, dtype=complex), tau)
     eye = np.eye(2, dtype=complex)
     with pytest.raises(NoConvergence, match=r"not finite at tau=0\.5"):
         traces_over_tau(constant, eye, [eye], [0.0, 0.5, 4.0])
@@ -295,100 +271,26 @@ def test_nonmarkov_channel_pole_crossing():
         assert np.abs(got - ode).max() < 1e-7
 
 
-def generic_nonmarkov_oracle(jump, dim, C, gamma0, lam, tau):
-    """Unit-rate superoperator scaled by gamma(t) = -2 G'/G, with G integrated
-    alongside the state so no closed-form envelope enters."""
-    M = orc.superop_row([(jump, 1.0)], dim)
-
-    def rhs(t, y):
-        n = dim * dim
-        vc = y[:n] + 1j * y[n:2 * n]
-        G, Gp = y[2 * n], y[2 * n + 1]
-        gam = -2.0 * Gp / G
-        dv = gam * (M @ vc)
-        return np.concatenate([dv.real, dv.imag,
-                               [Gp, -lam * Gp - 0.5 * gamma0 * lam * G]])
-
-    n = dim * dim
-    v0 = orc.vec_row(C)
-    y0 = np.concatenate([v0.real, v0.imag, [1.0, 0.0]])
-    sol = solve_ivp(rhs, (0.0, tau), y0, method="Radau", rtol=1e-11, atol=1e-13)
-    assert sol.success
-    return orc.unvec_row(sol.y[:n, -1] + 1j * sol.y[n:2 * n, -1], dim)
-
-
-def test_nonmarkov_generic_channel_weak_coupling():
-    # a 3-level decay chain keeps the channel off the specialized two-level path
-    gamma0, lam = 0.4, 8.0
-    L = np.zeros((3, 3), dtype=complex)
-    L[1, 0] = 1.0
-    d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=gamma0, lam=lam))], dim=3)
-    rng = np.random.default_rng(5)
-    C = orc.random_matrix(rng, 3)
-    for tau in (0.5, 2.0):
-        got = evolve(d, C, tau)
-        want = generic_nonmarkov_oracle(L, 3, C, gamma0, lam, tau)
-        assert np.abs(got - want).max() < 1e-8
-
-
-def test_nonmarkov_generic_channel_long_times():
-    # Gamma(5000) underflows a double; the chain has fully decayed 0 -> 1
-    L = np.zeros((3, 3), dtype=complex)
-    L[1, 0] = 1.0
-    d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=0.4, lam=8.0))], dim=3)
-    out = evolve(d, np.eye(3, dtype=complex), 5000.0)
-    assert np.abs(out - np.diag([0.0, 2.0, 1.0])).max() < 1e-12
-
-
-def test_nonmarkov_generic_channel_refuses_pole():
-    gamma0, lam = 1.0, 0.5
-    L = np.zeros((3, 3), dtype=complex)
-    L[1, 0] = 1.0
-    d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=gamma0, lam=lam))], dim=3)
-    with pytest.raises(NoConvergence):
-        evolve(d, np.eye(3, dtype=complex), 5.0)
-
-
-def test_nonmarkov_generic_channel_strong_coupling_before_pole():
-    # first pole of gamma(tau) at tau* ~ 4.84
-    gamma0, lam = 1.0, 0.5
-    L = np.zeros((3, 3), dtype=complex)
-    L[1, 0] = 1.0
-    d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=gamma0, lam=lam))], dim=3)
-    rng = np.random.default_rng(29)
-    C = orc.random_matrix(rng, 3)
-    for tau in (1.0, 3.0, 4.5):
-        got = evolve(d, C, tau)
-        want = generic_nonmarkov_oracle(L, 3, C, gamma0, lam, tau)
-        assert np.abs(got - want).max() < 1e-8
-
-
-def test_nonmarkov_generic_channel_refuses_past_second_zero():
-    # Gamma(13) = 0.0172 > 0 again, but the pole at tau* ~ 4.84 was crossed
-    gamma0, lam = 1.0, 0.5
-    assert nonmarkov_big_gamma(13.0, gamma0, lam) > 0.0
-    L = np.zeros((3, 3), dtype=complex)
-    L[1, 0] = 1.0
-    d = build_dissipator([DissipationChannel(jump=L, rate=NonMarkovJC(gamma0=gamma0, lam=lam))], dim=3)
-    with pytest.raises(NoConvergence):
-        evolve(d, np.eye(3, dtype=complex), 13.0)
-
-
-def test_mixed_rates_are_refused():
-    L = np.zeros((3, 3), dtype=complex)
-    L[1, 0] = 1.0
-    K = np.zeros((3, 3), dtype=complex)
-    K[2, 1] = 1.0
+def test_memory_kernel_off_the_sigma_minus_channel_is_refused():
+    # only the single sigma_- channel at dim 2 has a closed-form memory-kernel map
     memory = NonMarkovJC(gamma0=0.4, lam=8.0)
-    mixes = (
-        [DissipationChannel(jump=L, rate=memory), DissipationChannel(jump=K, rate=0.3)],
-        [DissipationChannel(jump=L, rate=memory),
-         DissipationChannel(jump=K, rate=NonMarkovJC(gamma0=0.4, lam=4.0))],
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[1, 0] = 1.0
+    refused = (
+        ([DissipationChannel(jump=chain, rate=memory)], 3),
+        ([DissipationChannel(jump=pauli("z"), rate=memory)], 2),
+        ([DissipationChannel(jump=SIGMA_MINUS, rate=memory)] * 2, 2),
+        ([DissipationChannel(jump=SIGMA_MINUS, rate=memory),
+          DissipationChannel(jump=pauli("z"), rate=0.3)], 2),
+        ([DissipationChannel(jump=SIGMA_MINUS + 1e-11, rate=memory)], 2),
     )
-    for channels in mixes:
-        d = build_dissipator(channels, dim=3)
-        with pytest.raises(NoConvergence):
-            evolve(d, np.eye(3, dtype=complex), 0.5)
+    for channels, dim in refused:
+        with pytest.raises(ValueError, match="single sigma_- channel at dim 2"):
+            build_dissipator(channels, dim=dim)
+    # within 1e-12 of sigma_- on every entry the channel is accepted
+    near = SIGMA_MINUS + 1e-13
+    d = build_dissipator([DissipationChannel(jump=near, rate=memory)], dim=2)
+    assert d.superoperator is None
 
 
 # ------------------------------------------------------------------ limits
@@ -512,12 +414,9 @@ def test_two_level_damping_rejects_a_negative_or_non_finite_rate(gamma):
 def test_channel_map_serves_every_operator_at_one_tau():
     rng = np.random.default_rng(11)
     rate = NonMarkovJC(gamma0=1.0, lam=0.5)
-    chain = np.zeros((3, 3), dtype=complex)
-    chain[1, 0] = 1.0
     dissipators = [
         build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.7)], dim=2),
         build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], dim=2),
-        build_dissipator([DissipationChannel(jump=chain, rate=rate)], dim=3),
     ]
     for d in dissipators:
         F = orc.random_matrix(rng, d.dim)
@@ -546,6 +445,17 @@ def test_channel_validation():
         build_dissipator([], dim=2)
 
 
+def test_numpy_rates_are_constant_rates():
+    for rate, want in ((np.float32(0.5), 0.5), (np.int64(1), 1.0)):
+        got = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], dim=2)
+        ref = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=want)], dim=2)
+        assert got.channels[0].rate == want and got.superoperator is not None
+        assert got.superoperator.tobytes() == ref.superoperator.tobytes()
+    for rate in ("0.5", 1j):
+        with pytest.raises(TypeError, match="real number or a NonMarkovJC"):
+            DissipationChannel(jump=SIGMA_MINUS, rate=rate)
+
+
 def test_steady_state_requires_constant_rates():
     d = build_dissipator(
         [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=1.0, lam=4.0))],
@@ -557,7 +467,7 @@ def test_steady_state_requires_constant_rates():
 
 # ------------------------------------------- bit-for-bit kernel rewrites
 
-def kron_superoperator(channels, dim, unit_rates):
+def kron_superoperator(channels, dim):
     """The column-stacked superoperator written with np.kron, summed channel
     by channel from zero."""
     eye = np.eye(dim)
@@ -566,7 +476,7 @@ def kron_superoperator(channels, dim, unit_rates):
         L = ch.jump
         LdL = L.conj().T @ L
         piece = np.kron(L.conj(), L) - 0.5 * (np.kron(eye, LdL) + np.kron(LdL.T, eye))
-        M += piece if unit_rates else ch.rate * piece
+        M += ch.rate * piece
     return M
 
 
@@ -588,10 +498,8 @@ def test_superoperator_is_the_kron_form_bit_for_bit():
                                           rate=float(rng.choice([0.0, 1.0, rng.uniform(0, 5)])))
                        for _ in range(int(rng.integers(1, 5)))], dim))
     for channels, dim in cases:
-        for unit_rates in (False, True):
-            got = lindblad._superoperator_matrix(channels, dim, unit_rates)
-            want = kron_superoperator(channels, dim, unit_rates)
-            assert got.tobytes() == want.tobytes()
+        got = lindblad._superoperator_matrix(channels, dim)
+        assert got.tobytes() == kron_superoperator(channels, dim).tobytes()
 
 
 def exp_outer_traces(r, X, M, s):

@@ -625,26 +625,12 @@ def eigs(monkeypatch):
     return seen
 
 
-def shared_rate_chain(rate):
-    chain = np.zeros((3, 3), dtype=complex)
-    chain[1, 0] = 1.0
-    return build_dissipator([DissipationChannel(jump=chain, rate=rate)], dim=3)
-
-
 def test_constant_rate_sweep_runs_one_eig_and_no_expm(counts, eigs):
     d = build_dissipator([DissipationChannel(jump=L, rate=1.0)
                           for L, _ in sodium_jump_operators()], dim=6)
     trace_over_tau(random_setup(np.random.default_rng(1), 6), d, GRID)
     assert counts == {"expm": 0, "envelope": 0}
     assert eigs == [(36, 36)]
-
-
-def test_shared_rate_chain_runs_one_eig_and_no_expm(counts, eigs):
-    # strong coupling, every grid point before the first pole at tau* ~ 4.84
-    d = shared_rate_chain(NonMarkovJC(gamma0=1.0, lam=0.5))
-    trace_over_tau(random_setup(np.random.default_rng(3), 3), d, GRID)
-    assert counts == {"expm": 0, "envelope": 0}
-    assert eigs == [(9, 9)]
 
 
 def test_jc_shifts_run_one_eig_per_trace_and_no_expm(counts, eigs, tmp_path, capsys):
@@ -681,29 +667,9 @@ def test_defective_cascade_takes_the_expm_fallback(counts, eigs):
         want, _ = orc.weak_value_row(setup.sigma_i, setup.sigma_fI, setup.A_SI,
                                      channels, 3, tau)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-
-
-def test_shared_rate_cascade_fallback_builds_the_generator_once(counts, eigs, monkeypatch):
-    # the cascade of test_defective_cascade_takes_the_expm_fallback with one
-    # shared memory-kernel rate: every nonzero tau takes expm(Lambda(tau) M_1)
-    # from the one M_1 that the failed eigen kernel was given
-    builds = []
-    build = lindblad._superoperator_matrix
-
-    def counting(*args, **kwargs):
-        builds.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(lindblad, "_superoperator_matrix", counting)
-    jumps = np.zeros((2, 3, 3), dtype=complex)
-    jumps[0, 1, 0] = jumps[1, 2, 1] = 1.0
-    rate = NonMarkovJC(gamma0=0.1, lam=1.0)
-    d = build_dissipator([DissipationChannel(jump=L, rate=rate) for L in jumps], dim=3)
-    setup = random_setup(np.random.default_rng(10), 3)
+    # every fallback row is bit for bit the one-point map of evolve
     taus = np.linspace(0.0, 20.0, 41)
     num, den = weakvalue._postselected_traces(setup, d, taus)
-    assert len(builds) == 1 and len(eigs) == 1
-    assert counts == {"expm": len(taus) - 1, "envelope": 0}
     want = per_point_traces(setup, d, taus)
     assert np.array_equal(bits(num[:, 0]), bits(want[:, 0]))
     assert np.array_equal(bits(den), bits(want[:, 1]))
@@ -875,18 +841,3 @@ def test_huge_tau_reaches_the_projector_limit():
         for value, prob in zip(trace.values[1:], trace.postselection_probs[1:]):
             assert abs(value - want) < 1e-12 * max(1.0, abs(want))
             assert abs(prob - want_prob) < 1e-12 * max(1.0, want_prob)
-
-
-def test_shared_rate_near_the_float_limit_reaches_the_unit_rate_limit():
-    # Lambda(tau) ~ gamma0 tau ~ 1e307: expm(Lambda M_1) is NaN there (and
-    # evolve refuses it), but exp(Lambda lam_k) is exactly 0 or 1 on the
-    # eigen kernel
-    chain = shared_rate_chain(NonMarkovJC(gamma0=1e307, lam=1e308))
-    unit = build_dissipator([DissipationChannel(jump=chain.channels[0].jump, rate=1.0)], dim=3)
-    setup = random_setup(np.random.default_rng(9), 3)
-    trace = trace_over_tau(setup, chain, [1.0, 2.0, 4.0])
-    want = weak_value_limit_infinite(setup, unit)
-    assert not trace.gaps
-    assert np.all(np.abs(trace.values - want) < 1e-12 * max(1.0, abs(want)))
-
-
