@@ -21,7 +21,6 @@ from .lindblad import (
     NonMarkovJC,
     apply_superoperator,
     asymptotic_projector,
-    build_dissipator,
     evolve,
     nonmarkov_big_gamma,
 )

@@ -37,6 +37,7 @@ import math
 import os
 import random
 import sys
+import warnings
 
 import numpy as np
 
@@ -547,34 +548,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "scenario":
-            if args.seed is not None and not (0 <= args.seed < 2**64):
-                print("error: --seed must fit in an unsigned 64-bit integer",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-            if args.channel is not None and args.name != "classify":
-                print("error: --channel applies to the 'classify' scenario only",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-            fmt = _resolve_format(None, args.format)
-            return cmd_scenario(args.name, args.out, fmt, args.channel, args.seed)
-        cfg = load_config(args.config)
-        out_dir = _resolve_out(cfg, args.out)
-        if args.command == "weak-value":
-            fmt = _resolve_format(cfg, args.format)
-            return cmd_weak_value(cfg, out_dir, fmt)
-        if args.command == "shifts":
-            fmt = _resolve_format(cfg, args.format)
-            return cmd_shifts(cfg, out_dir, fmt)
-        return cmd_invert(cfg, out_dir)
-    except WeaklindError as exc:
-        # ConfigError, NoConvergence and any library error the commands do
-        # not map to a code of their own
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        # a library warning (the rotating-wave guard) is one plain stderr line
+        warnings.showwarning = _print_warning
+        try:
+            if args.command == "scenario":
+                if args.seed is not None and not (0 <= args.seed < 2**64):
+                    print("error: --seed must fit in an unsigned 64-bit integer",
+                          file=sys.stderr)
+                    return EXIT_CONFIG
+                if args.channel is not None and args.name != "classify":
+                    print("error: --channel applies to the 'classify' scenario only",
+                          file=sys.stderr)
+                    return EXIT_CONFIG
+                fmt = _resolve_format(None, args.format)
+                return cmd_scenario(args.name, args.out, fmt, args.channel, args.seed)
+            cfg = load_config(args.config)
+            out_dir = _resolve_out(cfg, args.out)
+            if args.command == "weak-value":
+                fmt = _resolve_format(cfg, args.format)
+                return cmd_weak_value(cfg, out_dir, fmt)
+            if args.command == "shifts":
+                fmt = _resolve_format(cfg, args.format)
+                return cmd_shifts(cfg, out_dir, fmt)
+            return cmd_invert(cfg, out_dir)
+        except WeaklindError as exc:
+            # ConfigError, NoConvergence and any library error the commands do
+            # not map to a code of their own
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, WeaklindError
-from .lindblad import DissipationChannel, Dissipator, NonMarkovJC, build_dissipator
+from .lindblad import DissipationChannel, Dissipator, NonMarkovJC
 from .operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -428,8 +428,8 @@ def _bounded(A: np.ndarray, what: str) -> np.ndarray:
     return A
 
 
-def build_channel(cfg: RunConfig) -> tuple[Dissipator, float]:
-    """Dissipator plus its characteristic rate (the CSV abscissa scale).
+def build_channel(cfg: RunConfig) -> tuple[Dissipator | NonMarkovJC, float]:
+    """The dissipator plus its characteristic rate (the CSV abscissa scale).
 
     The characteristic rate is gamma for amplitude damping, the common rate
     for the six-level pumping channels, gamma0 for the memory kernel, and
@@ -440,20 +440,17 @@ def build_channel(cfg: RunConfig) -> tuple[Dissipator, float]:
     if spec.named == "amplitude_damping":
         if dim != 2:
             raise ConfigError(f"channel 'amplitude_damping' needs dimension 2, got {dim}")
-        d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=spec.gamma)], 2)
-        return d, spec.gamma
+        return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=spec.gamma)]), spec.gamma
     if spec.named == "sodium":
         if dim != 6:
             raise ConfigError(f"channel 'sodium' needs dimension 6, got {dim}")
         channels = [DissipationChannel(jump=L, rate=spec.rate)
                     for L, _ in sodium_jump_operators()]
-        return build_dissipator(channels, 6), spec.rate
+        return Dissipator(channels), spec.rate
     if spec.named == "nonmarkov_jc":
         if dim != 2:
             raise ConfigError(f"channel 'nonmarkov_jc' needs dimension 2, got {dim}")
-        rate = NonMarkovJC(gamma0=spec.gamma0, lam=spec.lam)
-        d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], 2)
-        return d, spec.gamma0
+        return NonMarkovJC(gamma0=spec.gamma0, lam=spec.lam), spec.gamma0
     channels = []
     for k, (rows, r) in enumerate(zip(spec.jumps, spec.rates)):
         jump = _pairs_to_matrix(rows, f"channel.jumps[{k}]")
@@ -461,10 +458,7 @@ def build_channel(cfg: RunConfig) -> tuple[Dissipator, float]:
             raise ConfigError(
                 f"channel.jumps[{k}] shape {jump.shape} does not match dimension {dim}")
         channels.append(DissipationChannel(jump=jump, rate=r))
-    try:
-        return build_dissipator(channels, dim), spec.rates[0]
-    except WeaklindError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Dissipator(channels), spec.rates[0]
 
 
 def build_tau_grid(cfg: RunConfig) -> np.ndarray:

@@ -5,14 +5,15 @@ is
 
     D(C) = sum_i gamma_i (L_i C L_i' - 1/2 {L_i' L_i, C}),
 
-with jump operators L_i and nonnegative rates gamma_i. Each kind of channel
-has one map. Constant rates take exp(tau M) of the materialized
-superoperator M, and the tau -> infinity limit P = R (L' R)^{-1} L' comes
-from the right and left kernels R and L of one SVD of M. The named
-time-dependent rate (the non-Markovian damped-atom channel) is accepted only
-on a single sigma_- channel at dim 2, where the map is closed form through
-the excited-amplitude envelope Gamma(tau); nothing is integrated
-numerically. traces_over_tau(d, F, operands, taus) gives Tr[F e^{D tau}(C)]
+with jump operators L_i and nonnegative rates gamma_i. There are two kinds of
+dissipator, each with one map. Dissipator(channels) holds constant rates and
+takes exp(tau M) of its materialized superoperator M; the tau -> infinity
+limit P = R (L' R)^{-1} L' comes from the right and left kernels R and L of
+one SVD of M. NonMarkovJC(gamma0, lam) is the sigma_- channel of the
+non-Markovian damped atom at dim 2, whose time-dependent rate is the memory
+kernel; its map is closed form through the excited-amplitude envelope
+Gamma(tau), and nothing is integrated numerically. Both check themselves when
+they are made. traces_over_tau(d, F, operands, taus) gives Tr[F e^{D tau}(C)]
 on a whole tau grid for several operands, and evolve(d, C, tau) applies the
 map at one tau. scipy.linalg is imported on the first expm only. The map
 preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeTau, NoConvergence
-from .operators import SIGMA_MINUS, _cmul
+from .operators import _cmul
 
 _KERNEL_TOL = 1e-9
 _EIG_COND_MAX = 1e4
@@ -40,11 +41,11 @@ _EIG_COND_MAX = 1e4
 
 @dataclass(frozen=True)
 class NonMarkovJC:
-    """Time-dependent decay rate of a two-level atom in a lossy cavity.
+    """The sigma_- channel of a two-level atom in a lossy cavity.
 
     A single excitation exchanged with a Lorentzian reservoir of width lam
-    (memory time 1/lam) and Markovian-limit rate gamma0 gives the
-    time-convolutionless rate
+    (memory time 1/lam) and Markovian-limit rate gamma0 decays through the
+    jump sigma_- = |g><e| at the time-convolutionless rate
 
         gamma(tau) = 2 gamma0 lam sinh(d tau/2) / (d cosh(d tau/2) + lam sinh(d tau/2)),
         d = sqrt(lam^2 - 2 gamma0 lam).
@@ -57,6 +58,7 @@ class NonMarkovJC:
 
     gamma0: float
     lam: float
+    dim = 2
 
     def __post_init__(self) -> None:
         _check_memory_kernel(self.gamma0, self.lam)
@@ -70,10 +72,10 @@ def _check_memory_kernel(gamma0: float, lam: float) -> None:
 
 @dataclass(frozen=True)
 class DissipationChannel:
-    """One jump operator with a constant or named time-dependent rate."""
+    """One jump operator with a constant rate."""
 
     jump: np.ndarray
-    rate: float | NonMarkovJC
+    rate: float
 
     def __post_init__(self) -> None:
         jump = np.asarray(self.jump, dtype=complex)
@@ -82,31 +84,37 @@ class DissipationChannel:
         if not np.all(np.isfinite(jump.view(float))):
             raise ValueError("jump operator entries must be finite")
         object.__setattr__(self, "jump", jump)
-        if isinstance(self.rate, numbers.Real):
-            rate = float(self.rate)  # numpy scalars included
-            if not math.isfinite(rate) or rate < 0.0:
-                raise ValueError("constant rate must be finite and >= 0")
-            object.__setattr__(self, "rate", rate)
-        elif not isinstance(self.rate, NonMarkovJC):
-            raise TypeError("rate must be a real number or a NonMarkovJC")
-
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self.rate, float)
+        if not isinstance(self.rate, numbers.Real):  # a NonMarkovJC is a dissipator
+            raise TypeError("rate must be a real number")
+        rate = float(self.rate)  # numpy scalars included
+        if not math.isfinite(rate) or rate < 0.0:
+            raise ValueError("constant rate must be finite and >= 0")
+        object.__setattr__(self, "rate", rate)
 
 
 @dataclass(frozen=True)
 class Dissipator:
-    """A set of channels on a fixed dimension, with the materialized
-    superoperator cached when all rates are constant."""
+    """Constant-rate channels whose jumps share one shape; dim and the
+    materialized superoperator come from them when the dissipator is made."""
 
-    dim: int
     channels: tuple[DissipationChannel, ...]
-    superoperator: np.ndarray | None = field(repr=False, default=None)
+    dim: int = field(init=False)
+    superoperator: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def is_constant(self) -> bool:
-        return all(ch.is_constant for ch in self.channels)
+    def __post_init__(self) -> None:
+        channels = tuple(self.channels)
+        if not channels:
+            raise ValueError("at least one dissipation channel is required")
+        if not all(isinstance(ch, DissipationChannel) for ch in channels):
+            raise TypeError("channels must be DissipationChannel instances")
+        dim = channels[0].jump.shape[0]
+        for ch in channels:
+            if ch.jump.shape != (dim, dim):
+                raise DimensionMismatch(
+                    f"jump operator shape {ch.jump.shape} does not match dim {dim}")
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "superoperator", _superoperator_matrix(channels, dim))
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -147,31 +155,6 @@ def _superoperator_matrix(channels, dim: int) -> np.ndarray:
         piece = _kron4(L.conj(), L) - 0.5 * (_kron4(eye, LdL) + _kron4(LdL.T, eye))
         M += (ch.rate * piece).reshape(M.shape)
     return M
-
-
-def build_dissipator(channels, dim: int) -> Dissipator:
-    """Assemble a Dissipator, materializing the superoperator for constant rates.
-
-    A NonMarkovJC rate is accepted only on a single channel at dim 2 whose
-    jump is sigma_- = |g><e| (to 1e-12 on the entries), the one channel
-    whose map has a closed form; anything else raises ValueError.
-    """
-    channels = tuple(channels)
-    if not channels:
-        raise ValueError("at least one dissipation channel is required")
-    for ch in channels:
-        if not isinstance(ch, DissipationChannel):
-            raise TypeError("channels must be DissipationChannel instances")
-        if ch.jump.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"jump operator shape {ch.jump.shape} does not match dim {dim}")
-    superop = None
-    if all(ch.is_constant for ch in channels):
-        superop = _superoperator_matrix(channels, dim)
-    elif dim != 2 or len(channels) != 1 or np.abs(channels[0].jump - SIGMA_MINUS).max() > 1e-12:
-        raise ValueError("a NonMarkovJC rate is supported only on a single sigma_- "
-                         "channel at dim 2")
-    return Dissipator(dim=dim, channels=channels, superoperator=superop)
 
 
 def _check_tau(tau: float) -> None:
@@ -314,18 +297,18 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
     return np.take(np.exp(np.multiply.outer(taus, distinct)), cols, axis=1) @ weights
 
 
-def traces_over_tau(d: Dissipator, F: np.ndarray, operands, taus) -> np.ndarray:
+def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
+                    taus) -> np.ndarray:
     """Tr[F e^{D tau_n}(C_j)] for every tau_n of taus and operand C_j, an (N, k) array.
 
     Constant rates take exp(tau_n M) of the superoperator M from one
     eigendecomposition (_eigen_traces) or, where its guards fail, one expm per
     nonzero tau, serving every operand. The sigma_- memory kernel takes the
     stacked closed-form maps of _damping_maps, one envelope per nonzero tau.
-    Closed-form and expm rows are bit for bit Tr[F evolve(d, C_j, tau_n)]. A
-    row that is not finite is returned for the caller to refuse (per-tau
-    evaluation stops there, leaving NaN). NegativeTau unless every tau is
-    finite and >= 0; NoConvergence names the tau of a map that is not finite,
-    or of a failing envelope when every earlier row is finite.
+    Closed-form and expm rows are bit for bit Tr[F evolve(d, C_j, tau_n)].
+    NegativeTau unless every tau is finite and >= 0. NoConvergence names the
+    first tau whose row of traces or whose expm is not finite, or, when every
+    earlier row is finite, the tau of a failing envelope.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.isfinite(taus).all():
@@ -334,39 +317,43 @@ def traces_over_tau(d: Dissipator, F: np.ndarray, operands, taus) -> np.ndarray:
         raise NegativeTau("tau must be >= 0")
     F = _check_operator(F, d.dim)
     operands = [_check_operator(C, d.dim) for C in operands]
-    out = np.full((len(taus), len(operands)), complex(np.nan, np.nan))
-    if not d.is_constant:
-        rate, G, failure = d.channels[0].rate, [], None
+    if isinstance(d, NonMarkovJC):
+        G, failure = [], None
         try:
             for tau in taus.tolist():
-                G.append(nonmarkov_big_gamma(tau, rate.gamma0, rate.lam) if tau else 1.0)
+                G.append(nonmarkov_big_gamma(tau, d.gamma0, d.lam) if tau else 1.0)
         except NoConvergence as exc:
             failure = exc
-        n = len(G)
-        at_zero = (taus[:n] == 0.0)[:, None, None]  # the identity, not the map at G = 1
+        at_zero = (taus[:len(G)] == 0.0)[:, None, None]  # the identity, not the map at G = 1
+        traces = np.empty((len(G), len(operands)), dtype=complex)
         for j, C in enumerate(operands):
             maps = np.where(at_zero, C, _damping_maps(C, np.array(G)))
-            out[:n, j] = np.trace(F @ maps, axis1=1, axis2=2)
-        if failure is not None and np.isfinite(out[:n]).all():
+            traces[:, j] = np.trace(F @ maps, axis1=1, axis2=2)
+        if failure is not None and np.isfinite(traces).all():
             raise failure
-        return out
-    M = d.superoperator
-    # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
-    traces = _eigen_traces(_vec(F.T), np.stack([_vec(C) for C in operands], axis=1), M, taus)
-    if traces is not None:
-        return traces
-    for k, tau in enumerate(taus.tolist()):
-        evolved = operands
-        if tau:
-            S = _exponential_map(M, tau)
-            evolved = [apply_superoperator(S, C) for C in operands]
-        out[k] = [np.trace(F @ C) for C in evolved]
-        if not np.isfinite(out[k]).all():  # a larger tau would overflow further
-            break
-    return out
+    else:
+        M = d.superoperator
+        # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
+        traces = _eigen_traces(_vec(F.T), np.stack([_vec(C) for C in operands], axis=1), M,
+                               taus)
+        if traces is None:
+            traces = np.full((len(taus), len(operands)), complex(np.nan, np.nan))
+            for k, tau in enumerate(taus.tolist()):
+                evolved = operands
+                if tau:
+                    S = _exponential_map(M, tau)
+                    evolved = [apply_superoperator(S, C) for C in operands]
+                traces[k] = [np.trace(F @ C) for C in evolved]
+                if not np.isfinite(traces[k]).all():  # a larger tau would overflow further
+                    break
+    bad = ~np.isfinite(traces).all(axis=1)
+    if bad.any():
+        raise NoConvergence(
+            f"the evolved traces are not finite at tau={taus[bad.argmax()].item()}")
+    return traces
 
 
-def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
+def evolve(d: Dissipator | NonMarkovJC, C: np.ndarray, tau: float) -> np.ndarray:
     """Apply e^{D tau} to an arbitrary operator C: the one-point map of
     traces_over_tau (a copy of C at tau = 0), with the same refusals."""
     tau = float(tau)  # a numpy scalar tau would make the envelope warn on overflow
@@ -374,14 +361,13 @@ def evolve(d: Dissipator, C: np.ndarray, tau: float) -> np.ndarray:
     C = _check_operator(C, d.dim)
     if tau == 0.0:
         return C.copy()
-    if not d.is_constant:
-        rate = d.channels[0].rate
-        G = nonmarkov_big_gamma(tau, rate.gamma0, rate.lam)
+    if isinstance(d, NonMarkovJC):
+        G = nonmarkov_big_gamma(tau, d.gamma0, d.lam)
         return _damping_maps(C, np.array([G]))[0]
     return apply_superoperator(_exponential_map(d.superoperator, tau), C)
 
 
-def asymptotic_projector(d: Dissipator) -> np.ndarray:
+def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
     """The superoperator P = lim_{tau->inf} e^{D tau} (constant rates).
 
     Spectral projector onto the kernel of the superoperator M along the
@@ -393,7 +379,7 @@ def asymptotic_projector(d: Dissipator) -> np.ndarray:
     PRA 89, 022118, 2014), so L' R is invertible. Never computed by
     large-tau propagation.
     """
-    if not d.is_constant:
+    if isinstance(d, NonMarkovJC):
         raise NoConvergence("asymptotic projector requires constant rates")
     U, svals, Vh = np.linalg.svd(d.superoperator)
     n_zero = int(np.sum(svals < _KERNEL_TOL))

@@ -12,7 +12,7 @@ growth of Re(wv) gives the decay rate; read off the memory kernel, its
 quadratic growth gives the kernel width; the classifier tells the two apart.
 
 Two tables drive the scenarios: SHORT_TIME_CHANNELS names the protocol's
-channels (rate, tau scale, reported parameters, expected classifier
+channels (dissipator, tau scale, reported parameters, expected classifier
 verdict), and SCENARIOS maps each CLI name to its run.
 
 All scenarios are deterministic; Gaussian noise is injected only when an
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateFit, ScenarioAssertionError
-from .lindblad import DissipationChannel, Dissipator, NonMarkovJC, build_dissipator
+from .lindblad import DissipationChannel, Dissipator, NonMarkovJC
 from .operators import SIGMA_MINUS, SIGMA_X, jy_six_level, pure_density, sodium_jump_operators
 from .weakvalue import (
     WeakMeasurementSetup,
@@ -83,7 +83,7 @@ def _alkali_setup(post: str) -> tuple[WeakMeasurementSetup, Dissipator]:
     psi_f = pure_density(_ALKALI_POST[post])
     setup = WeakMeasurementSetup(sigma_i=psi_i, sigma_fI=psi_f, A_SI=jy_six_level())
     channels = [DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()]
-    return setup, build_dissipator(channels, 6)
+    return setup, Dissipator(channels)
 
 
 def sodium_anomalous() -> ScenarioResult:
@@ -276,7 +276,7 @@ def classify_markovianity(samples) -> MarkovianityVerdict:
 
 
 class ShortTimeChannel(NamedTuple):
-    rate: float | NonMarkovJC
+    dissipator: Dissipator | NonMarkovJC
     tau_scale: float        # taus = linspace(1e-3, 1e-2, 10) / tau_scale
     params: dict            # what its verdicts report
     expected: str           # the classifier's verdict on its data
@@ -286,7 +286,9 @@ class ShortTimeChannel(NamedTuple):
 # A = sigma_x, one sigma_- channel, and ten points with rate*tau in [1e-3, 1e-2].
 EPSILON = 0.01
 SHORT_TIME_CHANNELS = {
-    "amplitude_damping": ShortTimeChannel(0.1, 0.1, {"gamma": 0.1}, "Markovian"),
+    "amplitude_damping": ShortTimeChannel(
+        Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.1)]), 0.1, {"gamma": 0.1},
+        "Markovian"),
     "nonmarkov_jc": ShortTimeChannel(NonMarkovJC(gamma0=0.1, lam=1.0), 1.0,
                                      {"gamma0": 0.1, "lam": 1.0}, "strongly-non-Markovian"),
 }
@@ -297,8 +299,7 @@ def _short_time_data(channel: str, rng: np.random.Generator | None,
     """The protocol's exact weak values on a named channel, noised when rng is
     given and led by a tau = 0 sample when with_zero, and the verdict entries
     that every short-time scenario reports."""
-    rate, scale, params, _ = SHORT_TIME_CHANNELS[channel]
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], 2)
+    d, scale, params, _ = SHORT_TIME_CHANNELS[channel]
     rho_i, rho_f = epsilon_states(EPSILON)
     setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=SIGMA_X)
     taus = np.linspace(1e-3, 1e-2, 10) / scale

@@ -14,11 +14,11 @@ from test_lindblad import random_setup
 from test_meter import _jc_case, _rabi_case
 from weaklind import (
     DissipationChannel,
+    Dissipator,
     NonMarkovJC,
     SIGMA_MINUS,
     WeakMeasurementSetup,
     bloch_to_density,
-    build_dissipator,
     classify_markovianity,
     epsilon_states,
     evolve,
@@ -39,7 +39,7 @@ def _passed(num: int, detail: str) -> None:
 
 
 def _damping(gamma: float):
-    return build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], 2)
+    return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
 
 
 def test_criterion_01_sodium_anomalous_endpoints():
@@ -163,9 +163,7 @@ def test_criterion_07_quadratic_law_exponent_and_classifier_grid():
     # remainder of the quadratic law is third order once the tau = 0 offset
     # (an O(eps) state-normalization artifact) is calibrated out
     gamma0, lam, eps = 0.1, 1.0, 0.01
-    d = build_dissipator(
-        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=gamma0, lam=lam))],
-        2)
+    d = NonMarkovJC(gamma0=gamma0, lam=lam)
     rho_i, rho_f = epsilon_states(eps)
     setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=pauli("x"))
     delta0 = (weak_value_dissipative(setup, d, 0.0).value
@@ -205,9 +203,7 @@ def test_criterion_08_memory_kernel_channel_certification():
     for lam in (10.0, 0.5):
         taus = np.linspace(0.0, 5.0, 26) / gamma0
         gamma_ode = orc.big_gamma_ode(taus, gamma0, lam)
-        d = build_dissipator(
-            [DissipationChannel(jump=SIGMA_MINUS,
-                                rate=NonMarkovJC(gamma0=gamma0, lam=lam))], 2)
+        d = NonMarkovJC(gamma0=gamma0, lam=lam)
         for tau, g_ref in zip(taus, gamma_ode):
             assert abs(nonmarkov_big_gamma(float(tau), gamma0, lam) - g_ref) < 1e-7
             want = orc.nonmarkov_apply_ode(rho, gamma0, lam, float(tau))
@@ -250,7 +246,7 @@ def test_criterion_11_structural_property_suite():
     # trace preservation
     for seed in range(100):
         rng, dim, channels = random_setup(seed)
-        d = build_dissipator(channels, dim)
+        d = Dissipator(channels)
         rho = orc.random_density(rng, dim)
         tau = float(rng.uniform(0.0, 3.0))
         out = evolve(d, rho, tau)
@@ -259,7 +255,7 @@ def test_criterion_11_structural_property_suite():
     # dagger commutation: evolving the adjoint equals adjoint of the evolved
     for seed in range(100, 200):
         rng, dim, channels = random_setup(seed)
-        d = build_dissipator(channels, dim)
+        d = Dissipator(channels)
         C = orc.random_matrix(rng, dim)
         tau = float(rng.uniform(0.0, 3.0))
         lhs = evolve(d, C.conj().T, tau)
@@ -269,7 +265,7 @@ def test_criterion_11_structural_property_suite():
     # semigroup law for constant rates
     for seed in range(200, 300):
         rng, dim, channels = random_setup(seed)
-        d = build_dissipator(channels, dim)
+        d = Dissipator(channels)
         C = orc.random_matrix(rng, dim)
         t1, t2 = rng.uniform(0.1, 2.0, size=2)
         lhs = evolve(d, evolve(d, C, float(t1)), float(t2))
@@ -279,7 +275,7 @@ def test_criterion_11_structural_property_suite():
     # weak-value linearity in the observable, and identity normalization
     for seed in range(300, 400):
         rng, dim, channels = random_setup(seed)
-        d = build_dissipator(channels, dim)
+        d = Dissipator(channels)
         sigma_i = orc.random_density(rng, dim)
         sigma_fI = orc.random_density(rng, dim)
         tau = float(rng.uniform(0.0, 2.0))

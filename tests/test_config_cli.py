@@ -453,6 +453,25 @@ def test_weak_value_json_format(tmp_path):
     assert doc["gamma_tau"][-1] == pytest.approx(0.5 * 2.0)
 
 
+@pytest.mark.parametrize("channel, description", [
+    ({"named": "nonmarkov_jc", "gamma0": 1.0, "lam": 0.5},
+     "dim=2; jump#a1df78a2841e nonmarkov(gamma0=1.0, lam=0.5)"),
+    ({"named": "amplitude_damping", "gamma": 0.5}, "dim=2; jump#a1df78a2841e rate=0.5"),
+])
+def test_weak_value_json_metadata_bytes(tmp_path, channel, description):
+    # the sigma_- jump hash and the rate tags are part of the output files
+    payload = two_level_config(channel=channel, output={"format": "json"})
+    payload["system"]["pre"] = {"bloch": [0.6, 0.2, 0.5]}
+    payload["system"]["post"] = {"bloch": [0.3, -0.5, -0.7]}
+    out = tmp_path / "out"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 0
+    metadata = json.loads((out / "weak_value.json").read_text())["metadata"]
+    assert metadata["channel"] == description
+    assert metadata["setup_hash"] == (
+        "57db857b85f56f24f4daa18bc39c3b7d058f24577eaee6406a7678a798dfaa7c")
+
+
 def test_weak_value_identity_observable_is_one(tmp_path):
     cfg = write_cfg(tmp_path, two_level_config(observable={"named": "identity"}))
     out = tmp_path / "out"
@@ -788,10 +807,9 @@ def test_shifts_rabi_csv(tmp_path):
     assert header == ["gamma_tau", "q_shift", "p_shift", "re_wv", "im_wv"]
     assert len(rows) == 5
     # reproduce one row through the library
-    from weaklind import (DissipationChannel, SIGMA_MINUS, SIGMA_X,
-                          WeakMeasurementSetup, bloch_to_density,
-                          build_dissipator, weak_value_dissipative)
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.5)], dim=2)
+    from weaklind import (DissipationChannel, Dissipator, SIGMA_MINUS, SIGMA_X,
+                          WeakMeasurementSetup, bloch_to_density, weak_value_dissipative)
+    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.5)])
     setup = WeakMeasurementSetup(
         sigma_i=bloch_to_density([0.55, 0.15, 0.6]),
         sigma_fI=bloch_to_density([-0.3, 0.45, -0.5]),
@@ -1029,11 +1047,13 @@ def test_invert_refuses_an_occupation_on_a_vacuum_meter(tmp_path, capsys):
     assert code == 0
 
 
-def test_invert_jc_warns_off_resonance(tmp_path):
+def test_invert_jc_warns_off_resonance(tmp_path, capsys):
+    # one plain stderr line: no source path, line number or echoed source
     meter = {"omega_f": 1.3, "g": 0.001, "t": 1.0, "Delta": 0.2, "model": "jc"}
-    with pytest.warns(UserWarning, match="rotating-wave"):
-        code, _ = _invert_cli(tmp_path, meter, 0.01, 0.02, 0.3)
+    code, _ = _invert_cli(tmp_path, meter, 0.01, 0.02, 0.3)
     assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: Delta*t = 0.2 outside the rotating-wave validity guard 0.05\n")
 
 
 @pytest.mark.parametrize("meter", [

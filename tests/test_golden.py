@@ -10,9 +10,9 @@ import make_golden
 from weaklind import (
     SIGMA_MINUS,
     DissipationChannel,
+    Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
-    build_dissipator,
     jy_six_level,
     pauli,
     pure_density,
@@ -42,10 +42,7 @@ def check_trace(rows, setup, dissipator, char_rate, tol):
 
 
 def sodium_setup(post_amps):
-    d = build_dissipator(
-        [DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()],
-        dim=6,
-    )
+    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()])
     setup = WeakMeasurementSetup(
         sigma_i=pure_density(make_golden.ALKALI_PRE),
         sigma_fI=pure_density(post_amps),
@@ -66,7 +63,7 @@ def test_sodium_constant_matches_golden():
 
 def test_twolevel_damping_matches_golden():
     gamma = 0.25
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], dim=2)
+    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
     setup = WeakMeasurementSetup(
         sigma_i=np.array([[0.55, 0.15 - 0.2j], [0.15 + 0.2j, 0.45]]),
         sigma_fI=np.array([[0.8, 0.1 - 0.25j], [0.1 + 0.25j, 0.2]]),
@@ -77,10 +74,7 @@ def test_twolevel_damping_matches_golden():
 
 def test_nonmarkov_strong_matches_golden():
     # strong coupling: the rate pole sits inside the tau range
-    d = build_dissipator(
-        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=1.0, lam=0.5))],
-        dim=2,
-    )
+    d = NonMarkovJC(gamma0=1.0, lam=0.5)
     setup = WeakMeasurementSetup(
         sigma_i=pure_density([0.6, 0.8]),
         sigma_fI=np.array([[0.65, 0.15 + 0.15j], [0.15 - 0.15j, 0.35]]),

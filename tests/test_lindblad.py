@@ -11,11 +11,11 @@ import oracles as orc
 from weaklind import (
     SIGMA_MINUS,
     DissipationChannel,
+    Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
     apply_superoperator,
     asymptotic_projector,
-    build_dissipator,
     evolve,
     nonmarkov_big_gamma,
     pauli,
@@ -48,7 +48,7 @@ def as_oracle(channels):
 @given(seeds)
 def test_evolve_matches_row_stacking_oracle(seed):
     rng, dim, channels = random_setup(seed)
-    d = build_dissipator(channels, dim=dim)
+    d = Dissipator(channels)
     C = orc.random_matrix(rng, dim)
     for tau in (0.3, 1.7):
         got = evolve(d, C, tau)
@@ -59,7 +59,7 @@ def test_evolve_matches_row_stacking_oracle(seed):
 @given(seeds)
 def test_generator_is_trace_free(seed):
     rng, dim, channels = random_setup(seed)
-    d = build_dissipator(channels, dim=dim)
+    d = Dissipator(channels)
     C = orc.random_matrix(rng, dim)
     DC = orc.unvec_row(orc.superop_row(as_oracle(channels), dim) @ orc.vec_row(C), dim)
     assert abs(np.trace(DC)) < 1e-12 * max(1.0, np.abs(C).max())
@@ -68,7 +68,7 @@ def test_generator_is_trace_free(seed):
 @given(seeds)
 def test_trace_preservation(seed):
     rng, dim, channels = random_setup(seed)
-    d = build_dissipator(channels, dim=dim)
+    d = Dissipator(channels)
     C = orc.random_matrix(rng, dim)
     tau = float(rng.uniform(0.0, 3.0))
     assert abs(np.trace(evolve(d, C, tau)) - np.trace(C)) < 1e-10
@@ -78,7 +78,7 @@ def test_trace_preservation(seed):
 def test_dagger_commutation(seed):
     # evolving C-dagger equals the dagger of evolving C
     rng, dim, channels = random_setup(seed)
-    d = build_dissipator(channels, dim=dim)
+    d = Dissipator(channels)
     C = orc.random_matrix(rng, dim)
     tau = float(rng.uniform(0.0, 3.0))
     lhs = evolve(d, C.conj().T, tau)
@@ -89,7 +89,7 @@ def test_dagger_commutation(seed):
 @given(seeds)
 def test_semigroup_property(seed):
     rng, dim, channels = random_setup(seed)
-    d = build_dissipator(channels, dim=dim)
+    d = Dissipator(channels)
     C = orc.random_matrix(rng, dim)
     s, t = float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.05, 1.5))
     assert np.abs(evolve(d, C, s + t) - evolve(d, evolve(d, C, t), s)).max() < 1e-9
@@ -98,7 +98,7 @@ def test_semigroup_property(seed):
 @given(seeds)
 def test_evolve_linearity(seed):
     rng, dim, channels = random_setup(seed)
-    d = build_dissipator(channels, dim=dim)
+    d = Dissipator(channels)
     A, B = orc.random_matrix(rng, dim), orc.random_matrix(rng, dim)
     al = complex(rng.standard_normal(), rng.standard_normal())
     be = complex(rng.standard_normal(), rng.standard_normal())
@@ -110,7 +110,7 @@ def test_evolve_linearity(seed):
 
 def test_positivity_preserved_on_densities():
     rng = np.random.default_rng(7)
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.8)], dim=2)
+    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.8)])
     for _ in range(50):
         rho = orc.random_density(rng, 2)
         out = evolve(d, rho, float(rng.uniform(0, 4)))
@@ -118,7 +118,7 @@ def test_positivity_preserved_on_densities():
 
 
 def damping(gamma):
-    return build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], dim=2)
+    return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
 
 
 def test_two_level_damping_closed_form():
@@ -166,10 +166,7 @@ def test_nonmarkov_short_memory_does_not_overflow():
         want = (0.5 * np.exp(-gamma0 * lam * tau / (d + lam)) * (1.0 + lam / d)
                 + 0.5 * np.exp(-(d + lam) * tau / 2.0) * (1.0 - lam / d))
         assert abs(nonmarkov_big_gamma(tau, gamma0, lam) - want) < 1e-14
-    d = build_dissipator(
-        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=gamma0, lam=lam))],
-        dim=2,
-    )
+    d = NonMarkovJC(gamma0=gamma0, lam=lam)
     out = evolve(d, np.diag([1.0, 0.0]).astype(complex), 20.0)
     assert np.all(np.isfinite(out))
     assert abs(np.trace(out) - 1.0) < 1e-14
@@ -198,13 +195,22 @@ def test_nonmarkov_critical_coupling_near_the_float_limit():
 def test_channel_map_refuses_a_non_finite_map():
     # expm(tau M) past the float range is NaN; the map is refused naming tau,
     # one tau at a time and on a grid whose exponent bound sends every tau to expm
-    constant = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1e308)], dim=2)
+    constant = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1e308)])
     for tau in (0.5, 4.0):
         with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
             evolve(constant, np.eye(2, dtype=complex), tau)
     eye = np.eye(2, dtype=complex)
     with pytest.raises(NoConvergence, match=r"not finite at tau=0\.5"):
         traces_over_tau(constant, eye, [eye], [0.0, 0.5, 4.0])
+
+
+def test_grid_refuses_the_first_row_that_is_not_finite():
+    # finite maps whose traces Tr[F C] overflow, on both kinds of dissipator
+    big = np.full((2, 2), 1e200, dtype=complex)
+    for d in (damping(0.5), NonMarkovJC(gamma0=1.0, lam=0.5)):
+        with np.errstate(all="ignore"), pytest.raises(
+                NoConvergence, match=r"the evolved traces are not finite at tau=0\.25"):
+            traces_over_tau(d, big, [big], [0.25, 1.0])
 
 
 def scalar_damping_map(C, E):
@@ -233,8 +239,7 @@ def test_stacked_damping_maps_are_the_scalar_map_bit_for_bit(parts, envelopes):
 
 
 def test_sigma_minus_maps_are_the_identity_at_tau_0():
-    d = build_dissipator(
-        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=1.0, lam=0.5))], dim=2)
+    d = NonMarkovJC(gamma0=1.0, lam=0.5)
     # the damping map at G = 1 would form -0 - (-1)(0) = +0 in the corner
     C = np.array([[complex(-0.0, -1.0), 0.5], [2.0, 1.0]])
     assert np.array_equal(evolve(d, C, 0.0).view(np.uint64), C.view(np.uint64))
@@ -257,10 +262,7 @@ def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
 def test_nonmarkov_channel_pole_crossing():
     # strong coupling: gamma(tau) diverges at tau* ~ 4.84, inside the range
     gamma0, lam = 1.0, 0.5
-    d = build_dissipator(
-        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=gamma0, lam=lam))],
-        dim=2,
-    )
+    d = NonMarkovJC(gamma0=gamma0, lam=lam)
     rng = np.random.default_rng(3)
     C = orc.random_matrix(rng, 2)
     for tau in np.linspace(0.2, 5.0, 13):
@@ -271,26 +273,40 @@ def test_nonmarkov_channel_pole_crossing():
         assert np.abs(got - ode).max() < 1e-7
 
 
-def test_memory_kernel_off_the_sigma_minus_channel_is_refused():
-    # only the single sigma_- channel at dim 2 has a closed-form memory-kernel map
+def test_memory_kernel_is_not_a_rate():
+    # the sigma_- memory kernel is a dissipator of its own, on no other jump
     memory = NonMarkovJC(gamma0=0.4, lam=8.0)
+    assert memory.dim == 2
     chain = np.zeros((3, 3), dtype=complex)
     chain[1, 0] = 1.0
-    refused = (
-        ([DissipationChannel(jump=chain, rate=memory)], 3),
-        ([DissipationChannel(jump=pauli("z"), rate=memory)], 2),
-        ([DissipationChannel(jump=SIGMA_MINUS, rate=memory)] * 2, 2),
-        ([DissipationChannel(jump=SIGMA_MINUS, rate=memory),
-          DissipationChannel(jump=pauli("z"), rate=0.3)], 2),
-        ([DissipationChannel(jump=SIGMA_MINUS + 1e-11, rate=memory)], 2),
-    )
-    for channels, dim in refused:
-        with pytest.raises(ValueError, match="single sigma_- channel at dim 2"):
-            build_dissipator(channels, dim=dim)
-    # within 1e-12 of sigma_- on every entry the channel is accepted
-    near = SIGMA_MINUS + 1e-13
-    d = build_dissipator([DissipationChannel(jump=near, rate=memory)], dim=2)
-    assert d.superoperator is None
+    for jump in (chain, pauli("z"), SIGMA_MINUS):
+        with pytest.raises(TypeError, match="rate must be a real number"):
+            DissipationChannel(jump=jump, rate=memory)
+
+
+def test_dissipator_checks_its_channels():
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[1, 0] = 1.0
+    with pytest.raises(DimensionMismatch, match="does not match dim 2"):
+        Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.5),
+                    DissipationChannel(jump=chain, rate=0.5)])
+    with pytest.raises(TypeError, match="DissipationChannel instances"):
+        Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.5), (SIGMA_MINUS, 0.5)])
+    with pytest.raises(ValueError, match="at least one dissipation channel"):
+        Dissipator([])
+
+
+def test_dissipator_built_directly_evolves():
+    # the dimension and the superoperator come from the channels themselves
+    chain = np.zeros((3, 3), dtype=complex)
+    chain[1, 0] = chain[2, 1] = 1.0
+    channels = [DissipationChannel(jump=chain, rate=0.5),
+                DissipationChannel(jump=np.diag([1.0, 0.0, -1.0]), rate=0.2)]
+    d = Dissipator(channels)
+    assert d.dim == 3 and d.superoperator.shape == (9, 9)
+    got = evolve(d, np.eye(3), 1.0)
+    want = orc.evolve_row(as_oracle(channels), 3, np.eye(3), 1.0)
+    assert np.abs(got - want).max() < 1e-12
 
 
 # ------------------------------------------------------------------ limits
@@ -306,7 +322,7 @@ def test_steady_state_amplitude_damping():
 
 def test_steady_state_sodium_is_degenerate():
     channels = [DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()]
-    d = build_dissipator(channels, dim=6)
+    d = Dissipator(channels)
     M = orc.superop_row(as_oracle(channels), 6)
     P = asymptotic_projector(d)
     # full ground 2x2 block survives, coherences included
@@ -322,7 +338,7 @@ def test_steady_state_sodium_is_degenerate():
 def test_ambiguous_kernel_rank_is_refused_everywhere():
     # at gamma = 1.5e-9 the coherence singular values fall under the 1e-9
     # tolerance while the population one does not: no clean rank
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.5e-9)], dim=2)
+    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.5e-9)])
     setup = WeakMeasurementSetup(sigma_i=np.diag([0.6, 0.4]).astype(complex),
                                  sigma_fI=np.full((2, 2), 0.5, dtype=complex),
                                  A_SI=pauli("x"))
@@ -339,7 +355,7 @@ def test_asymptotic_projector_matches_brute_force():
         ([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()], 6),
     ]
     for channels, dim in cases:
-        d = build_dissipator(channels, dim=dim)
+        d = Dissipator(channels)
         P = asymptotic_projector(d)
         assert np.abs(P @ P - P).max() < 1e-10
         assert np.abs(P @ d.superoperator).max() < 1e-8
@@ -350,15 +366,12 @@ def test_asymptotic_projector_matches_brute_force():
             assert np.abs(got - want).max() < 1e-9
     # zero rates: nothing decays, and the projector is the identity
     for dim, jumps in ((2, [SIGMA_MINUS]), (6, [L for L, _ in sodium_jump_operators()])):
-        d = build_dissipator([DissipationChannel(jump=L, rate=0.0) for L in jumps], dim=dim)
+        d = Dissipator([DissipationChannel(jump=L, rate=0.0) for L in jumps])
         assert np.abs(asymptotic_projector(d) - np.eye(dim * dim)).max() < 1e-14
 
 
 def test_evolve_converges_to_projector():
-    d = build_dissipator(
-        [DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()],
-        dim=6,
-    )
+    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()])
     P = asymptotic_projector(d)
     rng = np.random.default_rng(23)
     C = orc.random_density(rng, 6)
@@ -369,7 +382,7 @@ def test_evolve_converges_to_projector():
 # ------------------------------------------------------------------ errors
 
 def test_evolve_rejects_bad_inputs():
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.0)], dim=2)
+    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.0)])
     with pytest.raises(NegativeTau):
         evolve(d, np.eye(2), -0.1)
     with pytest.raises(NegativeTau):
@@ -396,8 +409,7 @@ def test_nonmarkov_rate_rejects_non_finite_parameters(bad):
 @pytest.mark.parametrize("tau", [-2.0, -5e-324, math.nan, math.inf, -math.inf])
 def test_closed_forms_reject_a_negative_or_non_finite_tau(tau):
     C = np.eye(2, dtype=complex)
-    memory = build_dissipator(
-        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=0.1, lam=1.0))], dim=2)
+    memory = NonMarkovJC(gamma0=0.1, lam=1.0)
     for call in (lambda: nonmarkov_big_gamma(tau, 0.1, 1.0),
                  lambda: evolve(memory, C, tau),
                  lambda: evolve(damping(0.5), C, tau)):
@@ -413,10 +425,9 @@ def test_two_level_damping_rejects_a_negative_or_non_finite_rate(gamma):
 
 def test_channel_map_serves_every_operator_at_one_tau():
     rng = np.random.default_rng(11)
-    rate = NonMarkovJC(gamma0=1.0, lam=0.5)
     dissipators = [
-        build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.7)], dim=2),
-        build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], dim=2),
+        Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.7)]),
+        NonMarkovJC(gamma0=1.0, lam=0.5),
     ]
     for d in dissipators:
         F = orc.random_matrix(rng, d.dim)
@@ -442,25 +453,22 @@ def test_channel_validation():
     with pytest.raises(Exception):
         NonMarkovJC(gamma0=-1.0, lam=1.0)
     with pytest.raises(Exception):
-        build_dissipator([], dim=2)
+        Dissipator([])
 
 
 def test_numpy_rates_are_constant_rates():
     for rate, want in ((np.float32(0.5), 0.5), (np.int64(1), 1.0)):
-        got = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], dim=2)
-        ref = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=want)], dim=2)
+        got = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)])
+        ref = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=want)])
         assert got.channels[0].rate == want and got.superoperator is not None
         assert got.superoperator.tobytes() == ref.superoperator.tobytes()
     for rate in ("0.5", 1j):
-        with pytest.raises(TypeError, match="real number or a NonMarkovJC"):
+        with pytest.raises(TypeError, match="rate must be a real number"):
             DissipationChannel(jump=SIGMA_MINUS, rate=rate)
 
 
 def test_steady_state_requires_constant_rates():
-    d = build_dissipator(
-        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=1.0, lam=4.0))],
-        dim=2,
-    )
+    d = NonMarkovJC(gamma0=1.0, lam=4.0)
     with pytest.raises(NoConvergence):
         asymptotic_projector(d)
 
@@ -521,14 +529,14 @@ def exp_outer_traces(r, X, M, s):
 
 def test_eigen_traces_are_the_per_eigenvalue_exponentials_bit_for_bit():
     rng = np.random.default_rng(22)
-    sodium = build_dissipator([DissipationChannel(jump=L, rate=1.0)
-                               for L, _ in sodium_jump_operators()], dim=6)
-    damping = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.7)], dim=2)
+    sodium = Dissipator([DissipationChannel(jump=L, rate=1.0)
+                         for L, _ in sodium_jump_operators()])
+    damping = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.7)])
     generators = [sodium.superoperator, damping.superoperator,
                   np.diag([1e-15, -1.0]).astype(complex)]  # the clamped growing mode
     for _ in range(40):
         _, dim, channels = random_setup(int(rng.integers(10**6)))
-        generators.append(build_dissipator(channels, dim=dim).superoperator)
+        generators.append(Dissipator(channels).superoperator)
     generators += [orc.random_matrix(rng, n) - 3.0 * np.eye(n) for n in (2, 3, 5, 8)]
     checked = 0
     for M in generators:

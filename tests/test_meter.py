@@ -15,10 +15,10 @@ from weaklind import (
     SIGMA_X,
     SIGMA_Y,
     DissipationChannel,
+    Dissipator,
     ShiftReport,
     WeakMeasurementSetup,
     bloch_to_density,
-    build_dissipator,
     invert_weak_value,
     jc_shift_columns,
     jc_shifts,
@@ -35,7 +35,7 @@ GAMMA = 0.5
 
 
 def damping():
-    return build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=GAMMA)], dim=2)
+    return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=GAMMA)])
 
 
 # --------------------------------------------------------------- occupation

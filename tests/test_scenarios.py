@@ -8,9 +8,9 @@ import pytest
 from weaklind import (
     SIGMA_MINUS,
     DissipationChannel,
+    Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
-    build_dissipator,
     classify_markovianity,
     epsilon_states,
     estimate_gamma,
@@ -84,7 +84,7 @@ def test_estimate_gamma_epsilon_sweep_variant():
     # enough that the un-amplified O(eps) background does not bend the line
     gamma = 0.25
     tau = 0.01 / gamma
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], 2)
+    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
     inv_eps, re = [], []
     for eps in (0.004, 0.008, 0.012, 0.016):
         rho_i, rho_f = epsilon_states(eps)
@@ -140,8 +140,7 @@ def test_estimate_lambda_flags_wrong_regime():
     # data far outside the quadratic window: the residual diagnostics blow
     # up instead of silently returning a plausible-looking number
     eps, gamma0, lam = 0.01, 0.1, 1.0
-    rate = NonMarkovJC(gamma0=gamma0, lam=lam)
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], 2)
+    d = NonMarkovJC(gamma0=gamma0, lam=lam)
     rho_i, rho_f = epsilon_states(eps)
     setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=pauli("x"))
     taus = np.linspace(0.5, 3.0, 8) / lam

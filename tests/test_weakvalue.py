@@ -14,12 +14,12 @@ from weaklind import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     DissipationChannel,
+    Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
     apply_superoperator,
     asymptotic_projector,
     bloch_to_density,
-    build_dissipator,
     epsilon_states,
     pauli,
     pure_density,
@@ -43,7 +43,7 @@ seeds = st.integers(0, 10**6)
 
 
 def damping(gamma=1.0):
-    return build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)], dim=2)
+    return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
 
 
 def random_2level_setup(rng):
@@ -90,8 +90,7 @@ def test_matches_row_stacking_oracle(seed):
         A_SI=orc.random_hermitian(rng, dim),
     )
     channels = [(orc.random_matrix(rng, dim), float(rng.uniform(0.2, 1.5)))]
-    d = build_dissipator(
-        [DissipationChannel(jump=L, rate=r) for L, r in channels], dim=dim)
+    d = Dissipator([DissipationChannel(jump=L, rate=r) for L, r in channels])
     tau = float(rng.uniform(0.0, 2.0))
     want, want_prob = orc.weak_value_row(setup.sigma_i, setup.sigma_fI,
                                          setup.A_SI, channels, dim, tau)
@@ -125,8 +124,8 @@ def test_setup_validation():
         WeakMeasurementSetup(sigma_i=good, sigma_fI=good, A_SI=np.zeros((0, 2, 2)))
     setup = WeakMeasurementSetup(sigma_i=good, sigma_fI=good, A_SI=pauli("x"))
     with pytest.raises(DimensionMismatch):
-        weak_value_dissipative(setup, build_dissipator(
-            [DissipationChannel(jump=np.zeros((3, 3)), rate=1.0)], dim=3), 0.1)
+        weak_value_dissipative(
+            setup, Dissipator([DissipationChannel(jump=np.zeros((3, 3)), rate=1.0)]), 0.1)
 
 
 @pytest.mark.parametrize("field,value,match", [
@@ -160,10 +159,7 @@ def test_degenerate_limit_elementwise_quotient():
     # the entrywise decomposition sum_{jk} f_{jk} [P(A s_i)]_{kj} over
     # sum_{jk} f_{jk} [P(s_i)]_{kj} must reproduce the projector quotient
     from weaklind import sodium_jump_operators
-    d = build_dissipator(
-        [DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()],
-        dim=6,
-    )
+    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()])
     rng = np.random.default_rng(31)
     setup = WeakMeasurementSetup(
         sigma_i=orc.random_density(rng, 6),
@@ -411,10 +407,7 @@ def test_markov_short_time_law():
 def test_nonmarkov_short_time_law():
     eps, gamma0, lam = 0.01, 0.1, 1.0
     assert abs(orc.nonmarkov_short_time_wv(gamma0, lam, 0.0, eps) - 2j / eps) < 1e-12 / eps
-    d = build_dissipator(
-        [DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0=gamma0, lam=lam))],
-        dim=2,
-    )
+    d = NonMarkovJC(gamma0=gamma0, lam=lam)
     rho_i, rho_f = epsilon_states(eps)
     setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=pauli("x"))
     for tau in (1e-3, 3e-3, 1e-2):
@@ -466,9 +459,9 @@ def test_grid_rows_and_points_are_one_quotient(seed, dim, k):
     # complex matmul), so the bitwise check takes the grid's traces one tau
     # at a time; the grid as it runs agrees to 1e-12.
     rng = np.random.default_rng(seed)
-    d = build_dissipator([DissipationChannel(jump=orc.random_matrix(rng, dim),
-                                             rate=float(rng.uniform(0.1, 2.0)))
-                          for _ in range(int(rng.integers(1, 4)))], dim)
+    d = Dissipator([DissipationChannel(jump=orc.random_matrix(rng, dim),
+                                       rate=float(rng.uniform(0.1, 2.0)))
+                    for _ in range(int(rng.integers(1, 4)))])
     basis = np.linalg.qr(orc.random_matrix(rng, dim))[0]
     A = (orc.random_matrix(rng, dim) if k == 0
          else np.stack([orc.random_matrix(rng, dim) for _ in range(k)]))
@@ -536,7 +529,7 @@ def test_weak_value_affine_in_observable(seed):
     A, B = orc.random_hermitian(rng, dim), orc.random_hermitian(rng, dim)
     al, be = float(rng.standard_normal()), float(rng.standard_normal())
     L = orc.random_matrix(rng, dim)
-    d = build_dissipator([DissipationChannel(jump=L, rate=0.9)], dim=dim)
+    d = Dissipator([DissipationChannel(jump=L, rate=0.9)])
     tau = float(rng.uniform(0.0, 2.0))
 
     def wv(op):
@@ -582,8 +575,7 @@ def random_setup(rng, dim):
 
 
 def test_memory_kernel_sweep_evaluates_one_envelope_per_nonzero_tau(counts):
-    rate = NonMarkovJC(gamma0=0.1, lam=1.0)
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)], dim=2)
+    d = NonMarkovJC(gamma0=0.1, lam=1.0)
     trace_over_tau(random_setup(np.random.default_rng(2), 2), d, GRID)
     assert counts == {"expm": 0, "envelope": len(GRID) - 1}
 
@@ -602,8 +594,7 @@ def test_memory_kernel_sweep_builds_no_channel_map(counts, monkeypatch):
 
     for name in ("evolve", "_exponential_map"):
         monkeypatch.setattr(lindblad, name, counting(name))
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(1.0, 0.5))],
-                         dim=2)
+    d = NonMarkovJC(1.0, 0.5)
     grid = np.linspace(0.0, 16.0, 33)
     trace = trace_over_tau(random_setup(np.random.default_rng(4), 2), d, grid)
     assert not trace.gaps
@@ -626,8 +617,7 @@ def eigs(monkeypatch):
 
 
 def test_constant_rate_sweep_runs_one_eig_and_no_expm(counts, eigs):
-    d = build_dissipator([DissipationChannel(jump=L, rate=1.0)
-                          for L, _ in sodium_jump_operators()], dim=6)
+    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()])
     trace_over_tau(random_setup(np.random.default_rng(1), 6), d, GRID)
     assert counts == {"expm": 0, "envelope": 0}
     assert eigs == [(36, 36)]
@@ -658,7 +648,7 @@ def test_defective_cascade_takes_the_expm_fallback(counts, eigs):
     jumps = np.zeros((2, 3, 3), dtype=complex)
     jumps[0, 1, 0] = jumps[1, 2, 1] = 1.0
     channels = [(L, 1.0) for L in jumps]
-    d = build_dissipator([DissipationChannel(jump=L, rate=r) for L, r in channels], dim=3)
+    d = Dissipator([DissipationChannel(jump=L, rate=r) for L, r in channels])
     setup = random_setup(np.random.default_rng(5), 3)
     trace = trace_over_tau(setup, d, GRID)
     assert counts == {"expm": len(GRID) - 1, "envelope": 0}
@@ -715,9 +705,9 @@ def test_stacked_observables_share_one_sweep_and_its_gaps(eigs):
 def test_batched_trace_matches_the_per_point_channel_map(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
-    d = build_dissipator(
+    d = Dissipator(
         [DissipationChannel(jump=orc.random_matrix(rng, dim), rate=float(rng.uniform(0.2, 1.5)))
-         for _ in range(int(rng.integers(1, 4)))], dim=dim)
+         for _ in range(int(rng.integers(1, 4)))])
     setup = random_setup(rng, dim)
     taus = np.sort(rng.uniform(0.0, 3.0, 6))
     trace = trace_over_tau(setup, d, taus)
@@ -779,8 +769,7 @@ def test_memory_kernel_grid_is_the_per_point_channel_map_bit_for_bit(seed, stron
                                      A_SI=orc.random_hermitian(rng, 2))
     else:
         setup = random_setup(rng, 2)
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0, lam))],
-                         dim=2)
+    d = NonMarkovJC(gamma0, lam)
     assert_sigma_minus_grid_is_the_per_point_map(setup, d, taus)
 
 
@@ -789,16 +778,14 @@ def test_memory_kernel_grid_is_the_per_point_channel_map_bit_for_bit(seed, stron
 def test_memory_kernel_float_limit_grid_is_the_per_point_channel_map(gamma0, lam):
     # the configs of test_memory_kernel_near_the_float_limit_runs, and
     # ordinary critical coupling
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(gamma0, lam))],
-                         dim=2)
+    d = NonMarkovJC(gamma0, lam)
     setup = random_setup(np.random.default_rng(6), 2)
     assert_sigma_minus_grid_is_the_per_point_map(setup, d, np.linspace(0.0, 4.0, 9))
 
 
 def test_memory_kernel_envelope_failure_names_the_first_tau():
     # gamma0 = lam = 1e308: the envelope phase d tau/2 overflows at tau = 4
-    d = build_dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=NonMarkovJC(1e308, 1e308))],
-                         dim=2)
+    d = NonMarkovJC(1e308, 1e308)
     setup = random_setup(np.random.default_rng(8), 2)
     grid = np.linspace(0.0, 4.0, 9)
     with pytest.raises(NoConvergence, match=r"phase d tau/2 overflows at tau=4\.0"):
@@ -826,12 +813,12 @@ def test_huge_tau_reaches_the_projector_limit():
     # projector's; on the random dissipators the kernel eigenvalue is only
     # zero to roundoff, and unsnapped it would drift the probability by
     # about |lam_0| tau
-    sodium = build_dissipator([DissipationChannel(jump=L, rate=1.0)
-                               for L, _ in sodium_jump_operators()], dim=6)
+    sodium = Dissipator([DissipationChannel(jump=L, rate=1.0)
+                         for L, _ in sodium_jump_operators()])
     rng = np.random.default_rng(7)
     for d in [sodium, damping(0.8)] + [
-            build_dissipator([DissipationChannel(jump=orc.random_matrix(rng, 3), rate=1.0)],
-                             dim=3) for _ in range(20)]:
+            Dissipator([DissipationChannel(jump=orc.random_matrix(rng, 3), rate=1.0)])
+            for _ in range(20)]:
         setup = random_setup(rng, d.dim)
         want = weak_value_limit_infinite(setup, d)
         P = asymptotic_projector(d)
