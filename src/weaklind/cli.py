@@ -10,7 +10,11 @@ shifts reads the meter out on the whole grid at once (rabi_shift_columns /
 jc_shift_columns of meter, whose one-point case is rabi_shifts_number_state
 / jc_shifts). One writer, _g17_text, formats every CSV table, JSON float
 array and JSON rows table: one % operation when small, numpy with the same
-bytes from _G17_MIN_CELLS cells on.
+bytes from _G17_MIN_CELLS cells on. The commands compute and write
+nothing; main makes the output directory and writes the files only once the
+command has succeeded, and maps each failure to its exit code. A refused run
+therefore writes no file and makes no directory, unless the writing itself
+fails.
 
 Determinism contract: identical config and package version produce
 byte-identical files. Every float is serialized with 17 significant digits
@@ -42,6 +46,7 @@ import warnings
 import numpy as np
 
 from .config import (
+    OutputSpec,
     RunConfig,
     build_channel,
     build_observable,
@@ -54,6 +59,7 @@ from .config import (
 from .errors import (
     ConfigError,
     NoConvergence,
+    PostselectionVanishes,
     ScenarioAssertionError,
     SingularInversion,
     WeaklindError,
@@ -358,30 +364,35 @@ def _trace_json_obj(trace: WeakValueTrace, char_rate: float) -> dict:
     }
 
 
-def _resolve_out(cfg: RunConfig | None, out_flag: str | None) -> str:
-    if out_flag is not None:
-        out = out_flag
-    elif cfg is not None and cfg.output is not None:
-        out = cfg.output.out_dir
-    else:
-        out = "."
+def _write(out: str, files: list[tuple[str, str]]) -> list[str]:
+    """Make the directory out, then write each (name, text) of files into it,
+    in order, with _atomic_write; the paths written."""
     try:
         os.makedirs(out, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot create output directory {out!r}: {reason}")
-    return out
+    paths = [os.path.join(out, name) for name, _ in files]
+    for path, (_, text) in zip(paths, files):
+        _atomic_write(path, text)
+    return paths
 
 
-def _resolve_format(cfg: RunConfig | None, fmt_flag: str | None) -> str:
-    if fmt_flag is not None:
-        return fmt_flag
-    if cfg is not None and cfg.output is not None:
-        return cfg.output.format
-    return "csv"
+def _sweep(setup: WeakMeasurementSetup, d, taus: np.ndarray) -> WeakValueTrace:
+    """trace_over_tau, refused when post-selection vanishes at every point."""
+    trace = trace_over_tau(setup, d, taus)
+    if len(trace.gaps) == len(taus):
+        raise PostselectionVanishes("post-selection probability vanishes on the whole tau grid")
+    return trace
 
 
-def cmd_weak_value(cfg: RunConfig, out_dir: str, fmt: str) -> int:
+# What a command returns, having written nothing: its files, (name, text) in
+# the order main writes them, and the stdout text before and after the
+# "wrote <paths>" that main prints once they are written.
+CommandOutput = tuple[list[tuple[str, str]], str, str]
+
+
+def cmd_weak_value(cfg: RunConfig, fmt: str) -> CommandOutput:
     require_sections(cfg, "system", "observable", "channel", "sweep")
     sigma_i, sigma_fI = build_states(cfg)
     A = build_observable(cfg)
@@ -390,52 +401,36 @@ def cmd_weak_value(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     t = cfg.meter.t if cfg.meter is not None else 0.0
     setup = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A, g=g, t=t)
     taus = build_tau_grid(cfg)
-    trace = trace_over_tau(setup, d, taus)
-    if len(trace.gaps) == len(taus):
-        print("post-selection probability vanishes on the whole tau grid", file=sys.stderr)
-        return EXIT_NO_POSTSELECTION
+    trace = _sweep(setup, d, taus)
     if fmt == "json":
-        path = os.path.join(out_dir, "weak_value.json")
-        _atomic_write(path, _json_text(_trace_json_obj(trace, char_rate)) + "\n")
+        file = ("weak_value.json", _json_text(_trace_json_obj(trace, char_rate)) + "\n")
     else:
-        path = os.path.join(out_dir, "weak_value.csv")
-        _atomic_write(path, _trace_csv(trace, char_rate))
-    print(f"wrote {path} ({len(taus)} points, {len(trace.gaps)} gap(s))")
-    return EXIT_OK
+        file = ("weak_value.csv", _trace_csv(trace, char_rate))
+    return [file], "", f" ({len(taus)} points, {len(trace.gaps)} gap(s))"
 
 
-def cmd_scenario(name: str, out_flag: str | None, fmt: str, channel: str | None,
-                 seed: int | None) -> int:
-    """Run a scenario, then write its files; a refused run makes no directory."""
+def cmd_scenario(name: str, fmt: str, channel: str | None, seed: int | None) -> CommandOutput:
+    if seed is not None and not (0 <= seed < 2**64):
+        raise ConfigError("--seed must fit in an unsigned 64-bit integer")
+    if channel is not None and name != "classify":
+        raise ConfigError("--channel applies to the 'classify' scenario only")
     try:
         result = run_scenario(name, channel=channel, seed=seed)
     except (KeyError, ValueError) as exc:
-        reason = exc.args[0] if exc.args else exc
-        print(f"error: {reason}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ScenarioAssertionError as exc:
-        print(f"scenario assertion failed: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO_ASSERTION
-    out_dir = _resolve_out(None, out_flag)
-    char_rate = float(result.verdict.get("characteristic_rate", 1.0))
+        raise ConfigError(exc.args[0] if exc.args else exc) from exc
+    char_rate = float(result.verdict["characteristic_rate"])
     doc = {"name": result.name, "verdict": result.verdict}
-    paths = []
-    if result.trace is not None:
-        if fmt == "json":
-            doc["trace"] = _trace_json_obj(result.trace, char_rate)
-        else:
-            csv_path = os.path.join(out_dir, f"{result.name}.csv")
-            _atomic_write(csv_path, _trace_csv(result.trace, char_rate))
-            paths.append(csv_path)
-    json_path = os.path.join(out_dir, f"{result.name}.json")
-    _atomic_write(json_path, _json_text(doc) + "\n")
-    paths.append(json_path)
+    files = []
+    if fmt == "json":
+        doc["trace"] = _trace_json_obj(result.trace, char_rate)
+    else:
+        files.append((f"{result.name}.csv", _trace_csv(result.trace, char_rate)))
+    files.append((f"{result.name}.json", _json_text(doc) + "\n"))
     summary = result.verdict.get("verdict", "ok")
-    print(f"scenario {result.name}: {summary}; wrote {', '.join(paths)}")
-    return EXIT_OK
+    return files, f"scenario {result.name}: {summary}; ", ""
 
 
-def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
+def cmd_shifts(cfg: RunConfig, fmt: str) -> CommandOutput:
     require_sections(cfg, "system", "observable", "channel", "sweep", "meter")
     sigma_i, sigma_fI = build_states(cfg)
     A = build_observable(cfg)
@@ -452,10 +447,7 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     else:
         header = "gamma_tau,q_shift,p_shift,re_wv,im_wv"
     setup = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A, g=m.g, t=m.t)
-    trace = trace_over_tau(setup, d, taus)
-    if len(trace.gaps) == len(taus):
-        print("post-selection probability vanishes on the whole tau grid", file=sys.stderr)
-        return EXIT_NO_POSTSELECTION
+    trace = _sweep(setup, d, taus)
     keep = np.ones(len(taus), dtype=bool)
     keep[list(trace.gaps)] = False
     if m.model == "jc":
@@ -475,26 +467,19 @@ def cmd_shifts(cfg: RunConfig, out_dir: str, fmt: str) -> int:
     table[:, 0] = _gamma_tau(char_rate, taus)
     table[keep, 1:] = cells
     if fmt == "json":
-        path = os.path.join(out_dir, "shifts.json")
         doc = {"columns": header.split(","), "rows": table, "model": m.model}
-        _atomic_write(path, _json_text(doc) + "\n")
+        file = ("shifts.json", _json_text(doc) + "\n")
     else:
-        path = os.path.join(out_dir, "shifts.csv")
-        _atomic_write(path, _csv_text(header, table))
-    print(f"wrote {path} ({len(taus)} points, {len(trace.gaps)} gap(s))")
-    return EXIT_OK
+        file = ("shifts.csv", _csv_text(header, table))
+    return [file], "", f" ({len(taus)} points, {len(trace.gaps)} gap(s))"
 
 
-def cmd_invert(cfg: RunConfig, out_dir: str) -> int:
+def cmd_invert(cfg: RunConfig) -> CommandOutput:
     require_sections(cfg, "meter", "invert")
     m = cfg.meter
     inv = cfg.invert
-    try:
-        wv = invert_weak_value(build_occupation(cfg), inv.Q_f, inv.P_f, m.model, m.g, m.t,
-                               inv.tau, m.omega_f, m.Delta, hbar=m.hbar)
-    except SingularInversion as exc:
-        print(f"singular inversion: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR_INVERSION
+    wv = invert_weak_value(build_occupation(cfg), inv.Q_f, inv.P_f, m.model, m.g, m.t,
+                           inv.tau, m.omega_f, m.Delta, hbar=m.hbar)
     if not cmath.isfinite(wv):  # an infinite phase, or a scale 2 g t unit of 0 or inf
         raise NoConvergence(f"the inverted weak value is not finite at tau={inv.tau}")
     doc = {
@@ -506,11 +491,8 @@ def cmd_invert(cfg: RunConfig, out_dir: str) -> int:
         "omega_f": m.omega_f,
         "weak_value": wv,
     }
-    path = os.path.join(out_dir, "invert.json")
-    _atomic_write(path, _json_text(doc) + "\n")
-    print(f"weak_value = {_fmt(wv.real)} + {_fmt(wv.imag)}j")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return ([("invert.json", _json_text(doc) + "\n")],
+            f"weak_value = {_fmt(wv.real)} + {_fmt(wv.imag)}j\n", "")
 
 
 @functools.cache
@@ -558,31 +540,35 @@ def main(argv=None) -> int:
         # a library warning (the rotating-wave guard) is one plain stderr line
         warnings.showwarning = _print_warning
         try:
+            cfg = None if args.command == "scenario" else load_config(args.config)
+            # the flag, then the config's output section, then its defaults
+            section = cfg.output if cfg is not None and cfg.output is not None else OutputSpec()
+            fmt = vars(args).get("format") or section.format
+            out = section.out_dir if args.out is None else args.out
             if args.command == "scenario":
-                if args.seed is not None and not (0 <= args.seed < 2**64):
-                    print("error: --seed must fit in an unsigned 64-bit integer",
-                          file=sys.stderr)
-                    return EXIT_CONFIG
-                if args.channel is not None and args.name != "classify":
-                    print("error: --channel applies to the 'classify' scenario only",
-                          file=sys.stderr)
-                    return EXIT_CONFIG
-                fmt = _resolve_format(None, args.format)
-                return cmd_scenario(args.name, args.out, fmt, args.channel, args.seed)
-            cfg = load_config(args.config)
-            out_dir = _resolve_out(cfg, args.out)
-            if args.command == "weak-value":
-                fmt = _resolve_format(cfg, args.format)
-                return cmd_weak_value(cfg, out_dir, fmt)
-            if args.command == "shifts":
-                fmt = _resolve_format(cfg, args.format)
-                return cmd_shifts(cfg, out_dir, fmt)
-            return cmd_invert(cfg, out_dir)
+                files, lead, tail = cmd_scenario(args.name, fmt, args.channel, args.seed)
+            elif args.command == "weak-value":
+                files, lead, tail = cmd_weak_value(cfg, fmt)
+            elif args.command == "shifts":
+                files, lead, tail = cmd_shifts(cfg, fmt)
+            else:
+                files, lead, tail = cmd_invert(cfg)
+            paths = _write(out, files)
+        except PostselectionVanishes as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_NO_POSTSELECTION
+        except ScenarioAssertionError as exc:
+            print(f"scenario assertion failed: {exc}", file=sys.stderr)
+            return EXIT_SCENARIO_ASSERTION
+        except SingularInversion as exc:
+            print(f"singular inversion: {exc}", file=sys.stderr)
+            return EXIT_SINGULAR_INVERSION
         except WeaklindError as exc:
-            # ConfigError, NoConvergence and any library error the commands do
-            # not map to a code of their own
+            # ConfigError, NoConvergence and any other library error
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+    print(f"{lead}wrote {', '.join(paths)}{tail}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -351,10 +351,10 @@ def _pairs_to_vector(pairs) -> np.ndarray:
 
 
 def _pairs_to_matrix(rows, what: str) -> np.ndarray:
-    try:
-        mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: entries must be [re, im] pairs") from exc
+    lengths = [len(row) for row in rows]
+    if len(set(lengths)) > 1:
+        raise ConfigError(f"{what}: must be a square matrix, got rows of lengths {lengths}")
+    mat = np.array([[complex(re, im) for re, im in row] for row in rows])
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"{what}: must be a square matrix, got shape {mat.shape}")
     return mat

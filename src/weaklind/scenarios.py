@@ -56,10 +56,10 @@ SODIUM_CONSTANT_SPREAD_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Named outcome of a packaged run: optional trace plus a JSON-ready verdict."""
+    """Named outcome of a packaged run: its trace plus a JSON-ready verdict."""
 
     name: str
-    trace: WeakValueTrace | None
+    trace: WeakValueTrace
     verdict: dict
 
 

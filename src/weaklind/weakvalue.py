@@ -49,7 +49,7 @@ from .operators import SIGMA_MINUS, is_density, pure_density
 _VANISH_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakMeasurementSetup:
     """Pre/post-selected states and the weakly coupled observable.
 
@@ -219,7 +219,7 @@ def epsilon_states(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return psi_i, psi_f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakValueTrace:
     """A weak-value curve over a tau grid.
 

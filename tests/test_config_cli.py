@@ -28,7 +28,7 @@ from weaklind import (
     rabi_shift_columns,
     rabi_shifts_number_state,
 )
-from weaklind import cli
+from weaklind import cli, scenarios
 from weaklind.cli import main
 from weaklind.config import (
     ChannelSpec,
@@ -208,6 +208,28 @@ def test_observable_builders(tmp_path):
     payload = two_level_config(observable={"named": "jy6"})
     with pytest.raises(ConfigError):
         build_observable(load_config(write_cfg(tmp_path, payload)))
+
+
+P = [0, 0]  # one [re, im] entry
+NOT_SQUARE = [
+    ([[P, P], [P]], "got rows of lengths [2, 1]"),
+    ([[P], [P, P], [P, P]], "got rows of lengths [1, 2, 2]"),
+    ([], "got shape (0,)"),
+    ([[]], "got shape (1, 0)"),
+    ([[P, P, P], [P, P, P]], "got shape (2, 3)"),
+]
+
+
+@pytest.mark.parametrize("rows, got", NOT_SQUARE, ids=["2-1", "1-2-2", "0", "1x0", "2x3"])
+def test_matrices_that_are_not_square_are_refused(tmp_path, rows, got):
+    payload = two_level_config(observable={"matrix": rows})
+    with pytest.raises(ConfigError) as err:
+        build_observable(load_config(write_cfg(tmp_path, payload)))
+    assert str(err.value) == f"observable.matrix: must be a square matrix, {got}"
+    payload = two_level_config(channel={"jumps": [rows], "rates": [0.5]})
+    with pytest.raises(ConfigError) as err:
+        build_channel(load_config(write_cfg(tmp_path, payload)))
+    assert str(err.value) == f"channel.jumps[0]: must be a square matrix, {got}"
 
 
 def test_sweep_grid_construction(tmp_path):
@@ -1070,6 +1092,100 @@ def test_invert_degenerate_scale_exits_2(tmp_path, capsys, meter):
     err = capsys.readouterr().err
     assert err == "error: the inverted weak value is not finite at tau=0.4\n"
     assert not (out / "invert.json").exists()
+
+
+# ------------------------------------------------------ CLI: refused runs
+
+SIGMA_MINUS_PAIRS = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
+IDENTITY3_PAIRS = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+NO_POSTSELECTION = "post-selection probability vanishes on the whole tau grid\n"
+# dephasing never moves the population into the orthogonal post-selection: a
+# gap at every tau
+NO_OVERLAP = {"system": {"dimension": 2, "pre": {"bloch": [0.0, 0.0, 1.0]},
+                         "post": {"bloch": [0.0, 0.0, -1.0]}},
+              "channel": {"jumps": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]], "rates": [0.5]}}
+INVERT = {"Q_f": 0.01, "P_f": 0.02, "tau": 0.3}
+# (id, command, config, exit code, stderr with {cfg} for the config's path)
+CONFIG_REFUSALS = [
+    ("amplitude-damping-at-6", "weak-value",
+     sodium_config(channel={"named": "amplitude_damping", "gamma": 0.5}), 2,
+     "error: channel 'amplitude_damping' needs dimension 2, got 6\n"),
+    ("sodium-at-2", "weak-value", two_level_config(channel={"named": "sodium", "rate": 1.0}), 2,
+     "error: channel 'sodium' needs dimension 6, got 2\n"),
+    ("nonmarkov-at-6", "weak-value",
+     sodium_config(channel={"named": "nonmarkov_jc", "gamma0": 0.1, "lam": 1.0}), 2,
+     "error: channel 'nonmarkov_jc' needs dimension 2, got 6\n"),
+    ("sigma-x-at-6", "weak-value", sodium_config(observable={"named": "sigma_x"}), 2,
+     "error: observable 'sigma_x' needs dimension 2, got 6\n"),
+    ("pauli-at-6", "weak-value",
+     sodium_config(observable={"pauli": {"m": [[1, 0], [0, 0], [0, 0]]}}), 2,
+     "error: observable.pauli needs dimension 2, got 6\n"),
+    ("jump-shape", "weak-value",
+     two_level_config(channel={"jumps": [SIGMA_MINUS_PAIRS, IDENTITY3_PAIRS],
+                               "rates": [0.5, 0.5]}), 2,
+     "error: channel.jumps[1] shape (3, 3) does not match dimension 2\n"),
+    ("level-above-n-max", "shifts",
+     two_level_config(meter=meter_section(state="number", n=21)), 2,
+     "error: meter level 21 exceeds n_max 20\n"),
+    ("count-without-span", "weak-value",
+     two_level_config(sweep={"start": 1.0, "stop": 1.0, "count": 3}), 2,
+     "error: config {cfg} failed validation:\n"
+     "  sweep: Value error, count > 1 needs stop > start\n"),
+    ("phase-overflow", "weak-value",
+     two_level_config(channel={"named": "nonmarkov_jc", "gamma0": 1e308, "lam": 1e308},
+                      sweep={"start": 0.0, "stop": 4.0, "count": 9}), 2,
+     "error: the envelope phase d tau/2 overflows at tau=4.0\n"),
+    ("weak-value-gap", "weak-value", two_level_config(**NO_OVERLAP), 3, NO_POSTSELECTION),
+    ("shifts-gap", "shifts", two_level_config(**NO_OVERLAP, meter=meter_section()), 3,
+     NO_POSTSELECTION),
+    ("invert-jc-number", "invert",
+     {"version": 1, "meter": meter_section(model="jc", state="number", n=2),
+      "invert": INVERT}, 5,
+     "singular inversion: meter.model 'jc' with occupation n = 2 > 0: the shifts mix the "
+     "raising and lowering weak values, four real unknowns from two quadratures\n"),
+    ("invert-g-t-zero", "invert", {"version": 1, "meter": meter_section(g=0.0),
+                                   "invert": INVERT}, 5,
+     "singular inversion: g*t = 0: shifts carry no weak-value information\n"),
+]
+SCENARIO_REFUSALS = [
+    (["estimate-gamma", "--seed", "-1"], "--seed must fit in an unsigned 64-bit integer"),
+    (["classify", "--seed", str(2**64)], "--seed must fit in an unsigned 64-bit integer"),
+    (["estimate-gamma", "--channel", "amplitude_damping"],
+     "--channel applies to the 'classify' scenario only"),
+    (["no-such-thing"], "unknown scenario 'no-such-thing'; known: " + ", ".join(SCENARIO_NAMES)),
+]
+
+
+def _assert_refused(tmp_path, capsys, argv, code, err):
+    """The run exits with code and the one stderr text err, and makes no
+    output directory."""
+    out = tmp_path / "fresh" / "out"
+    assert run_cli(*argv, "--out", str(out)) == code
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("command, payload, code, err", [case[1:] for case in CONFIG_REFUSALS],
+                         ids=[case[0] for case in CONFIG_REFUSALS])
+def test_refused_config_runs_exit_with_their_line(tmp_path, capsys, command, payload, code, err):
+    cfg = write_cfg(tmp_path, payload)
+    _assert_refused(tmp_path, capsys, [command, "--config", cfg], code, err.format(cfg=cfg))
+
+
+@pytest.mark.parametrize("argv, reason", SCENARIO_REFUSALS,
+                         ids=["seed-negative", "seed-too-large", "channel", "unknown"])
+def test_refused_scenario_runs_exit_2_with_their_line(tmp_path, capsys, argv, reason):
+    _assert_refused(tmp_path, capsys, ["scenario", *argv], 2, f"error: {reason}\n")
+
+
+def test_a_failed_scenario_assertion_exits_4(tmp_path, capsys, monkeypatch):
+    verdict = scenarios.sodium_anomalous().verdict
+    wv0, wv_inf = complex(*verdict["wv_at_zero"]), complex(*verdict["wv_at_infinity"])
+    monkeypatch.setattr(scenarios, "SODIUM_WV_AT_ZERO", 1.0)
+    checks = {"re_at_zero": False, "im_at_zero": True, "re_at_inf": True, "im_at_inf": True}
+    _assert_refused(tmp_path, capsys, ["scenario", "sodium-anomalous"], 4,
+                    "scenario assertion failed: reference endpoints violated: "
+                    f"wv(0)={wv0}, wv(inf)={wv_inf}, checks={checks}\n")
 
 
 # --------------------------------------------------- CLI: fuzzed configs

@@ -1,10 +1,11 @@
 """Dissipation channels: generators, propagation, limits."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles as orc
@@ -190,6 +191,30 @@ def test_nonmarkov_critical_coupling_near_the_float_limit():
     # lam = 2 gamma0 = 1e308: y = lam tau/2 overflows, yet Gamma = e^{-y} (1 + y) is 0
     for tau in (1e-300, 0.5, 1.9, 4.0):
         assert nonmarkov_big_gamma(tau, 5e307, 1e308) == 0.0
+
+
+# gamma0 from 1e-300 to the float limit, and lam as a multiple of it: critical
+# coupling (2), around it, and far into weak (lam > 2 gamma0) and strong coupling
+GAMMA0 = st.floats(1e-300, 1.7e308)
+LAM_RATIO = st.just(2.0) | st.floats(1.0, 3.0) | st.floats(1e-300, 1e300)
+TAU = st.floats(0.0, 50.0) | st.floats(0.0, 1.7e308)
+
+
+@example(5e307, 2.0, 4.0)            # critical, y = lam tau/2 overflows
+@example(1.0, 1e308, 40.0)           # weak, e^x moved into the prefactor
+@example(1e308, 1e-308, 1.0)         # strong, d ~ 1e154 i
+@example(0.1, 10.0, 1e308)           # weak, tau at the float limit
+@given(GAMMA0, LAM_RATIO, TAU)
+def test_nonmarkov_envelope_is_real(gamma0, ratio, tau):
+    # d is real or purely imaginary, so e^a (c + ls) has no imaginary part
+    # but +-0, or NaN where inf * 0 meets; nonmarkov_big_gamma keeps the real part
+    lam = min(max(gamma0 * ratio, 1e-300), 1.7e308)
+    try:
+        c, ls, a = lindblad._envelope_pieces(gamma0, lam, tau)
+    except NoConvergence:  # the phase d tau/2 overflows
+        return
+    value = cmath.exp(a) * (c + ls)
+    assert value.imag == 0.0 or math.isnan(value.imag)
 
 
 def test_channel_map_refuses_a_non_finite_map():

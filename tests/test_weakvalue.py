@@ -128,6 +128,25 @@ def test_setup_validation():
             setup, Dissipator([DissipationChannel(jump=np.zeros((3, 3)), rate=1.0)]), 0.1)
 
 
+def _setup():
+    rho = pure_density([0.6, 0.8])
+    return WeakMeasurementSetup(sigma_i=rho, sigma_fI=rho, A_SI=pauli("x"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DissipationChannel(jump=SIGMA_MINUS, rate=0.5),
+    lambda: damping(0.5),
+    _setup,
+    lambda: trace_over_tau(_setup(), damping(0.5), [0.0, 1.0]),
+], ids=["DissipationChannel", "Dissipator", "WeakMeasurementSetup", "WeakValueTrace"])
+def test_array_dataclasses_compare_by_identity(make):
+    # a generated __eq__ would compare the numpy fields and raise, and leave no __hash__
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 @pytest.mark.parametrize("field,value,match", [
     ("A_SI", np.array([[0.0, math.inf], [1.0, 0.0]]), "A_SI entries must be finite"),
     ("A_SI", np.array([[[0.0, 1.0], [1.0, 0.0]], [[complex(0.0, math.nan), 0.0],
