@@ -25,7 +25,8 @@ non-finite floats (the NaN of a gap) as the tokens NaN, Infinity and
 error, unknown scenario, numerical failure (NoConvergence, including
 non-finite meter shifts or a non-finite inverted weak value), an output
 directory that cannot be created (such as one under a regular file), an
-output file that cannot be written (such as one whose path is a directory)
+output file that cannot be written (such as one whose path is a directory),
+a run too large for the memory left (one `error: not enough memory:` line)
 or any other library error, 3 post-selection vanished on the whole grid, 4
 scenario assertion failure, 5 singular inversion (g t = 0, or a jc meter
 with n > 0, whose two shifts mix the raising and lowering weak values).
@@ -566,6 +567,9 @@ def main(argv=None) -> int:
         except WeaklindError as exc:
             # ConfigError, NoConvergence and any other library error
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except MemoryError as exc:  # each config field is bounded, their product is not
+            print(f"error: not enough memory: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     print(f"{lead}wrote {', '.join(paths)}{tail}")
     return EXIT_OK

@@ -16,11 +16,12 @@ vectors are tuples of their fixed length, lists are lists. Refused, each
 with its field path: unknown fields, non-finite numbers (NaN, Infinity, an
 integer past the float range), a value outside its Literal or bound, and a
 section that breaks its cross-field rule (exactly one state form, exactly
-one observable form, a coherent channel, an ordered sweep). The fields that
-size an allocation are bounded, so an oversized run is refused before
-anything is allocated: sweep.count is at most COUNT_MAX = 10**6 and
+one observable form, a coherent channel, an ordered sweep). Each field that
+sizes an allocation is bounded: sweep.count is at most COUNT_MAX = 10**6 and
 system.dimension at most DIMENSION_MAX = 32 (the Lindblad generator is
-d^2 x d^2). meter.n_max (at most N_MAX_MAX = 1000) sizes nothing, since the
+d^2 x d^2). Their product is not: a sweep holds count x d^2 complex numbers,
+about 15 GiB at both bounds, and a run that finds too little memory exits 2
+from the CLI. meter.n_max (at most N_MAX_MAX = 1000) sizes nothing, since the
 readout forms need only the mean occupation; it bounds a number meter's
 level. Every failure becomes one `loc: msg` line of a single ConfigError; a
 file that cannot be read or parsed is a ConfigError too.
@@ -40,16 +41,8 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, WeaklindError
-from .lindblad import DissipationChannel, Dissipator, NonMarkovJC
-from .operators import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    bloch_to_density,
-    jy_six_level,
-    pauli,
-    pure_density,
-    sodium_jump_operators,
-)
+from .lindblad import NAMED_CHANNELS, DissipationChannel, Dissipator, NonMarkovJC, named_channel
+from .operators import SIGMA_MINUS, SIGMA_PLUS, bloch_to_density, jy_six_level, pauli, pure_density
 
 ComplexPair = tuple[float, float]
 
@@ -59,7 +52,8 @@ N_MAX_MAX = 1000
 
 NAMED_OBSERVABLES = ("jy6", "sigma_x", "sigma_y", "sigma_z", "sigma_plus",
                      "sigma_minus", "identity")
-NAMED_CHANNELS = ("amplitude_damping", "sodium", "nonmarkov_jc")
+# every named channel's rate fields, in table order
+_RATE_FIELDS = tuple(n for names, _ in NAMED_CHANNELS.values() for n in names)
 
 # A check is called as check(value, loc, errors): it returns the parsed value,
 # or records (loc, msg) in errors and returns _BAD. A loc is the value's path,
@@ -242,20 +236,15 @@ class ChannelSpec:
                 raise ValueError("'jumps' and 'rates' must have equal nonzero length")
             if any(r < 0.0 for r in self.rates):
                 raise ValueError("rates must be >= 0")
-            stray = [n for n in ("gamma", "rate", "gamma0", "lam")
-                     if getattr(self, n) is not None]
-            if stray:
-                raise ValueError(f"custom channel does not take {stray}")
-            return
-        wanted = {"amplitude_damping": ("gamma",), "sodium": ("rate",),
-                  "nonmarkov_jc": ("gamma0", "lam")}[self.named]
+            wanted, kind = (), "custom channel"
+        else:
+            wanted, kind = NAMED_CHANNELS[self.named][0], f"channel '{self.named}'"
         for n in wanted:
             if getattr(self, n) is None:
-                raise ValueError(f"channel '{self.named}' requires '{n}'")
-        stray = [n for n in ("gamma", "rate", "gamma0", "lam")
-                 if n not in wanted and getattr(self, n) is not None]
+                raise ValueError(f"{kind} requires '{n}'")
+        stray = [n for n in _RATE_FIELDS if n not in wanted and getattr(self, n) is not None]
         if stray:
-            raise ValueError(f"channel '{self.named}' does not take {stray}")
+            raise ValueError(f"{kind} does not take {stray}")
 
 
 @_section
@@ -429,28 +418,16 @@ def _bounded(A: np.ndarray, what: str) -> np.ndarray:
 
 
 def build_channel(cfg: RunConfig) -> tuple[Dissipator | NonMarkovJC, float]:
-    """The dissipator plus its characteristic rate (the CSV abscissa scale).
-
-    The characteristic rate is gamma for amplitude damping, the common rate
-    for the six-level pumping channels, gamma0 for the memory kernel, and
-    the first listed rate for custom channels.
-    """
+    """The dissipator plus its characteristic rate (the CSV abscissa scale):
+    lindblad.named_channel's for a named channel, the first listed rate for
+    custom channels."""
     spec = cfg.channel
     dim = cfg.system.dimension
-    if spec.named == "amplitude_damping":
-        if dim != 2:
-            raise ConfigError(f"channel 'amplitude_damping' needs dimension 2, got {dim}")
-        return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=spec.gamma)]), spec.gamma
-    if spec.named == "sodium":
-        if dim != 6:
-            raise ConfigError(f"channel 'sodium' needs dimension 6, got {dim}")
-        channels = [DissipationChannel(jump=L, rate=spec.rate)
-                    for L, _ in sodium_jump_operators()]
-        return Dissipator(channels), spec.rate
-    if spec.named == "nonmarkov_jc":
-        if dim != 2:
-            raise ConfigError(f"channel 'nonmarkov_jc' needs dimension 2, got {dim}")
-        return NonMarkovJC(gamma0=spec.gamma0, lam=spec.lam), spec.gamma0
+    if spec.named is not None:
+        names, need = NAMED_CHANNELS[spec.named]
+        if dim != need:
+            raise ConfigError(f"channel '{spec.named}' needs dimension {need}, got {dim}")
+        return named_channel(spec.named, {n: getattr(spec, n) for n in names})
     channels = []
     for k, (rows, r) in enumerate(zip(spec.jumps, spec.rates)):
         jump = _pairs_to_matrix(rows, f"channel.jumps[{k}]")

@@ -13,11 +13,13 @@ one SVD of M. NonMarkovJC(gamma0, lam) is the sigma_- channel of the
 non-Markovian damped atom at dim 2, whose time-dependent rate is the memory
 kernel; its map is closed form through the excited-amplitude envelope
 Gamma(tau), and nothing is integrated numerically. Both check themselves when
-they are made. traces_over_tau(d, F, operands, taus) gives Tr[F e^{D tau}(C)]
-on a whole tau grid for several operands, and evolve(d, C, tau) applies the
-map at one tau. scipy.linalg is imported on the first expm only. The map
-preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
-and for constant rates forms a semigroup in tau.
+they are made; named_channel alone builds the channels of NAMED_CHANNELS,
+and describe(d) states either kind in one line. traces_over_tau(d, F,
+operands, taus) gives Tr[F e^{D tau}(C)] on a whole tau grid for several
+operands, and evolve(d, C, tau) applies the map at one tau. scipy.linalg is
+imported on the first expm only. The map preserves traces, commutes with the
+adjoint (e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a
+semigroup in tau.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -26,6 +28,7 @@ superoperator matrix of C -> L C L' is conj(L) kron L.
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeTau, NoConvergence
-from .operators import _cmul
+from .operators import SIGMA_MINUS, _cmul, sodium_jump_operators
 
 _KERNEL_TOL = 1e-9
 _EIG_COND_MAX = 1e4
@@ -115,6 +118,32 @@ class Dissipator:
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "superoperator", _superoperator_matrix(channels, dim))
+
+
+# name -> (its rate fields, the first being its characteristic rate; its dimension)
+NAMED_CHANNELS = {"amplitude_damping": (("gamma",), 2), "sodium": (("rate",), 6),
+                  "nonmarkov_jc": (("gamma0", "lam"), 2)}
+
+
+def named_channel(name: str, rates) -> tuple[Dissipator | NonMarkovJC, float]:
+    """The named channel at rates (its rate fields -> values) and its characteristic
+    rate: sigma_- damping, the three sodium polarization channels, or NonMarkovJC."""
+    rate = rates[NAMED_CHANNELS[name][0][0]]
+    if name == "nonmarkov_jc":
+        return NonMarkovJC(gamma0=rates["gamma0"], lam=rates["lam"]), rate
+    jumps = [L for L, _ in sodium_jump_operators()] if name == "sodium" else [SIGMA_MINUS]
+    return Dissipator([DissipationChannel(jump=L, rate=rate) for L in jumps]), rate
+
+
+def describe(d: Dissipator | NonMarkovJC) -> str:
+    """dim, then each jump's short hash with its constant rate or memory kernel."""
+    if isinstance(d, NonMarkovJC):
+        tagged = [(SIGMA_MINUS, f"nonmarkov(gamma0={d.gamma0!r}, lam={d.lam!r})")]
+    else:
+        tagged = [(ch.jump, f"rate={ch.rate!r}") for ch in d.channels]
+    parts = [f"jump#{hashlib.sha256(np.ascontiguousarray(L).tobytes()).hexdigest()[:12]} {tag}"
+             for L, tag in tagged]
+    return f"dim={d.dim}; " + "; ".join(parts)
 
 
 def expm(A: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ growth of Re(wv) gives the decay rate; read off the memory kernel, its
 quadratic growth gives the kernel width; the classifier tells the two apart.
 
 Two tables drive the scenarios: SHORT_TIME_CHANNELS names the protocol's
-channels (dissipator, tau scale, reported parameters, expected classifier
+channels (the rate that scales tau, the rates that lindblad.named_channel
+builds the channel at and the verdicts report, the expected classifier
 verdict), and SCENARIOS maps each CLI name to its run.
 
 All scenarios are deterministic; Gaussian noise is injected only when an
@@ -28,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateFit, ScenarioAssertionError
-from .lindblad import DissipationChannel, Dissipator, NonMarkovJC
-from .operators import SIGMA_MINUS, SIGMA_X, jy_six_level, pure_density, sodium_jump_operators
+from .lindblad import Dissipator, named_channel
+from .operators import SIGMA_X, jy_six_level, pure_density
 from .weakvalue import (
     WeakMeasurementSetup,
     WeakValueTrace,
@@ -71,19 +72,18 @@ _ALKALI_POST = {
 }
 
 
-def _alkali_setup(post: str) -> tuple[WeakMeasurementSetup, Dissipator]:
+def _alkali_setup(post: str) -> tuple[WeakMeasurementSetup, Dissipator, float]:
     """Six-level optical-pumping system with one of the two reference post states.
 
     Pre-selection is the balanced excited-manifold superposition
     (1, 1j, 1, 1, 0, 0)/2; the observable is the angular-momentum y component.
-    The dissipator carries the three polarization decay channels at unit
-    rate, so tau is directly the dimensionless rate*time product.
+    The dissipator, returned with its rate, is the named sodium channel at
+    unit rate, so tau is directly the dimensionless rate*time product.
     """
     psi_i = pure_density([0.5, 0.5j, 0.5, 0.5, 0.0, 0.0])
     psi_f = pure_density(_ALKALI_POST[post])
     setup = WeakMeasurementSetup(sigma_i=psi_i, sigma_fI=psi_f, A_SI=jy_six_level())
-    channels = [DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()]
-    return setup, Dissipator(channels)
+    return (setup, *named_channel("sodium", {"rate": 1.0}))
 
 
 def sodium_anomalous() -> ScenarioResult:
@@ -93,7 +93,7 @@ def sodium_anomalous() -> ScenarioResult:
     and -0.346 + 0.151j in the infinite-time limit (tol 2e-3, via the
     asymptotic projector, not large-tau propagation).
     """
-    setup, d = _alkali_setup("anomalous")
+    setup, d, rate = _alkali_setup("anomalous")
     grid = np.linspace(0.0, 10.0, 201)
     trace = trace_over_tau(setup, d, grid)
     wv0 = complex(trace.values[0])
@@ -108,7 +108,7 @@ def sodium_anomalous() -> ScenarioResult:
         raise ScenarioAssertionError(
             f"reference endpoints violated: wv(0)={wv0}, wv(inf)={wv_inf}, checks={checks}")
     verdict = {
-        "characteristic_rate": 1.0,
+        "characteristic_rate": rate,
         "wv_at_zero": [wv0.real, wv0.imag],
         "wv_at_infinity": [wv_inf.real, wv_inf.imag],
         "postselect_prob_at_zero": float(trace.postselection_probs[0]),
@@ -125,7 +125,7 @@ def sodium_constant() -> ScenarioResult:
     imaginary part. Asserts spread(Re) and spread(Im) < 1e-6 on (0, 40] and
     agreement with the asymptotic-projector value to 1e-8.
     """
-    setup, d = _alkali_setup("constant")
+    setup, d, rate = _alkali_setup("constant")
     grid = np.linspace(0.0, 40.0, 401)
     trace = trace_over_tau(setup, d, grid)
     live = np.array([k for k in range(len(grid)) if k not in trace.gaps])
@@ -148,7 +148,7 @@ def sodium_constant() -> ScenarioResult:
             f"constant-pair violations: spread=({spread_re:.3e}, {spread_im:.3e}), "
             f"drift={drift:.3e}, checks={checks}")
     verdict = {
-        "characteristic_rate": 1.0,
+        "characteristic_rate": rate,
         "value": [float(vals.real.mean()), float(vals.imag.mean())],
         "spread_re": spread_re,
         "spread_im": spread_im,
@@ -276,9 +276,8 @@ def classify_markovianity(samples) -> MarkovianityVerdict:
 
 
 class ShortTimeChannel(NamedTuple):
-    dissipator: Dissipator | NonMarkovJC
-    tau_scale: float        # taus = linspace(1e-3, 1e-2, 10) / tau_scale
-    params: dict            # what its verdicts report
+    tau_rate: str           # taus = linspace(1e-3, 1e-2, 10) / params[tau_rate]
+    params: dict            # the named channel's rates, which its verdicts report
     expected: str           # the classifier's verdict on its data
 
 
@@ -286,11 +285,9 @@ class ShortTimeChannel(NamedTuple):
 # A = sigma_x, one sigma_- channel, and ten points with rate*tau in [1e-3, 1e-2].
 EPSILON = 0.01
 SHORT_TIME_CHANNELS = {
-    "amplitude_damping": ShortTimeChannel(
-        Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.1)]), 0.1, {"gamma": 0.1},
-        "Markovian"),
-    "nonmarkov_jc": ShortTimeChannel(NonMarkovJC(gamma0=0.1, lam=1.0), 1.0,
-                                     {"gamma0": 0.1, "lam": 1.0}, "strongly-non-Markovian"),
+    "amplitude_damping": ShortTimeChannel("gamma", {"gamma": 0.1}, "Markovian"),
+    "nonmarkov_jc": ShortTimeChannel("lam", {"gamma0": 0.1, "lam": 1.0},
+                                     "strongly-non-Markovian"),
 }
 
 
@@ -299,10 +296,11 @@ def _short_time_data(channel: str, rng: np.random.Generator | None,
     """The protocol's exact weak values on a named channel, noised when rng is
     given and led by a tau = 0 sample when with_zero, and the verdict entries
     that every short-time scenario reports."""
-    d, scale, params, _ = SHORT_TIME_CHANNELS[channel]
+    tau_rate, params, _ = SHORT_TIME_CHANNELS[channel]
+    d, rate = named_channel(channel, params)
     rho_i, rho_f = epsilon_states(EPSILON)
     setup = WeakMeasurementSetup(sigma_i=rho_i, sigma_fI=rho_f, A_SI=SIGMA_X)
-    taus = np.linspace(1e-3, 1e-2, 10) / scale
+    taus = np.linspace(1e-3, 1e-2, 10) / params[tau_rate]
     trace = trace_over_tau(setup, d, np.concatenate([[0.0], taus]) if with_zero else taus)
     values = trace.values.copy()
     if rng is not None:
@@ -317,8 +315,7 @@ def _short_time_data(channel: str, rng: np.random.Generator | None,
                                gaps=trace.gaps,
                                metadata={**trace.metadata, "noise_sigma": NOISE_SIGMA})
     samples = [(float(t), complex(v)) for t, v in zip(trace.tau_grid, values)]
-    shared = {"characteristic_rate": params.get("gamma", params.get("gamma0")),
-              "epsilon": EPSILON, "noisy": rng is not None}
+    shared = {"characteristic_rate": rate, "epsilon": EPSILON, "noisy": rng is not None}
     return samples, trace, shared
 
 
@@ -364,7 +361,7 @@ def run_classify(channel: str, rng: np.random.Generator | None = None) -> Scenar
     the classifier subtracts the exact offset."""
     if channel not in SHORT_TIME_CHANNELS:
         raise ValueError(f"unknown channel for classification demo: {channel!r}")
-    _, _, params, expected = SHORT_TIME_CHANNELS[channel]
+    _, params, expected = SHORT_TIME_CHANNELS[channel]
     samples, trace, verdict = _short_time_data(channel, rng, with_zero=True)
     result = classify_markovianity(samples)
     if result.verdict != expected:

@@ -41,10 +41,11 @@ from .lindblad import (
     NonMarkovJC,
     apply_superoperator,
     asymptotic_projector,
+    describe,
     traces_over_tau,
 )
 from .lindblad import evolve  # noqa: F401  (bench/tracing.py patches evolve here)
-from .operators import SIGMA_MINUS, is_density, pure_density
+from .operators import is_density, pure_density
 
 _VANISH_TOL = 1e-14
 
@@ -240,16 +241,6 @@ class WeakValueTrace:
             raise DimensionMismatch("trace arrays must have equal length")
 
 
-def _channel_description(d: Dissipator | NonMarkovJC) -> str:
-    if isinstance(d, NonMarkovJC):
-        tagged = [(SIGMA_MINUS, f"nonmarkov(gamma0={d.gamma0!r}, lam={d.lam!r})")]
-    else:
-        tagged = [(ch.jump, f"rate={ch.rate!r}") for ch in d.channels]
-    parts = [f"jump#{hashlib.sha256(np.ascontiguousarray(L).tobytes()).hexdigest()[:12]} {tag}"
-             for L, tag in tagged]
-    return f"dim={d.dim}; " + "; ".join(parts)
-
-
 def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
                    tau_grid) -> WeakValueTrace:
     """Evaluate the weak value on an increasing tau grid.
@@ -269,7 +260,7 @@ def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
     gaps = np.flatnonzero(~kept).tolist()
     metadata = {
         "setup_hash": setup.content_hash(),
-        "channel": _channel_description(d),
+        "channel": describe(d),
     }
     return WeakValueTrace(tau_grid=tau_grid, values=values,
                           postselection_probs=probs, gaps=tuple(gaps),

@@ -1105,6 +1105,9 @@ NO_OVERLAP = {"system": {"dimension": 2, "pre": {"bloch": [0.0, 0.0, 1.0]},
                          "post": {"bloch": [0.0, 0.0, -1.0]}},
               "channel": {"jumps": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]], "rates": [0.5]}}
 INVERT = {"Q_f": 0.01, "P_f": 0.02, "tau": 0.3}
+VALIDATION = "error: config {cfg} failed validation:\n  "
+ONE_OBSERVABLE = (VALIDATION
+                  + "observable: Value error, give exactly one of 'named', 'matrix' or 'pauli'\n")
 # (id, command, config, exit code, stderr with {cfg} for the config's path)
 CONFIG_REFUSALS = [
     ("amplitude-damping-at-6", "weak-value",
@@ -1146,6 +1149,36 @@ CONFIG_REFUSALS = [
     ("invert-g-t-zero", "invert", {"version": 1, "meter": meter_section(g=0.0),
                                    "invert": INVERT}, 5,
      "singular inversion: g*t = 0: shifts carry no weak-value information\n"),
+    ("bloch-norm", "weak-value",
+     two_level_config(system={"dimension": 2, "pre": {"bloch": [0.9, 0.9, 0.9]},
+                              "post": {"bloch": [-0.3, 0.45, -0.5]}}), 2,
+     "error: system.pre: Bloch vector norm 1.5588457268119895 exceeds 1\n"),
+    ("observable-none", "weak-value", two_level_config(observable={}), 2, ONE_OBSERVABLE),
+    ("observable-two", "weak-value",
+     two_level_config(observable={"named": "sigma_x", "pauli": {"m": [[1, 0], [0, 0], [0, 0]]}}),
+     2, ONE_OBSERVABLE),
+    ("custom-without-rates", "weak-value",
+     two_level_config(channel={"jumps": [SIGMA_MINUS_PAIRS]}), 2,
+     VALIDATION + "channel: Value error, custom channels need both 'jumps' and 'rates'\n"),
+    ("custom-negative-rate", "weak-value",
+     two_level_config(channel={"jumps": [SIGMA_MINUS_PAIRS], "rates": [-0.1]}), 2,
+     VALIDATION + "channel: Value error, rates must be >= 0\n"),
+    ("custom-with-gamma", "weak-value",
+     two_level_config(channel={"jumps": [SIGMA_MINUS_PAIRS], "rates": [0.1], "gamma": 0.5}), 2,
+     VALIDATION + "channel: Value error, custom channel does not take ['gamma']\n"),
+    ("observable-matrix-shape", "weak-value",
+     two_level_config(observable={"matrix": IDENTITY3_PAIRS}), 2,
+     "error: observable.matrix shape (3, 3) does not match dimension 2\n"),
+    ("bloch-not-a-tuple", "weak-value",
+     two_level_config(system={"dimension": 2, "pre": {"bloch": 5},
+                              "post": {"bloch": [-0.3, 0.45, -0.5]}}), 2,
+     VALIDATION + "system.pre.bloch: Input should be a valid tuple\n"),
+    ("no-version", "weak-value",
+     {k: v for k, v in two_level_config().items() if k != "version"}, 2,
+     VALIDATION + "version: Field required\n"),
+    ("no-sweep-stop", "weak-value",
+     two_level_config(sweep={"start": 0.0, "count": 5, "spacing": "linear"}), 2,
+     VALIDATION + "sweep.stop: Field required\n"),
 ]
 SCENARIO_REFUSALS = [
     (["estimate-gamma", "--seed", "-1"], "--seed must fit in an unsigned 64-bit integer"),
@@ -1170,6 +1203,26 @@ def _assert_refused(tmp_path, capsys, argv, code, err):
 def test_refused_config_runs_exit_with_their_line(tmp_path, capsys, command, payload, code, err):
     cfg = write_cfg(tmp_path, payload)
     _assert_refused(tmp_path, capsys, [command, "--config", cfg], code, err.format(cfg=cfg))
+
+
+def test_a_config_that_cannot_be_read_exits_2(tmp_path, capsys):
+    cfg = str(tmp_path / "nonexistent" / "x.json")
+    _assert_refused(tmp_path, capsys, ["weak-value", "--config", cfg], 2,
+                    f"error: cannot read config {cfg}: [Errno 2] No such file or directory: "
+                    f"'{cfg}'\n")
+
+
+def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """The sweep holds count x dim^2 complex numbers, which no single config
+    bound caps; an allocation that fails is one stderr line and no directory."""
+    def sweep(*args):
+        raise MemoryError("Unable to allocate 3.81 GiB for an array with shape (1000000, 256) "
+                          "and data type complex128")
+    monkeypatch.setattr(cli, "trace_over_tau", sweep)
+    cfg = write_cfg(tmp_path, two_level_config())
+    _assert_refused(tmp_path, capsys, ["weak-value", "--config", cfg], 2,
+                    "error: not enough memory: Unable to allocate 3.81 GiB for an array with "
+                    "shape (1000000, 256) and data type complex128\n")
 
 
 @pytest.mark.parametrize("argv, reason", SCENARIO_REFUSALS,

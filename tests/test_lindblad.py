@@ -481,6 +481,13 @@ def test_channel_validation():
         Dissipator([])
 
 
+def test_channel_refuses_a_jump_that_is_not_finite():
+    jump = SIGMA_MINUS.copy()
+    jump[0, 1] = math.nan
+    with pytest.raises(ValueError, match="^jump operator entries must be finite$"):
+        DissipationChannel(jump=jump, rate=1.0)
+
+
 def test_numpy_rates_are_constant_rates():
     for rate, want in ((np.float32(0.5), 0.5), (np.int64(1), 1.0)):
         got = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=rate)])
@@ -591,3 +598,24 @@ def test_eigen_traces_exponentiate_each_distinct_eigenvalue_once(monkeypatch):
                                  np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex), s)
     assert seen == [(3, 2)]
     assert np.array_equal(got, [[1.0] + [v] * 3 for v in exp(-s)])
+
+
+@pytest.mark.parametrize("name, rates", [("amplitude_damping", {"gamma": 0.7}),
+                                         ("sodium", {"rate": 1.0})], ids=["damping", "sodium"])
+def test_a_failed_eig_takes_the_expm_fallback_bit_for_bit(monkeypatch, name, rates):
+    calls = []
+
+    def fail(M):
+        calls.append(M.shape)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    d, _ = lindblad.named_channel(name, rates)
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    rng = np.random.default_rng(11)
+    F = orc.random_matrix(rng, d.dim)
+    operands = [orc.random_matrix(rng, d.dim) for _ in range(2)]
+    taus = [0.0, 0.3, 1.7, 6.0]
+    got = traces_over_tau(d, F, operands, taus)
+    want = np.array([[np.trace(F @ evolve(d, C, tau)) for C in operands] for tau in taus])
+    assert calls == [(d.dim ** 2, d.dim ** 2)]
+    assert got.tobytes() == want.tobytes()

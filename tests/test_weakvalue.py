@@ -529,6 +529,13 @@ def test_trace_over_tau_rejects_unsorted_grid():
         trace_over_tau(setup, damping(), [0.1, 0.1, 1.0])
 
 
+def test_trace_over_tau_rejects_an_empty_or_two_dimensional_grid():
+    setup = random_2level_setup(np.random.default_rng(83))
+    for grid in ([], [[0.0, 0.5], [1.0, 1.5]]):
+        with pytest.raises(ValueError, match=r"^tau_grid must be a nonempty 1-D array$"):
+            trace_over_tau(setup, damping(), grid)
+
+
 def test_trace_over_tau_rejects_negative_and_nonfinite_tau():
     # the whole grid is checked before the kernel evolves anything backwards
     setup = random_2level_setup(np.random.default_rng(79))
