@@ -40,7 +40,7 @@ class EpsilonOutOfRange(WeaklindError):
 
 
 class DegenerateFit(WeaklindError):
-    """A least-squares fit has too few samples or a singular design."""
+    """A fit has too few samples, one that is not finite, or no finite line through them."""
 
 
 class SingularInversion(WeaklindError):

@@ -7,19 +7,19 @@ is
 
 with jump operators L_i and nonnegative rates gamma_i. There are two kinds of
 dissipator, each with one map. Dissipator(channels) holds constant rates and
-takes exp(tau M) of its materialized superoperator M; the tau -> infinity
-limit P = R (L' R)^{-1} L' comes from the right and left kernels R and L of
-one SVD of M. NonMarkovJC(gamma0, lam) is the sigma_- channel of the
-non-Markovian damped atom at dim 2, whose time-dependent rate is the memory
-kernel; its map is closed form through the excited-amplitude envelope
+takes exp(tau M) of its materialized superoperator M, refused when it is not
+finite; the tau -> infinity limit P = R (L' R)^{-1} L' comes from the right
+and left kernels R and L of one SVD of M, whose rank is judged against M's
+largest singular value. NonMarkovJC(gamma0, lam) is the sigma_- channel of
+the non-Markovian damped atom at dim 2, whose time-dependent rate is the
+memory kernel; its map is closed form through the excited-amplitude envelope
 Gamma(tau), and nothing is integrated numerically. Both check themselves when
 they are made; named_channel alone builds the channels of NAMED_CHANNELS,
 and describe(d) states either kind in one line. traces_over_tau(d, F,
 operands, taus) gives Tr[F e^{D tau}(C)] on a whole tau grid for several
-operands, and evolve(d, C, tau) applies the map at one tau. scipy.linalg is
-imported on the first expm only. The map preserves traces, commutes with the
-adjoint (e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a
-semigroup in tau.
+operands, and evolve(d, C, tau) applies the map at one tau. The map
+preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
+and for constant rates forms a semigroup in tau.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -174,6 +174,7 @@ def _kron4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A[:, None, :, None] * B[None, :, None, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _superoperator_matrix(channels, dim: int) -> np.ndarray:
     # one channel at a time: a (dim,)*4 term is already 16 MB at dim 32
     eye = np.eye(dim)
@@ -183,6 +184,8 @@ def _superoperator_matrix(channels, dim: int) -> np.ndarray:
         LdL = L.conj().T @ L
         piece = _kron4(L.conj(), L) - 0.5 * (_kron4(eye, LdL) + _kron4(LdL.T, eye))
         M += (ch.rate * piece).reshape(M.shape)
+    if not np.isfinite(M).all():
+        raise NoConvergence("the superoperator is not finite: its rates and jumps overflow")
     return M
 
 
@@ -397,22 +400,21 @@ def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
     Spectral projector onto the kernel of the superoperator M along the
     decaying modes, P = R (L' R)^{-1} L' with the right and left kernels
     (M R = 0, L' M = 0) of one SVD M = U diag(s) Vh. The SVD makes the rank
-    decision: singular values below 1e-9 count as zero, and NoConvergence is
-    raised unless a x100 gap separates them from the rest. Zero is a
-    semisimple eigenvalue of a bounded Lindblad semigroup (Albert & Jiang,
-    PRA 89, 022118, 2014), so L' R is invertible. Never computed by
-    large-tau propagation.
+    decision at M's own scale, so that P does not change when every rate is
+    scaled: singular values <= 1e-9 s_max count as zero, and NoConvergence is
+    raised unless a x100 gap separates them from the rest. vec(I) is a left
+    null vector of a finite M, so there is a kernel. Zero is a semisimple
+    eigenvalue of a bounded Lindblad semigroup (Albert & Jiang, PRA 89,
+    022118, 2014), so L' R is invertible. Never computed by large-tau propagation.
     """
     if isinstance(d, NonMarkovJC):
         raise NoConvergence("asymptotic projector requires constant rates")
     U, svals, Vh = np.linalg.svd(d.superoperator)
-    n_zero = int(np.sum(svals < _KERNEL_TOL))
-    if n_zero == 0:
-        raise NoConvergence("superoperator has no numerical kernel at tol 1e-9")
-    # svals descend: the largest kernel value, then the smallest one kept
-    largest_zero = svals[-n_zero]
+    tol = _KERNEL_TOL * svals[0]
+    n_zero = int(np.sum(svals <= tol))
+    # svals descend: the smallest value kept, then the largest kernel value
     smallest_kept = svals[-n_zero - 1] if n_zero < len(svals) else np.inf
-    if smallest_kept < 100.0 * max(largest_zero, _KERNEL_TOL / 100.0):
+    if smallest_kept < 100.0 * max(svals[-n_zero], tol / 100.0):
         raise NoConvergence("kernel rank determination is ambiguous")
     R, L = Vh[-n_zero:].conj().T, U[:, -n_zero:]
     return R @ np.linalg.solve(L.conj().T @ R, L.conj().T)

@@ -16,13 +16,16 @@ channels (the rate that scales tau, the rates that lindblad.named_channel
 builds the channel at and the verdicts report, the expected classifier
 verdict), and SCENARIOS maps each CLI name to its run.
 
-All scenarios are deterministic; Gaussian noise is injected only when an
-explicit seed is supplied (CLI robustness demos) and is always relative to
-the sample magnitude.
+The three fits share one least-squares line in closed form whose every sum is
+a math.fsum: each fit is a function of the set of its samples, whatever their
+order, the BLAS core or the SIMD target, and scales with the rates. All
+scenarios are deterministic; Gaussian noise is injected only when an explicit
+seed is supplied (CLI robustness demos), relative to the sample magnitude.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -183,36 +186,54 @@ class MarkovianityVerdict(NamedTuple):
     quadratic_rel_residual: float
 
 
-def _unpack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    """(taus, Re wv); DegenerateFit names the first sample that is not finite."""
+def _unpack_samples(samples, fewest: int) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, Re wv); DegenerateFit names the first sample that is not finite,
+    then refuses fewer than fewest samples."""
     taus = np.array([float(t) for t, _ in samples])
     wv = np.array([complex(w) for _, w in samples])
     bad = np.flatnonzero(~(np.isfinite(taus) & np.isfinite(wv)))
     if len(bad):
         k = bad[0]
         raise DegenerateFit(f"sample {k} (tau={taus[k]}, wv={wv[k].item()}) is not finite")
-    return taus, np.ascontiguousarray(wv.real)
+    if len(taus) < fewest:
+        raise DegenerateFit(f"need at least {fewest} samples")
+    return taus, wv.real
 
 
-def _power_fit(samples, power: int) -> tuple[float, float, float, float, float]:
-    """Least-squares fit of a + c*tau^power to Re(wv).
+def _fsum(v: np.ndarray) -> float:
+    """math.fsum of v, one value for any order of its terms; inf where it refuses."""
+    try:
+        return math.fsum(v.tolist())
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        return math.inf
 
-    Returns (c, a, residual_rms, max_abs_residual, rel_residual), the last
-    being the residual norm relative to the norm of Re(wv).
-    """
-    taus, re = _unpack_samples(samples)
-    x = taus ** power
-    if len(taus) < 2 or (x == x[0]).all():
-        raise DegenerateFit("need at least two distinct tau samples")
-    design = np.column_stack([np.ones_like(taus), x])
-    coef, _, rank, _ = np.linalg.lstsq(design, re, rcond=None)
-    if rank < design.shape[1]:
-        raise DegenerateFit("design matrix is rank-deficient (degenerate tau grid)")
-    residuals = design @ coef - re
-    rnorm = float(np.linalg.norm(residuals))
-    ynorm = float(np.linalg.norm(re))
-    return (coef[1], float(coef[0]), float(np.sqrt(np.mean(residuals**2))),
-            float(np.abs(residuals).max()), rnorm / max(ynorm, 1e-300))
+
+def _line(x: np.ndarray, y: np.ndarray, intercept: bool) -> tuple[float, float, np.ndarray]:
+    """(c, a, residuals a + c x - y) of the least-squares line y ~ a + c x, a = 0
+    unless intercept: c = sum dx (y - ybar) / sum dx^2 and a = ybar - c xbar with
+    dx = x - xbar, and xbar = ybar = 0 without an intercept."""
+    xbar, ybar = (_fsum(x) / len(x), _fsum(y) / len(y)) if intercept else (0.0, 0.0)
+    dx = x - xbar
+    sxx = _fsum(dx * dx)
+    c = _fsum(dx * (y - ybar)) / sxx if 0.0 < sxx < math.inf else math.nan
+    if not math.isfinite(c):
+        raise DegenerateFit("no finite fit: the tau samples need a finite, nonzero spread")
+    a = ybar - c * xbar
+    return c, a, a + c * x - y
+
+
+@np.errstate(all="ignore")
+def _power_fit(samples, power: int, epsilon: float) -> tuple[float, float, float, float, float]:
+    """(epsilon c, a, residual_rms, max_abs_residual, rel_residual) of the
+    least-squares fit of a + c*tau^power (power 1 or 2) to Re(wv), rel_residual
+    being relative to the norm of Re(wv). ValueError unless epsilon is finite and nonzero."""
+    if not (math.isfinite(epsilon) and epsilon != 0.0):
+        raise ValueError("epsilon must be finite and nonzero")
+    taus, re = _unpack_samples(samples, 2)
+    c, a, residuals = _line(taus * taus if power == 2 else taus, re, intercept=True)
+    rnorm = math.sqrt(_fsum(residuals * residuals))
+    return (float(epsilon * c), a, rnorm / math.sqrt(len(re)), float(np.abs(residuals).max()),
+            rnorm / max(math.sqrt(_fsum(re * re)), 1e-300))
 
 
 def estimate_gamma(samples, epsilon: float) -> GammaEstimate:
@@ -221,10 +242,9 @@ def estimate_gamma(samples, epsilon: float) -> GammaEstimate:
     Re(wv) grows as tau*gamma/epsilon to first order; a least-squares line
     (with intercept, which absorbs the O(epsilon) offset of the exact value
     at tau = 0) recovers gamma = epsilon * slope. Expects the linear regime
-    gamma*tau <~ 1e-2.
+    gamma*tau <~ 1e-2. ValueError unless epsilon is finite and nonzero.
     """
-    slope, *diagnostics = _power_fit(samples, 1)
-    return GammaEstimate(float(epsilon * slope), *diagnostics)
+    return GammaEstimate(*_power_fit(samples, 1, epsilon))
 
 
 def estimate_lambda(samples, epsilon: float, gamma0: float) -> LambdaEstimate:
@@ -233,45 +253,35 @@ def estimate_lambda(samples, epsilon: float, gamma0: float) -> LambdaEstimate:
     Re(wv) grows as lam*gamma0*tau^2/(2 epsilon); fitting a + c*tau^2 gives
     lam = 2 epsilon c / gamma0. Expects the quadratic regime lam*tau <~ 1e-2;
     outside it the residual diagnostics blow up rather than the estimate
-    silently degrading.
-    """
-    if gamma0 <= 0.0:
-        raise ValueError("gamma0 must be > 0")
-    c, *diagnostics = _power_fit(samples, 2)
-    return LambdaEstimate(float(2.0 * epsilon * c / gamma0), *diagnostics)
+    silently degrading. ValueError unless epsilon is finite and nonzero and gamma0
+    finite and > 0."""
+    if not 0.0 < gamma0 < math.inf:
+        raise ValueError("gamma0 must be finite and > 0")
+    epsilon_c, *diagnostics = _power_fit(samples, 2, epsilon)
+    return LambdaEstimate(float(2.0 * epsilon_c / gamma0), *diagnostics)
 
 
+@np.errstate(all="ignore")
 def classify_markovianity(samples) -> MarkovianityVerdict:
     """Linear-vs-quadratic discrimination of the short-time Re(wv) growth.
 
-    If a tau = 0 sample is present its real part is subtracted (the exact
-    offset); otherwise the data are assumed already offset-corrected. Both
+    If tau = 0 samples are present the mean of their real parts is subtracted
+    (the exact offset); otherwise the data are assumed offset-corrected. Both
     one-parameter models c1*tau and c2*tau^2 are fitted; the verdict is the
     model whose relative residual is below CLASSIFY_RATIO times the other's,
     otherwise "inconclusive".
     """
-    taus, re = _unpack_samples(samples)
-    if len(taus) < 4:
-        raise DegenerateFit("need at least four samples to classify")
+    taus, re = _unpack_samples(samples, 4)
     zero = np.flatnonzero(taus == 0.0)
-    offset = re[zero[0]] if len(zero) else 0.0
-    y = re - offset
-    t2 = taus * taus
-    if np.dot(taus, taus) == 0.0 or np.dot(t2, t2) == 0.0:
-        raise DegenerateFit("tau grid carries no scale")
-    c1 = float(np.dot(taus, y) / np.dot(taus, taus))
-    c2 = float(np.dot(t2, y) / np.dot(t2, t2))
-    ynorm = float(np.linalg.norm(y))
+    y = re - (_fsum(re[zero]) / len(zero) if len(zero) else 0.0)
+    c1, _, linear = _line(taus, y, intercept=False)
+    c2, _, quadratic = _line(taus * taus, y, intercept=False)
+    ynorm = math.sqrt(_fsum(y * y))
     if ynorm < 1e-12 * len(y):
         return MarkovianityVerdict("inconclusive", c1, c2, 0.0, 0.0)
-    r1 = float(np.linalg.norm(y - c1 * taus)) / ynorm
-    r2 = float(np.linalg.norm(y - c2 * t2)) / ynorm
-    if r1 < CLASSIFY_RATIO * r2:
-        verdict = "Markovian"
-    elif r2 < CLASSIFY_RATIO * r1:
-        verdict = "strongly-non-Markovian"
-    else:
-        verdict = "inconclusive"
+    r1, r2 = (math.sqrt(_fsum(r * r)) / ynorm for r in (linear, quadratic))
+    verdict = ("Markovian" if r1 < CLASSIFY_RATIO * r2 else
+               "strongly-non-Markovian" if r2 < CLASSIFY_RATIO * r1 else "inconclusive")
     return MarkovianityVerdict(verdict, c1, c2, r1, r2)
 
 

@@ -579,6 +579,20 @@ def test_overflowing_rate_exits_2(tmp_path, capsys):
     assert not (out / "weak_value.csv").exists()
 
 
+def test_overflowing_superoperator_exits_2_where_it_enters(tmp_path, capsys):
+    # the rate times |jump|^2 is past the float limit: refused when the
+    # dissipator is made, on one line, before any map is formed
+    payload = two_level_config(channel={"jumps": [[[[0.0, 0.0], [0.0, 0.0]],
+                                                   [[10.0, 0.0], [0.0, 0.0]]]],
+                                        "rates": [1e308]})
+    out = tmp_path / "o"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", "error: the superoperator is not finite: its rates and jumps overflow\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("observable,what", [
     ({"matrix": [[[1.7e308, 0.0], [1.7e308, 0.0]], [[1.7e308, 0.0], [1.7e308, 0.0]]]},
      "observable.matrix"),

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -361,16 +362,43 @@ def test_steady_state_sodium_is_degenerate():
 
 
 def test_ambiguous_kernel_rank_is_refused_everywhere():
-    # at gamma = 1.5e-9 the coherence singular values fall under the 1e-9
-    # tolerance while the population one does not: no clean rank
-    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.5e-9)])
-    setup = WeakMeasurementSetup(sigma_i=np.diag([0.6, 0.4]).astype(complex),
-                                 sigma_fI=np.full((2, 2), 0.5, dtype=complex),
-                                 A_SI=pauli("x"))
-    for limit in (asymptotic_projector,
-                  lambda d: weak_value_limit_infinite(setup, d)):
-        with pytest.raises(NoConvergence, match="ambiguous"):
-            limit(d)
+    # a cascade |0><1| at rate s and |1><2| at rate 1.5e-9 s: the slow decay's
+    # singular values sit at about 1e-9 s_max, on the threshold at every scale
+    first, second = np.zeros((3, 3)), np.zeros((3, 3))
+    first[0, 1] = second[1, 2] = 1.0
+    setup = WeakMeasurementSetup(sigma_i=np.diag([0.5, 0.3, 0.2]).astype(complex),
+                                 sigma_fI=np.full((3, 3), 1.0 / 3.0, dtype=complex),
+                                 A_SI=np.diag([1.0, 0.0, -1.0]).astype(complex))
+    for scale in (1e-6, 1.0, 1e6):
+        d = Dissipator([DissipationChannel(jump=first, rate=scale),
+                        DissipationChannel(jump=second, rate=1.5e-9 * scale)])
+        for limit in (asymptotic_projector,
+                      lambda d: weak_value_limit_infinite(setup, d)):
+            with pytest.raises(NoConvergence, match="ambiguous"):
+                limit(d)
+
+
+@given(seeds)
+def test_a_finite_superoperator_has_a_numerical_kernel(seed):
+    # vec(I) is a left null vector of M to roundoff, at any rate scale, so the
+    # projector's threshold 1e-9 s_max always finds a kernel
+    rng, _, channels = random_setup(seed)
+    scale = 10.0 ** rng.uniform(-100.0, 100.0)
+    d = Dissipator([DissipationChannel(jump=ch.jump, rate=ch.rate * scale) for ch in channels])
+    svals = np.linalg.svd(d.superoperator, compute_uv=False)
+    assert svals[-1] <= 1e-12 * svals[0]
+
+
+def test_an_overflowing_superoperator_is_refused_when_made():
+    jump = np.array([[0.0, 0.0], [10.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="superoperator is not finite"):
+            Dissipator([DissipationChannel(jump=jump, rate=1e308)])
+        # each channel's term is finite; their sum is finite, then it is not
+        Dissipator([DissipationChannel(jump=jump, rate=5e305)] * 2)
+        with pytest.raises(NoConvergence, match="superoperator is not finite"):
+            Dissipator([DissipationChannel(jump=jump, rate=1e307)] * 2)
 
 
 def test_asymptotic_projector_matches_brute_force():

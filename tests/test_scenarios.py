@@ -1,6 +1,7 @@
 """Bundled demonstration scenarios and rate estimators."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -115,8 +116,60 @@ def test_fits_refuse_a_non_finite_sample(fit, bad, capfd):
     samples = [(0.01, 1.0 + 1j), bad, (0.03, 3.0 + 1j), (0.04, 4.0 + 1j), (0.05, 5.0 + 1j)]
     with pytest.raises(DegenerateFit, match=r"sample 1 \(.*\) is not finite"):
         fit(samples)
-    # refused before LAPACK sees it, which would print DLASCL lines for inf
+    # refused before any sum sees it, with nothing printed
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_estimators_refuse_an_epsilon_that_is_not_finite_and_nonzero(epsilon):
+    samples = [(0.01, 1.0 + 0j), (0.02, 2.0 + 0j), (0.03, 3.5 + 0j)]
+    with pytest.raises(ValueError, match="epsilon must be finite and nonzero"):
+        estimate_gamma(samples, epsilon)
+    with pytest.raises(ValueError, match="epsilon must be finite and nonzero"):
+        estimate_lambda(samples, epsilon, 0.1)
+
+
+@pytest.mark.parametrize("gamma0", [float("nan"), float("inf"), 0.0, -0.1])
+def test_estimate_lambda_refuses_a_gamma0_that_is_not_finite_and_positive(gamma0):
+    samples = [(0.01, 1.0 + 0j), (0.02, 2.0 + 0j), (0.03, 3.5 + 0j)]
+    with pytest.raises(ValueError, match="gamma0 must be finite and > 0"):
+        estimate_lambda(samples, 0.01, gamma0)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda s: estimate_lambda(s, 0.01, 0.1),
+    classify_markovianity,
+], ids=["estimate_lambda", "classify_markovianity"])
+def test_fits_refuse_a_tau_grid_whose_square_overflows_without_a_warning(fit):
+    # tau^2 is inf at every sample: no line through tau^2 is finite
+    samples = [(k * 1e200, complex(k, 1.0)) for k in range(1, 7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFit):
+            fit(samples)
+
+
+# tau = 0, 0.001, ..., 0.01 with a linear and a quadratic term and a fixed ripple
+FIT_SAMPLES = [(t, complex(0.25 + 3.0 * t + 40.0 * (t * t) + ((7 * k) % 5 - 2) * 1e-5, 1.0))
+               for k, t in enumerate(k / 1000.0 for k in range(11))]
+
+
+def test_fit_bits_are_pinned():
+    # every sum is a math.fsum and every other step one IEEE operation, so these
+    # bits do not depend on the BLAS core or the SIMD target
+    fits = {
+        "gamma": (estimate_gamma(FIT_SAMPLES[1:], 0.01),
+                  ["0x1.19b49bd8ba61bp-5", "0x1.fe361f2f289aep-3", "0x1.2faac71921466p-12",
+                   "0x1.f198d352e5400p-12", "0x1.1b09796d5a8b7p-10"]),
+        "lambda": (estimate_lambda(FIT_SAMPLES[1:], 0.01, 0.1),
+                   ["0x1.de42910b24a5ap+5", "0x1.06b04a40085aap-2", "0x1.fa71573955e3ap-10",
+                    "0x1.f0dd7dd17af00p-9", "0x1.d80969d46c1ebp-8"]),
+        "classify": (classify_markovianity(FIT_SAMPLES),
+                     ["inconclusive", "0x1.a88fa03fd5720p+1", "0x1.8e7c27a750a70p+8",
+                      "0x1.85d047c80a07bp-6", "0x1.cdbc885b54ce6p-3"]),
+    }
+    for name, (got, want) in fits.items():
+        assert [x.hex() if isinstance(x, float) else x for x in got] == want, name
 
 
 def test_estimate_lambda_on_synthetic_parabola():
