@@ -17,9 +17,10 @@ Gamma(tau), and nothing is integrated numerically. Both check themselves when
 they are made; named_channel alone builds the channels of NAMED_CHANNELS,
 and describe(d) states either kind in one line. traces_over_tau(d, F,
 operands, taus) gives Tr[F e^{D tau}(C)] on a whole tau grid for several
-operands, and evolve(d, C, tau) applies the map at one tau. The map
-preserves traces, commutes with the adjoint (e^{D tau}(C') = (e^{D tau}(C))'),
-and for constant rates forms a semigroup in tau.
+operands, and evolve(d, C, tau) applies the map at one tau. scipy.linalg is
+imported on the first expm only. The map preserves traces, commutes with the
+adjoint (e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a
+semigroup in tau.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -402,14 +403,17 @@ def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
     (M R = 0, L' M = 0) of one SVD M = U diag(s) Vh. The SVD makes the rank
     decision at M's own scale, so that P does not change when every rate is
     scaled: singular values <= 1e-9 s_max count as zero, and NoConvergence is
-    raised unless a x100 gap separates them from the rest. vec(I) is a left
-    null vector of a finite M, so there is a kernel. Zero is a semisimple
-    eigenvalue of a bounded Lindblad semigroup (Albert & Jiang, PRA 89,
-    022118, 2014), so L' R is invertible. Never computed by large-tau propagation.
+    raised if s_max overflows or no x100 gap separates them from the rest.
+    vec(I) is a left null vector of a finite M, so there is a kernel. Zero is
+    a semisimple eigenvalue of a bounded Lindblad semigroup (Albert & Jiang,
+    PRA 89, 022118, 2014), so L' R is invertible. Never computed by large-tau
+    propagation.
     """
     if isinstance(d, NonMarkovJC):
         raise NoConvergence("asymptotic projector requires constant rates")
     U, svals, Vh = np.linalg.svd(d.superoperator)
+    if not np.isfinite(svals[0]):
+        raise NoConvergence("the superoperator's largest singular value overflows")
     tol = _KERNEL_TOL * svals[0]
     n_zero = int(np.sum(svals <= tol))
     # svals descend: the smallest value kept, then the largest kernel value

@@ -212,6 +212,8 @@ def _line(x: np.ndarray, y: np.ndarray, intercept: bool) -> tuple[float, float, 
     """(c, a, residuals a + c x - y) of the least-squares line y ~ a + c x, a = 0
     unless intercept: c = sum dx (y - ybar) / sum dx^2 and a = ybar - c xbar with
     dx = x - xbar, and xbar = ybar = 0 without an intercept."""
+    if intercept and x.min() == x.max():
+        raise DegenerateFit("need at least two distinct tau samples")
     xbar, ybar = (_fsum(x) / len(x), _fsum(y) / len(y)) if intercept else (0.0, 0.0)
     dx = x - xbar
     sxx = _fsum(dx * dx)
@@ -279,9 +281,14 @@ def classify_markovianity(samples) -> MarkovianityVerdict:
     ynorm = math.sqrt(_fsum(y * y))
     if ynorm < 1e-12 * len(y):
         return MarkovianityVerdict("inconclusive", c1, c2, 0.0, 0.0)
-    r1, r2 = (math.sqrt(_fsum(r * r)) / ynorm for r in (linear, quadratic))
-    verdict = ("Markovian" if r1 < CLASSIFY_RATIO * r2 else
-               "strongly-non-Markovian" if r2 < CLASSIFY_RATIO * r1 else "inconclusive")
+    r1 = math.sqrt(_fsum(linear * linear)) / ynorm
+    r2 = math.sqrt(_fsum(quadratic * quadratic)) / ynorm
+    if r1 < CLASSIFY_RATIO * r2:
+        verdict = "Markovian"
+    elif r2 < CLASSIFY_RATIO * r1:
+        verdict = "strongly-non-Markovian"
+    else:
+        verdict = "inconclusive"
     return MarkovianityVerdict(verdict, c1, c2, r1, r2)
 
 

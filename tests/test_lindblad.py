@@ -399,6 +399,11 @@ def test_an_overflowing_superoperator_is_refused_when_made():
         Dissipator([DissipationChannel(jump=jump, rate=5e305)] * 2)
         with pytest.raises(NoConvergence, match="superoperator is not finite"):
             Dissipator([DissipationChannel(jump=jump, rate=1e307)] * 2)
+    # damping at 1.5e308: every entry of M is finite, but s_max = sqrt(2) gamma is not,
+    # and a threshold of inf would count every singular value as zero (P = identity)
+    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.5e308)])
+    with pytest.raises(NoConvergence, match="largest singular value overflows"):
+        asymptotic_projector(d)
 
 
 def test_asymptotic_projector_matches_brute_force():

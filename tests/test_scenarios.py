@@ -103,6 +103,12 @@ def test_estimate_gamma_degenerate_grids():
         estimate_gamma([(0.1, 1.0 + 0j)], 0.01)
     with pytest.raises(DegenerateFit):
         estimate_gamma([(0.1, 1.0 + 0j), (0.1, 1.1 + 0j)], 0.01)
+    # three equal tau: fsum / 3 lands one ulp off 0.1, so each dx is a nonzero -2^-56
+    same_tau = [(0.1, 1.0 + 0j), (0.1, 2.0 + 0j), (0.1, 3.5 + 0j)]
+    with pytest.raises(DegenerateFit, match="two distinct tau samples"):
+        estimate_gamma(same_tau, 0.01)
+    with pytest.raises(DegenerateFit, match="two distinct tau samples"):
+        estimate_lambda(same_tau, 0.01, 0.1)
 
 
 @pytest.mark.parametrize("fit", [
