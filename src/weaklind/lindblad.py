@@ -13,14 +13,14 @@ and left kernels R and L of one SVD of M, whose rank is judged against M's
 largest singular value. NonMarkovJC(gamma0, lam) is the sigma_- channel of
 the non-Markovian damped atom at dim 2, whose time-dependent rate is the
 memory kernel; its map is closed form through the excited-amplitude envelope
-Gamma(tau), and nothing is integrated numerically. Both check themselves when
-they are made; named_channel alone builds the channels of NAMED_CHANNELS,
-and describe(d) states either kind in one line. traces_over_tau(d, F,
-operands, taus) gives Tr[F e^{D tau}(C)] on a whole tau grid for several
-operands, and evolve(d, C, tau) applies the map at one tau. scipy.linalg is
-imported on the first expm only. The map preserves traces, commutes with the
-adjoint (e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a
-semigroup in tau.
+nonmarkov_big_gamma(d, tau), and nothing is integrated numerically. Both
+check themselves when they are made, where a NonMarkovJC also derives its d;
+named_channel alone builds the channels of NAMED_CHANNELS, and describe(d)
+states either kind in one line. traces_over_tau(d, F, operands, taus) gives
+Tr[F e^{D tau}(C)] on a whole tau grid for several operands, and
+evolve(d, C, tau) applies the map at one tau. scipy.linalg is imported on
+the first expm only. The map preserves traces, commutes with the adjoint
+(e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a semigroup.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -58,20 +58,19 @@ class NonMarkovJC:
     lam >> gamma0. Strong coupling (lam < 2 gamma0) has imaginary d: the
     hyperbolic functions become trigonometric, the excited amplitude
     oscillates through zero, and gamma(tau) diverges at each zero crossing.
+    ValueError unless gamma0 and lam are finite and > 0; d is derived once, when made.
     """
 
     gamma0: float
     lam: float
     dim = 2
+    scaled_d: tuple[complex, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_memory_kernel(self.gamma0, self.lam)
-
-
-def _check_memory_kernel(gamma0: float, lam: float) -> None:
-    # the chained comparisons are False for NaN as well
-    if not (0.0 < gamma0 < math.inf and 0.0 < lam < math.inf):
-        raise ValueError("gamma0 and lam must be finite and strictly positive")
+        # the chained comparisons are False for NaN as well
+        if not (0.0 < self.gamma0 < math.inf and 0.0 < self.lam < math.inf):
+            raise ValueError("gamma0 and lam must be finite and strictly positive")
+        object.__setattr__(self, "scaled_d", _nonmarkov_d(self.gamma0, self.lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +146,6 @@ def describe(d: Dissipator | NonMarkovJC) -> str:
     return f"dim={d.dim}; " + "; ".join(parts)
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on the first call: importing scipy.linalg
-    takes about 0.2 s, and a sweep on the eigen kernel never needs it."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(A)
-
-
 def _check_operator(C: np.ndarray, dim: int) -> np.ndarray:
     C = np.asarray(C, dtype=complex)
     if C.shape != (dim, dim):
@@ -190,10 +182,12 @@ def _superoperator_matrix(channels, dim: int) -> np.ndarray:
     return M
 
 
-def _check_tau(tau: float) -> None:
-    if not math.isfinite(tau):
+def _check_tau(tau: float | np.ndarray) -> None:
+    """NegativeTau unless tau, one number or a grid of them, is finite and >= 0."""
+    grid = isinstance(tau, np.ndarray)
+    if not (np.isfinite(tau).all() if grid else math.isfinite(tau)):
         raise NegativeTau("tau must be finite")
-    if tau < 0.0:
+    if (tau < 0.0).any() if grid else tau < 0.0:
         raise NegativeTau("tau must be >= 0")
 
 
@@ -225,7 +219,7 @@ def _nonmarkov_d(gamma0: float, lam: float) -> tuple[complex, float]:
     return cmath.sqrt(complex(l * l - 2.0 * g * l)), scale
 
 
-def _envelope_pieces(gamma0: float, lam: float, tau: float) -> tuple[complex, complex, float]:
+def _envelope_pieces(channel: NonMarkovJC, tau: float) -> tuple[complex, complex, float]:
     """(c, ls, a) with Gamma(tau) = e^a (c + ls).
 
     Normally c = cosh(d tau/2), ls = lam sinh(d tau/2)/d and a = -lam tau/2.
@@ -237,7 +231,7 @@ def _envelope_pieces(gamma0: float, lam: float, tau: float) -> tuple[complex, co
     _nonmarkov_d, as at lam ~ 1e308 (Gamma = e^{-gamma0 tau/2}) gamma0 lam and
     d + lam overflow and 1/d is subnormal. At critical coupling (d = 0) with
     lam tau near the float limit the same scale keeps Gamma and gamma finite."""
-    ds, scale = _nonmarkov_d(gamma0, lam)
+    gamma0, lam, (ds, scale) = channel.gamma0, channel.lam, channel.scaled_d
     d = ds * scale
     x = d * (tau / 2.0)
     if math.isinf(x.imag):
@@ -257,8 +251,8 @@ def _envelope_pieces(gamma0: float, lam: float, tau: float) -> tuple[complex, co
     return (1.0 + e) / 2.0, l * ((1.0 - e) / (2.0 * ds)), -gamma0 * l * tau / (ds.real + l)
 
 
-def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
-    """Excited-state amplitude envelope Gamma(tau) of the non-Markovian channel.
+def nonmarkov_big_gamma(d: NonMarkovJC, tau: float) -> float:
+    """Excited-state amplitude envelope Gamma(tau) of the non-Markovian channel d.
 
     Gamma(tau) = exp(-lam tau/2) [cosh(d tau/2) + (lam/d) sinh(d tau/2)],
     continued to complex d; solves Gamma'' + lam Gamma' + (gamma0 lam/2) Gamma = 0
@@ -270,9 +264,8 @@ def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
 
     NegativeTau unless tau is finite and >= 0.
     """
-    _check_memory_kernel(gamma0, lam)
     _check_tau(tau)
-    c, ls, a = _envelope_pieces(gamma0, lam, tau)
+    c, ls, a = _envelope_pieces(d, float(tau))  # a numpy scalar would warn on overflow
     # d is real or purely imaginary, so every imaginary part of c, ls and e^a
     # is +-0 and Gamma is real (NaN only where inf * 0 meets in the product)
     return (cmath.exp(a) * (c + ls)).real
@@ -280,6 +273,7 @@ def nonmarkov_big_gamma(tau: float, gamma0: float, lam: float) -> float:
 
 def _exponential_map(M: np.ndarray, tau: float) -> np.ndarray:
     """expm(tau M), refused with NoConvergence naming tau when it is not finite."""
+    from scipy.linalg import expm  # on the first call only: importing it takes 0.2 s
     # rates near the float limit overflow tau M or the scaling and squaring
     # inside expm; the map is then refused, never returned as NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -339,17 +333,14 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     earlier row is finite, the tau of a failing envelope.
     """
     taus = np.asarray(taus, dtype=float)
-    if not np.isfinite(taus).all():
-        raise NegativeTau("tau must be finite")
-    if (taus < 0.0).any():
-        raise NegativeTau("tau must be >= 0")
+    _check_tau(taus)
     F = _check_operator(F, d.dim)
     operands = [_check_operator(C, d.dim) for C in operands]
     if isinstance(d, NonMarkovJC):
         G, failure = [], None
         try:
             for tau in taus.tolist():
-                G.append(nonmarkov_big_gamma(tau, d.gamma0, d.lam) if tau else 1.0)
+                G.append(nonmarkov_big_gamma(d, tau) if tau else 1.0)
         except NoConvergence as exc:
             failure = exc
         at_zero = (taus[:len(G)] == 0.0)[:, None, None]  # the identity, not the map at G = 1
@@ -384,14 +375,13 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
 def evolve(d: Dissipator | NonMarkovJC, C: np.ndarray, tau: float) -> np.ndarray:
     """Apply e^{D tau} to an arbitrary operator C: the one-point map of
     traces_over_tau (a copy of C at tau = 0), with the same refusals."""
-    tau = float(tau)  # a numpy scalar tau would make the envelope warn on overflow
+    tau = float(tau)  # any real scalar, as one Python float on both paths
     _check_tau(tau)
     C = _check_operator(C, d.dim)
     if tau == 0.0:
         return C.copy()
     if isinstance(d, NonMarkovJC):
-        G = nonmarkov_big_gamma(tau, d.gamma0, d.lam)
-        return _damping_maps(C, np.array([G]))[0]
+        return _damping_maps(C, np.array([nonmarkov_big_gamma(d, tau)]))[0]
     return apply_superoperator(_exponential_map(d.superoperator, tau), C)
 
 

@@ -18,9 +18,9 @@ verdict), and SCENARIOS maps each CLI name to its run.
 
 The three fits share one least-squares line in closed form whose every sum is
 a math.fsum: each fit is a function of the set of its samples, whatever their
-order, the BLAS core or the SIMD target, and scales with the rates. All
-scenarios are deterministic; Gaussian noise is injected only when an explicit
-seed is supplied (CLI robustness demos), relative to the sample magnitude.
+order, the BLAS core or the SIMD target, and scales with the rates across the
+float range (tau is scaled exactly to unit size). Scenarios are deterministic:
+Gaussian noise, relative to each sample, comes only with an explicit seed.
 """
 
 from __future__ import annotations
@@ -208,10 +208,14 @@ def _fsum(v: np.ndarray) -> float:
         return math.inf
 
 
-def _line(x: np.ndarray, y: np.ndarray, intercept: bool) -> tuple[float, float, np.ndarray]:
-    """(c, a, residuals a + c x - y) of the least-squares line y ~ a + c x, a = 0
-    unless intercept: c = sum dx (y - ybar) / sum dx^2 and a = ybar - c xbar with
+def _line(taus: np.ndarray, power: int, y: np.ndarray,
+          intercept: bool) -> tuple[float, int, float, np.ndarray]:
+    """(c, e, a, residuals a + c x - y) of the least-squares line y ~ a + c x in x = 2^e tau^power
+    = (tau / 2^k)^power, 2^k just above max|tau|, so that x and the sums stay normal at any tau
+    scale; a = 0 unless intercept: c = sum dx (y - ybar) / sum dx^2 and a = ybar - c xbar with
     dx = x - xbar, and xbar = ybar = 0 without an intercept."""
+    k = math.frexp(float(np.abs(taus).max()))[1]
+    x = np.ldexp(taus, -k) ** power
     if intercept and x.min() == x.max():
         raise DegenerateFit("need at least two distinct tau samples")
     xbar, ybar = (_fsum(x) / len(x), _fsum(y) / len(y)) if intercept else (0.0, 0.0)
@@ -221,20 +225,25 @@ def _line(x: np.ndarray, y: np.ndarray, intercept: bool) -> tuple[float, float, 
     if not math.isfinite(c):
         raise DegenerateFit("no finite fit: the tau samples need a finite, nonzero spread")
     a = ybar - c * xbar
-    return c, a, a + c * x - y
+    return c, -k * power, a, a + c * x - y
 
 
 @np.errstate(all="ignore")
-def _power_fit(samples, power: int, epsilon: float) -> tuple[float, float, float, float, float]:
-    """(epsilon c, a, residual_rms, max_abs_residual, rel_residual) of the
-    least-squares fit of a + c*tau^power (power 1 or 2) to Re(wv), rel_residual
-    being relative to the norm of Re(wv). ValueError unless epsilon is finite and nonzero."""
+def _power_fit(samples, power: int, epsilon: float,
+               per: float = 1.0) -> tuple[float, float, float, float, float]:
+    """(epsilon c / per, a, residual_rms, max_abs_residual, rel_residual) of the least-squares
+    fit of a + c*tau^power (power 1 or 2) to Re(wv), rel_residual relative to the norm of Re(wv).
+    ValueError unless epsilon is finite and nonzero; DegenerateFit past the float range."""
     if not (math.isfinite(epsilon) and epsilon != 0.0):
         raise ValueError("epsilon must be finite and nonzero")
     taus, re = _unpack_samples(samples, 2)
-    c, a, residuals = _line(taus * taus if power == 2 else taus, re, intercept=True)
+    c, e, a, residuals = _line(taus, power, re, intercept=True)
+    m, k = math.frexp(per)  # epsilon c 2^e / per, rounded once, to inf or 0 past the range
+    estimate = float(np.ldexp(epsilon * c / m, e - k))
+    if not math.isfinite(estimate) or (estimate == 0.0 and c != 0.0):
+        raise DegenerateFit("the estimate is outside the float range")
     rnorm = math.sqrt(_fsum(residuals * residuals))
-    return (float(epsilon * c), a, rnorm / math.sqrt(len(re)), float(np.abs(residuals).max()),
+    return (estimate, a, rnorm / math.sqrt(len(re)), float(np.abs(residuals).max()),
             rnorm / max(math.sqrt(_fsum(re * re)), 1e-300))
 
 
@@ -259,8 +268,7 @@ def estimate_lambda(samples, epsilon: float, gamma0: float) -> LambdaEstimate:
     finite and > 0."""
     if not 0.0 < gamma0 < math.inf:
         raise ValueError("gamma0 must be finite and > 0")
-    epsilon_c, *diagnostics = _power_fit(samples, 2, epsilon)
-    return LambdaEstimate(float(2.0 * epsilon_c / gamma0), *diagnostics)
+    return LambdaEstimate(*_power_fit(samples, 2, epsilon, gamma0 / 2.0))
 
 
 @np.errstate(all="ignore")
@@ -271,13 +279,14 @@ def classify_markovianity(samples) -> MarkovianityVerdict:
     (the exact offset); otherwise the data are assumed offset-corrected. Both
     one-parameter models c1*tau and c2*tau^2 are fitted; the verdict is the
     model whose relative residual is below CLASSIFY_RATIO times the other's,
-    otherwise "inconclusive".
+    otherwise "inconclusive". A c1 or c2 past the float range is inf or 0.
     """
     taus, re = _unpack_samples(samples, 4)
     zero = np.flatnonzero(taus == 0.0)
     y = re - (_fsum(re[zero]) / len(zero) if len(zero) else 0.0)
-    c1, _, linear = _line(taus, y, intercept=False)
-    c2, _, quadratic = _line(taus * taus, y, intercept=False)
+    c1, e1, _, linear = _line(taus, 1, y, intercept=False)
+    c2, e2, _, quadratic = _line(taus, 2, y, intercept=False)
+    c1, c2 = float(np.ldexp(c1, e1)), float(np.ldexp(c2, e2))  # inf or 0 past the range
     ynorm = math.sqrt(_fsum(y * y))
     if ynorm < 1e-12 * len(y):
         return MarkovianityVerdict("inconclusive", c1, c2, 0.0, 0.0)

@@ -205,7 +205,7 @@ def test_criterion_08_memory_kernel_channel_certification():
         gamma_ode = orc.big_gamma_ode(taus, gamma0, lam)
         d = NonMarkovJC(gamma0=gamma0, lam=lam)
         for tau, g_ref in zip(taus, gamma_ode):
-            assert abs(nonmarkov_big_gamma(float(tau), gamma0, lam) - g_ref) < 1e-7
+            assert abs(nonmarkov_big_gamma(d, float(tau)) - g_ref) < 1e-7
             want = orc.nonmarkov_apply_ode(rho, gamma0, lam, float(tau))
             got = evolve(d, rho, float(tau))
             assert np.abs(got - want).max() < 1e-7, (lam, tau)

@@ -146,9 +146,10 @@ def test_nonmarkov_big_gamma_against_ode():
     for gamma0, lam in ((1.0, 10.0), (1.0, 2.0), (1.0, 0.5)):
         taus = np.linspace(0.0, 5.0, 41)
         want = orc.big_gamma_ode(taus, gamma0, lam)
-        got = np.array([nonmarkov_big_gamma(t, gamma0, lam) for t in taus])
+        d = NonMarkovJC(gamma0, lam)
+        got = np.array([nonmarkov_big_gamma(d, t) for t in taus])
         assert np.abs(got - want).max() < 1e-9
-    assert nonmarkov_big_gamma(0.0, 1.0, 0.5) == 1.0
+    assert nonmarkov_big_gamma(NonMarkovJC(1.0, 0.5), 0.0) == 1.0
 
 
 def test_nonmarkov_big_gamma_critical_coupling():
@@ -156,7 +157,7 @@ def test_nonmarkov_big_gamma_critical_coupling():
     lam = 2.0
     for tau in (0.0, 0.4, 2.3):
         want = np.exp(-lam * tau / 2.0) * (1.0 + lam * tau / 2.0)
-        assert abs(nonmarkov_big_gamma(tau, 1.0, lam) - want) < 1e-12
+        assert abs(nonmarkov_big_gamma(NonMarkovJC(1.0, lam), tau) - want) < 1e-12
 
 
 def test_nonmarkov_short_memory_does_not_overflow():
@@ -167,7 +168,7 @@ def test_nonmarkov_short_memory_does_not_overflow():
         # (d - lam) written as -2 gamma0 lam / (d + lam), free of cancellation
         want = (0.5 * np.exp(-gamma0 * lam * tau / (d + lam)) * (1.0 + lam / d)
                 + 0.5 * np.exp(-(d + lam) * tau / 2.0) * (1.0 - lam / d))
-        assert abs(nonmarkov_big_gamma(tau, gamma0, lam) - want) < 1e-14
+        assert abs(nonmarkov_big_gamma(NonMarkovJC(gamma0, lam), tau) - want) < 1e-14
     d = NonMarkovJC(gamma0=gamma0, lam=lam)
     out = evolve(d, np.diag([1.0, 0.0]).astype(complex), 20.0)
     assert np.all(np.isfinite(out))
@@ -180,18 +181,39 @@ def test_nonmarkov_envelope_near_the_float_limit():
     for gamma0 in (1.0, 0.3):
         for tau in (0.5, 1.0, 4.0, 40.0):
             want = np.exp(-gamma0 * tau / 2.0)
-            assert abs(nonmarkov_big_gamma(tau, gamma0, 1e308) - want) < 1e-15
+            assert abs(nonmarkov_big_gamma(NonMarkovJC(gamma0, 1e308), tau) - want) < 1e-15
     # gamma0 ~ 1e308 is strong coupling with d ~ 1.4e154 i
     for tau in (0.5, 1.0, 2.0, 4.0):
         for gamma0, lam in ((1e308, 1.0), (1e300, 1e300)):
-            G = nonmarkov_big_gamma(tau, gamma0, lam)
+            G = nonmarkov_big_gamma(NonMarkovJC(gamma0, lam), tau)
             assert np.isfinite(G) and abs(G) <= 1.0
 
 
 def test_nonmarkov_critical_coupling_near_the_float_limit():
-    # lam = 2 gamma0 = 1e308: y = lam tau/2 overflows, yet Gamma = e^{-y} (1 + y) is 0
-    for tau in (1e-300, 0.5, 1.9, 4.0):
-        assert nonmarkov_big_gamma(tau, 5e307, 1e308) == 0.0
+    # lam = 2 gamma0 = 1e308: y = lam tau/2 overflows, yet Gamma = e^{-y} (1 + y) is 0,
+    # also for a numpy scalar tau, whose overflow would warn
+    for tau in (1e-300, 0.5, 1.9, 4.0, np.float64(4.0)):
+        assert nonmarkov_big_gamma(NonMarkovJC(5e307, 1e308), tau) == 0.0
+
+
+# (gamma0, lam, tau) -> float.hex of Gamma, in each branch of _envelope_pieces.
+# The envelope is cmath and math alone, so these bits do not depend on the
+# BLAS core or the SIMD target.
+ENVELOPE_BITS = {
+    (0.1, 1.0, 2.5): "0x1.d85a465ac5051p-1",           # small x, real d
+    (1.0, 0.5, 3.0): "0x1.8edb0b867eaa5p-2",           # small x, imaginary d
+    (0.5, 1.0, 3.0): "0x1.1d9b4a76f1992p-1",           # critical coupling
+    (1.5e-300, 3e-300, 1e300): "0x1.1d9b4a76f1992p-1",  # critical, the same lam tau
+    (5e307, 1e308, 4.0): "0x0.0p+0",                   # critical, y >= 2^1023
+    (1.0, 1e308, 40.0): "0x1.1b48655f37267p-29",       # x > 20, scaled d and lam
+    (0.1, 1000.0, 2.0): "0x1.cf4c3014224d8p-1",        # x > 20
+}
+
+
+def test_envelope_bits_are_pinned():
+    got = {key: nonmarkov_big_gamma(NonMarkovJC(key[0], key[1]), key[2]).hex()
+           for key in ENVELOPE_BITS}
+    assert got == ENVELOPE_BITS
 
 
 # gamma0 from 1e-300 to the float limit, and lam as a multiple of it: critical
@@ -211,7 +233,7 @@ def test_nonmarkov_envelope_is_real(gamma0, ratio, tau):
     # but +-0, or NaN where inf * 0 meets; nonmarkov_big_gamma keeps the real part
     lam = min(max(gamma0 * ratio, 1e-300), 1.7e308)
     try:
-        c, ls, a = lindblad._envelope_pieces(gamma0, lam, tau)
+        c, ls, a = lindblad._envelope_pieces(NonMarkovJC(gamma0, lam), tau)
     except NoConvergence:  # the phase d tau/2 overflows
         return
     value = cmath.exp(a) * (c + ls)
@@ -269,7 +291,7 @@ def test_sigma_minus_maps_are_the_identity_at_tau_0():
     # the damping map at G = 1 would form -0 - (-1)(0) = +0 in the corner
     C = np.array([[complex(-0.0, -1.0), 0.5], [2.0, 1.0]])
     assert np.array_equal(evolve(d, C, 0.0).view(np.uint64), C.view(np.uint64))
-    G = nonmarkov_big_gamma(1.0, 1.0, 0.5)
+    G = nonmarkov_big_gamma(NonMarkovJC(1.0, 0.5), 1.0)
     assert np.array_equal(evolve(d, C, 1.0), scalar_damping_map(C, G))
     # the stacked grid takes the same two maps, bit for bit
     F = orc.random_matrix(np.random.default_rng(12), 2)
@@ -280,9 +302,10 @@ def test_sigma_minus_maps_are_the_identity_at_tau_0():
 
 def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
     gamma0, lam = 0.5, 1.0
+    d = NonMarkovJC(gamma0, lam)
     for tau in np.linspace(0.0, 30.0, 61).tolist() + [700.0, 1500.0]:
         y = lam * (tau / 2.0)
-        assert nonmarkov_big_gamma(tau, gamma0, lam) == math.exp(-lam * tau / 2.0) * (1.0 + y)
+        assert nonmarkov_big_gamma(d, tau) == math.exp(-lam * tau / 2.0) * (1.0 + y)
 
 
 def test_nonmarkov_channel_pole_crossing():
@@ -293,7 +316,7 @@ def test_nonmarkov_channel_pole_crossing():
     C = orc.random_matrix(rng, 2)
     for tau in np.linspace(0.2, 5.0, 13):
         got = evolve(d, C, tau)
-        closed = scalar_damping_map(C, nonmarkov_big_gamma(tau, gamma0, lam))
+        closed = scalar_damping_map(C, nonmarkov_big_gamma(d, tau))
         ode = orc.nonmarkov_apply_ode(C, gamma0, lam, tau)
         assert np.abs(got - closed).max() < 1e-7
         assert np.abs(got - ode).max() < 1e-7
@@ -452,6 +475,12 @@ def test_evolve_rejects_bad_inputs():
         evolve(d, np.eye(3), -0.1)
 
 
+def test_a_bad_memory_kernel_is_refused_before_a_bad_tau():
+    # gamma0 and lam are checked when the channel is made, before any tau
+    with pytest.raises(ValueError, match="gamma0 and lam must be finite"):
+        nonmarkov_big_gamma(NonMarkovJC(math.nan, 1.0), math.nan)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonmarkov_rate_rejects_non_finite_parameters(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -459,16 +488,16 @@ def test_nonmarkov_rate_rejects_non_finite_parameters(bad):
     with pytest.raises(ValueError, match="finite"):
         NonMarkovJC(gamma0=1.0, lam=bad)
     with pytest.raises(ValueError, match="finite"):
-        nonmarkov_big_gamma(1.0, bad, 1.0)
+        nonmarkov_big_gamma(NonMarkovJC(bad, 1.0), 1.0)
     with pytest.raises(ValueError, match="finite"):
-        nonmarkov_big_gamma(1.0, 0.1, bad)
+        nonmarkov_big_gamma(NonMarkovJC(0.1, bad), 1.0)
 
 
 @pytest.mark.parametrize("tau", [-2.0, -5e-324, math.nan, math.inf, -math.inf])
 def test_closed_forms_reject_a_negative_or_non_finite_tau(tau):
     C = np.eye(2, dtype=complex)
     memory = NonMarkovJC(gamma0=0.1, lam=1.0)
-    for call in (lambda: nonmarkov_big_gamma(tau, 0.1, 1.0),
+    for call in (lambda: nonmarkov_big_gamma(NonMarkovJC(0.1, 1.0), tau),
                  lambda: evolve(memory, C, tau),
                  lambda: evolve(damping(0.5), C, tau)):
         with pytest.raises(NegativeTau):

@@ -8,6 +8,9 @@ unitary applied to the jumps, the states and the observable, leaves every
 weak value as it is.
 """
 
+import math
+import sys
+
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -109,22 +112,42 @@ def test_infinite_time_limit_is_rate_scale_free(scale):
     assert abs(weak_value_limit_infinite(setup, _dissipator(SODIUM, scale)) - want) <= 1e-13
 
 
-@given(SCALES)
+def _scaled_estimates(scale):
+    """gamma_hat and lambda_hat of the protocol's exact data at rates x scale, tau / scale."""
+    taus = np.linspace(1e-3, 1e-2, 10)
+    gamma = estimate_gamma(_protocol_samples(_damping(0.1 * scale), taus / (0.1 * scale)),
+                           EPSILON)
+    lam = estimate_lambda(
+        _protocol_samples(NonMarkovJC(gamma0=0.1 * scale, lam=scale), taus / scale),
+        EPSILON, 0.1 * scale)
+    return gamma.gamma_hat, lam.lambda_hat
+
+
+def _normal_at(coeff, scale, power):
+    """Whether coeff * scale^power is a normal float, with a decade to spare."""
+    exponent = math.log10(abs(coeff)) + power * math.log10(scale)
+    return sys.float_info.min_10_exp < exponent < sys.float_info.max_10_exp - 1
+
+
+@given(st.floats(-290.0, 290.0).map(lambda e: 10.0 ** e))
 @example(1e-12)
 @example(1e6)     # the memory-kernel width lam = 1e6 refused as rank-deficient
 @example(1e12)
+# dx^2 or tau^2 subnormal or past the float range: refused, or 19 % off
+@example(1e150)
+@example(1e-150)
+@example(1e160)
+@example(1e-160)
+@example(1e200)
+@example(1e-200)
+@example(1e290)
+@example(1e-290)
 def test_estimates_scale_with_the_rates(scale):
     taus = np.linspace(1e-3, 1e-2, 10)
-    lam = estimate_lambda(_protocol_samples(NonMarkovJC(gamma0=0.1, lam=1.0), taus),
-                          EPSILON, 0.1)
-    lam_s = estimate_lambda(
-        _protocol_samples(NonMarkovJC(gamma0=0.1 * scale, lam=scale), taus / scale),
-        EPSILON, 0.1 * scale)
-    assert abs(lam_s.lambda_hat / scale - lam.lambda_hat) <= 1e-12 * lam.lambda_hat
-    gamma = estimate_gamma(_protocol_samples(_damping(0.1), taus / 0.1), EPSILON)
-    gamma_s = estimate_gamma(_protocol_samples(_damping(0.1 * scale), taus / (0.1 * scale)),
-                             EPSILON)
-    assert abs(gamma_s.gamma_hat / scale - gamma.gamma_hat) <= 1e-12 * gamma.gamma_hat
+    gamma, lam = _scaled_estimates(1.0)
+    gamma_s, lam_s = _scaled_estimates(scale)
+    assert abs(lam_s / scale - lam) <= 1e-12 * lam
+    assert abs(gamma_s / scale - gamma) <= 1e-12 * gamma
     for d, d_s, rate in ((_damping(0.1), _damping(0.1 * scale), 0.1),
                          (NonMarkovJC(gamma0=0.1, lam=1.0),
                           NonMarkovJC(gamma0=0.1 * scale, lam=scale), 1.0)):
@@ -132,9 +155,20 @@ def test_estimates_scale_with_the_rates(scale):
         got_s = classify_markovianity(
             _protocol_samples(d_s, taus / (rate * scale), with_zero=True))
         assert got_s.verdict == got.verdict
-        assert abs(got_s.linear_coeff / scale - got.linear_coeff) <= 1e-12 * abs(got.linear_coeff)
-        assert (abs(got_s.quadratic_coeff / scale / scale - got.quadratic_coeff)
-                <= 1e-12 * abs(got.quadratic_coeff))
+        # each coefficient wherever scale^power times it is representable
+        if _normal_at(got.linear_coeff, scale, 1):
+            assert (abs(got_s.linear_coeff / scale - got.linear_coeff)
+                    <= 1e-12 * abs(got.linear_coeff))
+        if _normal_at(got.quadratic_coeff, scale, 2):
+            assert (abs(got_s.quadratic_coeff / scale / scale - got.quadratic_coeff)
+                    <= 1e-12 * abs(got.quadratic_coeff))
+
+
+def test_gamma_estimate_at_huge_rates_is_right():
+    # rates x 1e160 made dx^2 subnormal: gamma_hat / s was 0.11827, 19 % off
+    gamma, _ = _scaled_estimates(1.0)
+    gamma_s, _ = _scaled_estimates(1e160)
+    assert abs(gamma_s / 1e160 - gamma) <= 1e-12 * gamma
 
 
 # ------------------------------------------------------------ sample order

@@ -142,17 +142,30 @@ def test_estimate_lambda_refuses_a_gamma0_that_is_not_finite_and_positive(gamma0
         estimate_lambda(samples, 0.01, gamma0)
 
 
+# tau^2 overflows at every sample, and Re(wv) = tau / 1e200
+OVERFLOWING_SQUARES = [(k * 1e200, complex(k, 1.0)) for k in range(1, 7)]
+
+
 @pytest.mark.parametrize("fit", [
     lambda s: estimate_lambda(s, 0.01, 0.1),
-    classify_markovianity,
-], ids=["estimate_lambda", "classify_markovianity"])
+], ids=["estimate_lambda"])
 def test_fits_refuse_a_tau_grid_whose_square_overflows_without_a_warning(fit):
-    # tau^2 is inf at every sample: no line through tau^2 is finite
-    samples = [(k * 1e200, complex(k, 1.0)) for k in range(1, 7)]
+    # the fit runs at unit tau scale, but lam ~ 1e-400 is below the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateFit):
-            fit(samples)
+        with pytest.raises(DegenerateFit, match="the estimate is outside the float range"):
+            fit(OVERFLOWING_SQUARES)
+
+
+def test_classify_takes_a_tau_grid_whose_square_overflows_without_a_warning():
+    # the verdict stands; the tau^2 coefficient ~ 1e-400 rounds to 0 as one IEEE
+    # operation would
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classify_markovianity(OVERFLOWING_SQUARES)
+    assert got.verdict == "Markovian"
+    assert abs(got.linear_coeff * 1e200 - 1.0) < 1e-15
+    assert got.quadratic_coeff == 0.0
 
 
 # tau = 0, 0.001, ..., 0.01 with a linear and a quadratic term and a fixed ripple

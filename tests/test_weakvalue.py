@@ -579,7 +579,8 @@ GRID = np.linspace(0.0, 4.0, 5)   # N = 5 points, the first at tau = 0
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of expm and of the memory-kernel envelope made by weaklind.lindblad."""
+    """Calls of expm (_exponential_map) and of the memory-kernel envelope made
+    by weaklind.lindblad."""
     seen = {"expm": 0, "envelope": 0}
 
     def counting(key, fn):
@@ -588,7 +589,8 @@ def counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(lindblad, "expm", counting("expm", lindblad.expm))
+    monkeypatch.setattr(lindblad, "_exponential_map",
+                        counting("expm", lindblad._exponential_map))
     monkeypatch.setattr(lindblad, "nonmarkov_big_gamma",
                         counting("envelope", lindblad.nonmarkov_big_gamma))
     return seen
@@ -604,6 +606,17 @@ def test_memory_kernel_sweep_evaluates_one_envelope_per_nonzero_tau(counts):
     d = NonMarkovJC(gamma0=0.1, lam=1.0)
     trace_over_tau(random_setup(np.random.default_rng(2), 2), d, GRID)
     assert counts == {"expm": 0, "envelope": len(GRID) - 1}
+
+
+def test_memory_kernel_sweep_derives_no_d(counts, monkeypatch):
+    # d depends on the channel alone: it is derived when the channel is made
+    d = NonMarkovJC(gamma0=0.1, lam=1.0)
+    derived = []
+    monkeypatch.setattr(lindblad, "_nonmarkov_d", lambda *args: derived.append(args))
+    trace_over_tau(random_setup(np.random.default_rng(2), 2), d, GRID)
+    lindblad.evolve(d, np.eye(2), 1.0)
+    assert derived == []
+    assert counts == {"expm": 0, "envelope": len(GRID)}
 
 
 def test_memory_kernel_sweep_builds_no_channel_map(counts, monkeypatch):
