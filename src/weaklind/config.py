@@ -19,12 +19,12 @@ section that breaks its cross-field rule (exactly one state form, exactly
 one observable form, a coherent channel, an ordered sweep). Each field that
 sizes an allocation is bounded: sweep.count is at most COUNT_MAX = 10**6 and
 system.dimension at most DIMENSION_MAX = 32 (the Lindblad generator is
-d^2 x d^2). Their product is not: a sweep holds count x d^2 complex numbers,
-about 15 GiB at both bounds, and a run that finds too little memory exits 2
-from the CLI. meter.n_max (at most N_MAX_MAX = 1000) sizes nothing, since the
-readout forms need only the mean occupation; it bounds a number meter's
-level. Every failure becomes one `loc: msg` line of a single ConfigError; a
-file that cannot be read or parsed is a ConfigError too.
+d^2 x d^2). A sweep holds count x (operands + output columns) numbers and a
+few d^2 x d^2 matrices, since the eigen rows go in bounded blocks; too little
+memory exits 2 from the CLI. meter.n_max (at most N_MAX_MAX = 1000) sizes
+nothing, since the readout forms need only the mean occupation; it bounds a
+number meter's level. Every failure becomes one `loc: msg` line of a single
+ConfigError; a file that cannot be read or parsed is a ConfigError too.
 
 Sections are optional at the schema level; each CLI command states which
 ones it needs (weak-value: system/observable/channel/sweep; shifts: those

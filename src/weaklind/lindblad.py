@@ -41,6 +41,7 @@ from .operators import SIGMA_MINUS, _cmul, sodium_jump_operators
 
 _KERNEL_TOL = 1e-9
 _EIG_COND_MAX = 1e4
+_EIG_BLOCK = 1 << 16  # the products of one block of _eigen_traces rows
 
 
 @dataclass(frozen=True)
@@ -294,19 +295,17 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
     and |lam| <= 16 n eps max|lam| (n = dim M) is set to exactly 0: the
     roundoff of a kernel eigenvalue would otherwise decay or grow the
     steady part at huge tau (|lam| tau of order 1 at tau ~ 1e15).
-    exp(outer(tau, lam)) is evaluated once per bitwise-distinct lam and its
-    columns gathered, which gives the same bits: the six-level sodium M
-    (36 x 36) has three, 0, -Gamma/2 and -Gamma.
+    Row k sums exp(tau_k lam_m) W_mj over the bitwise-distinct lam_m in order,
+    W_m their weights (r^T V)_i (V^-1 X)_ij summed in index order. Each product
+    is a _cmul, so a row depends on tau_k alone, in any grid and any block.
     """
     try:
         lam, V = np.linalg.eig(M)
     except np.linalg.LinAlgError:
         return None
-    if not np.linalg.cond(V) <= _EIG_COND_MAX:
-        return None
-    # in Python floats: an infinite bound must not raise a numpy overflow warning
-    lam_max = max(float(np.abs(lam.real).max()), float(np.abs(lam.imag).max()))
-    if not math.isfinite(lam_max * float(np.abs(taus).max())):
+    # the bound in Python floats: an infinite one must not raise a numpy overflow warning
+    if not (np.linalg.cond(V) <= _EIG_COND_MAX and math.isfinite(
+            float(np.abs(lam.view(float)).max()) * float(taus.max(initial=0.0)))):
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
     lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
@@ -314,9 +313,20 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
     # keyed on the bytes: float equality would merge +0.0 and -0.0
     slot = {}
     cols = [slot.setdefault(key, len(slot)) for key in lam.view("V16").tolist()]
-    distinct = np.empty(len(slot), dtype=complex)
-    distinct[cols] = lam
-    return np.take(np.exp(np.multiply.outer(taus, distinct)), cols, axis=1) @ weights
+    distinct = np.frombuffer(b"".join(slot), dtype=complex)[:, None]  # first-seen order
+    W = np.zeros((len(slot), X.shape[1], 1), dtype=complex)
+    np.add.at(W, cols, weights[..., None])
+    step = max(1, _EIG_BLOCK // W.size)
+    traces = np.empty((X.shape[1], len(taus)), dtype=complex)
+    for start in range(0, len(taus), step):
+        t = taus[start:start + step]
+        z = np.empty((len(slot), len(t)), dtype=complex)
+        z.real, z.imag = _cmul(t, 0.0, distinct.real, distinct.imag)
+        e = np.exp(z)[:, None]
+        terms = np.empty((len(slot), X.shape[1], len(t)), dtype=complex)  # (m, j, k)
+        terms.real, terms.imag = _cmul(e.real, e.imag, W.real, W.imag)
+        traces[:, start:start + step] = sum(terms[1:], terms[0])  # a complex add is 2 real ones
+    return traces.T
 
 
 def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
@@ -325,17 +335,19 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
 
     Constant rates take exp(tau_n M) of the superoperator M from one
     eigendecomposition (_eigen_traces) or, where its guards fail, one expm per
-    nonzero tau, serving every operand. The sigma_- memory kernel takes the
-    stacked closed-form maps of _damping_maps, one envelope per nonzero tau.
-    Closed-form and expm rows are bit for bit Tr[F evolve(d, C_j, tau_n)].
-    NegativeTau unless every tau is finite and >= 0. NoConvergence names the
-    first tau whose row of traces or whose expm is not finite, or, when every
-    earlier row is finite, the tau of a failing envelope.
+    nonzero tau; the sigma_- memory kernel stacks _damping_maps, one envelope
+    per nonzero tau. Every row is a function of its own tau, and closed-form
+    and expm rows are Tr[F evolve(d, C_j, tau_n)] bit for bit. ValueError
+    unless taus is 1-D and operands nonempty; NegativeTau unless every tau is
+    finite and >= 0. NoConvergence names the first tau whose row or expm is
+    not finite, or, when every earlier row is finite, a failing envelope's.
     """
     taus = np.asarray(taus, dtype=float)
-    _check_tau(taus)
     F = _check_operator(F, d.dim)
     operands = [_check_operator(C, d.dim) for C in operands]
+    if taus.ndim != 1 or not operands:
+        raise ValueError("traces need a 1-D tau grid and at least one operand")
+    _check_tau(taus)
     if isinstance(d, NonMarkovJC):
         G, failure = [], None
         try:
@@ -353,8 +365,7 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     else:
         M = d.superoperator
         # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
-        traces = _eigen_traces(_vec(F.T), np.stack([_vec(C) for C in operands], axis=1), M,
-                               taus)
+        traces = _eigen_traces(_vec(F.T), np.array([_vec(C) for C in operands]).T, M, taus)
         if traces is None:
             traces = np.full((len(taus), len(operands)), complex(np.nan, np.nan))
             for k, tau in enumerate(taus.tolist()):
@@ -365,10 +376,9 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
                 traces[k] = [np.trace(F @ C) for C in evolved]
                 if not np.isfinite(traces[k]).all():  # a larger tau would overflow further
                     break
-    bad = ~np.isfinite(traces).all(axis=1)
-    if bad.any():
-        raise NoConvergence(
-            f"the evolved traces are not finite at tau={taus[bad.argmax()].item()}")
+    if not np.isfinite(traces).all():
+        first = np.isfinite(traces).all(axis=1).argmin()
+        raise NoConvergence(f"the evolved traces are not finite at tau={taus[first].item()}")
     return traces
 
 

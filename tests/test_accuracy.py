@@ -10,6 +10,14 @@ form cancel in 308 of its digits. The cases cover weak, strong, critical and
 near-critical coupling, both sides of the switch at d tau/2 = 20, lam near
 1e308, and gamma0 and lam near 1e-300. |Gamma| <= 1, so the error is
 absolute.
+
+The constant-rate sweep (traces_over_tau) is compared with mpmath.expm at
+40 digits, one connected block of the generator's nonzero pattern at a time
+(exp of a block-diagonal matrix is the block-diagonal of the exps), on random
+2- and 3-level dissipators, the six-level sodium channel and the equal-rate
+cascade, whose defective generator takes the expm fallback. The error is
+relative to |F| |C_j| (Frobenius norms), which bounds a trace times
+|exp(tau M)|; the eigen path is pinned at c cond(V) eps, cond(V) <= 1e4.
 """
 
 import math
@@ -17,8 +25,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
-from weaklind import NonMarkovJC, nonmarkov_big_gamma
+import oracles as orc
+from test_lindblad import equal_rate_cascade, random_setup
+from weaklind import Dissipator, NonMarkovJC, lindblad, nonmarkov_big_gamma
 
 TOL = 1e-14
 CASES_PER_REGIME = 150
@@ -108,3 +119,66 @@ def test_envelope_matches_60_digit_closed_form(regime):
         if err > worst:
             worst, at = err, (gamma0, lam, tau)
     assert worst <= TOL, (worst, at)
+
+
+EPS = np.finfo(float).eps
+SWEEP_TAUS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)  # each twice the one before: one squaring
+
+
+def exact_traces(M, F, operands, taus, dps=40):
+    """Tr[F exp(tau M)(C_j)] at dps digits for taus that double from the first:
+    one mpmath.expm per block of M's nonzero pattern, then a squaring per tau."""
+    n_blocks, label = connected_components(M != 0, directed=False)
+    with mpmath.workdps(dps):
+        blocks = []
+        for b in range(n_blocks):
+            idx = np.flatnonzero(label == b)
+            blocks.append((idx, mpmath.expm(taus[0] * mpmath.matrix(M[np.ix_(idx, idx)].tolist()))))
+        r = lindblad._vec(F.T)
+        X = np.array([lindblad._vec(C) for C in operands]).T
+        rows = []
+        for k in range(len(taus)):
+            if k:
+                blocks = [(idx, E * E) for idx, E in blocks]
+            row = [mpmath.mpc(0)] * X.shape[1]
+            for idx, E in blocks:
+                rE = mpmath.matrix([r[idx].tolist()]) * E
+                for j in range(X.shape[1]):
+                    row[j] += (rE * mpmath.matrix(X[idx, j].tolist()))[0]
+            rows.append([complex(x) for x in row])
+    return np.array(rows)
+
+
+def sweep_error(d, rng):
+    """max over the taus and operands of |traces_over_tau - exact| / (|F| |C_j|)."""
+    F = orc.random_matrix(rng, d.dim)
+    operands = [orc.random_matrix(rng, d.dim) for _ in range(2)]
+    got = lindblad.traces_over_tau(d, F, operands, SWEEP_TAUS)
+    err = np.abs(got - exact_traces(d.superoperator, F, operands, SWEEP_TAUS))
+    return float((err / (np.linalg.norm(F) * np.linalg.norm(operands, axis=(1, 2)))).max())
+
+
+def eigen_condition(d):
+    return float(np.linalg.cond(np.linalg.eig(d.superoperator)[1]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eigen_sweep_error_is_within_cond_v_eps(dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(12):
+        d = Dissipator(random_setup(int(rng.integers(10**6)), dim)[2])
+        cond = eigen_condition(d)
+        assert cond <= lindblad._EIG_COND_MAX  # the eigen path, not the fallback
+        assert sweep_error(d, rng) <= 64 * cond * EPS
+
+
+def test_sodium_sweep_error_is_within_cond_v_eps():
+    d = lindblad.named_channel("sodium", {"rate": 1.0})[0]
+    assert sweep_error(d, np.random.default_rng(11)) <= 64 * eigen_condition(d) * EPS
+
+
+def test_expm_fallback_error_on_the_defective_cascade():
+    d = equal_rate_cascade()
+    X = np.eye(d.dim ** 2)
+    assert lindblad._eigen_traces(X[0], X, d.superoperator, np.array(SWEEP_TAUS)) is None
+    assert sweep_error(d, np.random.default_rng(12)) <= 16 * EPS

@@ -1,7 +1,9 @@
 """Dissipation channels: generators, propagation, limits."""
 
 import cmath
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -604,24 +606,52 @@ def test_superoperator_is_the_kron_form_bit_for_bit():
         assert got.tobytes() == kron_superoperator(channels, dim).tobytes()
 
 
-def exp_outer_traces(r, X, M, s):
-    """_eigen_traces with one exponential per eigenvalue, duplicates included."""
+def clamped_spectrum(r, X, M, s):
+    """The guards, clamp and snap of _eigen_traces, written out: (lam, cond(V),
+    weights (r V)_i (V^-1 X)_ij), or None where a guard fails."""
     try:
         lam, V = np.linalg.eig(M)
     except np.linalg.LinAlgError:
         return None
-    if not np.linalg.cond(V) <= lindblad._EIG_COND_MAX:
+    cond = np.linalg.cond(V)
+    if not cond <= lindblad._EIG_COND_MAX:
         return None
     lam_max = max(float(np.abs(lam.real).max()), float(np.abs(lam.imag).max()))
     if not math.isfinite(lam_max * float(np.abs(s).max())):
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
     lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
-    weights = (r @ V)[:, None] * np.linalg.solve(V, X)
+    return lam, cond, (r @ V)[:, None] * np.linalg.solve(V, X)
+
+
+def exp_outer_traces(r, X, M, s):
+    """One exponential per eigenvalue, duplicates included, summed by a matmul."""
+    lam, _, weights = clamped_spectrum(r, X, M, s)
     return np.exp(np.multiply.outer(s, lam)) @ weights
 
 
+def distinct_sum_traces(r, X, M, s):
+    """_eigen_traces in Python complex scalars: the weights of each bitwise-distinct
+    eigenvalue summed in index order, then each row summed over those eigenvalues
+    in the order they first appear, one tau at a time."""
+    lam, _, weights = clamped_spectrum(r, X, M, s)
+    groups = {}
+    for i, key in enumerate(lam.view("V16").tolist()):
+        groups.setdefault(key, []).append(i)
+    terms = [(complex(lam[idx[0]]), [sum((complex(w) for w in weights[idx, j]), 0j)
+                                     for j in range(X.shape[1])])
+             for idx in groups.values()]
+    rows = []
+    for tau in s.tolist():
+        e = [complex(np.exp(np.array([complex(tau, 0.0) * l]))[0]) for l, _ in terms]
+        rows.append([functools.reduce(operator.add, [e_m * W[j] for e_m, (_, W) in zip(e, terms)])
+                     for j in range(X.shape[1])])
+    return np.array(rows, dtype=complex).reshape(len(s), X.shape[1])
+
+
 def test_eigen_traces_are_the_per_eigenvalue_exponentials_bit_for_bit():
+    # bit for bit the per-distinct-eigenvalue sum in complex scalars, and
+    # within roundoff of the sum over every eigenvalue that it regroups
     rng = np.random.default_rng(22)
     sodium = Dissipator([DissipationChannel(jump=L, rate=1.0)
                          for L, _ in sodium_jump_operators()])
@@ -638,11 +668,20 @@ def test_eigen_traces_are_the_per_eigenvalue_exponentials_bit_for_bit():
         r, X = orc.random_matrix(rng, n)[0], orc.random_matrix(rng, n)[:, :3]
         for s in (np.concatenate(([0.0], np.sort(rng.uniform(0.0, 20.0, 30)), [1e18])),
                   np.linspace(0.0, 40.0, 101)):
-            got, want = lindblad._eigen_traces(r, X, M, s), exp_outer_traces(r, X, M, s)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.tobytes() == want.tobytes()
-                checked += 1
+            got, spectrum = lindblad._eigen_traces(r, X, M, s), clamped_spectrum(r, X, M, s)
+            assert (got is None) == (spectrum is None)
+            if got is None:
+                continue
+            assert got.tobytes() == distinct_sum_traces(r, X, M, s).tobytes()
+            # both sum the same terms: within c n eps of the sum of their moduli,
+            # itself at most cond(V) |r| |X_j| (|exp| <= 1 after the clamp)
+            lam, cond, weights = spectrum
+            scale = np.abs(np.exp(np.multiply.outer(s, lam))) @ np.abs(weights)
+            assert (np.abs(got - exp_outer_traces(r, X, M, s))
+                    <= 4 * n * np.finfo(float).eps * scale).all()
+            assert (scale <= (1 + 1e-12) * cond * np.linalg.norm(r)
+                    * np.linalg.norm(X, axis=0)).all()
+            checked += 1
     assert checked > 80
 
 
@@ -658,8 +697,84 @@ def test_eigen_traces_exponentiate_each_distinct_eigenvalue_once(monkeypatch):
     s = np.array([0.0, 0.5, 2.0])
     got = lindblad._eigen_traces(np.ones(4), np.eye(4),
                                  np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex), s)
-    assert seen == [(3, 2)]
+    assert [math.prod(shape) for shape in seen] == [2 * 3]  # 2 distinct eigenvalues, 3 taus
     assert np.array_equal(got, [[1.0] + [v] * 3 for v in exp(-s)])
+
+
+def block_rows(d, k):
+    """The rows in one block of a constant-rate sweep with k operands."""
+    lam = clamped_spectrum(np.ones(d.dim ** 2), np.eye(d.dim ** 2), d.superoperator,
+                           np.ones(1))[0]
+    return max(1, lindblad._EIG_BLOCK // (len(set(lam.view("V16").tolist())) * k))
+
+
+CONSTANT_RATE_CHANNELS = {
+    "sodium": lambda rng: lindblad.named_channel("sodium", {"rate": 1.0})[0],
+    "damping": lambda rng: damping(0.7),
+    "random-2": lambda rng: Dissipator(random_setup(int(rng.integers(10**6)), 2)[2]),
+    "random-3": lambda rng: Dissipator(random_setup(int(rng.integers(10**6)), 3)[2]),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_RATE_CHANNELS)
+def test_a_tau_alone_is_its_grid_row_bit_for_bit(name):
+    # every row is a function of its own tau: grids of 1 and 7 points, one
+    # block and one point either side of it, and 1e4 points, whose rows equal
+    # the one-point sweep at the same tau as IEEE bit patterns
+    rng = np.random.default_rng(sum(map(ord, name)))
+    d = CONSTANT_RATE_CHANNELS[name](rng)
+    F = orc.random_matrix(rng, d.dim)
+    operands = [orc.random_matrix(rng, d.dim) for _ in range(2)]
+    step = block_rows(d, len(operands))
+    for n in (1, 7, step - 1, step, step + 1, 10**4):
+        taus = np.sort(rng.uniform(0.0, 30.0, n))
+        grid = traces_over_tau(d, F, operands, taus)
+        assert grid.shape == (n, 2)
+        picks = {0, n - 1, step - 1, step} | set(rng.integers(0, n, 12).tolist())
+        for k in sorted(j for j in picks if 0 <= j < n):
+            assert (traces_over_tau(d, F, operands, taus[k:k + 1]).tobytes()
+                    == grid[k].tobytes())
+
+
+def test_every_block_size_gives_the_same_rows(monkeypatch):
+    rng = np.random.default_rng(31)
+    for d in (lindblad.named_channel("sodium", {"rate": 1.0})[0],
+              Dissipator(random_setup(5, 3)[2])):
+        F = orc.random_matrix(rng, d.dim)
+        operands = [orc.random_matrix(rng, d.dim) for _ in range(3)]
+        taus = np.linspace(0.0, 12.0, 50)
+        want = traces_over_tau(d, F, operands, taus).tobytes()
+        for cells in (1, 7, 30, 100, 10**4):
+            monkeypatch.setattr(lindblad, "_EIG_BLOCK", cells)
+            assert traces_over_tau(d, F, operands, taus).tobytes() == want
+
+
+def equal_rate_cascade():
+    """|0> -> |1> -> |2> at equal rates: a defective generator, so its sweep
+    takes the expm fallback."""
+    jumps = np.zeros((2, 3, 3), dtype=complex)
+    jumps[0, 1, 0] = jumps[1, 2, 1] = 1.0
+    return Dissipator([DissipationChannel(jump=L, rate=1.0) for L in jumps])
+
+
+KINDS = {"constant rates": lambda: damping(0.7), "expm fallback": equal_rate_cascade,
+         "memory kernel": lambda: NonMarkovJC(gamma0=1.0, lam=4.0)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_traces_over_tau_treats_bad_input_alike_on_every_kind(kind):
+    d = KINDS[kind]()
+    rng = np.random.default_rng(3)
+    F, C = orc.random_matrix(rng, d.dim), orc.random_matrix(rng, d.dim)
+    for k in (1, 2):
+        empty = traces_over_tau(d, F, [C] * k, [])
+        assert empty.shape == (0, k) and empty.dtype == complex
+    for taus in (np.ones((2, 3)), np.ones((1, 1)), 0.5):
+        with pytest.raises(ValueError, match="1-D tau grid"):
+            traces_over_tau(d, F, [C], taus)
+    for taus in ([0.0, 1.0], []):
+        with pytest.raises(ValueError, match="at least one operand"):
+            traces_over_tau(d, F, [], taus)
 
 
 @pytest.mark.parametrize("name, rates", [("amplitude_damping", {"gamma": 0.7}),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -463,20 +464,11 @@ def test_trace_over_tau_basic():
     assert "setup_hash" in trace.metadata and "channel" in trace.metadata
 
 
-def _row_by_row(kernel):
-    """traces_over_tau evaluated one tau at a time, as a one-point call does."""
-    return lambda d, F, operands, taus: np.concatenate(
-        [kernel(d, F, operands, [tau]) for tau in np.asarray(taus).tolist()])
-
-
 @given(seeds, st.sampled_from([2, 3]), st.integers(0, 3))
 def test_grid_rows_and_points_are_one_quotient(seed, dim, k):
-    # one quotient (weakvalue._weak_values) serves the grid and the point: on
-    # equal traces each trace_over_tau row is weak_value_dissipative at its
-    # tau, value and probability, as IEEE bit patterns. The kernel itself
-    # rounds a row of an N-row grid differently from a one-row grid (its
-    # complex matmul), so the bitwise check takes the grid's traces one tau
-    # at a time; the grid as it runs agrees to 1e-12.
+    # one quotient (weakvalue._weak_values) and one row rule serve the grid
+    # and the point: each trace_over_tau row is weak_value_dissipative at its
+    # tau, value and probability, as IEEE bit patterns
     rng = np.random.default_rng(seed)
     d = Dissipator([DissipationChannel(jump=orc.random_matrix(rng, dim),
                                        rate=float(rng.uniform(0.1, 2.0)))
@@ -489,22 +481,54 @@ def test_grid_rows_and_points_are_one_quotient(seed, dim, k):
                                  sigma_fI=pure_density(basis[:, 1]), A_SI=A)
     taus = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 5.0, 7))])
     grid = trace_over_tau(setup, d, taus)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weakvalue, "traces_over_tau", _row_by_row(lindblad.traces_over_tau))
-        rows = trace_over_tau(setup, d, taus)
-    assert 0 in grid.gaps and grid.gaps == rows.gaps
+    assert 0 in grid.gaps
     for j, tau in enumerate(taus.tolist()):
-        if j in rows.gaps:
+        if j in grid.gaps:
             with pytest.raises(PostselectionVanishes):
                 weak_value_dissipative(setup, d, tau)
             continue
-        point = weak_value_dissipative(setup, d, tau)
-        value = np.asarray(point.value, dtype=complex)
-        assert np.asarray(rows.values[j]).tobytes() == value.tobytes()
-        assert (np.float64(rows.postselection_probs[j]).tobytes()
-                == np.float64(point.probability).tobytes())
-        assert np.abs(grid.values[j] - value).max() <= 1e-12 * max(1.0, np.abs(value).max())
-        assert abs(grid.postselection_probs[j] - point.probability) <= 1e-12
+        assert_point_is_the_row(setup, d, grid, j)
+
+
+def assert_point_is_the_row(setup, d, grid, j):
+    point = weak_value_dissipative(setup, d, float(grid.tau_grid[j]))
+    value = np.asarray(point.value, dtype=complex)
+    assert np.asarray(grid.values[j]).tobytes() == value.tobytes()
+    assert (np.float64(grid.postselection_probs[j]).tobytes()
+            == np.float64(point.probability).tobytes())
+
+
+@pytest.mark.parametrize("name, rates", [("sodium", {"rate": 1.0}),
+                                         ("amplitude_damping", {"gamma": 0.7})])
+def test_named_channel_points_are_their_grid_rows(name, rates):
+    d, _ = lindblad.named_channel(name, rates)
+    rng = np.random.default_rng(len(name))
+    setup = random_setup(rng, d.dim)
+    for n in (1, 7, 2000, 10**4):
+        grid = trace_over_tau(setup, d, np.linspace(0.0, 40.0, n))
+        for j in sorted({0, n - 1} | set(rng.integers(0, n, 8).tolist())):
+            assert_point_is_the_row(setup, d, grid, j)
+
+
+def test_a_large_sweep_keeps_its_memory_bounded():
+    # 1e5 points of a 16-level dephasing ladder: the eigen rows go in blocks,
+    # so the sweep holds its (N, k) output, not an (N, d^2) gather (489 MB)
+    n = 16
+    amplitudes = np.full(n, 0.25 + 0j)
+    post = amplitudes.copy()
+    post[-1] = -0.25
+    setup = WeakMeasurementSetup(sigma_i=pure_density(amplitudes), sigma_fI=pure_density(post),
+                                 A_SI=np.eye(n, dtype=complex))
+    d = Dissipator([DissipationChannel(jump=np.diag(np.linspace(-1.0, 1.0, n)), rate=0.1)])
+    grid = np.linspace(0.0, 10.0, 10**5)
+    tracemalloc.start()
+    try:
+        trace = trace_over_tau(setup, d, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.values) == len(grid) and not trace.gaps
+    assert peak <= 32 * 2**20
 
 
 def test_trace_over_tau_flags_gaps():
