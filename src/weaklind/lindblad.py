@@ -323,9 +323,9 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
         z = np.empty((len(slot), len(t)), dtype=complex)
         z.real, z.imag = _cmul(t, 0.0, distinct.real, distinct.imag)
         e = np.exp(z)[:, None]
-        terms = np.empty((len(slot), X.shape[1], len(t)), dtype=complex)  # (m, j, k)
-        terms.real, terms.imag = _cmul(e.real, e.imag, W.real, W.imag)
-        traces[:, start:start + step] = sum(terms[1:], terms[0])  # a complex add is 2 real ones
+        re, im = _cmul(e.real, e.imag, W.real, W.imag)  # (m, j, k): summed over m in order
+        traces.real[:, start:start + step], traces.imag[:, start:start + step] = (
+            sum(re[1:], re[0]), sum(im[1:], im[0]))
     return traces.T
 
 
