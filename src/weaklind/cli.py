@@ -568,8 +568,8 @@ def main(argv=None) -> int:
             # ConfigError, NoConvergence and any other library error
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except MemoryError as exc:  # each config field is bounded, their product is not
-            print(f"error: not enough memory: {exc}", file=sys.stderr)
+        except MemoryError as exc:  # a run within every config bound may still not fit
+            print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
             return EXIT_CONFIG
     print(f"{lead}wrote {', '.join(paths)}{tail}")
     return EXIT_OK

@@ -1,26 +1,26 @@
 """Lindblad dissipators and the channel maps they generate.
 
-The dissipator acting on an arbitrary (not necessarily Hermitian) operator C
-is
+The dissipator acting on an arbitrary (not necessarily Hermitian) operator C is
 
     D(C) = sum_i gamma_i (L_i C L_i' - 1/2 {L_i' L_i, C}),
 
-with jump operators L_i and nonnegative rates gamma_i. There are two kinds of
-dissipator, each with one map. Dissipator(channels) holds constant rates and
-takes exp(tau M) of its materialized superoperator M, refused when it is not
-finite; the tau -> infinity limit P = R (L' R)^{-1} L' comes from the right
-and left kernels R and L of one SVD of M, whose rank is judged against M's
-largest singular value. NonMarkovJC(gamma0, lam) is the sigma_- channel of
-the non-Markovian damped atom at dim 2, whose time-dependent rate is the
+with jump operators L_i and nonnegative rates gamma_i. Dissipator(channels)
+holds constant rates and their materialized superoperator M, refused when it
+is not finite; the tau -> infinity limit P = R (L' R)^{-1} L' comes from the
+right and left kernels R and L of one SVD of M, whose rank is judged against
+M's largest singular value. NonMarkovJC(gamma0, lam) is the sigma_- channel
+of the non-Markovian damped atom at dim 2, whose time-dependent rate is the
 memory kernel; its map is closed form through the excited-amplitude envelope
-nonmarkov_big_gamma(d, tau), and nothing is integrated numerically. Both
-check themselves when they are made, where a NonMarkovJC also derives its d;
-named_channel alone builds the channels of NAMED_CHANNELS, and describe(d)
-states either kind in one line. traces_over_tau(d, F, operands, taus) gives
-Tr[F e^{D tau}(C)] on a whole tau grid for several operands, and
-evolve(d, C, tau) applies the map at one tau. scipy.linalg is imported on
-the first expm only. The map preserves traces, commutes with the adjoint
-(e^{D tau}(C') = (e^{D tau}(C))'), and for constant rates forms a semigroup.
+nonmarkov_big_gamma(d, tau). Both check themselves when they are made, where
+a NonMarkovJC also derives its d; named_channel alone builds the channels of
+NAMED_CHANNELS, and describe(d) states either kind in one line.
+
+Each kind has one kernel for Tr[F e^{D tau}(C)], the eigen rows of M (expm,
+and with it scipy.linalg, only where their guards fail) or the closed-form
+maps: traces_over_tau(d, F, operands, taus) on a tau grid, and evolve(d, C,
+tau) with F running over the matrix units, so that evolve(d, C, tau)[i, j] is
+traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for bit. The map preserves
+traces, commutes with the adjoint, and for constant rates is a semigroup.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -194,20 +194,14 @@ def _check_tau(tau: float | np.ndarray) -> None:
 
 def _damping_maps(C: np.ndarray, G: np.ndarray) -> np.ndarray:
     """[[c_ee G^2, c_eg G], [c_ge G, c_gg + c_ee (1 - G^2)]] at every G_k, stacked
-    (N, 2, 2), for a checked 2x2 C.
-
-    Each product of an entry with a real G is the scalar complex product
-    with G + 0j written in real arithmetic (_cmul), so that every row equals
-    the map formed entry by entry in complex scalars, bit for bit.
-    """
+    (N, 2, 2), for a checked 2x2 C. Each product of an entry with a real G is
+    the complex product with G + 0j in real arithmetic (_cmul), so that every
+    map is the one formed entry by entry in complex scalars, bit for bit."""
     ee, eg, ge, gg = ((z.real, z.imag) for z in C.flat)
     loss_re, loss_im = _cmul(*ee, 1.0 - G * G, 0.0)
     entries = (_cmul(*_cmul(*ee, G, 0.0), G, 0.0), _cmul(*eg, G, 0.0), _cmul(*ge, G, 0.0),
                (gg[0] + loss_re, gg[1] + loss_im))
-    maps = np.empty((len(G), 4, 2))
-    for k, (re, im) in enumerate(entries):
-        maps[:, k, 0], maps[:, k, 1] = re, im
-    return maps.view(complex).reshape(len(G), 2, 2)
+    return np.ascontiguousarray(np.transpose(entries, (2, 0, 1))).view(complex).reshape(-1, 2, 2)
 
 
 def _nonmarkov_d(gamma0: float, lam: float) -> tuple[complex, float]:
@@ -257,13 +251,9 @@ def nonmarkov_big_gamma(d: NonMarkovJC, tau: float) -> float:
 
     Gamma(tau) = exp(-lam tau/2) [cosh(d tau/2) + (lam/d) sinh(d tau/2)],
     continued to complex d; solves Gamma'' + lam Gamma' + (gamma0 lam/2) Gamma = 0
-    with Gamma(0) = 1, Gamma'(0) = 0, and satisfies |Gamma| <= 1. The channel
-    map is related to it exactly as the constant-rate amplitude-damping map is
-    to exp(-gamma tau/2):
-
-        [[c_ee G^2, c_eg G], [c_ge G, c_gg + c_ee (1 - G^2)]].
-
-    NegativeTau unless tau is finite and >= 0.
+    with Gamma(0) = 1, Gamma'(0) = 0, and satisfies |Gamma| <= 1. It enters
+    the channel map (_damping_maps) as exp(-gamma tau/2) enters the
+    constant-rate damping map. NegativeTau unless tau is finite and >= 0.
     """
     _check_tau(tau)
     c, ls, a = _envelope_pieces(d, float(tau))  # a numpy scalar would warn on overflow
@@ -273,10 +263,9 @@ def nonmarkov_big_gamma(d: NonMarkovJC, tau: float) -> float:
 
 
 def _exponential_map(M: np.ndarray, tau: float) -> np.ndarray:
-    """expm(tau M), refused with NoConvergence naming tau when it is not finite."""
+    """expm(tau M), refused with NoConvergence naming tau when it is not finite,
+    as when rates near the float limit overflow tau M or expm's squaring."""
     from scipy.linalg import expm  # on the first call only: importing it takes 0.2 s
-    # rates near the float limit overflow tau M or the scaling and squaring
-    # inside expm; the map is then refused, never returned as NaN
     with np.errstate(over="ignore", invalid="ignore"):
         S = expm(tau * M)
     if not np.isfinite(S).all():
@@ -284,9 +273,10 @@ def _exponential_map(M: np.ndarray, tau: float) -> np.ndarray:
     return S
 
 
-def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
+def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
                   taus: np.ndarray) -> np.ndarray | None:
-    """r^T exp(tau_k M) X for every tau_k, from one M = V diag(lam) V^-1.
+    """r^T exp(tau_k M) X for every tau_k, from one M = V diag(lam) V^-1, as
+    (N, k); r = None, every unit row, takes V's own rows and gives (N, n k).
 
     None when a guard fails: eig does not converge, cond(V) exceeds
     _EIG_COND_MAX (a nearly defective M), or the exponent bound
@@ -309,15 +299,16 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
     lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
-    weights = (r @ V)[:, None] * np.linalg.solve(V, X)
+    rows = V if r is None else (r @ V)[None]
+    weights = rows.T[:, :, None] * np.linalg.solve(V, X)[:, None]  # (i, row, j)
     # keyed on the bytes: float equality would merge +0.0 and -0.0
     slot = {}
     cols = [slot.setdefault(key, len(slot)) for key in lam.view("V16").tolist()]
     distinct = np.frombuffer(b"".join(slot), dtype=complex)[:, None]  # first-seen order
-    W = np.zeros((len(slot), X.shape[1], 1), dtype=complex)
-    np.add.at(W, cols, weights[..., None])
+    W = np.zeros((len(slot), weights[0].size, 1), dtype=complex)
+    np.add.at(W, cols, weights.reshape(len(lam), -1, 1))
     step = max(1, _EIG_BLOCK // W.size)
-    traces = np.empty((X.shape[1], len(taus)), dtype=complex)
+    traces = np.empty((W.shape[1], len(taus)), dtype=complex)
     for start in range(0, len(taus), step):
         t = taus[start:start + step]
         z = np.empty((len(slot), len(t)), dtype=complex)
@@ -329,25 +320,39 @@ def _eigen_traces(r: np.ndarray, X: np.ndarray, M: np.ndarray,
     return traces.T
 
 
+def _trace_sums(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Tr[F X] over broadcast stacks of operators: the _cmul products F_ab X_ba
+    summed in row-major (a, b) order, whose bits no BLAS kernel or shape moves."""
+    terms = [_cmul(F[..., a, b].real, F[..., a, b].imag, X[..., b, a].real, X[..., b, a].imag)
+             for a, b in np.ndindex(F.shape[-2:])]
+    re, im = (sum(part[1:], part[0]) for part in zip(*terms))
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
 def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
                     taus) -> np.ndarray:
     """Tr[F e^{D tau_n}(C_j)] for every tau_n of taus and operand C_j, an (N, k) array.
 
-    Constant rates take exp(tau_n M) of the superoperator M from one
-    eigendecomposition (_eigen_traces) or, where its guards fail, one expm per
-    nonzero tau; the sigma_- memory kernel stacks _damping_maps, one envelope
-    per nonzero tau. Every row is a function of its own tau, and closed-form
-    and expm rows are Tr[F evolve(d, C_j, tau_n)] bit for bit. ValueError
-    unless taus is 1-D and operands nonempty; NegativeTau unless every tau is
-    finite and >= 0. NoConvergence names the first tau whose row or expm is
-    not finite, or, when every earlier row is finite, a failing envelope's.
+    Constant rates take the rows of one eigendecomposition (_eigen_traces) or,
+    where its guards fail, one expm per nonzero tau; the sigma_- memory kernel
+    stacks _damping_maps, one envelope per nonzero tau. A row depends on its
+    tau alone, and a map's trace is a fixed-order scalar sum (_trace_sums).
+    ValueError unless taus is 1-D and operands nonempty; NegativeTau unless
+    every tau is finite and >= 0. NoConvergence names the first tau whose row
+    or expm is not finite, or, when every earlier row is, a failing envelope's.
     """
+    return _traces(d, _check_operator(F, d.dim), operands, taus)[:, 0]
+
+
+def _traces(d: Dissipator | NonMarkovJC, F: np.ndarray | None, operands, taus) -> np.ndarray:
+    """traces_over_tau as (N, p, k), for F alone (p = 1) or, for F = None, the
+    matrix units F_p = E_ji, p = i + j dim, whose traces make vec(e^{D tau_n}(C_j))."""
     taus = np.asarray(taus, dtype=float)
-    F = _check_operator(F, d.dim)
     operands = [_check_operator(C, d.dim) for C in operands]
     if taus.ndim != 1 or not operands:
         raise ValueError("traces need a 1-D tau grid and at least one operand")
     _check_tau(taus)
+    Fs = np.eye(d.dim ** 2).reshape(-1, d.dim, d.dim) if F is None else F[None]
     if isinstance(d, NonMarkovJC):
         G, failure = [], None
         try:
@@ -356,43 +361,37 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
         except NoConvergence as exc:
             failure = exc
         at_zero = (taus[:len(G)] == 0.0)[:, None, None]  # the identity, not the map at G = 1
-        traces = np.empty((len(G), len(operands)), dtype=complex)
-        for j, C in enumerate(operands):
-            maps = np.where(at_zero, C, _damping_maps(C, np.array(G)))
-            traces[:, j] = np.trace(F @ maps, axis1=1, axis2=2)
+        maps = [np.where(at_zero, C, _damping_maps(C, np.array(G)))[:, None] for C in operands]
+        traces = _trace_sums(Fs[None, :, None], np.stack(maps, axis=2))
         if failure is not None and np.isfinite(traces).all():
             raise failure
     else:
-        M = d.superoperator
         # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
-        traces = _eigen_traces(_vec(F.T), np.array([_vec(C) for C in operands]).T, M, taus)
+        X, M = np.array([_vec(C) for C in operands]).T, d.superoperator
+        traces = _eigen_traces(None if F is None else _vec(F.T), X, M, taus)
         if traces is None:
-            traces = np.full((len(taus), len(operands)), complex(np.nan, np.nan))
+            traces = np.full((len(taus), len(Fs), len(operands)), complex(np.nan, np.nan))
             for k, tau in enumerate(taus.tolist()):
-                evolved = operands
-                if tau:
-                    S = _exponential_map(M, tau)
-                    evolved = [apply_superoperator(S, C) for C in operands]
-                traces[k] = [np.trace(F @ C) for C in evolved]
+                S = _exponential_map(M, tau) if tau else None
+                evolved = [apply_superoperator(S, C) for C in operands] if tau else operands
+                traces[k] = _trace_sums(Fs[:, None], np.array(evolved))
                 if not np.isfinite(traces[k]).all():  # a larger tau would overflow further
                     break
+        traces = traces.reshape(len(taus), len(Fs), len(operands))
     if not np.isfinite(traces).all():
-        first = np.isfinite(traces).all(axis=1).argmin()
+        first = np.isfinite(traces).all(axis=(1, 2)).argmin()
         raise NoConvergence(f"the evolved traces are not finite at tau={taus[first].item()}")
     return traces
 
 
 def evolve(d: Dissipator | NonMarkovJC, C: np.ndarray, tau: float) -> np.ndarray:
-    """Apply e^{D tau} to an arbitrary operator C: the one-point map of
-    traces_over_tau (a copy of C at tau = 0), with the same refusals."""
-    tau = float(tau)  # any real scalar, as one Python float on both paths
-    _check_tau(tau)
+    """e^{D tau}(C) for any operator C: a copy at tau = 0, else the kernel's traces of the
+    matrix units, entry (i, j) bit for bit traces_over_tau(d, E_ji, [C], [tau])[0, 0]."""
+    _check_tau(tau)  # before the operator
     C = _check_operator(C, d.dim)
     if tau == 0.0:
         return C.copy()
-    if isinstance(d, NonMarkovJC):
-        return _damping_maps(C, np.array([nonmarkov_big_gamma(d, tau)]))[0]
-    return apply_superoperator(_exponential_map(d.superoperator, tau), C)
+    return _unvec(_traces(d, None, [C], [tau])[0, :, 0], d.dim)
 
 
 def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
@@ -425,7 +424,7 @@ def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
 
 
 def apply_superoperator(S: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Apply a materialized (dim^2 x dim^2) superoperator to an operator."""
-    dim = int(round(np.sqrt(S.shape[0])))
-    C = _check_operator(C, dim)
+    """Apply a (dim^2 x dim^2) superoperator to a dim x dim operator, or DimensionMismatch."""
+    dim = math.isqrt(len(S))
+    S, C = _check_operator(S, dim * dim), _check_operator(C, dim)
     return _unvec(S @ _vec(C), dim)

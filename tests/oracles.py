@@ -44,6 +44,18 @@ def evolve_row(channels, dim: int, C: np.ndarray, tau: float) -> np.ndarray:
     return unvec_row(expm(superop_row(channels, dim) * tau) @ vec_row(C), dim)
 
 
+def scalar_trace(F: np.ndarray, X: np.ndarray) -> complex:
+    """Tr[F X] as the sum of the F_ab X_ba in Python complex scalars, (a, b)
+    in row-major order and added left to right: the order of the library's
+    trace sums, without numpy, for bit-for-bit comparisons."""
+    F, X = np.asarray(F).tolist(), np.asarray(X).tolist()
+    terms = [complex(F[a][b]) * complex(X[b][a]) for a in range(len(F)) for b in range(len(F))]
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def kraus_damping(C: np.ndarray, gamma: float, tau: float) -> np.ndarray:
     """Amplitude damping as a two-element Kraus map, basis (|e>, |g>)."""
     p = 1.0 - np.exp(-gamma * tau)

@@ -1239,6 +1239,16 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
                     "shape (1000000, 256) and data type complex128\n")
 
 
+def test_a_memory_error_without_text_still_gives_a_reason(tmp_path, capsys, monkeypatch):
+    # str(MemoryError()) is empty, as when a Python list or str cannot grow
+    def sweep(*args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "trace_over_tau", sweep)
+    cfg = write_cfg(tmp_path, two_level_config())
+    _assert_refused(tmp_path, capsys, ["weak-value", "--config", cfg], 2,
+                    "error: not enough memory: allocation failed\n")
+
+
 @pytest.mark.parametrize("argv, reason", SCENARIO_REFUSALS,
                          ids=["seed-negative", "seed-too-large", "channel", "unknown"])
 def test_refused_scenario_runs_exit_2_with_their_line(tmp_path, capsys, argv, reason):
@@ -1588,8 +1598,8 @@ def test_estimators_leave_out_numpy_ma(tmp_path):
 
 
 def test_sweeps_leave_out_scipy_linalg(tmp_path):
-    # the eigen kernel and the memory-kernel closed form need no expm, so
-    # scipy.linalg is imported only by the expm fallback
+    # the eigen kernel and the memory-kernel closed form need no expm, for
+    # sweeps and for evolve, so scipy.linalg is imported only by the expm fallback
     runs = {
         "sodium.json": ("weak-value", sodium_config()),
         "jc.json": ("shifts", two_level_config(meter=meter_section(model="jc", state="number",
@@ -1599,9 +1609,15 @@ def test_sweeps_leave_out_scipy_linalg(tmp_path):
     }
     argvs = [[cmd, "--config", write_cfg(tmp_path, payload, name), "--out", str(tmp_path)]
              for name, (cmd, payload) in runs.items()]
-    probe = ("import sys; from weaklind.cli import main; "
-             f"print([main(argv) for argv in {argvs!r}], 'scipy.linalg' in sys.modules)")
+    # and evolve, the one-point map, on sodium and on damping
+    channels = [("sodium", {"rate": 1.0}), ("amplitude_damping", {"gamma": 0.5})]
+    probe = ("import sys, numpy as np; from weaklind.cli import main; "
+             "from weaklind.lindblad import evolve, named_channel; "
+             f"codes = [main(argv) for argv in {argvs!r}]; "
+             f"ds = [named_channel(*c)[0] for c in {channels!r}]; "
+             "maps = [evolve(d, np.eye(d.dim), 1.3) for d in ds]; "
+             "print(codes, [m.shape for m in maps], 'scipy.linalg' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, cwd=str(tmp_path), env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] [(6, 6), (2, 2)] False"

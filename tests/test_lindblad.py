@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import hashlib
 import math
 import operator
 import warnings
@@ -243,13 +244,15 @@ def test_nonmarkov_envelope_is_real(gamma0, ratio, tau):
 
 
 def test_channel_map_refuses_a_non_finite_map():
-    # expm(tau M) past the float range is NaN; the map is refused naming tau,
-    # one tau at a time and on a grid whose exponent bound sends every tau to expm
+    # expm(tau M) past the float range is NaN; the map is refused naming tau
+    # wherever the exponent bound sends tau to expm: at tau = 4 alone, and on
+    # a grid that holds it, for every tau. At tau = 0.5 alone the bound is
+    # finite, and the eigen rows give the fully decayed map
     constant = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1e308)])
-    for tau in (0.5, 4.0):
-        with pytest.raises(NoConvergence, match=f"not finite at tau={tau}"):
-            evolve(constant, np.eye(2, dtype=complex), tau)
     eye = np.eye(2, dtype=complex)
+    with pytest.raises(NoConvergence, match=r"not finite at tau=4\.0"):
+        evolve(constant, eye, 4.0)
+    assert np.array_equal(evolve(constant, eye, 0.5), [[0.0, 0.0], [0.0, 2.0]])
     with pytest.raises(NoConvergence, match=r"not finite at tau=0\.5"):
         traces_over_tau(constant, eye, [eye], [0.0, 0.5, 4.0])
 
@@ -295,11 +298,15 @@ def test_sigma_minus_maps_are_the_identity_at_tau_0():
     assert np.array_equal(evolve(d, C, 0.0).view(np.uint64), C.view(np.uint64))
     G = nonmarkov_big_gamma(NonMarkovJC(1.0, 0.5), 1.0)
     assert np.array_equal(evolve(d, C, 1.0), scalar_damping_map(C, G))
-    # the stacked grid takes the same two maps, bit for bit
+    # the stacked grid takes the same two maps, and each trace is their
+    # four-term sum, bit for bit
     F = orc.random_matrix(np.random.default_rng(12), 2)
     got = traces_over_tau(d, F, [C, F], [0.0, 1.0])
-    want = [[np.trace(F @ evolve(d, X, tau)) for X in (C, F)] for tau in (0.0, 1.0)]
+    want = [[orc.scalar_trace(F, X if tau == 0.0 else scalar_damping_map(X, G)) for X in (C, F)]
+            for tau in (0.0, 1.0)]
     assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    old = [[np.trace(F @ evolve(d, X, tau)) for X in (C, F)] for tau in (0.0, 1.0)]
+    assert np.allclose(got, old, rtol=1e-15, atol=0.0)
 
 
 def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
@@ -534,6 +541,15 @@ def test_channel_map_serves_every_operator_at_one_tau():
     assert np.array_equal(out, C) and out is not C
 
 
+def test_apply_superoperator_refuses_a_superoperator_of_the_wrong_shape():
+    C = np.eye(2, dtype=complex)
+    for shape in ((5, 5), (4, 9)):
+        with pytest.raises(DimensionMismatch, match=r"expected a 4x4 operator, got shape"):
+            apply_superoperator(np.ones(shape, dtype=complex), C)
+    with pytest.raises(DimensionMismatch, match="expected a 3x3 operator"):
+        apply_superoperator(np.eye(9, dtype=complex), C)
+
+
 def test_channel_validation():
     with pytest.raises(Exception):
         DissipationChannel(jump=np.zeros((2, 3)), rate=1.0)
@@ -736,6 +752,60 @@ def test_a_tau_alone_is_its_grid_row_bit_for_bit(name):
                     == grid[k].tobytes())
 
 
+# (gamma0, lam) near the float limit, as in the memory-kernel CLI tests
+FLOAT_LIMIT_COUPLINGS = [(1.0, 1e308), (1e308, 1.0), (1e300, 1e300), (5e307, 1e308)]
+CONTRACT_CHANNELS = {
+    **CONSTANT_RATE_CHANNELS,
+    "cascade": lambda rng: equal_rate_cascade(),
+    "weak coupling": lambda rng: NonMarkovJC(gamma0=0.1, lam=1.0),
+    "strong coupling": lambda rng: NonMarkovJC(gamma0=1.0, lam=0.5),
+    **{f"float limit {g:g} {l:g}": lambda rng, g=g, l=l: NonMarkovJC(g, l)
+       for g, l in FLOAT_LIMIT_COUPLINGS},
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHANNELS)
+def test_evolve_is_the_one_point_trace_of_each_matrix_unit(monkeypatch, name):
+    # for tau > 0, evolve(d, C, tau)[i, j] is traces_over_tau(d, E_ji, [C], [tau])[0, 0]
+    # bit for bit, on the eigen rows, the expm fallback and the memory kernel
+    expms = []
+    exponential_map = lindblad._exponential_map
+    monkeypatch.setattr(lindblad, "_exponential_map",
+                        lambda *args: expms.append(args) or exponential_map(*args))
+    rng = np.random.default_rng(sum(map(ord, name)))
+    d = CONTRACT_CHANNELS[name](rng)
+    for tau in (0.3, 1.7, 4.0):
+        C = orc.random_matrix(rng, d.dim)
+        got = evolve(d, C, tau)
+        want = np.empty((d.dim, d.dim), dtype=complex)
+        for i, j in np.ndindex(d.dim, d.dim):
+            E = np.zeros((d.dim, d.dim))
+            E[j, i] = 1.0
+            want[i, j] = traces_over_tau(d, E, [C], [tau])[0, 0]
+        assert got.tobytes() == want.tobytes()
+    assert bool(expms) == (name == "cascade")
+
+
+# sha256 prefixes of the memory-kernel grid traces and evolve's maps, which no
+# BLAS step forms: the same under every OpenBLAS core and numpy SIMD level
+MEMORY_KERNEL_BITS = {"weak": ("5e5a642e39d21542", "76a232758777fd23"),
+                      "strong": ("eaa0b6b6f1a12eec", "9022edbb01615e34")}
+
+
+def test_memory_kernel_bits_are_pinned():
+    F = np.array([[0.3 + 0.1j, -0.2 + 0.45j], [0.7 - 0.05j, 0.15 + 0.2j]])
+    operands = [np.array([[0.55 - 0.1j, 0.25 + 0.3j], [-0.35 + 0.05j, 0.45 + 0.15j]]),
+                F.conj().T]
+    taus = np.linspace(0.0, 16.0, 81)
+    got = {}
+    for tag, (gamma0, lam) in {"weak": (0.1, 1.0), "strong": (1.0, 0.5)}.items():
+        d = NonMarkovJC(gamma0, lam)
+        grid = traces_over_tau(d, F, operands, taus)
+        maps = np.array([evolve(d, operands[0], tau) for tau in taus])
+        got[tag] = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (grid, maps))
+    assert got == MEMORY_KERNEL_BITS
+
+
 def test_every_block_size_gives_the_same_rows(monkeypatch):
     rng = np.random.default_rng(31)
     for d in (lindblad.named_channel("sodium", {"rate": 1.0})[0],
@@ -793,6 +863,11 @@ def test_a_failed_eig_takes_the_expm_fallback_bit_for_bit(monkeypatch, name, rat
     operands = [orc.random_matrix(rng, d.dim) for _ in range(2)]
     taus = [0.0, 0.3, 1.7, 6.0]
     got = traces_over_tau(d, F, operands, taus)
-    want = np.array([[np.trace(F @ evolve(d, C, tau)) for C in operands] for tau in taus])
+    # the trace of each expm map as its fixed-order sum
+    maps = [lindblad._exponential_map(d.superoperator, tau) for tau in taus[1:]]
+    evolved = [operands] + [[apply_superoperator(S, C) for C in operands] for S in maps]
+    want = np.array([[orc.scalar_trace(F, X) for X in row] for row in evolved])
     assert calls == [(d.dim ** 2, d.dim ** 2)]
     assert got.tobytes() == want.tobytes()
+    old = np.array([[np.trace(F @ evolve(d, C, tau)) for C in operands] for tau in taus])
+    assert np.allclose(got, old, rtol=1e-13, atol=0.0)

@@ -720,12 +720,8 @@ def test_defective_cascade_takes_the_expm_fallback(counts, eigs):
         want, _ = orc.weak_value_row(setup.sigma_i, setup.sigma_fI, setup.A_SI,
                                      channels, 3, tau)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-    # every fallback row is bit for bit the one-point map of evolve
-    taus = np.linspace(0.0, 20.0, 41)
-    num, den = weakvalue._postselected_traces(setup, d, taus)
-    want = per_point_traces(setup, d, taus)
-    assert np.array_equal(bits(num[:, 0]), bits(want[:, 0]))
-    assert np.array_equal(bits(den), bits(want[:, 1]))
+    # every fallback row is bit for bit the trace sum of evolve's one-point map
+    assert_per_point_traces(setup, d, np.linspace(0.0, 20.0, 41))
 
 
 def test_stacked_observables_share_one_sweep_and_its_gaps(eigs):
@@ -789,17 +785,28 @@ def bits(values):
     return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
 
 
-def per_point_traces(setup, d, taus):
-    """Tr[sigma_fI e^{D tau}(C)] for C = A sigma_i, sigma_i from one evolve per tau."""
-    return np.array([[complex(np.trace(setup.sigma_fI @ lindblad.evolve(d, C, tau)))
+def per_point_traces(setup, d, taus, trace=orc.scalar_trace):
+    """Tr[sigma_fI e^{D tau}(C)] for C = A sigma_i, sigma_i from one evolve per tau,
+    by default as the fixed-order sum of the library's traces."""
+    return np.array([[complex(trace(setup.sigma_fI, lindblad.evolve(d, C, tau)))
                       for C in (setup.A_SI @ setup.sigma_i, setup.sigma_i)] for tau in taus])
 
 
-def assert_sigma_minus_grid_is_the_per_point_map(setup, d, taus):
+def assert_per_point_traces(setup, d, taus):
+    """The grid's traces are bit for bit those of evolve's maps, and close to
+    the BLAS trace of the same maps."""
     num, den = weakvalue._postselected_traces(setup, d, taus)
     want = per_point_traces(setup, d, taus)
     assert np.array_equal(bits(num[:, 0]), bits(want[:, 0]))
     assert np.array_equal(bits(den), bits(want[:, 1]))
+    old = per_point_traces(setup, d, taus, lambda F, X: np.trace(F @ X))
+    scale = np.abs(setup.sigma_fI).sum() * np.abs(np.stack(setup.operands())).sum(axis=(1, 2))
+    assert (np.abs(want - old) <= 8 * np.finfo(float).eps * scale).all()
+    return want
+
+
+def assert_sigma_minus_grid_is_the_per_point_map(setup, d, taus):
+    want = assert_per_point_traces(setup, d, taus)
     # the per-point quotient, with a NaN gap where post-selection vanishes
     values = np.full(len(taus), complex(np.nan, np.nan))
     probs = np.zeros(len(taus))
