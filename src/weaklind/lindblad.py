@@ -6,11 +6,9 @@ The dissipator acting on an arbitrary (not necessarily Hermitian) operator C is
 
 with jump operators L_i and nonnegative rates gamma_i. Dissipator(channels)
 holds constant rates and their materialized superoperator M, refused when it
-is not finite; the tau -> infinity limit P = R (L' R)^{-1} L' comes from the
-right and left kernels R and L of one SVD of M, whose rank is judged against
-M's largest singular value. NonMarkovJC(gamma0, lam) is the sigma_- channel
-of the non-Markovian damped atom at dim 2, whose time-dependent rate is the
-memory kernel; its map is closed form through the excited-amplitude envelope
+is not finite. NonMarkovJC(gamma0, lam) is the sigma_- channel of the
+non-Markovian damped atom at dim 2, whose time-dependent rate is the memory
+kernel; its map is closed form through the excited-amplitude envelope
 nonmarkov_big_gamma(d, tau). Both check themselves when they are made, where
 a NonMarkovJC also derives its d; named_channel alone builds the channels of
 NAMED_CHANNELS, and describe(d) states either kind in one line.
@@ -19,8 +17,9 @@ Each kind has one kernel for Tr[F e^{D tau}(C)], the eigen rows of M (expm,
 and with it scipy.linalg, only where their guards fail) or the closed-form
 maps: traces_over_tau(d, F, operands, taus) on a tau grid, and evolve(d, C,
 tau) with F running over the matrix units, so that evolve(d, C, tau)[i, j] is
-traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for bit. The map preserves
-traces, commutes with the adjoint, and for constant rates is a semigroup.
+traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for bit; traces_at_infinity is
+the row at tau = inf. The map preserves traces, commutes with the adjoint,
+and for constant rates is a semigroup.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -273,29 +272,24 @@ def _exponential_map(M: np.ndarray, tau: float) -> np.ndarray:
     return S
 
 
-def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
-                  taus: np.ndarray) -> np.ndarray | None:
-    """r^T exp(tau_k M) X for every tau_k, from one M = V diag(lam) V^-1, as
-    (N, k); r = None, every unit row, takes V's own rows and gives (N, n k).
-
-    None when a guard fails: eig does not converge, cond(V) exceeds
-    _EIG_COND_MAX (a nearly defective M), or the exponent bound
-    max|lam| max|tau| is not finite. Re lam is clamped to <= 0, since a
-    bounded semigroup has no growing mode and roundoff must not make one,
-    and |lam| <= 16 n eps max|lam| (n = dim M) is set to exactly 0: the
-    roundoff of a kernel eigenvalue would otherwise decay or grow the
-    steady part at huge tau (|lam| tau of order 1 at tau ~ 1e15).
-    Row k sums exp(tau_k lam_m) W_mj over the bitwise-distinct lam_m in order,
-    W_m their weights (r^T V)_i (V^-1 X)_ij summed in index order. Each product
-    is a _cmul, so a row depends on tau_k alone, in any grid and any block.
-    """
+def _eigen_weights(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
+                   tau_max: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lam, W), r^T exp(tau M) X = sum_m exp(tau lam_m) W_m for tau <= tau_max:
+    lam (m, 1) the bitwise-distinct eigenvalues of M = V diag(lam) V^-1 in
+    first-seen order, W (m, p k, 1) their weights (r^T V)_i (V^-1 X)_ij summed
+    in index order; r = None, every unit row, takes V's rows (p = n). None when
+    eig does not converge, cond(V) exceeds _EIG_COND_MAX (a nearly defective
+    M), or max|lam| tau_max is not finite. Re lam is clamped to <= 0: a bounded
+    semigroup has no growing mode. |lam| <= 16 n eps max|lam| (n = dim M) is
+    set to 0, or a kernel eigenvalue's roundoff would move the steady part at
+    huge tau (|lam| tau ~ 1 at tau ~ 1e15)."""
     try:
         lam, V = np.linalg.eig(M)
     except np.linalg.LinAlgError:
         return None
     # the bound in Python floats: an infinite one must not raise a numpy overflow warning
     if not (np.linalg.cond(V) <= _EIG_COND_MAX and math.isfinite(
-            float(np.abs(lam.view(float)).max()) * float(taus.max(initial=0.0)))):
+            float(np.abs(lam.view(float)).max()) * tau_max)):
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
     lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
@@ -304,15 +298,25 @@ def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
     # keyed on the bytes: float equality would merge +0.0 and -0.0
     slot = {}
     cols = [slot.setdefault(key, len(slot)) for key in lam.view("V16").tolist()]
-    distinct = np.frombuffer(b"".join(slot), dtype=complex)[:, None]  # first-seen order
     W = np.zeros((len(slot), weights[0].size, 1), dtype=complex)
     np.add.at(W, cols, weights.reshape(len(lam), -1, 1))
+    return np.frombuffer(b"".join(slot), dtype=complex)[:, None], W
+
+
+def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
+                  taus: np.ndarray) -> np.ndarray | None:
+    """r^T exp(tau_k M) X, (N, p k), or None where _eigen_weights' guards fail: row k
+    sums exp(tau_k lam_m) W_m in m's order by _cmul, a function of tau_k alone."""
+    found = _eigen_weights(r, X, M, float(taus.max(initial=0.0)))
+    if found is None:
+        return None
+    lam, W = found
     step = max(1, _EIG_BLOCK // W.size)
     traces = np.empty((W.shape[1], len(taus)), dtype=complex)
     for start in range(0, len(taus), step):
         t = taus[start:start + step]
-        z = np.empty((len(slot), len(t)), dtype=complex)
-        z.real, z.imag = _cmul(t, 0.0, distinct.real, distinct.imag)
+        z = np.empty((len(lam), len(t)), dtype=complex)
+        z.real, z.imag = _cmul(t, 0.0, lam.real, lam.imag)
         e = np.exp(z)[:, None]
         re, im = _cmul(e.real, e.imag, W.real, W.imag)  # (m, j, k): summed over m in order
         traces.real[:, start:start + step], traces.imag[:, start:start + step] = (
@@ -394,19 +398,35 @@ def evolve(d: Dissipator | NonMarkovJC, C: np.ndarray, tau: float) -> np.ndarray
     return _unvec(_traces(d, None, [C], [tau])[0, :, 0], d.dim)
 
 
-def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
-    """The superoperator P = lim_{tau->inf} e^{D tau} (constant rates).
+def traces_at_infinity(d: Dissipator | NonMarkovJC, F: np.ndarray, operands) -> np.ndarray:
+    """Tr[F P(C_j)], P = lim_{tau->inf} e^{D tau}, for every operand C_j, as (k,):
+    the eigen row at tau = inf, every decaying exp(tau lam) 0, under the sweep's
+    guards and a finite max|lam|, else by asymptotic_projector's SVD.
+    NoConvergence for a memory kernel, or when a trace is not finite."""
+    F, operands = _check_operator(F, d.dim), [_check_operator(C, d.dim) for C in operands]
+    found = None if isinstance(d, NonMarkovJC) else _eigen_weights(
+        _vec(F.T), np.array([_vec(C) for C in operands]).T, d.superoperator, 1.0)
+    if found is None:
+        P = asymptotic_projector(d)
+        traces = _trace_sums(F, np.array([apply_superoperator(P, C) for C in operands]))
+    else:  # the weight of lam = +0.0, the one value that every snapped eigenvalue takes
+        traces = found[1][found[0][:, 0] == 0.0].sum(axis=0)[:, 0]
+    if not np.isfinite(traces).all():
+        raise NoConvergence("the evolved traces are not finite as tau -> infinity")
+    return traces
 
-    Spectral projector onto the kernel of the superoperator M along the
-    decaying modes, P = R (L' R)^{-1} L' with the right and left kernels
-    (M R = 0, L' M = 0) of one SVD M = U diag(s) Vh. The SVD makes the rank
-    decision at M's own scale, so that P does not change when every rate is
-    scaled: singular values <= 1e-9 s_max count as zero, and NoConvergence is
-    raised if s_max overflows or no x100 gap separates them from the rest.
-    vec(I) is a left null vector of a finite M, so there is a kernel. Zero is
-    a semisimple eigenvalue of a bounded Lindblad semigroup (Albert & Jiang,
-    PRA 89, 022118, 2014), so L' R is invertible. Never computed by large-tau
-    propagation.
+
+def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
+    """The superoperator P = lim_{tau->inf} e^{D tau} (constant rates), from one
+    SVD M = U diag(s) Vh: traces_at_infinity's fallback where eig's guards fail.
+
+    P = R (L' R)^{-1} L' projects onto the kernel of M along the decaying modes, R and
+    L its right and left kernels (M R = 0, L' M = 0). The rank is judged at M's own
+    scale, so that P does not change when every rate is scaled: singular values <=
+    _KERNEL_TOL s_max count as zero; NoConvergence if s_max overflows or no x100 gap
+    separates them from the rest. vec(I) is a left null vector of a finite M, so there
+    is a kernel. Zero is a semisimple eigenvalue of a bounded Lindblad semigroup
+    (Albert & Jiang, PRA 89, 022118, 2014), so L' R is invertible.
     """
     if isinstance(d, NonMarkovJC):
         raise NoConvergence("asymptotic projector requires constant rates")

@@ -8,16 +8,16 @@ constant in the interaction picture), conditions the meter on
 
 where the denominator is the post-selection probability. This module
 evaluates the quotient numerically for any dissipator, on a tau grid or at
-one tau, and in the infinite-time limit through the asymptotic projector;
+one tau, and in the infinite-time limit as the sweep's tau = inf row;
 epsilon_states gives the nearly orthogonal pre/post pair whose short-time
 weak values the estimation scenarios fit.
 
 A tau grid is one call of lindblad.traces_over_tau for the numerators and
 the denominator together; weak_value_dissipative is its one-point case. One
 function, _weak_values, forms the quotient of every grid, every point and
-the projector's limit. A_SI may be a (k, n, n) stack of observables sharing
-sigma_i, sigma_fI and the dissipator: each tau then gives k weak values over
-one shared denominator.
+the limit. A_SI may be a (k, n, n) stack of observables sharing sigma_i,
+sigma_fI and the dissipator: each tau then gives k weak values over one
+shared denominator.
 """
 
 from __future__ import annotations
@@ -32,18 +32,17 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EpsilonOutOfRange,
-    NoConvergence,
     NotDensity,
     PostselectionVanishes,
 )
 from .lindblad import (
     Dissipator,
     NonMarkovJC,
-    apply_superoperator,
-    asymptotic_projector,
     describe,
+    traces_at_infinity,
     traces_over_tau,
 )
+from .lindblad import asymptotic_projector  # noqa: F401  (bench/tracing.py patches it here)
 from .lindblad import evolve  # noqa: F401  (bench/tracing.py patches evolve here)
 from .operators import is_density, pure_density
 
@@ -181,21 +180,17 @@ def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator | NonMarko
 
 def weak_value_limit_infinite(setup: WeakMeasurementSetup,
                               d: Dissipator | NonMarkovJC) -> complex | np.ndarray:
-    """The tau -> infinity weak value via the asymptotic projector.
+    """The tau -> infinity weak value: the quotient of the sweep's tau = inf row.
 
-    The quotient of weak_value_dissipative with the projector P in place of
-    e^{D tau}: exact spectral limit, no large-tau propagation is involved, so
-    degenerate asymptotic subspaces (ground-manifold coherences) are kept.
-    For a channel with a unique ground state the result reduces to the plain
-    expectation value Tr[A sigma_i]. For a stacked A_SI, the array of the k
-    limits.
+    lindblad.traces_at_infinity sums the eigen weights of the kernel of D, or
+    uses asymptotic_projector's SVD where the eig guards fail: no large-tau
+    propagation, so degenerate asymptotic subspaces (ground-manifold
+    coherences) are kept. For a channel with a unique ground state the result
+    reduces to the plain expectation value Tr[A sigma_i]. For a stacked A_SI,
+    the array of the k limits.
     """
     _check_dimension(setup, d)
-    P = asymptotic_projector(d)
-    traces = np.array([[np.trace(setup.sigma_fI @ apply_superoperator(P, C))
-                        for C in setup.operands()]])
-    if not np.isfinite(traces).all():
-        raise NoConvergence("the evolved traces are not finite as tau -> infinity")
+    traces = traces_at_infinity(d, setup.sigma_fI, setup.operands())[None]
     return _one_point(traces[:, :-1], traces[:, -1], " as tau -> infinity",
                       setup.stacked).value
 

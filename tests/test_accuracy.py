@@ -18,6 +18,14 @@ The constant-rate sweep (traces_over_tau) is compared with mpmath.expm at
 cascade, whose defective generator takes the expm fallback. The error is
 relative to |F| |C_j| (Frobenius norms), which bounds a trace times
 |exp(tau M)|; the eigen path is pinned at c cond(V) eps, cond(V) <= 1e4.
+
+The infinite-time limit (traces_at_infinity) is compared in the same norm
+with exp(T M) at 40 digits and T = 128/gap, where every decaying mode is
+below e^-128. M is formed there from the jumps' and rates' binary values in
+40-digit arithmetic, which keeps vec(I) an exact left null vector: the
+double M has a kernel eigenvalue only zero to roundoff, which exp(T M)
+would decay. The cases are sodium, damping and the equal-rate cascade (the
+SVD fallback) at rates 1e-12, 1 and 1e10.
 """
 
 import math
@@ -29,7 +37,7 @@ from scipy.sparse.csgraph import connected_components
 
 import oracles as orc
 from test_lindblad import equal_rate_cascade, random_setup
-from weaklind import Dissipator, NonMarkovJC, lindblad, nonmarkov_big_gamma
+from weaklind import DissipationChannel, Dissipator, NonMarkovJC, lindblad, nonmarkov_big_gamma
 
 TOL = 1e-14
 CASES_PER_REGIME = 150
@@ -182,3 +190,63 @@ def test_expm_fallback_error_on_the_defective_cascade():
     X = np.eye(d.dim ** 2)
     assert lindblad._eigen_traces(X[0], X, d.superoperator, np.array(SWEEP_TAUS)) is None
     assert sweep_error(d, np.random.default_rng(12)) <= 16 * EPS
+
+
+def exact_superoperator(d):
+    """d's superoperator as a numpy object array of 40-digit mpmath numbers,
+    in the column stacking of lindblad._superoperator_matrix."""
+    eye = np.eye(d.dim, dtype=object)
+    M = np.zeros((d.dim ** 2, d.dim ** 2), dtype=object)
+    for ch in d.channels:
+        L = np.array([[mpmath.mpc(z.real, z.imag) for z in row] for row in ch.jump.tolist()],
+                     dtype=object)
+        LdL = L.conj().T @ L
+        M = M + mpmath.mpf(ch.rate) * (np.kron(L.conj(), L)
+                                       - (np.kron(eye, LdL) + np.kron(LdL.T, eye)) / 2)
+    return M
+
+
+def exact_limit_traces(d, F, operands, dps=40):
+    """Tr[F exp(T M)(C_j)] at dps digits and T = 128/gap, gap the slowest decay
+    rate: one mpmath.expm at T/32 per block of M's nonzero pattern, squared 5 times."""
+    lam = np.linalg.eigvals(d.superoperator)
+    gap = min(-x.real for x in lam if abs(x) > 1e-9 * np.abs(lam).max())
+    r = lindblad._vec(F.T)
+    X = np.array([lindblad._vec(C) for C in operands]).T
+    with mpmath.workdps(dps):
+        M = exact_superoperator(d)
+        n_blocks, label = connected_components((M != 0).astype(bool), directed=False)
+        row = [mpmath.mpc(0)] * X.shape[1]
+        for b in range(n_blocks):
+            idx = np.flatnonzero(label == b)
+            E = mpmath.expm(mpmath.mpf(4.0 / gap) * mpmath.matrix(M[np.ix_(idx, idx)].tolist()))
+            for _ in range(5):
+                E = E * E
+            rE = mpmath.matrix([r[idx].tolist()]) * E
+            for j in range(X.shape[1]):
+                row[j] += (rE * mpmath.matrix(X[idx, j].tolist()))[0]
+        return np.array([complex(x) for x in row])
+
+
+LIMIT_CHANNELS = {
+    "sodium": lambda rate: lindblad.named_channel("sodium", {"rate": rate})[0],
+    "damping": lambda rate: lindblad.named_channel("amplitude_damping", {"gamma": rate})[0],
+    "cascade": lambda rate: Dissipator([DissipationChannel(jump=ch.jump, rate=rate)
+                                        for ch in equal_rate_cascade().channels]),
+}
+
+
+@pytest.mark.parametrize("rate", [1e-12, 1.0, 1e10])
+@pytest.mark.parametrize("name", LIMIT_CHANNELS)
+def test_limit_matches_40_digit_far_exponential(name, rate):
+    d = LIMIT_CHANNELS[name](rate)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    F = orc.random_matrix(rng, d.dim)
+    operands = [orc.random_matrix(rng, d.dim) for _ in range(2)]
+    err = np.abs(lindblad.traces_at_infinity(d, F, operands)
+                 - exact_limit_traces(d, F, operands))
+    err = float((err / (np.linalg.norm(F) * np.linalg.norm(operands, axis=(1, 2)))).max())
+    cond = eigen_condition(d)
+    # the cascade's V is numerically singular: the SVD fallback, like the expm one
+    assert err <= (16 * EPS if name == "cascade" else 64 * cond * EPS)
+    assert (cond > lindblad._EIG_COND_MAX) == (name == "cascade")

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles as orc
@@ -30,6 +30,7 @@ from weaklind import (
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
 from weaklind import lindblad
 from weaklind.lindblad import traces_over_tau
+from weaklind.scenarios import _alkali_setup
 
 seeds = st.integers(0, 10**6)
 
@@ -393,9 +394,12 @@ def test_steady_state_sodium_is_degenerate():
         assert np.abs(apply_superoperator(P, B) - B).max() < 1e-12
 
 
-def test_ambiguous_kernel_rank_is_refused_everywhere():
+def test_an_ambiguous_svd_rank_is_refused_and_the_limit_resolves_it_by_eig():
     # a cascade |0><1| at rate s and |1><2| at rate 1.5e-9 s: the slow decay's
-    # singular values sit at about 1e-9 s_max, on the threshold at every scale
+    # singular values sit at about 1e-9 s_max, on the SVD threshold at every
+    # scale, so the projector refuses. V is well conditioned (cond 3.2) and the
+    # slow eigenvalues lie far above the snap at 16 n eps max|lam|, so the
+    # limit takes the eig path: one steady state, whose limit is Tr[A sigma_i]
     first, second = np.zeros((3, 3)), np.zeros((3, 3))
     first[0, 1] = second[1, 2] = 1.0
     setup = WeakMeasurementSetup(sigma_i=np.diag([0.5, 0.3, 0.2]).astype(complex),
@@ -404,10 +408,9 @@ def test_ambiguous_kernel_rank_is_refused_everywhere():
     for scale in (1e-6, 1.0, 1e6):
         d = Dissipator([DissipationChannel(jump=first, rate=scale),
                         DissipationChannel(jump=second, rate=1.5e-9 * scale)])
-        for limit in (asymptotic_projector,
-                      lambda d: weak_value_limit_infinite(setup, d)):
-            with pytest.raises(NoConvergence, match="ambiguous"):
-                limit(d)
+        with pytest.raises(NoConvergence, match="ambiguous"):
+            asymptotic_projector(d)
+        assert abs(weak_value_limit_infinite(setup, d) - 0.3) <= 1e-15
 
 
 @given(seeds)
@@ -436,6 +439,11 @@ def test_an_overflowing_superoperator_is_refused_when_made():
     d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=1.5e308)])
     with pytest.raises(NoConvergence, match="largest singular value overflows"):
         asymptotic_projector(d)
+    # max|lam| = 1.5e308 is finite, so the limit takes the eig path: the ground
+    # state is the one steady state, and the limit is Tr[A sigma_i]
+    setup = WeakMeasurementSetup(sigma_i=np.diag([0.8, 0.2]).astype(complex),
+                                 sigma_fI=np.full((2, 2), 0.5, dtype=complex), A_SI=pauli("z"))
+    assert abs(weak_value_limit_infinite(setup, d) - 0.6) <= 1e-15
 
 
 def test_asymptotic_projector_matches_brute_force():
@@ -750,6 +758,44 @@ def test_a_tau_alone_is_its_grid_row_bit_for_bit(name):
         for k in sorted(j for j in picks if 0 <= j < n):
             assert (traces_over_tau(d, F, operands, taus[k:k + 1]).tobytes()
                     == grid[k].tobytes())
+
+
+def assert_limit_is_the_far_row(d, F, operands):
+    """traces_at_infinity is the sweep's row at a tau where every decaying
+    exp(tau lam) underflows to 0, bit for bit up to the sign of a zero; false
+    where the eig guards fail, and nothing is compared."""
+    n = d.dim ** 2
+    spectrum = clamped_spectrum(np.ones(n), np.eye(n), d.superoperator, np.ones(1))
+    if spectrum is None:
+        return False
+    lam = spectrum[0]
+    tau = 800.0 / (-lam.real[lam != 0.0]).min()  # exp(-800) is 0 in doubles
+    far = traces_over_tau(d, F, operands, [tau])[0]
+    limit = lindblad.traces_at_infinity(d, F, operands)
+    # float equality: equal bits, but +0.0 == -0.0
+    assert np.array_equal(limit.view(float), far.view(float))
+    return True
+
+
+@given(seeds)
+def test_the_limit_is_the_sweeps_far_row_on_random_dissipators(seed):
+    rng, dim, channels = random_setup(seed)
+    d = Dissipator(channels)
+    F = orc.random_matrix(rng, dim)
+    operands = [orc.random_matrix(rng, dim) for _ in range(2)]
+    assume(assert_limit_is_the_far_row(d, F, operands))
+
+
+@pytest.mark.parametrize("pair", ["anomalous", "constant", "damping"])
+def test_the_limit_is_the_sweeps_far_row_on_sodium_and_damping(pair):
+    if pair == "damping":
+        setup = WeakMeasurementSetup(sigma_i=np.diag([0.8, 0.2]).astype(complex),
+                                     sigma_fI=np.full((2, 2), 0.5, dtype=complex),
+                                     A_SI=pauli("x"))
+        d = damping(0.7)
+    else:
+        setup, d, _ = _alkali_setup(pair)
+    assert assert_limit_is_the_far_row(d, setup.sigma_fI, setup.operands())
 
 
 # (gamma0, lam) near the float limit, as in the memory-kernel CLI tests

@@ -101,15 +101,15 @@ def test_memory_kernel_depends_on_rate_times_tau(gamma0, lam, scale):
 
 
 @given(st.floats(-12.0, 200.0).map(lambda e: 10.0 ** e))
-@example(1e-12)   # every singular value was under an absolute 1e-9: the tau = 0 value
-@example(1e-9)    # refused as ambiguous
-@example(1e8)     # refused as having no kernel
+@example(1e-12)   # max|lam| = 1e-12: the snap to 0 is relative to it, not absolute
+@example(1e-9)
+@example(1e8)
 @example(1e10)
 @example(1e200)
 def test_infinite_time_limit_is_rate_scale_free(scale):
     setup, _, _ = _alkali_setup("anomalous")
     want = weak_value_limit_infinite(setup, _dissipator(SODIUM))
-    assert abs(weak_value_limit_infinite(setup, _dissipator(SODIUM, scale)) - want) <= 1e-13
+    assert abs(weak_value_limit_infinite(setup, _dissipator(SODIUM, scale)) - want) <= 1e-15
 
 
 def _scaled_estimates(scale):

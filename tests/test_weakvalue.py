@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
+from test_lindblad import equal_rate_cascade
 from weaklind import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -31,6 +32,7 @@ from weaklind import (
 )
 from weaklind import lindblad, weakvalue
 from weaklind.cli import main
+from weaklind.scenarios import _alkali_setup
 from weaklind.errors import (
     DimensionMismatch,
     EpsilonOutOfRange,
@@ -677,6 +679,45 @@ def eigs(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counting)
     return seen
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """Calls of numpy.linalg.svd, the SVD of asymptotic_projector; cond(V)
+    takes V's singular values inside numpy and is not counted."""
+    seen = []
+    svd = np.linalg.svd
+
+    def counting(M, *args, **kwargs):
+        seen.append(M.shape)
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return seen
+
+
+@pytest.mark.parametrize("pair", ["anomalous", "constant"])
+def test_the_sodium_limit_runs_one_eig_and_no_svd(eigs, svds, pair):
+    setup, d, _ = _alkali_setup(pair)
+    weak_value_limit_infinite(setup, d)
+    assert eigs == [(36, 36)] and svds == []
+
+
+def test_the_defective_cascade_limit_falls_back_to_the_svd_projector(eigs, svds):
+    # cond(V) ~ 1.5e16 fails the eig guard: the limit is the quotient of the
+    # fixed-order traces of the SVD projector's maps
+    d = equal_rate_cascade()
+    setup = random_setup(np.random.default_rng(5), 3)
+    got = weak_value_limit_infinite(setup, d)
+    assert eigs == [(9, 9)] and svds == [(9, 9)]
+    maps = [apply_superoperator(asymptotic_projector(d), C) for C in setup.operands()]
+    num, den = (orc.scalar_trace(setup.sigma_fI, X) for X in maps)
+    assert got == num / den
+    # and within roundoff of np.trace's BLAS product with the same maps
+    num, den = (np.trace(setup.sigma_fI @ X) for X in maps)
+    assert abs(got - num / den) <= 4 * np.finfo(float).eps * abs(num / den)
+    # one steady state, |2><2|: the limit is Tr[A sigma_i]
+    assert abs(got - np.trace(setup.A_SI @ setup.sigma_i)) <= 1e-15
 
 
 def test_constant_rate_sweep_runs_one_eig_and_no_expm(counts, eigs):
