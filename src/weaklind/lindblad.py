@@ -17,8 +17,10 @@ Each kind has one kernel for Tr[F e^{D tau}(C)], the eigen rows of M (expm,
 and with it scipy.linalg, only where their guards fail) or the closed-form
 maps: traces_over_tau(d, F, operands, taus) on a tau grid, and evolve(d, C,
 tau) with F running over the matrix units, so that evolve(d, C, tau)[i, j] is
-traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for bit; traces_at_infinity is
-the row at tau = inf. The map preserves traces, commutes with the adjoint,
+traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for bit. tau = inf is a grid
+point whose row is the limit tau -> infinity: the eigen row keeps the kernel
+of M (the SVD asymptotic_projector where the guards fail), and the sigma_-
+map keeps Gamma = 0. The map preserves traces, commutes with the adjoint,
 and for constant rates is a semigroup.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
@@ -183,11 +185,9 @@ def _superoperator_matrix(channels, dim: int) -> np.ndarray:
 
 
 def _check_tau(tau: float | np.ndarray) -> None:
-    """NegativeTau unless tau, one number or a grid of them, is finite and >= 0."""
-    grid = isinstance(tau, np.ndarray)
-    if not (np.isfinite(tau).all() if grid else math.isfinite(tau)):
-        raise NegativeTau("tau must be finite")
-    if (tau < 0.0).any() if grid else tau < 0.0:
+    """NegativeTau unless tau, one number or every tau of a grid, is >= 0: NaN
+    and -inf are refused, and +inf is the limit tau -> infinity."""
+    if not ((tau >= 0.0).all() if isinstance(tau, np.ndarray) else tau >= 0.0):
         raise NegativeTau("tau must be >= 0")
 
 
@@ -252,9 +252,12 @@ def nonmarkov_big_gamma(d: NonMarkovJC, tau: float) -> float:
     continued to complex d; solves Gamma'' + lam Gamma' + (gamma0 lam/2) Gamma = 0
     with Gamma(0) = 1, Gamma'(0) = 0, and satisfies |Gamma| <= 1. It enters
     the channel map (_damping_maps) as exp(-gamma tau/2) enters the
-    constant-rate damping map. NegativeTau unless tau is finite and >= 0.
+    constant-rate damping map. NegativeTau unless tau >= 0. Gamma(inf) = 0.0 on
+    every coupling: |Gamma| <= e^{(Re d - lam) tau/2} (1 + lam tau/2), Re d < lam.
     """
     _check_tau(tau)
+    if tau == math.inf:
+        return 0.0
     c, ls, a = _envelope_pieces(d, float(tau))  # a numpy scalar would warn on overflow
     # d is real or purely imaginary, so every imaginary part of c, ls and e^a
     # is +-0 and Gamma is real (NaN only where inf * 0 meets in the product)
@@ -306,8 +309,10 @@ def _eigen_weights(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
 def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
                   taus: np.ndarray) -> np.ndarray | None:
     """r^T exp(tau_k M) X, (N, p k), or None where _eigen_weights' guards fail: row k
-    sums exp(tau_k lam_m) W_m in m's order by _cmul, a function of tau_k alone."""
-    found = _eigen_weights(r, X, M, float(taus.max(initial=0.0)))
+    sums e_m W_m in m's order by _cmul, a function of tau_k alone, with e_m =
+    exp(tau_k lam_m), or at tau_k = inf e_m = [lam_m == 0]: the kernel's weight.
+    The guards' bound takes the largest finite tau, and at least 1 for an inf."""
+    found = _eigen_weights(r, X, M, float(np.where(taus < math.inf, taus, 1.0).max(initial=0.0)))
     if found is None:
         return None
     lam, W = found
@@ -315,9 +320,10 @@ def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
     traces = np.empty((W.shape[1], len(taus)), dtype=complex)
     for start in range(0, len(taus), step):
         t = taus[start:start + step]
+        finite = t < math.inf
         z = np.empty((len(lam), len(t)), dtype=complex)
-        z.real, z.imag = _cmul(t, 0.0, lam.real, lam.imag)
-        e = np.exp(z)[:, None]
+        z.real, z.imag = _cmul(np.where(finite, t, 0.0), 0.0, lam.real, lam.imag)
+        e = np.where(finite, np.exp(z), lam == 0.0)[:, None]
         re, im = _cmul(e.real, e.imag, W.real, W.imag)  # (m, j, k): summed over m in order
         traces.real[:, start:start + step], traces.imag[:, start:start + step] = (
             sum(re[1:], re[0]), sum(im[1:], im[0]))
@@ -341,9 +347,11 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     where its guards fail, one expm per nonzero tau; the sigma_- memory kernel
     stacks _damping_maps, one envelope per nonzero tau. A row depends on its
     tau alone, and a map's trace is a fixed-order scalar sum (_trace_sums).
+    The row at tau = inf is the limit: the eigen row that keeps the kernel of
+    M, the fallback's asymptotic_projector map or the sigma_- map at Gamma = 0.
     ValueError unless taus is 1-D and operands nonempty; NegativeTau unless
-    every tau is finite and >= 0. NoConvergence names the first tau whose row
-    or expm is not finite, or, when every earlier row is, a failing envelope's.
+    every tau >= 0. NoConvergence names the first tau whose row or expm is not
+    finite, or, when every earlier row is, a failing envelope's or projector's.
     """
     return _traces(d, _check_operator(F, d.dim), operands, taus)[:, 0]
 
@@ -376,7 +384,8 @@ def _traces(d: Dissipator | NonMarkovJC, F: np.ndarray | None, operands, taus) -
         if traces is None:
             traces = np.full((len(taus), len(Fs), len(operands)), complex(np.nan, np.nan))
             for k, tau in enumerate(taus.tolist()):
-                S = _exponential_map(M, tau) if tau else None
+                if tau:
+                    S = _exponential_map(M, tau) if tau < math.inf else asymptotic_projector(d)
                 evolved = [apply_superoperator(S, C) for C in operands] if tau else operands
                 traces[k] = _trace_sums(Fs[:, None], np.array(evolved))
                 if not np.isfinite(traces[k]).all():  # a larger tau would overflow further
@@ -390,7 +399,8 @@ def _traces(d: Dissipator | NonMarkovJC, F: np.ndarray | None, operands, taus) -
 
 def evolve(d: Dissipator | NonMarkovJC, C: np.ndarray, tau: float) -> np.ndarray:
     """e^{D tau}(C) for any operator C: a copy at tau = 0, else the kernel's traces of the
-    matrix units, entry (i, j) bit for bit traces_over_tau(d, E_ji, [C], [tau])[0, 0]."""
+    matrix units, entry (i, j) bit for bit traces_over_tau(d, E_ji, [C], [tau])[0, 0];
+    at tau = inf the limit map of C."""
     _check_tau(tau)  # before the operator
     C = _check_operator(C, d.dim)
     if tau == 0.0:
@@ -398,27 +408,9 @@ def evolve(d: Dissipator | NonMarkovJC, C: np.ndarray, tau: float) -> np.ndarray
     return _unvec(_traces(d, None, [C], [tau])[0, :, 0], d.dim)
 
 
-def traces_at_infinity(d: Dissipator | NonMarkovJC, F: np.ndarray, operands) -> np.ndarray:
-    """Tr[F P(C_j)], P = lim_{tau->inf} e^{D tau}, for every operand C_j, as (k,):
-    the eigen row at tau = inf, every decaying exp(tau lam) 0, under the sweep's
-    guards and a finite max|lam|, else by asymptotic_projector's SVD.
-    NoConvergence for a memory kernel, or when a trace is not finite."""
-    F, operands = _check_operator(F, d.dim), [_check_operator(C, d.dim) for C in operands]
-    found = None if isinstance(d, NonMarkovJC) else _eigen_weights(
-        _vec(F.T), np.array([_vec(C) for C in operands]).T, d.superoperator, 1.0)
-    if found is None:
-        P = asymptotic_projector(d)
-        traces = _trace_sums(F, np.array([apply_superoperator(P, C) for C in operands]))
-    else:  # the weight of lam = +0.0, the one value that every snapped eigenvalue takes
-        traces = found[1][found[0][:, 0] == 0.0].sum(axis=0)[:, 0]
-    if not np.isfinite(traces).all():
-        raise NoConvergence("the evolved traces are not finite as tau -> infinity")
-    return traces
-
-
 def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
     """The superoperator P = lim_{tau->inf} e^{D tau} (constant rates), from one
-    SVD M = U diag(s) Vh: traces_at_infinity's fallback where eig's guards fail.
+    SVD M = U diag(s) Vh: the tau = inf map of traces_over_tau where eig's guards fail.
 
     P = R (L' R)^{-1} L' projects onto the kernel of M along the decaying modes, R and
     L its right and left kernels (M R = 0, L' M = 0). The rank is judged at M's own

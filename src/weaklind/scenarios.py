@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFit, ScenarioAssertionError
+from .errors import DegenerateFit, PostselectionVanishes, ScenarioAssertionError
 from .lindblad import Dissipator, named_channel
 from .operators import SIGMA_X, jy_six_level, pure_density
 from .weakvalue import (
@@ -40,7 +40,7 @@ from .weakvalue import (
     epsilon_states,
     trace_over_tau,
     weak_value_dissipative,  # noqa: F401  (bench/tracing.py patches it here)
-    weak_value_limit_infinite,
+    weak_value_limit_infinite,  # noqa: F401  (bench/tracing.py patches it here)
 )
 
 # residual-ratio threshold of the Markovianity classifier: one model must fit
@@ -89,18 +89,29 @@ def _alkali_setup(post: str) -> tuple[WeakMeasurementSetup, Dissipator, float]:
     return (setup, *named_channel("sodium", {"rate": 1.0}))
 
 
+def _trace_and_limit(setup: WeakMeasurementSetup, d: Dissipator,
+                     grid: np.ndarray) -> tuple[WeakValueTrace, complex]:
+    """The trace over grid and, split off from the same sweep's last tau = inf,
+    the limit's weak value; PostselectionVanishes if that row is a gap."""
+    swept, n = trace_over_tau(setup, d, np.append(grid, math.inf)), len(grid)
+    if n in swept.gaps:
+        raise PostselectionVanishes("post-selection probability vanishes as tau -> infinity")
+    trace = WeakValueTrace(tau_grid=swept.tau_grid[:n], values=swept.values[:n],
+                           postselection_probs=swept.postselection_probs[:n],
+                           gaps=swept.gaps, metadata=swept.metadata)
+    return trace, complex(swept.values[n])
+
+
 def sodium_anomalous() -> ScenarioResult:
     """Trace of the anomalous-pair weak value over 201 points of rate*tau in [0, 10].
 
     Asserts the two reference endpoints: 0.0954 + 0j at tau = 0 (tol 5e-4)
-    and -0.346 + 0.151j in the infinite-time limit (tol 2e-3, via the
-    asymptotic projector, not large-tau propagation).
+    and -0.346 + 0.151j in the infinite-time limit (tol 2e-3, the sweep's
+    tau = inf row, not large-tau propagation).
     """
     setup, d, rate = _alkali_setup("anomalous")
-    grid = np.linspace(0.0, 10.0, 201)
-    trace = trace_over_tau(setup, d, grid)
+    trace, wv_inf = _trace_and_limit(setup, d, np.linspace(0.0, 10.0, 201))
     wv0 = complex(trace.values[0])
-    wv_inf = weak_value_limit_infinite(setup, d)
     checks = {
         "re_at_zero": abs(wv0.real - SODIUM_WV_AT_ZERO) <= SODIUM_WV_AT_ZERO_TOL,
         "im_at_zero": abs(wv0.imag) <= SODIUM_WV_AT_ZERO_TOL,
@@ -126,18 +137,16 @@ def sodium_constant() -> ScenarioResult:
     The pair is orthogonal at tau = 0 (recorded as a gap); for every tau > 0
     the weak value exists and is the same complex number with nonzero
     imaginary part. Asserts spread(Re) and spread(Im) < 1e-6 on (0, 40] and
-    agreement with the asymptotic-projector value to 1e-8.
+    agreement with the infinite-time limit (the projector value) to 1e-8.
     """
     setup, d, rate = _alkali_setup("constant")
-    grid = np.linspace(0.0, 40.0, 401)
-    trace = trace_over_tau(setup, d, grid)
-    live = np.array([k for k in range(len(grid)) if k not in trace.gaps])
+    trace, wv_inf = _trace_and_limit(setup, d, np.linspace(0.0, 40.0, 401))
+    live = np.array([k for k in range(len(trace.tau_grid)) if k not in trace.gaps])
     if len(live) == 0:
         raise ScenarioAssertionError("post-selection vanished over the whole grid")
     vals = trace.values[live]
     spread_re = float(vals.real.max() - vals.real.min())
     spread_im = float(vals.imag.max() - vals.imag.min())
-    wv_inf = weak_value_limit_infinite(setup, d)
     drift = float(np.abs(vals - wv_inf).max())
     checks = {
         "gap_at_zero": 0 in trace.gaps,

@@ -13,11 +13,12 @@ epsilon_states gives the nearly orthogonal pre/post pair whose short-time
 weak values the estimation scenarios fit.
 
 A tau grid is one call of lindblad.traces_over_tau for the numerators and
-the denominator together; weak_value_dissipative is its one-point case. One
-function, _weak_values, forms the quotient of every grid, every point and
-the limit. A_SI may be a (k, n, n) stack of observables sharing sigma_i,
-sigma_fI and the dissipator: each tau then gives k weak values over one
-shared denominator.
+the denominator together; weak_value_dissipative is its one-point case, and
+weak_value_limit_infinite its one-point case at tau = inf. A grid may end in
+inf, so that one sweep gives a curve and its limit. One function,
+_weak_values, forms every quotient. A_SI may be a (k, n, n) stack of
+observables sharing sigma_i, sigma_fI and the dissipator: each tau then
+gives k weak values over one shared denominator.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .lindblad import (
     Dissipator,
     NonMarkovJC,
     describe,
-    traces_at_infinity,
     traces_over_tau,
 )
 from .lindblad import asymptotic_projector  # noqa: F401  (bench/tracing.py patches it here)
@@ -120,17 +120,12 @@ class WeakValueSample(NamedTuple):
     probability: float
 
 
-def _check_dimension(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC) -> None:
-    if d.dim != setup.dim:
-        raise DimensionMismatch(
-            f"dissipator dimension {d.dim} != setup dimension {setup.dim}")
-
-
 def _postselected_traces(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
                          taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (N, k) traces Tr[sigma_fI e^{D tau}(A_j sigma_i)] and the (N,)
     Tr[sigma_fI e^{D tau}(sigma_i)], finite (traces_over_tau refuses the rest)."""
-    _check_dimension(setup, d)
+    if d.dim != setup.dim:
+        raise DimensionMismatch(f"dissipator dimension {d.dim} != setup dimension {setup.dim}")
     traces = traces_over_tau(d, setup.sigma_fI, setup.operands(), taus)
     return traces[:, :-1], traces[:, -1]
 
@@ -150,15 +145,16 @@ def _weak_values(num: np.ndarray,
     return values, probs, kept
 
 
-def _one_point(num: np.ndarray, den: np.ndarray, where: str,
-               stacked: bool) -> WeakValueSample:
-    """The one-row case of _weak_values; PostselectionVanishes at a gap, with
-    `where` ending the message."""
+def _one_point(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC, tau: float,
+               where: str) -> WeakValueSample:
+    """The one-point sweep at tau and its quotient; PostselectionVanishes at a
+    gap, with `where` ending the message."""
+    num, den = _postselected_traces(setup, d, np.array([tau], dtype=float))
     values, probs, kept = _weak_values(num, den)
     if not kept[0]:
         raise PostselectionVanishes(f"post-selection probability vanishes{where} "
                                     f"(|den|={abs(den[0]):.3e})")
-    return WeakValueSample(value=values[0] if stacked else complex(values[0, 0]),
+    return WeakValueSample(value=values[0] if setup.stacked else complex(values[0, 0]),
                            probability=float(probs[0]))
 
 
@@ -174,25 +170,22 @@ def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator | NonMarko
     propagator overflows). For a stacked A_SI the value is the array of the k
     weak values.
     """
-    num, den = _postselected_traces(setup, d, np.array([tau], dtype=float))
-    return _one_point(num, den, f" at tau={tau}", setup.stacked)
+    return _one_point(setup, d, tau, f" at tau={tau}")
 
 
 def weak_value_limit_infinite(setup: WeakMeasurementSetup,
                               d: Dissipator | NonMarkovJC) -> complex | np.ndarray:
-    """The tau -> infinity weak value: the quotient of the sweep's tau = inf row.
+    """The tau -> infinity weak value: the one-point sweep at tau = inf.
 
-    lindblad.traces_at_infinity sums the eigen weights of the kernel of D, or
-    uses asymptotic_projector's SVD where the eig guards fail: no large-tau
-    propagation, so degenerate asymptotic subspaces (ground-manifold
-    coherences) are kept. For a channel with a unique ground state the result
-    reduces to the plain expectation value Tr[A sigma_i]. For a stacked A_SI,
-    the array of the k limits.
+    That row of lindblad.traces_over_tau keeps the eigen weights of the kernel
+    of D, or asymptotic_projector's SVD map where the eig guards fail: no
+    large-tau propagation, so degenerate asymptotic subspaces (ground-manifold
+    coherences) are kept. For a channel with a unique ground state, the
+    sigma_- memory kernel included, the result reduces to the plain
+    expectation value Tr[A sigma_i]. For a stacked A_SI, the array of the k
+    limits. PostselectionVanishes when the limit's denominator does.
     """
-    _check_dimension(setup, d)
-    traces = traces_at_infinity(d, setup.sigma_fI, setup.operands())[None]
-    return _one_point(traces[:, :-1], traces[:, -1], " as tau -> infinity",
-                      setup.stacked).value
+    return _one_point(setup, d, math.inf, " as tau -> infinity").value
 
 
 def epsilon_states(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +231,8 @@ class WeakValueTrace:
 
 def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
                    tau_grid) -> WeakValueTrace:
-    """Evaluate the weak value on an increasing tau grid.
+    """Evaluate the weak value on an increasing tau grid, which may end in
+    tau = inf, the row of the limit tau -> infinity.
 
     Vanishing post-selection at a grid point is recorded as a gap (NaN
     value, probability 0), not raised: orthogonal pre/post pairs are a
@@ -248,7 +242,7 @@ def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or len(tau_grid) == 0:
         raise ValueError("tau_grid must be a nonempty 1-D array")
-    if np.any(np.diff(tau_grid) <= 0.0):
+    if np.any(tau_grid[1:] <= tau_grid[:-1]):  # inf <= inf, where np.diff holds NaN
         raise ValueError("tau_grid must be strictly increasing")
     values, probs, kept = _weak_values(*_postselected_traces(setup, d, tau_grid))
     values = values if setup.stacked else values[:, 0]

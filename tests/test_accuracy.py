@@ -19,13 +19,13 @@ cascade, whose defective generator takes the expm fallback. The error is
 relative to |F| |C_j| (Frobenius norms), which bounds a trace times
 |exp(tau M)|; the eigen path is pinned at c cond(V) eps, cond(V) <= 1e4.
 
-The infinite-time limit (traces_at_infinity) is compared in the same norm
-with exp(T M) at 40 digits and T = 128/gap, where every decaying mode is
-below e^-128. M is formed there from the jumps' and rates' binary values in
-40-digit arithmetic, which keeps vec(I) an exact left null vector: the
-double M has a kernel eigenvalue only zero to roundoff, which exp(T M)
-would decay. The cases are sodium, damping and the equal-rate cascade (the
-SVD fallback) at rates 1e-12, 1 and 1e10.
+The infinite-time limit, the tau = inf row of traces_over_tau, is compared
+in the same norm with exp(T M) at 40 digits and T = 128/gap, where every
+decaying mode is below e^-128. M is formed there from the jumps' and
+rates' binary values in 40-digit arithmetic, which keeps vec(I) an exact
+left null vector: the double M has a kernel eigenvalue only zero to
+roundoff, which exp(T M) would decay. The cases are sodium, damping and the
+equal-rate cascade (the SVD fallback) at rates 1e-12, 1 and 1e10.
 """
 
 import math
@@ -243,7 +243,7 @@ def test_limit_matches_40_digit_far_exponential(name, rate):
     rng = np.random.default_rng(sum(map(ord, name)))
     F = orc.random_matrix(rng, d.dim)
     operands = [orc.random_matrix(rng, d.dim) for _ in range(2)]
-    err = np.abs(lindblad.traces_at_infinity(d, F, operands)
+    err = np.abs(lindblad.traces_over_tau(d, F, operands, [math.inf])[0]
                  - exact_limit_traces(d, F, operands))
     err = float((err / (np.linalg.norm(F) * np.linalg.norm(operands, axis=(1, 2)))).max())
     cond = eigen_condition(d)

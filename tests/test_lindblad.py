@@ -29,7 +29,7 @@ from weaklind import (
 )
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
 from weaklind import lindblad
-from weaklind.lindblad import traces_over_tau
+from weaklind.lindblad import _vec, traces_over_tau
 from weaklind.scenarios import _alkali_setup
 
 seeds = st.integers(0, 10**6)
@@ -512,11 +512,20 @@ def test_nonmarkov_rate_rejects_non_finite_parameters(bad):
 
 @pytest.mark.parametrize("tau", [-2.0, -5e-324, math.nan, math.inf, -math.inf])
 def test_closed_forms_reject_a_negative_or_non_finite_tau(tau):
+    # +inf is the one non-finite tau taken: the limit, Gamma = 0, whose map
+    # sends C to Tr[C] |g><g| on the memory kernel and on damping alike
     C = np.eye(2, dtype=complex)
     memory = NonMarkovJC(gamma0=0.1, lam=1.0)
-    for call in (lambda: nonmarkov_big_gamma(NonMarkovJC(0.1, 1.0), tau),
-                 lambda: evolve(memory, C, tau),
-                 lambda: evolve(damping(0.5), C, tau)):
+    calls = (lambda: nonmarkov_big_gamma(NonMarkovJC(0.1, 1.0), tau),
+             lambda: evolve(memory, C, tau),
+             lambda: evolve(damping(0.5), C, tau))
+    if tau == math.inf:
+        gamma, kernel_map, damping_map = (call() for call in calls)
+        assert gamma == 0.0
+        assert kernel_map.tobytes() == lindblad._damping_maps(C, np.zeros(1))[0].tobytes()
+        assert np.abs(damping_map - np.diag([0.0, 2.0])).max() <= 4 * np.finfo(float).eps
+        return
+    for call in calls:
         with pytest.raises(NegativeTau):
             call()
 
@@ -761,9 +770,11 @@ def test_a_tau_alone_is_its_grid_row_bit_for_bit(name):
 
 
 def assert_limit_is_the_far_row(d, F, operands):
-    """traces_at_infinity is the sweep's row at a tau where every decaying
-    exp(tau lam) underflows to 0, bit for bit up to the sign of a zero; false
-    where the eig guards fail, and nothing is compared."""
+    """The sweep's tau = inf row is its row at a tau where every decaying
+    exp(tau lam) underflows to 0, bit for bit up to the sign of a zero, and
+    bit for bit the weight of the eigenvalues snapped to +0 (the rule that
+    formed the limit apart from the sweep); false where the eig guards fail,
+    and nothing is compared."""
     n = d.dim ** 2
     spectrum = clamped_spectrum(np.ones(n), np.eye(n), d.superoperator, np.ones(1))
     if spectrum is None:
@@ -771,9 +782,12 @@ def assert_limit_is_the_far_row(d, F, operands):
     lam = spectrum[0]
     tau = 800.0 / (-lam.real[lam != 0.0]).min()  # exp(-800) is 0 in doubles
     far = traces_over_tau(d, F, operands, [tau])[0]
-    limit = lindblad.traces_at_infinity(d, F, operands)
+    limit = traces_over_tau(d, F, operands, [math.inf])[0]
     # float equality: equal bits, but +0.0 == -0.0
     assert np.array_equal(limit.view(float), far.view(float))
+    slots, W = lindblad._eigen_weights(_vec(F.T), np.array([_vec(C) for C in operands]).T,
+                                       d.superoperator, 1.0)
+    assert limit.tobytes() == W[slots[:, 0] == 0.0].sum(axis=0)[:, 0].tobytes()
     return True
 
 
@@ -832,6 +846,47 @@ def test_evolve_is_the_one_point_trace_of_each_matrix_unit(monkeypatch, name):
     assert bool(expms) == (name == "cascade")
 
 
+MEMORY_KERNEL_COUPLINGS = {"weak": (0.1, 1.0), "critical": (0.5, 1.0), "strong": (1.0, 0.5),
+                           **{f"float limit {g:g} {l:g}": (g, l)
+                              for g, l in FLOAT_LIMIT_COUPLINGS}}
+
+
+@pytest.mark.parametrize("coupling", MEMORY_KERNEL_COUPLINGS)
+def test_the_memory_kernel_limit_is_its_far_row(coupling):
+    # Gamma(inf) = 0.0 on every coupling. At the first doubled tau where
+    # Gamma underflows to +-0, the sweep's row is the inf row bit for bit up
+    # to the sign of a zero, and the limit's weak value is Tr[A sigma_i]:
+    # one steady state, the paper's non-degenerate case
+    d = NonMarkovJC(*MEMORY_KERNEL_COUPLINGS[coupling])
+    assert nonmarkov_big_gamma(d, math.inf) == 0.0
+    tau = 1.0
+    while nonmarkov_big_gamma(d, tau) != 0.0:
+        tau *= 2.0
+    rng = np.random.default_rng(sum(map(ord, coupling)))
+    setup = WeakMeasurementSetup(sigma_i=orc.random_density(rng, 2),
+                                 sigma_fI=orc.random_density(rng, 2),
+                                 A_SI=orc.random_matrix(rng, 2))
+    far, limit = (traces_over_tau(d, setup.sigma_fI, setup.operands(), [t])[0]
+                  for t in (tau, math.inf))
+    # float equality: equal bits, but +0.0 == -0.0
+    assert np.array_equal(limit.view(float), far.view(float))
+    want = np.trace(setup.A_SI @ setup.sigma_i)[None].view(float)
+    got = np.array([weak_value_limit_infinite(setup, d)]).view(float)
+    assert (np.abs(got - want) <= 2 * np.spacing(np.abs(want))).all()  # 2 ulps each part
+
+
+def test_the_cascade_limit_is_the_svd_projector_map():
+    # the expm fallback's inf row: evolve gives the SVD projector's map, and
+    # a trace is the fixed-order sum over that map
+    d = equal_rate_cascade()
+    rng = np.random.default_rng(13)
+    F, C = orc.random_matrix(rng, 3), orc.random_matrix(rng, 3)
+    P = asymptotic_projector(d)
+    assert np.array_equal(evolve(d, C, math.inf), apply_superoperator(P, C))
+    assert (traces_over_tau(d, F, [C], [math.inf])[0].tobytes()
+            == lindblad._trace_sums(F, apply_superoperator(P, C)[None]).tobytes())
+
+
 # sha256 prefixes of the memory-kernel grid traces and evolve's maps, which no
 # BLAS step forms: the same under every OpenBLAS core and numpy SIMD level
 MEMORY_KERNEL_BITS = {"weak": ("5e5a642e39d21542", "76a232758777fd23"),
@@ -888,9 +943,17 @@ def test_traces_over_tau_treats_bad_input_alike_on_every_kind(kind):
     for taus in (np.ones((2, 3)), np.ones((1, 1)), 0.5):
         with pytest.raises(ValueError, match="1-D tau grid"):
             traces_over_tau(d, F, [C], taus)
-    for taus in ([0.0, 1.0], []):
+    for taus in ([0.0, 1.0], [], [math.inf]):
         with pytest.raises(ValueError, match="at least one operand"):
             traces_over_tau(d, F, [], taus)
+    # one input rule at every tau: NaN, -inf and a negative tau are refused
+    # before anything evolves, +inf is the limit
+    for bad in (math.nan, -math.inf, -1.0):
+        with pytest.raises(NegativeTau, match="tau must be >= 0"):
+            traces_over_tau(d, F, [C], [0.0, math.inf, bad])
+        with pytest.raises(NegativeTau, match="tau must be >= 0"):
+            evolve(d, C, bad)
+    assert np.isfinite(traces_over_tau(d, F, [C], [0.0, math.inf])).all()
 
 
 @pytest.mark.parametrize("name, rates", [("amplitude_damping", {"gamma": 0.7}),

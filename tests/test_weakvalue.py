@@ -32,7 +32,7 @@ from weaklind import (
 )
 from weaklind import lindblad, weakvalue
 from weaklind.cli import main
-from weaklind.scenarios import _alkali_setup
+from weaklind.scenarios import _alkali_setup, sodium_anomalous, sodium_constant
 from weaklind.errors import (
     DimensionMismatch,
     EpsilonOutOfRange,
@@ -289,12 +289,19 @@ def test_analytic_input_validation():
 
 @pytest.mark.parametrize("gamma,tau,error", [
     (math.nan, 1.0, ValueError), (math.inf, 0.0, ValueError), (-math.inf, 1.0, ValueError),
-    (0.5, math.nan, NegativeTau), (0.5, math.inf, NegativeTau), (math.inf, math.nan, ValueError),
+    (0.5, math.nan, NegativeTau), pytest.param(0.5, math.inf, None, id="0.5-inf-limit"),
+    (math.inf, math.nan, ValueError),
 ])
 def test_closed_forms_refuse_non_finite_gamma_and_tau(gamma, tau, error):
-    # the rate is refused where the channel is built, tau where it is evolved
+    # the rate is refused where the channel is built, tau where it is evolved;
+    # tau = +inf is the limit, whose one steady state gives Tr[A sigma_i]
     for A in (pauli("x"), SIGMA_PLUS):
         setup = bloch_setup((0.6, 0.2, 0.5), (0.3, -0.5, -0.7), A)
+        if error is None:
+            sample = weak_value_dissipative(setup, damping(gamma), tau)
+            assert sample.value == weak_value_limit_infinite(setup, damping(gamma))
+            assert abs(sample.value - np.trace(A @ setup.sigma_i)) <= 4 * np.finfo(float).eps
+            continue
         with pytest.raises(error):
             weak_value_dissipative(setup, damping(gamma), tau)
 
@@ -563,11 +570,20 @@ def test_trace_over_tau_rejects_an_empty_or_two_dimensional_grid():
 
 
 def test_trace_over_tau_rejects_negative_and_nonfinite_tau():
-    # the whole grid is checked before the kernel evolves anything backwards
+    # the whole grid is checked before the kernel evolves anything backwards;
+    # +inf is the limit, once and last
     setup = random_2level_setup(np.random.default_rng(79))
-    for grid in ([-1.0, 0.0, 1.0], [0.0, np.nan]):
-        with pytest.raises(NegativeTau):
-            trace_over_tau(setup, damping(), grid)
+    for d in (damping(), NonMarkovJC(gamma0=1.0, lam=0.5)):
+        for grid in ([-1.0, 0.0, 1.0], [0.0, np.nan], [-np.inf, 0.0], [0.0, np.inf, np.nan]):
+            with pytest.raises(NegativeTau):
+                trace_over_tau(setup, d, grid)
+        for bad in (-1.0, np.nan, -np.inf):
+            with pytest.raises(NegativeTau):
+                weak_value_dissipative(setup, d, bad)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trace_over_tau(setup, d, [0.0, np.inf, np.inf])
+        trace = trace_over_tau(setup, d, [0.0, 1.0, np.inf])
+        assert trace.values[-1] == weak_value_limit_infinite(setup, d)
 
 
 # ---------------------------------------------------------------- structure
@@ -700,6 +716,14 @@ def svds(monkeypatch):
 def test_the_sodium_limit_runs_one_eig_and_no_svd(eigs, svds, pair):
     setup, d, _ = _alkali_setup(pair)
     weak_value_limit_infinite(setup, d)
+    assert eigs == [(36, 36)] and svds == []
+
+
+@pytest.mark.parametrize("scenario", [sodium_anomalous, sodium_constant],
+                         ids=["anomalous", "constant"])
+def test_the_sodium_scenarios_run_one_eig_and_no_svd(eigs, svds, scenario):
+    # the trace and the limit come from one sweep whose last tau is inf
+    scenario()
     assert eigs == [(36, 36)] and svds == []
 
 
