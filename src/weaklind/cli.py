@@ -382,7 +382,7 @@ def _write(out: str, files: list[tuple[str, str]]) -> list[str]:
 def _sweep(setup: WeakMeasurementSetup, d, taus: np.ndarray) -> WeakValueTrace:
     """trace_over_tau, refused when post-selection vanishes at every point."""
     trace = trace_over_tau(setup, d, taus)
-    if len(trace.gaps) == len(taus):
+    if not trace.kept.any():
         raise PostselectionVanishes("post-selection probability vanishes on the whole tau grid")
     return trace
 
@@ -398,11 +398,8 @@ def cmd_weak_value(cfg: RunConfig, fmt: str) -> CommandOutput:
     sigma_i, sigma_fI = build_states(cfg)
     A = build_observable(cfg)
     d, char_rate = build_channel(cfg)
-    g = cfg.meter.g if cfg.meter is not None else 0.0
-    t = cfg.meter.t if cfg.meter is not None else 0.0
-    setup = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A, g=g, t=t)
     taus = build_tau_grid(cfg)
-    trace = _sweep(setup, d, taus)
+    trace = _sweep(WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A), d, taus)
     if fmt == "json":
         file = ("weak_value.json", _json_text(_trace_json_obj(trace, char_rate)) + "\n")
     else:
@@ -447,10 +444,8 @@ def cmd_shifts(cfg: RunConfig, fmt: str) -> CommandOutput:
         A = np.stack([SIGMA_PLUS, SIGMA_MINUS])
     else:
         header = "gamma_tau,q_shift,p_shift,re_wv,im_wv"
-    setup = WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A, g=m.g, t=m.t)
-    trace = _sweep(setup, d, taus)
-    keep = np.ones(len(taus), dtype=bool)
-    keep[list(trace.gaps)] = False
+    trace = _sweep(WeakMeasurementSetup(sigma_i=sigma_i, sigma_fI=sigma_fI, A_SI=A), d, taus)
+    keep = trace.kept
     if m.model == "jc":
         wvp, wvm = trace.values[keep].T.copy()
         Q, P = jc_shift_columns(n, wvp, wvm, m.g, m.t, taus[keep], m.omega_f, m.Delta,

@@ -50,8 +50,16 @@ COUNT_MAX = 10**6
 DIMENSION_MAX = 32
 N_MAX_MAX = 1000
 
-NAMED_OBSERVABLES = ("jy6", "sigma_x", "sigma_y", "sigma_z", "sigma_plus",
-                     "sigma_minus", "identity")
+# name -> (the dimension the observable needs, None for any; its matrix at dimension d)
+NAMED_OBSERVABLES = {
+    "jy6": (6, lambda d: jy_six_level()),
+    "sigma_x": (2, lambda d: pauli("x")),
+    "sigma_y": (2, lambda d: pauli("y")),
+    "sigma_z": (2, lambda d: pauli("z")),
+    "sigma_plus": (2, lambda d: SIGMA_PLUS.copy()),
+    "sigma_minus": (2, lambda d: SIGMA_MINUS.copy()),
+    "identity": (None, lambda d: np.eye(d, dtype=complex)),
+}
 # every named channel's rate fields, in table order
 _RATE_FIELDS = tuple(n for names, _ in NAMED_CHANNELS.values() for n in names)
 
@@ -377,19 +385,10 @@ def build_observable(cfg: RunConfig) -> np.ndarray:
     spec = cfg.observable
     dim = cfg.system.dimension
     if spec.named is not None:
-        if spec.named == "jy6":
-            if dim != 6:
-                raise ConfigError(f"observable 'jy6' needs dimension 6, got {dim}")
-            return jy_six_level()
-        if spec.named == "identity":
-            return np.eye(dim, dtype=complex)
-        if dim != 2:
-            raise ConfigError(f"observable '{spec.named}' needs dimension 2, got {dim}")
-        if spec.named == "sigma_plus":
-            return SIGMA_PLUS.copy()
-        if spec.named == "sigma_minus":
-            return SIGMA_MINUS.copy()
-        return pauli(spec.named.split("_")[1])
+        need, matrix = NAMED_OBSERVABLES[spec.named]
+        if need not in (None, dim):
+            raise ConfigError(f"observable '{spec.named}' needs dimension {need}, got {dim}")
+        return matrix(dim)
     if spec.matrix is not None:
         mat = _pairs_to_matrix(spec.matrix, "observable.matrix")
         if mat.shape != (dim, dim):

@@ -26,7 +26,7 @@ Gaussian noise, relative to each sample, comes only with an explicit seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -94,11 +94,10 @@ def _trace_and_limit(setup: WeakMeasurementSetup, d: Dissipator,
     """The trace over grid and, split off from the same sweep's last tau = inf,
     the limit's weak value; PostselectionVanishes if that row is a gap."""
     swept, n = trace_over_tau(setup, d, np.append(grid, math.inf)), len(grid)
-    if n in swept.gaps:
+    if not swept.kept[n]:
         raise PostselectionVanishes("post-selection probability vanishes as tau -> infinity")
-    trace = WeakValueTrace(tau_grid=swept.tau_grid[:n], values=swept.values[:n],
-                           postselection_probs=swept.postselection_probs[:n],
-                           gaps=swept.gaps, metadata=swept.metadata)
+    trace = replace(swept, tau_grid=swept.tau_grid[:n], values=swept.values[:n],
+                    postselection_probs=swept.postselection_probs[:n], kept=swept.kept[:n])
     return trace, complex(swept.values[n])
 
 
@@ -141,15 +140,14 @@ def sodium_constant() -> ScenarioResult:
     """
     setup, d, rate = _alkali_setup("constant")
     trace, wv_inf = _trace_and_limit(setup, d, np.linspace(0.0, 40.0, 401))
-    live = np.array([k for k in range(len(trace.tau_grid)) if k not in trace.gaps])
-    if len(live) == 0:
+    if not trace.kept.any():
         raise ScenarioAssertionError("post-selection vanished over the whole grid")
-    vals = trace.values[live]
+    vals = trace.values[trace.kept]
     spread_re = float(vals.real.max() - vals.real.min())
     spread_im = float(vals.imag.max() - vals.imag.min())
     drift = float(np.abs(vals - wv_inf).max())
     checks = {
-        "gap_at_zero": 0 in trace.gaps,
+        "gap_at_zero": not trace.kept[0],
         "spread_re": spread_re < SODIUM_CONSTANT_SPREAD_TOL,
         "spread_im": spread_im < SODIUM_CONSTANT_SPREAD_TOL,
         "im_nonzero": float(np.abs(vals.imag).min()) > 1e-3,
@@ -345,10 +343,8 @@ def _short_time_data(channel: str, rng: np.random.Generator | None,
         values = values + NOISE_SIGMA * (
             values.real * rng.standard_normal(len(values))
             + 1j * values.imag * rng.standard_normal(len(values)))
-        trace = WeakValueTrace(tau_grid=trace.tau_grid, values=values,
-                               postselection_probs=trace.postselection_probs,
-                               gaps=trace.gaps,
-                               metadata={**trace.metadata, "noise_sigma": NOISE_SIGMA})
+        trace = replace(trace, values=values,
+                        metadata={**trace.metadata, "noise_sigma": NOISE_SIGMA})
     samples = [(float(t), complex(v)) for t, v in zip(trace.tau_grid, values)]
     shared = {"characteristic_rate": rate, "epsilon": EPSILON, "noisy": rng is not None}
     return samples, trace, shared

@@ -6,7 +6,10 @@ constant in the interaction picture), conditions the meter on
 
     A_w(tau) = Tr[sigma_fI e^{D tau}(A sigma_i)] / Tr[sigma_fI e^{D tau}(sigma_i)],
 
-where the denominator is the post-selection probability. This module
+where the denominator is the post-selection probability. Besides the
+dissipator it depends on sigma_i, sigma_fI and A alone (the meter coupling g t
+enters only the readout, in meter): a WeakMeasurementSetup is that triple, and
+its content_hash, a trace's setup_hash, covers nothing else. This module
 evaluates the quotient numerically for any dissipator, on a tau grid or at
 one tau, and in the infinite-time limit as the sweep's tau = inf row;
 epsilon_states gives the nearly orthogonal pre/post pair whose short-time
@@ -16,7 +19,8 @@ A tau grid is one call of lindblad.traces_over_tau for the numerators and
 the denominator together; weak_value_dissipative is its one-point case, and
 weak_value_limit_infinite its one-point case at tau = inf. A grid may end in
 inf, so that one sweep gives a curve and its limit. One function,
-_weak_values, forms every quotient. A_SI may be a (k, n, n) stack of
+_weak_values, forms every quotient and decides the gaps once, as the mask of
+the rows kept, which a WeakValueTrace stores. A_SI may be a (k, n, n) stack of
 observables sharing sigma_i, sigma_fI and the dissipator: each tau then
 gives k weak values over one shared denominator.
 """
@@ -51,22 +55,20 @@ _VANISH_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class WeakMeasurementSetup:
-    """Pre/post-selected states and the weakly coupled observable.
+    """What a weak value depends on besides the dissipator: the pre- and
+    post-selected states and the weakly coupled observable.
 
     sigma_i and sigma_fI are density matrices (the post-selected one given
     directly in the interaction picture, where it is constant); A_SI is the
     measured observable at the effective interaction midpoint, or a (k, n, n)
-    stack of k observables measured on the same states. g and t are
-    the coupling strength and interaction duration; their product is the
-    small parameter of the meter-shift formulas and is carried along for
-    them, not used by the weak value itself.
+    stack of k observables measured on the same states. The coupling g t of
+    the meter enters only the meter readout, not the weak value, and is not
+    part of the setup.
     """
 
     sigma_i: np.ndarray
     sigma_fI: np.ndarray
     A_SI: np.ndarray
-    g: float = 0.0
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         sigma_i = np.asarray(self.sigma_i, dtype=complex)
@@ -83,14 +85,9 @@ class WeakMeasurementSetup:
                 f"A_SI {A_SI.shape}")
         if not np.isfinite(A_SI).all():
             raise ValueError("A_SI entries must be finite")
-        g, t = float(self.g), float(self.t)
-        if not (math.isfinite(g) and math.isfinite(t)):
-            raise ValueError("g and t must be finite")
         object.__setattr__(self, "sigma_i", sigma_i)
         object.__setattr__(self, "sigma_fI", sigma_fI)
         object.__setattr__(self, "A_SI", A_SI)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "t", t)
 
     @property
     def dim(self) -> int:
@@ -107,11 +104,10 @@ class WeakMeasurementSetup:
         return [A @ self.sigma_i for A in stack] + [self.sigma_i]
 
     def content_hash(self) -> str:
-        """SHA-256 over the states, observable, and couplings."""
+        """SHA-256 over the bytes of sigma_i, sigma_fI and A_SI."""
         h = hashlib.sha256()
         for arr in (self.sigma_i, self.sigma_fI, self.A_SI):
             h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(np.array([self.g, self.t]).tobytes())
         return h.hexdigest()
 
 
@@ -212,21 +208,29 @@ def epsilon_states(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
 class WeakValueTrace:
     """A weak-value curve over a tau grid.
 
-    values holds NaN at grid points where post-selection vanishes; those
-    indices are listed in gaps and their probability is recorded as 0. For a
-    stacked A_SI, values is (N, k), one column per observable, and the gaps
-    and probabilities, which come from the shared denominator, are shared.
+    kept is the (N,) mask of the grid points where post-selection does not
+    vanish, as _weak_values decided it; at the others (the gaps) values holds
+    NaN and the probability is 0. For a stacked A_SI, values is (N, k), one
+    column per observable, and kept and the probabilities, which come from
+    the shared denominator, are shared. metadata holds the setup's
+    content_hash and the channel's description.
     """
 
     tau_grid: np.ndarray
     values: np.ndarray
     postselection_probs: np.ndarray
-    gaps: tuple[int, ...]
+    kept: np.ndarray
     metadata: dict
 
     def __post_init__(self) -> None:
-        if not (len(self.tau_grid) == len(self.values) == len(self.postselection_probs)):
+        if not (len(self.tau_grid) == len(self.values) == len(self.postselection_probs)
+                == len(self.kept)):
             raise DimensionMismatch("trace arrays must have equal length")
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The indices of the grid points that kept leaves out, in grid order."""
+        return tuple(np.flatnonzero(~self.kept).tolist())
 
 
 def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
@@ -245,15 +249,12 @@ def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
     if np.any(tau_grid[1:] <= tau_grid[:-1]):  # inf <= inf, where np.diff holds NaN
         raise ValueError("tau_grid must be strictly increasing")
     values, probs, kept = _weak_values(*_postselected_traces(setup, d, tau_grid))
-    values = values if setup.stacked else values[:, 0]
-    gaps = np.flatnonzero(~kept).tolist()
     metadata = {
         "setup_hash": setup.content_hash(),
         "channel": describe(d),
     }
-    return WeakValueTrace(tau_grid=tau_grid, values=values,
-                          postselection_probs=probs, gaps=tuple(gaps),
-                          metadata=metadata)
+    return WeakValueTrace(tau_grid=tau_grid, values=values if setup.stacked else values[:, 0],
+                          postselection_probs=probs, kept=kept, metadata=metadata)
 
 
 __all__ = [

@@ -193,11 +193,20 @@ def test_named_channel_characteristic_rates(tmp_path):
 
 
 def test_observable_builders(tmp_path):
-    for name, want in [("sigma_x", weaklind.SIGMA_X), ("sigma_plus", weaklind.SIGMA_PLUS),
-                       ("identity", np.eye(2))]:
+    for name, want in [("sigma_x", weaklind.SIGMA_X), ("sigma_y", weaklind.SIGMA_Y),
+                       ("sigma_z", weaklind.SIGMA_Z), ("sigma_plus", weaklind.SIGMA_PLUS),
+                       ("sigma_minus", weaklind.SIGMA_MINUS), ("identity", np.eye(2))]:
         payload = two_level_config(observable={"named": name})
         A = build_observable(load_config(write_cfg(tmp_path, payload)))
-        np.testing.assert_allclose(A, want, atol=1e-15)
+        assert A.dtype == complex and np.array_equal(A, want)
+    # the named table's matrices are fresh arrays, and identity takes any dimension
+    for name, want in [("jy6", weaklind.jy_six_level()), ("identity", np.eye(6))]:
+        payload = sodium_config(observable={"named": name})
+        A = build_observable(load_config(write_cfg(tmp_path, payload)))
+        assert A.dtype == complex and np.array_equal(A, want)
+    payload = two_level_config(observable={"named": "sigma_plus"})
+    build_observable(load_config(write_cfg(tmp_path, payload)))[0, 1] = 7.0
+    assert weaklind.SIGMA_PLUS[0, 1] == 1.0
     payload = two_level_config(observable={
         "pauli": {"a": 0.5, "b": 2.0, "m": [[1, 0], [0, -1], [0, 0]]}})
     A = build_observable(load_config(write_cfg(tmp_path, payload)))
@@ -490,8 +499,22 @@ def test_weak_value_json_metadata_bytes(tmp_path, channel, description):
                    "--out", str(out)) == 0
     metadata = json.loads((out / "weak_value.json").read_text())["metadata"]
     assert metadata["channel"] == description
+    # SHA-256 over the bytes of sigma_i, sigma_fI and A alone
     assert metadata["setup_hash"] == (
-        "57db857b85f56f24f4daa18bc39c3b7d058f24577eaee6406a7678a798dfaa7c")
+        "a878f8796f08a663b919d97bda2c9c164b2b68cbe5e6d0986686a704bab1bb9f")
+
+
+def test_weak_value_ignores_a_meter_section(tmp_path):
+    # the weak value and its setup_hash do not depend on the meter's coupling
+    payload = two_level_config(output={"format": "json"})
+    blobs = []
+    for k, meter in enumerate((None, meter_section(), {**meter_section(g=0.25), "t": 3.0})):
+        cfg = payload if meter is None else {**payload, "meter": meter}
+        out = tmp_path / str(k)
+        assert run_cli("weak-value", "--config", write_cfg(tmp_path, cfg, f"{k}.json"),
+                       "--out", str(out)) == 0
+        blobs.append((out / "weak_value.json").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_weak_value_identity_observable_is_one(tmp_path):
@@ -1134,6 +1157,11 @@ CONFIG_REFUSALS = [
      "error: channel 'nonmarkov_jc' needs dimension 2, got 6\n"),
     ("sigma-x-at-6", "weak-value", sodium_config(observable={"named": "sigma_x"}), 2,
      "error: observable 'sigma_x' needs dimension 2, got 6\n"),
+    ("jy6-at-2", "weak-value", two_level_config(observable={"named": "jy6"}), 2,
+     "error: observable 'jy6' needs dimension 6, got 2\n"),
+    ("sigma-minus-at-6", "shifts",
+     sodium_config(observable={"named": "sigma_minus"}, meter=meter_section()), 2,
+     "error: observable 'sigma_minus' needs dimension 2, got 6\n"),
     ("pauli-at-6", "weak-value",
      sodium_config(observable={"pauli": {"m": [[1, 0], [0, 0], [0, 0]]}}), 2,
      "error: observable.pauli needs dimension 2, got 6\n"),

@@ -1,5 +1,7 @@
 """Weak values under dissipation: trace formula, closed forms, limits, laws."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -154,8 +156,6 @@ def test_array_dataclasses_compare_by_identity(make):
     ("A_SI", np.array([[0.0, math.inf], [1.0, 0.0]]), "A_SI entries must be finite"),
     ("A_SI", np.array([[[0.0, 1.0], [1.0, 0.0]], [[complex(0.0, math.nan), 0.0],
                                                    [0.0, 1.0]]]), "A_SI entries must be finite"),
-    ("g", math.nan, "g and t must be finite"),
-    ("t", math.inf, "g and t must be finite"),
 ])
 def test_setup_refuses_non_finite_entries_without_a_warning(field, value, match):
     good = orc.random_density(np.random.default_rng(0), 2)
@@ -164,6 +164,50 @@ def test_setup_refuses_non_finite_entries_without_a_warning(field, value, match)
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             WeakMeasurementSetup(**kwargs)
+
+
+def test_setup_is_the_states_and_the_observable():
+    assert [f.name for f in dataclasses.fields(WeakMeasurementSetup)] == [
+        "sigma_i", "sigma_fI", "A_SI"]
+    with pytest.raises(TypeError):
+        WeakMeasurementSetup(sigma_i=np.eye(2) / 2, sigma_fI=np.eye(2) / 2, A_SI=pauli("x"),
+                             g=0.1, t=1.0)
+
+
+def test_content_hash_covers_each_of_the_three_and_nothing_else():
+    rng = np.random.default_rng(5)
+    triple = {"sigma_i": orc.random_density(rng, 2), "sigma_fI": orc.random_density(rng, 2),
+              "A_SI": orc.random_hermitian(rng, 2)}
+    base = WeakMeasurementSetup(**triple).content_hash()
+    # equal triples, built from fresh copies, hash alike
+    assert WeakMeasurementSetup(**{k: v.copy() for k, v in triple.items()}
+                                ).content_hash() == base
+    others = {"sigma_i": orc.random_density(rng, 2), "sigma_fI": orc.random_density(rng, 2),
+              "A_SI": pauli("z")}
+    for name, other in others.items():
+        assert WeakMeasurementSetup(**{**triple, name: other}).content_hash() != base
+    want = hashlib.sha256(b"".join(np.asarray(triple[k], dtype=complex).tobytes()
+                                   for k in ("sigma_i", "sigma_fI", "A_SI"))).hexdigest()
+    assert base == want
+
+
+@pytest.mark.parametrize("short", ["tau_grid", "values", "postselection_probs", "kept"])
+def test_trace_refuses_arrays_of_unequal_length(short):
+    trace = trace_over_tau(_setup(), damping(0.5), [0.0, 1.0, 2.0])
+    fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)}
+    fields[short] = fields[short][:2]
+    with pytest.raises(DimensionMismatch, match="trace arrays must have equal length"):
+        weakvalue.WeakValueTrace(**fields)
+
+
+def test_trace_gaps_are_the_indices_that_kept_leaves_out():
+    rho0, rho1 = pure_density([1.0, 0.0]), pure_density([0.0, 1.0])
+    setup = WeakMeasurementSetup(sigma_i=rho0, sigma_fI=rho1, A_SI=pauli("x"))
+    trace = trace_over_tau(setup, damping(0.5), [0.0, 0.5, 1.0])
+    assert trace.kept.tolist() == [False, True, True] and trace.gaps == (0,)
+    assert type(trace.gaps[0]) is int
+    with pytest.raises(AttributeError):
+        trace.gaps = ()
 
 
 # ----------------------------------------------------------------- limits
