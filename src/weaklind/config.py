@@ -467,25 +467,3 @@ def build_occupation(cfg: RunConfig) -> float:
         return float(int(spec.n))
     return spec.n
 
-
-__all__ = [
-    "StateSpec",
-    "SystemSpec",
-    "PauliCombo",
-    "ObservableSpec",
-    "ChannelSpec",
-    "SweepSpec",
-    "MeterSpec",
-    "InvertSpec",
-    "OutputSpec",
-    "RunConfig",
-    "load_config",
-    "require_sections",
-    "build_states",
-    "build_observable",
-    "build_channel",
-    "build_tau_grid",
-    "build_occupation",
-    "NAMED_OBSERVABLES",
-    "NAMED_CHANNELS",
-]

@@ -133,7 +133,7 @@ def named_channel(name: str, rates) -> tuple[Dissipator | NonMarkovJC, float]:
     rate = rates[NAMED_CHANNELS[name][0][0]]
     if name == "nonmarkov_jc":
         return NonMarkovJC(gamma0=rates["gamma0"], lam=rates["lam"]), rate
-    jumps = [L for L, _ in sodium_jump_operators()] if name == "sodium" else [SIGMA_MINUS]
+    jumps = sodium_jump_operators() if name == "sodium" else [SIGMA_MINUS]
     return Dissipator([DissipationChannel(jump=L, rate=rate) for L in jumps]), rate
 
 
@@ -275,21 +275,24 @@ def _exponential_map(M: np.ndarray, tau: float) -> np.ndarray:
     return S
 
 
-def _eigen_weights(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
-                   tau_max: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(lam, W), r^T exp(tau M) X = sum_m exp(tau lam_m) W_m for tau <= tau_max:
-    lam (m, 1) the bitwise-distinct eigenvalues of M = V diag(lam) V^-1 in
-    first-seen order, W (m, p k, 1) their weights (r^T V)_i (V^-1 X)_ij summed
-    in index order; r = None, every unit row, takes V's rows (p = n). None when
-    eig does not converge, cond(V) exceeds _EIG_COND_MAX (a nearly defective
-    M), or max|lam| tau_max is not finite. Re lam is clamped to <= 0: a bounded
-    semigroup has no growing mode. |lam| <= 16 n eps max|lam| (n = dim M) is
-    set to 0, or a kernel eigenvalue's roundoff would move the steady part at
-    huge tau (|lam| tau ~ 1 at tau ~ 1e15)."""
+def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
+                  taus: np.ndarray) -> np.ndarray | None:
+    """r^T exp(tau_k M) X, (N, p k), from M = V diag(lam) V^-1; r = None, every
+    unit row, takes V's rows (p = n). W_m sums the weights (r^T V)_i (V^-1 X)_ij
+    of each bitwise-distinct lam_m, in index order, and row k sums e_m W_m in the
+    first-seen order of m by _cmul, a function of tau_k alone, with e_m =
+    exp(tau_k lam_m), or at tau_k = inf e_m = [lam_m == 0]: the kernel's weight.
+    None when eig does not converge, cond(V) exceeds _EIG_COND_MAX (a nearly
+    defective M), or max|lam| tau_max is not finite, tau_max the largest finite
+    tau, and at least 1 for an inf. Re lam is clamped to <= 0: a bounded
+    semigroup has no growing mode. |lam| <= 16 n eps max|lam| (n = dim M) is set
+    to 0, or a kernel eigenvalue's roundoff would move the steady part at huge
+    tau (|lam| tau ~ 1 at tau ~ 1e15)."""
     try:
         lam, V = np.linalg.eig(M)
     except np.linalg.LinAlgError:
         return None
+    tau_max = float(np.where(taus < math.inf, taus, 1.0).max(initial=0.0))
     # the bound in Python floats: an infinite one must not raise a numpy overflow warning
     if not (np.linalg.cond(V) <= _EIG_COND_MAX and math.isfinite(
             float(np.abs(lam.view(float)).max()) * tau_max)):
@@ -303,19 +306,7 @@ def _eigen_weights(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
     cols = [slot.setdefault(key, len(slot)) for key in lam.view("V16").tolist()]
     W = np.zeros((len(slot), weights[0].size, 1), dtype=complex)
     np.add.at(W, cols, weights.reshape(len(lam), -1, 1))
-    return np.frombuffer(b"".join(slot), dtype=complex)[:, None], W
-
-
-def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
-                  taus: np.ndarray) -> np.ndarray | None:
-    """r^T exp(tau_k M) X, (N, p k), or None where _eigen_weights' guards fail: row k
-    sums e_m W_m in m's order by _cmul, a function of tau_k alone, with e_m =
-    exp(tau_k lam_m), or at tau_k = inf e_m = [lam_m == 0]: the kernel's weight.
-    The guards' bound takes the largest finite tau, and at least 1 for an inf."""
-    found = _eigen_weights(r, X, M, float(np.where(taus < math.inf, taus, 1.0).max(initial=0.0)))
-    if found is None:
-        return None
-    lam, W = found
+    lam = np.frombuffer(b"".join(slot), dtype=complex)[:, None]
     step = max(1, _EIG_BLOCK // W.size)
     traces = np.empty((W.shape[1], len(taus)), dtype=complex)
     for start in range(0, len(taus), step):
@@ -356,6 +347,7 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     return _traces(d, _check_operator(F, d.dim), operands, taus)[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that overflows is refused below
 def _traces(d: Dissipator | NonMarkovJC, F: np.ndarray | None, operands, taus) -> np.ndarray:
     """traces_over_tau as (N, p, k), for F alone (p = 1) or, for F = None, the
     matrix units F_p = E_ji, p = i + j dim, whose traces make vec(e^{D tau_n}(C_j))."""

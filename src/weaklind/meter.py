@@ -207,12 +207,3 @@ def invert_weak_value(n: float, Q_f: float, P_f: float, model: str, g: float,
         (cos,), (sin,) = _trig(np.array([omega_f * (0.5 * t + tau)]))
         return complex(-sin * q - cos * p, (cos * q - sin * p) / (2.0 * n + 1.0))
 
-
-__all__ = [
-    "ShiftReport",
-    "rabi_shift_columns",
-    "rabi_shifts_number_state",
-    "jc_shift_columns",
-    "jc_shifts",
-    "invert_weak_value",
-]

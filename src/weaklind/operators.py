@@ -110,11 +110,11 @@ def jy_six_level() -> np.ndarray:
     return jy + jy.conj().T
 
 
-def sodium_jump_operators() -> list[tuple[np.ndarray, str]]:
+def sodium_jump_operators() -> list[np.ndarray]:
     """Spontaneous-emission jump operators of the six-level system.
 
-    One operator per emitted-photon polarization q in {0, -, +}, with the
-    Clebsch-Gordan amplitudes of the J_g=1/2 <-> J_e=3/2 transition:
+    [L_0, L_-, L_+], one operator per emitted-photon polarization q in that
+    order, with the Clebsch-Gordan amplitudes of the J_g=1/2 <-> J_e=3/2 transition:
 
         L_0 = sqrt(2/3) (|g,-1/2><e,-1/2| + |g,1/2><e,1/2|)
         L_- = |g,-1/2><e,-3/2| + (1/sqrt3)|g,1/2><e,-1/2|
@@ -132,4 +132,4 @@ def sodium_jump_operators() -> list[tuple[np.ndarray, str]]:
     lp = np.zeros((6, 6), dtype=complex)
     lp[4, 2] = 1.0 / _SQRT3
     lp[5, 3] = 1.0
-    return [(l0, "0"), (lm, "-"), (lp, "+")]
+    return [l0, lm, lp]

@@ -412,7 +412,6 @@ SCENARIOS = {
     "classify": lambda channel, rng: run_classify(channel or "nonmarkov_jc", rng),
     "estimate-lambda": lambda channel, rng: run_estimate_lambda(rng),
 }
-SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def run_scenario(name: str, channel: str | None = None,
@@ -420,28 +419,6 @@ def run_scenario(name: str, channel: str | None = None,
     """Dispatch a scenario by CLI name. Raises KeyError for unknown names."""
     rng = np.random.default_rng(seed) if seed is not None else None
     if name not in SCENARIOS:
-        raise KeyError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+        raise KeyError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
     return SCENARIOS[name](channel, rng)
 
-
-__all__ = [
-    "CLASSIFY_RATIO",
-    "NOISE_SIGMA",
-    "ScenarioResult",
-    "GammaEstimate",
-    "LambdaEstimate",
-    "MarkovianityVerdict",
-    "sodium_anomalous",
-    "sodium_constant",
-    "estimate_gamma",
-    "estimate_lambda",
-    "classify_markovianity",
-    "run_estimate_gamma",
-    "run_estimate_lambda",
-    "run_classify",
-    "run_scenario",
-    "EPSILON",
-    "SHORT_TIME_CHANNELS",
-    "SCENARIOS",
-    "SCENARIO_NAMES",
-]

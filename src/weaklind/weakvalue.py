@@ -141,19 +141,6 @@ def _weak_values(num: np.ndarray,
     return values, probs, kept
 
 
-def _one_point(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC, tau: float,
-               where: str) -> WeakValueSample:
-    """The one-point sweep at tau and its quotient; PostselectionVanishes at a
-    gap, with `where` ending the message."""
-    num, den = _postselected_traces(setup, d, np.array([tau], dtype=float))
-    values, probs, kept = _weak_values(num, den)
-    if not kept[0]:
-        raise PostselectionVanishes(f"post-selection probability vanishes{where} "
-                                    f"(|den|={abs(den[0]):.3e})")
-    return WeakValueSample(value=values[0] if setup.stacked else complex(values[0, 0]),
-                           probability=float(probs[0]))
-
-
 def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
                            tau: float) -> WeakValueSample:
     """The dissipative weak value and the post-selection probability at tau.
@@ -166,7 +153,13 @@ def weak_value_dissipative(setup: WeakMeasurementSetup, d: Dissipator | NonMarko
     propagator overflows). For a stacked A_SI the value is the array of the k
     weak values.
     """
-    return _one_point(setup, d, tau, f" at tau={tau}")
+    num, den = _postselected_traces(setup, d, np.array([tau], dtype=float))
+    values, probs, kept = _weak_values(num, den)
+    if not kept[0]:
+        raise PostselectionVanishes(f"post-selection probability vanishes at tau={tau} "
+                                    f"(|den|={abs(den[0]):.3e})")
+    return WeakValueSample(value=values[0] if setup.stacked else complex(values[0, 0]),
+                           probability=float(probs[0]))
 
 
 def weak_value_limit_infinite(setup: WeakMeasurementSetup,
@@ -181,7 +174,7 @@ def weak_value_limit_infinite(setup: WeakMeasurementSetup,
     expectation value Tr[A sigma_i]. For a stacked A_SI, the array of the k
     limits. PostselectionVanishes when the limit's denominator does.
     """
-    return _one_point(setup, d, math.inf, " as tau -> infinity").value
+    return weak_value_dissipative(setup, d, math.inf).value
 
 
 def epsilon_states(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -256,13 +249,3 @@ def trace_over_tau(setup: WeakMeasurementSetup, d: Dissipator | NonMarkovJC,
     return WeakValueTrace(tau_grid=tau_grid, values=values if setup.stacked else values[:, 0],
                           postselection_probs=probs, kept=kept, metadata=metadata)
 
-
-__all__ = [
-    "WeakMeasurementSetup",
-    "WeakValueSample",
-    "WeakValueTrace",
-    "weak_value_dissipative",
-    "weak_value_limit_infinite",
-    "epsilon_states",
-    "trace_over_tau",
-]

@@ -39,6 +39,8 @@ import oracles as orc
 from test_lindblad import equal_rate_cascade, random_setup
 from weaklind import DissipationChannel, Dissipator, NonMarkovJC, lindblad, nonmarkov_big_gamma
 
+pytestmark = pytest.mark.pinned
+
 TOL = 1e-14
 CASES_PER_REGIME = 150
 

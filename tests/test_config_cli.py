@@ -49,7 +49,7 @@ from weaklind.config import (
     require_sections,
 )
 from weaklind.errors import ConfigError
-from weaklind.scenarios import SCENARIO_NAMES, SCENARIOS, SHORT_TIME_CHANNELS
+from weaklind.scenarios import SCENARIOS, SHORT_TIME_CHANNELS
 
 SODIUM_PRE = [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]
 SODIUM_POST = [[0.0498, 0.0], [-0.995, 0.0], [0.0, 0.0], [-0.0498, -0.0498],
@@ -846,7 +846,7 @@ def test_scenario_names_and_channels_are_the_tables_keys():
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in sub.choices["scenario"]._actions}
-    assert actions["name"].help.split(" | ") == list(SCENARIOS) == list(SCENARIO_NAMES)
+    assert actions["name"].help.split(" | ") == list(SCENARIOS)
     assert list(actions["channel"].choices) == list(SHORT_TIME_CHANNELS)
 
 
@@ -1227,7 +1227,7 @@ SCENARIO_REFUSALS = [
     (["classify", "--seed", str(2**64)], "--seed must fit in an unsigned 64-bit integer"),
     (["estimate-gamma", "--channel", "amplitude_damping"],
      "--channel applies to the 'classify' scenario only"),
-    (["no-such-thing"], "unknown scenario 'no-such-thing'; known: " + ", ".join(SCENARIO_NAMES)),
+    (["no-such-thing"], "unknown scenario 'no-such-thing'; known: " + ", ".join(SCENARIOS)),
 ]
 
 
@@ -1283,14 +1283,75 @@ def test_refused_scenario_runs_exit_2_with_their_line(tmp_path, capsys, argv, re
     _assert_refused(tmp_path, capsys, ["scenario", *argv], 2, f"error: {reason}\n")
 
 
-def test_a_failed_scenario_assertion_exits_4(tmp_path, capsys, monkeypatch):
-    verdict = scenarios.sodium_anomalous().verdict
+def _anomalous_failure(verdict):
     wv0, wv_inf = complex(*verdict["wv_at_zero"]), complex(*verdict["wv_at_infinity"])
-    monkeypatch.setattr(scenarios, "SODIUM_WV_AT_ZERO", 1.0)
     checks = {"re_at_zero": False, "im_at_zero": True, "re_at_inf": True, "im_at_inf": True}
-    _assert_refused(tmp_path, capsys, ["scenario", "sodium-anomalous"], 4,
-                    "scenario assertion failed: reference endpoints violated: "
-                    f"wv(0)={wv0}, wv(inf)={wv_inf}, checks={checks}\n")
+    return ({"SODIUM_WV_AT_ZERO": 1.0}, "reference endpoints violated: "
+            f"wv(0)={wv0}, wv(inf)={wv_inf}, checks={checks}")
+
+
+def _constant_failure(verdict):
+    checks = {"gap_at_zero": True, "spread_re": False, "spread_im": False,
+              "im_nonzero": True, "matches_projector": True}
+    return ({"SODIUM_CONSTANT_SPREAD_TOL": 0.0},
+            f"constant-pair violations: spread=({verdict['spread_re']:.3e}, "
+            f"{verdict['spread_im']:.3e}), drift={verdict['max_drift_from_projector']:.3e}, "
+            f"checks={checks}")
+
+
+def _estimate_off(name, field, value):
+    """The estimator scenarios.name with its estimate replaced by value."""
+    estimate = getattr(scenarios, name)
+    return {name: lambda *args: estimate(*args)._replace(**{field: value})}
+
+
+def _classify_failure(verdict):
+    return ({"CLASSIFY_RATIO": 0.0},
+            "classifier returned 'inconclusive' on nonmarkov_jc data (expected "
+            f"'strongly-non-Markovian'; residuals {verdict['linear_rel_residual']:.3e} "
+            f"vs {verdict['quadratic_rel_residual']:.3e})")
+
+
+# scenario -> (its passing verdict -> (the scenarios attributes that make it
+# fail, the reason it then gives))
+SCENARIO_FAILURES = {
+    "sodium-anomalous": _anomalous_failure,
+    "sodium-constant": _constant_failure,
+    "estimate-gamma": lambda verdict: (_estimate_off("estimate_gamma", "gamma_hat", 0.2),
+                                       "gamma estimate 0.2 misses true rate 0.1 by 100.00%"),
+    "classify": _classify_failure,
+    "estimate-lambda": lambda verdict: (_estimate_off("estimate_lambda", "lambda_hat", 3.0),
+                                        "lambda estimate 3.0 misses true width 1.0 by 200.00%"),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_failed_scenario_assertion_exits_4(tmp_path, capsys, monkeypatch, name):
+    patches, reason = SCENARIO_FAILURES[name](scenarios.run_scenario(name).verdict)
+    for attr, value in patches.items():
+        monkeypatch.setattr(scenarios, attr, value)
+    _assert_refused(tmp_path, capsys, ["scenario", name], 4,
+                    f"scenario assertion failed: {reason}\n")
+
+
+def test_a_sodium_constant_grid_of_gaps_exits_4(tmp_path, capsys, monkeypatch):
+    # every finite tau a gap, the limit row kept
+    sweep = scenarios.trace_over_tau
+
+    def gapped(setup, d, grid):
+        trace = sweep(setup, d, grid)
+        return dataclasses.replace(trace, kept=np.isinf(trace.tau_grid))
+
+    monkeypatch.setattr(scenarios, "trace_over_tau", gapped)
+    _assert_refused(tmp_path, capsys, ["scenario", "sodium-constant"], 4,
+                    "scenario assertion failed: post-selection vanished over the whole grid\n")
+
+
+def test_a_sodium_limit_row_that_is_a_gap_exits_3(tmp_path, capsys, monkeypatch):
+    # an excited post state, which the tau = inf map empties
+    monkeypatch.setitem(scenarios._ALKALI_POST, "anomalous", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    _assert_refused(tmp_path, capsys, ["scenario", "sodium-anomalous"], 3,
+                    "post-selection probability vanishes as tau -> infinity\n")
 
 
 # --------------------------------------------------- CLI: fuzzed configs
@@ -1594,20 +1655,13 @@ def test_module_entry_point_subprocess(tmp_path):
         assert sub in proc.stdout
 
 
-def test_cli_import_leaves_out_scipy_integrate(tmp_path):
-    probe = "import sys, weaklind.cli; print('scipy.integrate' in sys.modules)"
+def test_cli_import_leaves_out_scipy_and_pydantic(tmp_path):
+    probe = ("import sys, weaklind.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'pydantic')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, cwd=str(tmp_path), env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_leaves_out_pydantic(tmp_path):
-    probe = "import sys, weaklind.cli; print('pydantic' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, cwd=str(tmp_path), env=subprocess_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_estimators_leave_out_numpy_ma(tmp_path):

@@ -20,6 +20,8 @@ from weaklind import (
     trace_over_tau,
 )
 
+pytestmark = pytest.mark.pinned
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -42,7 +44,7 @@ def check_trace(rows, setup, dissipator, char_rate, tol):
 
 
 def sodium_setup(post_amps):
-    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()])
+    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L in sodium_jump_operators()])
     setup = WeakMeasurementSetup(
         sigma_i=pure_density(make_golden.ALKALI_PRE),
         sigma_fI=pure_density(post_amps),

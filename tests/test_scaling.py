@@ -52,7 +52,7 @@ def _dissipator(channels, scale=1.0):
     return Dissipator([DissipationChannel(jump=L, rate=rate * scale) for L, rate in channels])
 
 
-SODIUM = [(L, 1.0) for L, _ in sodium_jump_operators()]
+SODIUM = [(L, 1.0) for L in sodium_jump_operators()]
 
 
 def _protocol_samples(d, taus, with_zero=False):

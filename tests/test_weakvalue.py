@@ -225,7 +225,7 @@ def test_degenerate_limit_elementwise_quotient():
     # the entrywise decomposition sum_{jk} f_{jk} [P(A s_i)]_{kj} over
     # sum_{jk} f_{jk} [P(s_i)]_{kj} must reproduce the projector quotient
     from weaklind import sodium_jump_operators
-    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()])
+    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L in sodium_jump_operators()])
     rng = np.random.default_rng(31)
     setup = WeakMeasurementSetup(
         sigma_i=orc.random_density(rng, 6),
@@ -517,6 +517,7 @@ def test_trace_over_tau_basic():
     assert "setup_hash" in trace.metadata and "channel" in trace.metadata
 
 
+@pytest.mark.pinned
 @given(seeds, st.sampled_from([2, 3]), st.integers(0, 3))
 def test_grid_rows_and_points_are_one_quotient(seed, dim, k):
     # one quotient (weakvalue._weak_values) and one row rule serve the grid
@@ -551,6 +552,7 @@ def assert_point_is_the_row(setup, d, grid, j):
             == np.float64(point.probability).tobytes())
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("name, rates", [("sodium", {"rate": 1.0}),
                                          ("amplitude_damping", {"gamma": 0.7})])
 def test_named_channel_points_are_their_grid_rows(name, rates):
@@ -789,7 +791,7 @@ def test_the_defective_cascade_limit_falls_back_to_the_svd_projector(eigs, svds)
 
 
 def test_constant_rate_sweep_runs_one_eig_and_no_expm(counts, eigs):
-    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L, _ in sodium_jump_operators()])
+    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L in sodium_jump_operators()])
     trace_over_tau(random_setup(np.random.default_rng(1), 6), d, GRID)
     assert counts == {"expm": 0, "envelope": 0}
     assert eigs == [(36, 36)]
@@ -993,7 +995,7 @@ def test_huge_tau_reaches_the_projector_limit():
     # zero to roundoff, and unsnapped it would drift the probability by
     # about |lam_0| tau
     sodium = Dissipator([DissipationChannel(jump=L, rate=1.0)
-                         for L, _ in sodium_jump_operators()])
+                         for L in sodium_jump_operators()])
     rng = np.random.default_rng(7)
     for d in [sodium, damping(0.8)] + [
             Dissipator([DissipationChannel(jump=orc.random_matrix(rng, 3), rate=1.0)])
