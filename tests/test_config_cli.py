@@ -1655,9 +1655,17 @@ def test_module_entry_point_subprocess(tmp_path):
         assert sub in proc.stdout
 
 
-def test_cli_import_leaves_out_scipy_and_pydantic(tmp_path):
-    probe = ("import sys, weaklind.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'pydantic')))")
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # no scipy module at all, so in particular no scipy.integrate
+    probe = "import sys, weaklind.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=str(tmp_path), env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_out_pydantic(tmp_path):
+    probe = "import sys, weaklind.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'pydantic'))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, cwd=str(tmp_path), env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
