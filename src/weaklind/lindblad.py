@@ -19,9 +19,9 @@ maps: traces_over_tau(d, F, operands, taus) on a tau grid, and evolve(d, C,
 tau) with F running over the matrix units, so that evolve(d, C, tau)[i, j] is
 traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for bit. tau = inf is a grid
 point whose row is the limit tau -> infinity: the eigen row keeps the kernel
-of M (the SVD asymptotic_projector where the guards fail), and the sigma_-
-map keeps Gamma = 0. The map preserves traces, commutes with the adjoint,
-and for constant rates is a semigroup.
+of M, or the SVD asymptotic_projector where the guards fail, one rule (_kernel)
+deciding both, and the sigma_- map keeps Gamma = 0. The map preserves traces,
+commutes with the adjoint, and for constant rates is a semigroup.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -40,7 +40,6 @@ import numpy as np
 from .errors import DimensionMismatch, NegativeTau, NoConvergence
 from .operators import SIGMA_MINUS, _cmul, sodium_jump_operators
 
-_KERNEL_TOL = 1e-9
 _EIG_COND_MAX = 1e4
 _EIG_BLOCK = 1 << 16  # the products of one block of _eigen_traces rows
 
@@ -275,6 +274,14 @@ def _exponential_map(M: np.ndarray, tau: float) -> np.ndarray:
     return S
 
 
+def _kernel(x: np.ndarray) -> np.ndarray:
+    """The kernel of M among its eigen- or singular values x: |x| <= 16 n eps max|x|,
+    n = len(x), and the smallest |x|, as vec(I) is a left null vector of every M."""
+    kernel = np.abs(x) <= 16 * len(x) * np.finfo(float).eps * np.abs(x).max()
+    kernel[np.abs(x).argmin()] = True
+    return kernel
+
+
 def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
                   taus: np.ndarray) -> np.ndarray | None:
     """r^T exp(tau_k M) X, (N, p k), from M = V diag(lam) V^-1; r = None, every
@@ -285,9 +292,9 @@ def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
     None when eig does not converge, cond(V) exceeds _EIG_COND_MAX (a nearly
     defective M), or max|lam| tau_max is not finite, tau_max the largest finite
     tau, and at least 1 for an inf. Re lam is clamped to <= 0: a bounded
-    semigroup has no growing mode. |lam| <= 16 n eps max|lam| (n = dim M) is set
-    to 0, or a kernel eigenvalue's roundoff would move the steady part at huge
-    tau (|lam| tau ~ 1 at tau ~ 1e15)."""
+    semigroup has no growing mode. The kernel's lam (_kernel) are set to 0: a
+    kernel eigenvalue's roundoff would otherwise move the steady part at huge tau
+    (|lam| tau ~ 1 at tau ~ 1e15), and the limit would keep no mode at all."""
     try:
         lam, V = np.linalg.eig(M)
     except np.linalg.LinAlgError:
@@ -298,7 +305,7 @@ def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
             float(np.abs(lam.view(float)).max()) * tau_max)):
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
-    lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
+    lam[_kernel(lam)] = 0.0
     rows = V if r is None else (r @ V)[None]
     weights = rows.T[:, :, None] * np.linalg.solve(V, X)[:, None]  # (i, row, j)
     # keyed on the bytes: float equality would merge +0.0 and -0.0
@@ -405,24 +412,17 @@ def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
     SVD M = U diag(s) Vh: the tau = inf map of traces_over_tau where eig's guards fail.
 
     P = R (L' R)^{-1} L' projects onto the kernel of M along the decaying modes, R and
-    L its right and left kernels (M R = 0, L' M = 0). The rank is judged at M's own
-    scale, so that P does not change when every rate is scaled: singular values <=
-    _KERNEL_TOL s_max count as zero; NoConvergence if s_max overflows or no x100 gap
-    separates them from the rest. vec(I) is a left null vector of a finite M, so there
-    is a kernel. Zero is a semisimple eigenvalue of a bounded Lindblad semigroup
-    (Albert & Jiang, PRA 89, 022118, 2014), so L' R is invertible.
+    L its right and left kernels (M R = 0, L' M = 0). Its rank, at least 1, is the eigen
+    path's rule (_kernel) on the singular values, so P is unchanged when every rate is
+    scaled; NoConvergence if s_max overflows. Zero is a semisimple eigenvalue of a bounded
+    Lindblad semigroup (Albert & Jiang, PRA 89, 022118, 2014), so L' R is invertible.
     """
     if isinstance(d, NonMarkovJC):
         raise NoConvergence("asymptotic projector requires constant rates")
     U, svals, Vh = np.linalg.svd(d.superoperator)
     if not np.isfinite(svals[0]):
         raise NoConvergence("the superoperator's largest singular value overflows")
-    tol = _KERNEL_TOL * svals[0]
-    n_zero = int(np.sum(svals <= tol))
-    # svals descend: the smallest value kept, then the largest kernel value
-    smallest_kept = svals[-n_zero - 1] if n_zero < len(svals) else np.inf
-    if smallest_kept < 100.0 * max(svals[-n_zero], tol / 100.0):
-        raise NoConvergence("kernel rank determination is ambiguous")
+    n_zero = int(_kernel(svals).sum())  # svals descend: the kernel is their tail
     R, L = Vh[-n_zero:].conj().T, U[:, -n_zero:]
     return R @ np.linalg.solve(L.conj().T @ R, L.conj().T)
 

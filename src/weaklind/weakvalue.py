@@ -166,13 +166,13 @@ def weak_value_limit_infinite(setup: WeakMeasurementSetup,
                               d: Dissipator | NonMarkovJC) -> complex | np.ndarray:
     """The tau -> infinity weak value: the one-point sweep at tau = inf.
 
-    That row of lindblad.traces_over_tau keeps the eigen weights of the kernel
-    of D, or asymptotic_projector's SVD map where the eig guards fail: no
-    large-tau propagation, so degenerate asymptotic subspaces (ground-manifold
-    coherences) are kept. For a channel with a unique ground state, the
-    sigma_- memory kernel included, the result reduces to the plain
-    expectation value Tr[A sigma_i]. For a stacked A_SI, the array of the k
-    limits. PostselectionVanishes when the limit's denominator does.
+    That row of lindblad.traces_over_tau keeps the kernel of D, which one rule
+    decides on the eigen weights and, where the eig guards fail, on
+    asymptotic_projector's SVD: no large-tau propagation, so degenerate steady
+    spaces (ground coherences) are kept and a mode decaying above roundoff is
+    not. For a channel with a unique ground state, the sigma_- memory kernel
+    included, the result is Tr[A sigma_i]. For a stacked A_SI, the array of
+    the k limits. PostselectionVanishes when the limit's denominator does.
     """
     return weak_value_dissipative(setup, d, math.inf).value
 

@@ -549,6 +549,32 @@ def test_weak_value_partial_gap_rows_are_nan(tmp_path):
     assert not math.isnan(rows[1][1])
 
 
+@pytest.mark.pinned
+def test_weak_value_settles_where_the_zero_eigenvalue_lies_above_the_snap(tmp_path):
+    # eig puts this channel's zero eigenvalue at about 1.6e-12, above 16 n eps
+    # max|lam| = 2.6e-13: the probability still settles at its steady value
+    # 0.0526, with no gap at tau = 1e14
+    pairs = lambda m: [[[float(x), 0.0] for x in row] for row in m]
+    payload = {
+        "version": 1,
+        "system": {"dimension": 3,
+                   "pre": {"amplitudes": [[math.sqrt(p), 0.0] for p in (0.5, 0.3, 0.2)]},
+                   "post": {"amplitudes": [[1.0, 0.0]] * 3}},
+        "observable": {"matrix": pairs(np.diag([1.0, 0.0, -1.0]))},
+        "channel": {"jumps": [pairs([[-1, 0, 0], [-2, 0, -2], [0, 0, -1]]),
+                              pairs([[-2, 2, 1], [1, -1, 0], [-1, -2, -2]])],
+                    "rates": [1.0, 1e-8]},
+        "sweep": {"start": 1e6, "stop": 1e14, "count": 5, "spacing": "log"},
+    }
+    out = tmp_path / "out"
+    assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                   "--out", str(out)) == 0
+    _, rows = read_csv(out / "weak_value.csv")
+    assert [row[0] for row in rows] == pytest.approx([1e6, 1e8, 1e10, 1e12, 1e14])
+    assert not any(math.isnan(row[1]) for row in rows)
+    assert all(abs(row[3] - 0.05263) < 1e-4 for row in rows[2:])
+
+
 def test_weak_value_json_gaps_read_back_as_nan(tmp_path):
     payload = two_level_config()
     payload["system"]["pre"] = {"bloch": [0.0, 0.0, 1.0]}

@@ -25,6 +25,8 @@ from weaklind import (
     nonmarkov_big_gamma,
     pauli,
     sodium_jump_operators,
+    trace_over_tau,
+    weak_value_dissipative,
     weak_value_limit_infinite,
 )
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
@@ -395,12 +397,12 @@ def test_steady_state_sodium_is_degenerate():
         assert np.abs(apply_superoperator(P, B) - B).max() < 1e-12
 
 
-def test_an_ambiguous_svd_rank_is_refused_and_the_limit_resolves_it_by_eig():
+def test_a_slow_cascade_has_one_steady_state_on_both_paths(monkeypatch):
     # a cascade |0><1| at rate s and |1><2| at rate 1.5e-9 s: the slow decay's
-    # singular values sit at about 1e-9 s_max, on the SVD threshold at every
-    # scale, so the projector refuses. V is well conditioned (cond 3.2) and the
-    # slow eigenvalues lie far above the snap at 16 n eps max|lam|, so the
-    # limit takes the eig path: one steady state, whose limit is Tr[A sigma_i]
+    # singular values sit at about 1e-9 s_max, far above the kernel rule's
+    # 16 n eps s_max at every scale, so the projector has rank 1. V is well
+    # conditioned (cond 3.2), and the limit is Tr[A sigma_i] on the eig path
+    # and on the SVD fallback alike
     first, second = np.zeros((3, 3)), np.zeros((3, 3))
     first[0, 1] = second[1, 2] = 1.0
     setup = WeakMeasurementSetup(sigma_i=np.diag([0.5, 0.3, 0.2]).astype(complex),
@@ -409,20 +411,123 @@ def test_an_ambiguous_svd_rank_is_refused_and_the_limit_resolves_it_by_eig():
     for scale in (1e-6, 1.0, 1e6):
         d = Dissipator([DissipationChannel(jump=first, rate=scale),
                         DissipationChannel(jump=second, rate=1.5e-9 * scale)])
-        with pytest.raises(NoConvergence, match="ambiguous"):
-            asymptotic_projector(d)
+        P = asymptotic_projector(d)
+        assert np.linalg.matrix_rank(P) == 1 and abs(np.trace(P) - 1.0) < 1e-12
         assert abs(weak_value_limit_infinite(setup, d) - 0.3) <= 1e-15
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_EIG_COND_MAX", 0.0)
+            assert abs(weak_value_limit_infinite(setup, d) - 0.3) <= 1e-15
 
 
 @given(seeds)
 def test_a_finite_superoperator_has_a_numerical_kernel(seed):
     # vec(I) is a left null vector of M to roundoff, at any rate scale, so the
-    # projector's threshold 1e-9 s_max always finds a kernel
+    # smallest singular value is within the kernel rule's 16 n eps s_max
     rng, _, channels = random_setup(seed)
     scale = 10.0 ** rng.uniform(-100.0, 100.0)
     d = Dissipator([DissipationChannel(jump=ch.jump, rate=ch.rate * scale) for ch in channels])
     svals = np.linalg.svd(d.superoperator, compute_uv=False)
-    assert svals[-1] <= 1e-12 * svals[0]
+    assert svals[-1] <= 16 * len(svals) * np.finfo(float).eps * svals[0]
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("s", [1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8])
+def test_a_slow_decay_is_not_steady_on_the_svd_fallback(s):
+    # |2> -> |1> -> |0> at rate 1, a Jordan block that fails the eig guard,
+    # and |3> -> |0> at rate s: the limit is the SVD projector's map, and |0>
+    # is the one steady state however slowly |3> empties. A uniform
+    # post-selection would hide a kept |3>, so sigma_fI weighs the levels apart
+    unit = np.eye(4)
+    d = Dissipator([DissipationChannel(jump=np.outer(unit[1], unit[2]), rate=1.0),
+                    DissipationChannel(jump=np.outer(unit[0], unit[1]), rate=1.0),
+                    DissipationChannel(jump=np.outer(unit[0], unit[3]), rate=s)])
+    assert lindblad._eigen_traces(None, np.eye(16), d.superoperator, np.array([math.inf])) is None
+    assert abs(np.trace(asymptotic_projector(d)) - 1.0) < 1e-12
+    setup = WeakMeasurementSetup(sigma_i=np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex),
+                                 sigma_fI=np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex),
+                                 A_SI=np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
+    assert abs(evolve(d, setup.sigma_i, math.inf)[3, 3]) <= 1e-15
+    assert abs(weak_value_limit_infinite(setup, d) - 3.0) <= 3.0e-12
+
+
+@pytest.mark.pinned
+def test_a_zero_eigenvalue_above_the_snap_is_the_eigen_paths_kernel():
+    # eig puts this channel's zero eigenvalue at about 1.6e-12, above the snap
+    # 16 n eps max|lam| = 2.6e-13, with V well conditioned (cond 3.7): the
+    # smallest |lam| is the kernel all the same, so the probability settles at
+    # its steady value and the limit is Tr[A sigma_i]
+    d = Dissipator([
+        DissipationChannel(jump=np.array([[-1, 0, 0], [-2, 0, -2], [0, 0, -1]]), rate=1.0),
+        DissipationChannel(jump=np.array([[-2, 2, 1], [1, -1, 0], [-1, -2, -2]]), rate=1e-8)])
+    lam = np.linalg.eig(d.superoperator)[0]
+    assert np.abs(lam).min() > 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()
+    assert lindblad._eigen_traces(None, np.eye(9), d.superoperator, np.array([math.inf])) is not None
+    psi = np.sqrt([0.5, 0.3, 0.2])
+    setup = WeakMeasurementSetup(sigma_i=np.outer(psi, psi).astype(complex),
+                                 sigma_fI=np.full((3, 3), 1.0 / 3.0, dtype=complex),
+                                 A_SI=np.diag([1.0, 0.0, -1.0]).astype(complex))
+    trace = trace_over_tau(setup, d, [1e10, 1e12, 1e14, math.inf])
+    assert trace.gaps == ()
+    assert np.abs(trace.postselection_probs - 0.05263).max() < 1e-4
+    assert abs(weak_value_limit_infinite(setup, d) - 0.3) < 1e-4
+
+
+def decoherence_free(rng, k, slow):
+    """A channel on C^d, d in (k, 5], whose steady operators are those on a random
+    k-dimensional subspace S: jumps c_i 1_S + B_i, B_i on the complement, and one
+    pump from each complement state into S. slow scales the B_i by 1e-5 and the
+    pump rates by 1e-10. Returns it with an isometry onto S."""
+    dim = int(rng.integers(k + 1, 6))
+    basis = np.linalg.qr(orc.random_matrix(rng, dim))[0]
+    inside, outside = basis[:, :k], basis[:, k:]
+    channels = [DissipationChannel(
+        jump=complex(*rng.standard_normal(2)) * inside @ inside.conj().T
+        + (1e-5 if slow else 1.0) * outside @ orc.random_matrix(rng, dim - k) @ outside.conj().T,
+        rate=float(rng.uniform(0.5, 1.5))) for _ in range(2)]
+    for j in range(dim - k):
+        channels.append(DissipationChannel(
+            jump=np.outer(inside @ orc.random_ket(rng, k), outside[:, j].conj()),
+            rate=(1e-10 if slow else 1.0) * float(rng.uniform(0.5, 1.5))))
+    return Dissipator(channels), inside
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("path", ["eig", "svd"])
+def test_the_limit_keeps_exactly_the_decoherence_free_operators(monkeypatch, path):
+    # the paper's dichotomy: a k-dimensional decoherence-free subspace S keeps
+    # k^2 steady operators and a weak value supported on S at every tau (Zanardi
+    # & Rasetti, PRL 79, 3306, 1997), however slowly the rest decays; k = 1 is
+    # the non-degenerate case, whose limit is Tr[A sigma_i] for any setup. The
+    # SVD fallback checks no finite tau above 1e3, as its expm drifts at 1e12
+    if path == "svd":
+        monkeypatch.setattr(lindblad, "_EIG_COND_MAX", 0.0)
+    rng = np.random.default_rng(36)
+    for case in range(24):
+        k, slow = (1, 2, 3)[case % 3], case % 2 == 1
+        d, inside = decoherence_free(rng, k, slow)
+        n = d.dim ** 2
+        assert ((lindblad._eigen_traces(None, np.eye(n), d.superoperator, np.ones(1)) is None)
+                == (path == "svd"))
+        limit = np.array([evolve(d, unit.reshape(d.dim, d.dim), math.inf).ravel()
+                          for unit in np.eye(n)])
+        assert np.linalg.matrix_rank(limit, tol=1e-6) == k * k
+        if k == 1:
+            setup = WeakMeasurementSetup(sigma_i=orc.random_density(rng, d.dim),
+                                         sigma_fI=orc.random_density(rng, d.dim),
+                                         A_SI=orc.random_hermitian(rng, d.dim))
+            want = np.trace(setup.A_SI @ setup.sigma_i)
+            taus = [math.inf]
+        else:
+            on_s = [inside @ X @ inside.conj().T for X in (
+                orc.random_density(rng, k), orc.random_density(rng, k),
+                orc.random_hermitian(rng, k))]
+            setup = WeakMeasurementSetup(*on_s)
+            want = weak_value_dissipative(setup, d, 0.0).value
+            taus = [1.0, 1e3] + ([1e12] if path == "eig" else []) + [math.inf]
+        tol = 1e-3 if slow else 1e-10
+        for tau in taus:
+            got = weak_value_dissipative(setup, d, tau).value
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (case, tau)
 
 
 def test_an_overflowing_superoperator_is_refused_when_made():
@@ -654,7 +759,10 @@ def clamped_spectrum(r, X, M, s):
     if not math.isfinite(lam_max * float(np.abs(s).max())):
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
-    lam[np.abs(lam) <= 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()] = 0.0
+    size = np.abs(lam)
+    snap = size <= 16 * len(lam) * np.finfo(float).eps * size.max()
+    snap[size.argmin()] = True  # the kernel is never empty
+    lam[snap] = 0.0
     return lam, cond, (r @ V)[:, None] * np.linalg.solve(V, X)
 
 
