@@ -16,7 +16,6 @@ from .errors import (
     WeaklindError,
 )
 from .lindblad import (
-    DissipationChannel,
     Dissipator,
     NonMarkovJC,
     apply_superoperator,

@@ -28,7 +28,8 @@ ConfigError; a file that cannot be read or parsed is a ConfigError too.
 
 Sections are optional at the schema level; each CLI command states which
 ones it needs (weak-value: system/observable/channel/sweep; shifts: those
-plus meter; invert: meter plus invert).
+plus meter, where a jc meter checks the observable and then sweeps sigma_+
+and sigma_- in its place; invert: meter plus invert).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, WeaklindError
-from .lindblad import NAMED_CHANNELS, DissipationChannel, Dissipator, NonMarkovJC, named_channel
+from .lindblad import NAMED_CHANNELS, Dissipator, NonMarkovJC, named_channel
 from .operators import SIGMA_MINUS, SIGMA_PLUS, bloch_to_density, jy_six_level, pauli, pure_density
 
 ComplexPair = tuple[float, float]
@@ -347,13 +348,16 @@ def _pairs_to_vector(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs])
 
 
-def _pairs_to_matrix(rows, what: str) -> np.ndarray:
+def _pairs_to_matrix(rows, what: str, dim: int) -> np.ndarray:
+    """The dim x dim matrix of rows of [re, im] pairs, or a ConfigError naming what."""
     lengths = [len(row) for row in rows]
     if len(set(lengths)) > 1:
         raise ConfigError(f"{what}: must be a square matrix, got rows of lengths {lengths}")
     mat = np.array([[complex(re, im) for re, im in row] for row in rows])
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"{what}: must be a square matrix, got shape {mat.shape}")
+    if mat.shape != (dim, dim):
+        raise ConfigError(f"{what} shape {mat.shape} does not match dimension {dim}")
     return mat
 
 
@@ -390,11 +394,8 @@ def build_observable(cfg: RunConfig) -> np.ndarray:
             raise ConfigError(f"observable '{spec.named}' needs dimension {need}, got {dim}")
         return matrix(dim)
     if spec.matrix is not None:
-        mat = _pairs_to_matrix(spec.matrix, "observable.matrix")
-        if mat.shape != (dim, dim):
-            raise ConfigError(
-                f"observable.matrix shape {mat.shape} does not match dimension {dim}")
-        return _bounded(mat, "observable.matrix")
+        return _bounded(_pairs_to_matrix(spec.matrix, "observable.matrix", dim),
+                        "observable.matrix")
     combo = spec.pauli
     if dim != 2:
         raise ConfigError(f"observable.pauli needs dimension 2, got {dim}")
@@ -427,14 +428,9 @@ def build_channel(cfg: RunConfig) -> tuple[Dissipator | NonMarkovJC, float]:
         if dim != need:
             raise ConfigError(f"channel '{spec.named}' needs dimension {need}, got {dim}")
         return named_channel(spec.named, {n: getattr(spec, n) for n in names})
-    channels = []
-    for k, (rows, r) in enumerate(zip(spec.jumps, spec.rates)):
-        jump = _pairs_to_matrix(rows, f"channel.jumps[{k}]")
-        if jump.shape != (dim, dim):
-            raise ConfigError(
-                f"channel.jumps[{k}] shape {jump.shape} does not match dimension {dim}")
-        channels.append(DissipationChannel(jump=jump, rate=r))
-    return Dissipator(channels), spec.rates[0]
+    jumps = [_pairs_to_matrix(rows, f"channel.jumps[{k}]", dim)
+             for k, rows in enumerate(spec.jumps)]
+    return Dissipator(jumps, spec.rates), spec.rates[0]
 
 
 def build_tau_grid(cfg: RunConfig) -> np.ndarray:

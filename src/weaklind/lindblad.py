@@ -4,7 +4,7 @@ The dissipator acting on an arbitrary (not necessarily Hermitian) operator C is
 
     D(C) = sum_i gamma_i (L_i C L_i' - 1/2 {L_i' L_i, C}),
 
-with jump operators L_i and nonnegative rates gamma_i. Dissipator(channels)
+with jump operators L_i and nonnegative rates gamma_i. Dissipator(jumps, rates)
 holds constant rates and their materialized superoperator M, refused when it
 is not finite. NonMarkovJC(gamma0, lam) is the sigma_- channel of the
 non-Markovian damped atom at dim 2, whose time-dependent rate is the memory
@@ -75,50 +75,42 @@ class NonMarkovJC:
 
 
 @dataclass(frozen=True, eq=False)
-class DissipationChannel:
-    """One jump operator with a constant rate."""
-
-    jump: np.ndarray
-    rate: float
-
-    def __post_init__(self) -> None:
-        jump = np.asarray(self.jump, dtype=complex)
-        if jump.ndim != 2 or jump.shape[0] != jump.shape[1]:
-            raise DimensionMismatch("jump operator must be a square matrix")
-        if not np.all(np.isfinite(jump.view(float))):
-            raise ValueError("jump operator entries must be finite")
-        object.__setattr__(self, "jump", jump)
-        if not isinstance(self.rate, numbers.Real):  # a NonMarkovJC is a dissipator
-            raise TypeError("rate must be a real number")
-        rate = float(self.rate)  # numpy scalars included
-        if not math.isfinite(rate) or rate < 0.0:
-            raise ValueError("constant rate must be finite and >= 0")
-        object.__setattr__(self, "rate", rate)
-
-
-@dataclass(frozen=True, eq=False)
 class Dissipator:
-    """Constant-rate channels whose jumps share one shape; dim and the
-    materialized superoperator come from them when the dissipator is made."""
+    """Jump operators, each with a constant rate, checked index by index (the jump
+    square and finite, its rate real, finite and >= 0), then for one shape; dim and
+    the materialized superoperator come from them when the dissipator is made."""
 
-    channels: tuple[DissipationChannel, ...]
+    jumps: tuple[np.ndarray, ...]
+    rates: tuple[float, ...]
     dim: int = field(init=False)
     superoperator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        channels = tuple(self.channels)
-        if not channels:
+        jumps, rates = list(self.jumps), list(self.rates)
+        if len(jumps) != len(rates):
+            raise ValueError("jumps and rates must have equal length")
+        if not jumps:
             raise ValueError("at least one dissipation channel is required")
-        if not all(isinstance(ch, DissipationChannel) for ch in channels):
-            raise TypeError("channels must be DissipationChannel instances")
-        dim = channels[0].jump.shape[0]
-        for ch in channels:
-            if ch.jump.shape != (dim, dim):
+        for k, (jump, rate) in enumerate(zip(jumps, rates)):
+            jumps[k] = jump = np.asarray(jump, dtype=complex)
+            if jump.ndim != 2 or jump.shape[0] != jump.shape[1]:
+                raise DimensionMismatch("jump operator must be a square matrix")
+            if not np.all(np.isfinite(jump.view(float))):
+                raise ValueError("jump operator entries must be finite")
+            if not isinstance(rate, numbers.Real):  # a NonMarkovJC is a dissipator
+                raise TypeError("rate must be a real number")
+            rates[k] = rate = float(rate)  # numpy scalars included
+            if not math.isfinite(rate) or rate < 0.0:
+                raise ValueError("constant rate must be finite and >= 0")
+        dim = jumps[0].shape[0]
+        for jump in jumps:
+            if jump.shape != (dim, dim):
                 raise DimensionMismatch(
-                    f"jump operator shape {ch.jump.shape} does not match dim {dim}")
-        object.__setattr__(self, "channels", channels)
+                    f"jump operator shape {jump.shape} does not match dim {dim}")
+        object.__setattr__(self, "jumps", tuple(jumps))
+        object.__setattr__(self, "rates", tuple(rates))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "superoperator", _superoperator_matrix(channels, dim))
+        object.__setattr__(self, "superoperator", _superoperator_matrix(jumps, rates, dim))
 
 
 # name -> (its rate fields, the first being its characteristic rate; its dimension)
@@ -133,7 +125,7 @@ def named_channel(name: str, rates) -> tuple[Dissipator | NonMarkovJC, float]:
     if name == "nonmarkov_jc":
         return NonMarkovJC(gamma0=rates["gamma0"], lam=rates["lam"]), rate
     jumps = sodium_jump_operators() if name == "sodium" else [SIGMA_MINUS]
-    return Dissipator([DissipationChannel(jump=L, rate=rate) for L in jumps]), rate
+    return Dissipator(jumps, [rate] * len(jumps)), rate
 
 
 def describe(d: Dissipator | NonMarkovJC) -> str:
@@ -141,7 +133,7 @@ def describe(d: Dissipator | NonMarkovJC) -> str:
     if isinstance(d, NonMarkovJC):
         tagged = [(SIGMA_MINUS, f"nonmarkov(gamma0={d.gamma0!r}, lam={d.lam!r})")]
     else:
-        tagged = [(ch.jump, f"rate={ch.rate!r}") for ch in d.channels]
+        tagged = [(L, f"rate={r!r}") for L, r in zip(d.jumps, d.rates)]
     parts = [f"jump#{hashlib.sha256(np.ascontiguousarray(L).tobytes()).hexdigest()[:12]} {tag}"
              for L, tag in tagged]
     return f"dim={d.dim}; " + "; ".join(parts)
@@ -169,15 +161,14 @@ def _kron4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _superoperator_matrix(channels, dim: int) -> np.ndarray:
-    # one channel at a time: a (dim,)*4 term is already 16 MB at dim 32
+def _superoperator_matrix(jumps, rates, dim: int) -> np.ndarray:
+    # one jump at a time: a (dim,)*4 term is already 16 MB at dim 32
     eye = np.eye(dim)
     M = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for ch in channels:
-        L = ch.jump
+    for L, rate in zip(jumps, rates):
         LdL = L.conj().T @ L
         piece = _kron4(L.conj(), L) - 0.5 * (_kron4(eye, LdL) + _kron4(LdL.T, eye))
-        M += (ch.rate * piece).reshape(M.shape)
+        M += (rate * piece).reshape(M.shape)
     if not np.isfinite(M).all():
         raise NoConvergence("the superoperator is not finite: its rates and jumps overflow")
     return M

@@ -132,6 +132,8 @@ def _weak_values(num: np.ndarray,
     (N,): the (N, k) weak values, NaN where |den| < _VANISH_TOL; the (N,)
     probabilities, the real part of den clamped at 0 and 0 there; and the
     (N,) mask of the rows kept. Each quotient is Python's complex division.
+    _VANISH_TOL is absolute: a kept row's relative error is about its traces'
+    error (~eps) over |den|, so about 1e-3 at |den| ~ 1e-13, printed to 17 digits.
     """
     kept = np.abs(den) >= _VANISH_TOL
     values = np.full(num.shape, complex(np.nan, np.nan))

@@ -115,7 +115,8 @@ def main() -> None:
     manifest = {}
     for line_id, run in runs["default"].items():
         record = test_corpus.hashes(run)
-        others = [name for name in ENVIRONMENTS if test_corpus.hashes(runs[name][line_id]) != record]
+        others = [name for name in ENVIRONMENTS
+                  if test_corpus.hashes(runs[name][line_id]) != record]
         manifest[line_id] = {"pinned": not others, **record}
         if others:
             print(f"not pinned, differs under {', '.join(others)}: {line_id}")

@@ -13,7 +13,6 @@ import oracles as orc
 from test_lindblad import random_setup
 from test_meter import _jc_case, _rabi_case
 from weaklind import (
-    DissipationChannel,
     Dissipator,
     NonMarkovJC,
     SIGMA_MINUS,
@@ -39,7 +38,7 @@ def _passed(num: int, detail: str) -> None:
 
 
 def _damping(gamma: float):
-    return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
+    return Dissipator([SIGMA_MINUS], [gamma])
 
 
 def test_criterion_01_sodium_anomalous_endpoints():
@@ -245,8 +244,7 @@ def test_criterion_10_inversion_round_trip():
 def test_criterion_11_structural_property_suite():
     # trace preservation
     for seed in range(100):
-        rng, dim, channels = random_setup(seed)
-        d = Dissipator(channels)
+        rng, dim, d = random_setup(seed)
         rho = orc.random_density(rng, dim)
         tau = float(rng.uniform(0.0, 3.0))
         out = evolve(d, rho, tau)
@@ -254,8 +252,7 @@ def test_criterion_11_structural_property_suite():
 
     # dagger commutation: evolving the adjoint equals adjoint of the evolved
     for seed in range(100, 200):
-        rng, dim, channels = random_setup(seed)
-        d = Dissipator(channels)
+        rng, dim, d = random_setup(seed)
         C = orc.random_matrix(rng, dim)
         tau = float(rng.uniform(0.0, 3.0))
         lhs = evolve(d, C.conj().T, tau)
@@ -264,8 +261,7 @@ def test_criterion_11_structural_property_suite():
 
     # semigroup law for constant rates
     for seed in range(200, 300):
-        rng, dim, channels = random_setup(seed)
-        d = Dissipator(channels)
+        rng, dim, d = random_setup(seed)
         C = orc.random_matrix(rng, dim)
         t1, t2 = rng.uniform(0.1, 2.0, size=2)
         lhs = evolve(d, evolve(d, C, float(t1)), float(t2))
@@ -274,8 +270,7 @@ def test_criterion_11_structural_property_suite():
 
     # weak-value linearity in the observable, and identity normalization
     for seed in range(300, 400):
-        rng, dim, channels = random_setup(seed)
-        d = Dissipator(channels)
+        rng, dim, d = random_setup(seed)
         sigma_i = orc.random_density(rng, dim)
         sigma_fI = orc.random_density(rng, dim)
         tau = float(rng.uniform(0.0, 2.0))

@@ -37,7 +37,7 @@ from scipy.sparse.csgraph import connected_components
 
 import oracles as orc
 from test_lindblad import equal_rate_cascade, random_setup
-from weaklind import DissipationChannel, Dissipator, NonMarkovJC, lindblad, nonmarkov_big_gamma
+from weaklind import Dissipator, NonMarkovJC, lindblad, nonmarkov_big_gamma
 
 pytestmark = pytest.mark.pinned
 
@@ -176,7 +176,7 @@ def eigen_condition(d):
 def test_eigen_sweep_error_is_within_cond_v_eps(dim):
     rng = np.random.default_rng(40 + dim)
     for _ in range(12):
-        d = Dissipator(random_setup(int(rng.integers(10**6)), dim)[2])
+        d = random_setup(int(rng.integers(10**6)), dim)[2]
         cond = eigen_condition(d)
         assert cond <= lindblad._EIG_COND_MAX  # the eigen path, not the fallback
         assert sweep_error(d, rng) <= 64 * cond * EPS
@@ -199,12 +199,12 @@ def exact_superoperator(d):
     in the column stacking of lindblad._superoperator_matrix."""
     eye = np.eye(d.dim, dtype=object)
     M = np.zeros((d.dim ** 2, d.dim ** 2), dtype=object)
-    for ch in d.channels:
-        L = np.array([[mpmath.mpc(z.real, z.imag) for z in row] for row in ch.jump.tolist()],
+    for jump, rate in zip(d.jumps, d.rates):
+        L = np.array([[mpmath.mpc(z.real, z.imag) for z in row] for row in jump.tolist()],
                      dtype=object)
         LdL = L.conj().T @ L
-        M = M + mpmath.mpf(ch.rate) * (np.kron(L.conj(), L)
-                                       - (np.kron(eye, LdL) + np.kron(LdL.T, eye)) / 2)
+        M = M + mpmath.mpf(rate) * (np.kron(L.conj(), L)
+                                    - (np.kron(eye, LdL) + np.kron(LdL.T, eye)) / 2)
     return M
 
 
@@ -233,8 +233,7 @@ def exact_limit_traces(d, F, operands, dps=40):
 LIMIT_CHANNELS = {
     "sodium": lambda rate: lindblad.named_channel("sodium", {"rate": rate})[0],
     "damping": lambda rate: lindblad.named_channel("amplitude_damping", {"gamma": rate})[0],
-    "cascade": lambda rate: Dissipator([DissipationChannel(jump=ch.jump, rate=rate)
-                                        for ch in equal_rate_cascade().channels]),
+    "cascade": lambda rate: Dissipator(equal_rate_cascade().jumps, [rate] * 2),
 }
 
 

@@ -892,9 +892,9 @@ def test_shifts_rabi_csv(tmp_path):
     assert header == ["gamma_tau", "q_shift", "p_shift", "re_wv", "im_wv"]
     assert len(rows) == 5
     # reproduce one row through the library
-    from weaklind import (DissipationChannel, Dissipator, SIGMA_MINUS, SIGMA_X,
-                          WeakMeasurementSetup, bloch_to_density, weak_value_dissipative)
-    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=0.5)])
+    from weaklind import (Dissipator, SIGMA_MINUS, SIGMA_X, WeakMeasurementSetup,
+                          bloch_to_density, weak_value_dissipative)
+    d = Dissipator([SIGMA_MINUS], [0.5])
     setup = WeakMeasurementSetup(
         sigma_i=bloch_to_density([0.55, 0.15, 0.6]),
         sigma_fI=bloch_to_density([-0.3, 0.45, -0.5]),

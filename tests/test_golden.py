@@ -9,7 +9,6 @@ import pytest
 import make_golden
 from weaklind import (
     SIGMA_MINUS,
-    DissipationChannel,
     Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
@@ -44,7 +43,7 @@ def check_trace(rows, setup, dissipator, char_rate, tol):
 
 
 def sodium_setup(post_amps):
-    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L in sodium_jump_operators()])
+    d = Dissipator(sodium_jump_operators(), [1.0] * 3)
     setup = WeakMeasurementSetup(
         sigma_i=pure_density(make_golden.ALKALI_PRE),
         sigma_fI=pure_density(post_amps),
@@ -65,7 +64,7 @@ def test_sodium_constant_matches_golden():
 
 def test_twolevel_damping_matches_golden():
     gamma = 0.25
-    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
+    d = Dissipator([SIGMA_MINUS], [gamma])
     setup = WeakMeasurementSetup(
         sigma_i=np.array([[0.55, 0.15 - 0.2j], [0.15 + 0.2j, 0.45]]),
         sigma_fI=np.array([[0.8, 0.1 - 0.25j], [0.1 + 0.25j, 0.2]]),

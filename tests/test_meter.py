@@ -14,7 +14,6 @@ from weaklind import (
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
-    DissipationChannel,
     Dissipator,
     ShiftReport,
     WeakMeasurementSetup,
@@ -35,7 +34,7 @@ GAMMA = 0.5
 
 
 def damping():
-    return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=GAMMA)])
+    return Dissipator([SIGMA_MINUS], [GAMMA])
 
 
 # --------------------------------------------------------------- occupation

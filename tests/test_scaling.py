@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import oracles as orc
 from weaklind import (
     SIGMA_MINUS,
-    DissipationChannel,
     Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
@@ -49,7 +48,7 @@ def _random_channels(rng, dim):
 
 
 def _dissipator(channels, scale=1.0):
-    return Dissipator([DissipationChannel(jump=L, rate=rate * scale) for L, rate in channels])
+    return Dissipator([L for L, _ in channels], [rate * scale for _, rate in channels])
 
 
 SODIUM = [(L, 1.0) for L in sodium_jump_operators()]
@@ -65,7 +64,7 @@ def _protocol_samples(d, taus, with_zero=False):
 
 
 def _damping(gamma):
-    return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
+    return Dissipator([SIGMA_MINUS], [gamma])
 
 
 def _bits(result):

@@ -8,7 +8,6 @@ import pytest
 
 from weaklind import (
     SIGMA_MINUS,
-    DissipationChannel,
     Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
@@ -85,7 +84,7 @@ def test_estimate_gamma_epsilon_sweep_variant():
     # enough that the un-amplified O(eps) background does not bend the line
     gamma = 0.25
     tau = 0.01 / gamma
-    d = Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
+    d = Dissipator([SIGMA_MINUS], [gamma])
     inv_eps, re = [], []
     for eps in (0.004, 0.008, 0.012, 0.016):
         rho_i, rho_f = epsilon_states(eps)

@@ -17,7 +17,6 @@ from test_lindblad import equal_rate_cascade
 from weaklind import (
     SIGMA_MINUS,
     SIGMA_PLUS,
-    DissipationChannel,
     Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
@@ -48,7 +47,7 @@ seeds = st.integers(0, 10**6)
 
 
 def damping(gamma=1.0):
-    return Dissipator([DissipationChannel(jump=SIGMA_MINUS, rate=gamma)])
+    return Dissipator([SIGMA_MINUS], [gamma])
 
 
 def random_2level_setup(rng):
@@ -95,7 +94,7 @@ def test_matches_row_stacking_oracle(seed):
         A_SI=orc.random_hermitian(rng, dim),
     )
     channels = [(orc.random_matrix(rng, dim), float(rng.uniform(0.2, 1.5)))]
-    d = Dissipator([DissipationChannel(jump=L, rate=r) for L, r in channels])
+    d = Dissipator(*zip(*channels))
     tau = float(rng.uniform(0.0, 2.0))
     want, want_prob = orc.weak_value_row(setup.sigma_i, setup.sigma_fI,
                                          setup.A_SI, channels, dim, tau)
@@ -130,7 +129,7 @@ def test_setup_validation():
     setup = WeakMeasurementSetup(sigma_i=good, sigma_fI=good, A_SI=pauli("x"))
     with pytest.raises(DimensionMismatch):
         weak_value_dissipative(
-            setup, Dissipator([DissipationChannel(jump=np.zeros((3, 3)), rate=1.0)]), 0.1)
+            setup, Dissipator([np.zeros((3, 3))], [1.0]), 0.1)
 
 
 def _setup():
@@ -139,11 +138,10 @@ def _setup():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: DissipationChannel(jump=SIGMA_MINUS, rate=0.5),
     lambda: damping(0.5),
     _setup,
     lambda: trace_over_tau(_setup(), damping(0.5), [0.0, 1.0]),
-], ids=["DissipationChannel", "Dissipator", "WeakMeasurementSetup", "WeakValueTrace"])
+], ids=["Dissipator", "WeakMeasurementSetup", "WeakValueTrace"])
 def test_array_dataclasses_compare_by_identity(make):
     # a generated __eq__ would compare the numpy fields and raise, and leave no __hash__
     a, b = make(), make()
@@ -225,7 +223,7 @@ def test_degenerate_limit_elementwise_quotient():
     # the entrywise decomposition sum_{jk} f_{jk} [P(A s_i)]_{kj} over
     # sum_{jk} f_{jk} [P(s_i)]_{kj} must reproduce the projector quotient
     from weaklind import sodium_jump_operators
-    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L in sodium_jump_operators()])
+    d = Dissipator(sodium_jump_operators(), [1.0] * 3)
     rng = np.random.default_rng(31)
     setup = WeakMeasurementSetup(
         sigma_i=orc.random_density(rng, 6),
@@ -524,9 +522,8 @@ def test_grid_rows_and_points_are_one_quotient(seed, dim, k):
     # and the point: each trace_over_tau row is weak_value_dissipative at its
     # tau, value and probability, as IEEE bit patterns
     rng = np.random.default_rng(seed)
-    d = Dissipator([DissipationChannel(jump=orc.random_matrix(rng, dim),
-                                       rate=float(rng.uniform(0.1, 2.0)))
-                    for _ in range(int(rng.integers(1, 4)))])
+    d = Dissipator(*zip(*[(orc.random_matrix(rng, dim), float(rng.uniform(0.1, 2.0)))
+                          for _ in range(int(rng.integers(1, 4)))]))
     basis = np.linalg.qr(orc.random_matrix(rng, dim))[0]
     A = (orc.random_matrix(rng, dim) if k == 0
          else np.stack([orc.random_matrix(rng, dim) for _ in range(k)]))
@@ -574,7 +571,7 @@ def test_a_large_sweep_keeps_its_memory_bounded():
     post[-1] = -0.25
     setup = WeakMeasurementSetup(sigma_i=pure_density(amplitudes), sigma_fI=pure_density(post),
                                  A_SI=np.eye(n, dtype=complex))
-    d = Dissipator([DissipationChannel(jump=np.diag(np.linspace(-1.0, 1.0, n)), rate=0.1)])
+    d = Dissipator([np.diag(np.linspace(-1.0, 1.0, n))], [0.1])
     grid = np.linspace(0.0, 10.0, 10**5)
     tracemalloc.start()
     try:
@@ -643,7 +640,7 @@ def test_weak_value_affine_in_observable(seed):
     A, B = orc.random_hermitian(rng, dim), orc.random_hermitian(rng, dim)
     al, be = float(rng.standard_normal()), float(rng.standard_normal())
     L = orc.random_matrix(rng, dim)
-    d = Dissipator([DissipationChannel(jump=L, rate=0.9)])
+    d = Dissipator([L], [0.9])
     tau = float(rng.uniform(0.0, 2.0))
 
     def wv(op):
@@ -791,7 +788,7 @@ def test_the_defective_cascade_limit_falls_back_to_the_svd_projector(eigs, svds)
 
 
 def test_constant_rate_sweep_runs_one_eig_and_no_expm(counts, eigs):
-    d = Dissipator([DissipationChannel(jump=L, rate=1.0) for L in sodium_jump_operators()])
+    d = Dissipator(sodium_jump_operators(), [1.0] * 3)
     trace_over_tau(random_setup(np.random.default_rng(1), 6), d, GRID)
     assert counts == {"expm": 0, "envelope": 0}
     assert eigs == [(36, 36)]
@@ -822,7 +819,7 @@ def test_defective_cascade_takes_the_expm_fallback(counts, eigs):
     jumps = np.zeros((2, 3, 3), dtype=complex)
     jumps[0, 1, 0] = jumps[1, 2, 1] = 1.0
     channels = [(L, 1.0) for L in jumps]
-    d = Dissipator([DissipationChannel(jump=L, rate=r) for L, r in channels])
+    d = Dissipator(*zip(*channels))
     setup = random_setup(np.random.default_rng(5), 3)
     trace = trace_over_tau(setup, d, GRID)
     assert counts == {"expm": len(GRID) - 1, "envelope": 0}
@@ -875,9 +872,8 @@ def test_stacked_observables_share_one_sweep_and_its_gaps(eigs):
 def test_batched_trace_matches_the_per_point_channel_map(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
-    d = Dissipator(
-        [DissipationChannel(jump=orc.random_matrix(rng, dim), rate=float(rng.uniform(0.2, 1.5)))
-         for _ in range(int(rng.integers(1, 4)))])
+    d = Dissipator(*zip(*[(orc.random_matrix(rng, dim), float(rng.uniform(0.2, 1.5)))
+                          for _ in range(int(rng.integers(1, 4)))]))
     setup = random_setup(rng, dim)
     taus = np.sort(rng.uniform(0.0, 3.0, 6))
     trace = trace_over_tau(setup, d, taus)
@@ -994,11 +990,10 @@ def test_huge_tau_reaches_the_projector_limit():
     # projector's; on the random dissipators the kernel eigenvalue is only
     # zero to roundoff, and unsnapped it would drift the probability by
     # about |lam_0| tau
-    sodium = Dissipator([DissipationChannel(jump=L, rate=1.0)
-                         for L in sodium_jump_operators()])
+    sodium = Dissipator(sodium_jump_operators(), [1.0] * 3)
     rng = np.random.default_rng(7)
     for d in [sodium, damping(0.8)] + [
-            Dissipator([DissipationChannel(jump=orc.random_matrix(rng, 3), rate=1.0)])
+            Dissipator([orc.random_matrix(rng, 3)], [1.0])
             for _ in range(20)]:
         setup = random_setup(rng, d.dim)
         want = weak_value_limit_infinite(setup, d)
