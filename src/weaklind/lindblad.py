@@ -77,8 +77,8 @@ class NonMarkovJC:
 @dataclass(frozen=True, eq=False)
 class Dissipator:
     """Jump operators, each with a constant rate, checked index by index (the jump
-    square and finite, its rate real, finite and >= 0), then for one shape; dim and
-    the materialized superoperator come from them when the dissipator is made."""
+    square and finite, then its rate real, finite and >= 0) and then for a shared
+    shape; dim and the superoperator M come from them when the dissipator is made."""
 
     jumps: tuple[np.ndarray, ...]
     rates: tuple[float, ...]

@@ -59,9 +59,11 @@ def test_the_manifest_records_every_corpus_line():
     assert list(MANIFEST) == list(CORPUS)
 
 
-@pytest.mark.parametrize("line_id", [
-    pytest.param(line_id, marks=[pytest.mark.pinned] * MANIFEST.get(line_id, {}).get("pinned", 0))
-    for line_id in CORPUS])
+def _marks(line_id: str):
+    return pytest.mark.pinned if MANIFEST.get(line_id, {}).get("pinned") else ()
+
+
+@pytest.mark.parametrize("line_id", [pytest.param(i, marks=_marks(i)) for i in CORPUS])
 def test_corpus_line(line_id, tmp_path):
     want = MANIFEST[line_id]
     got = hashes(run_line(CORPUS[line_id], tmp_path))

@@ -325,41 +325,31 @@ def test_nonmarkov_channel_pole_crossing():
         assert np.abs(got - ode).max() < 1e-7
 
 
-def _chain(dim=3):
-    chain = np.zeros((dim, dim), dtype=complex)
-    chain[1, 0] = 1.0
-    return chain
-
-
-def _nan_jump():
-    jump = SIGMA_MINUS.copy()
-    jump[0, 1] = math.nan
-    return jump
-
-
 NOT_A_RATE = (TypeError, "rate must be a real number")
 BAD_RATE = (ValueError, "constant rate must be finite and >= 0")
+NAN_JUMP = np.array([[0.0, math.nan], [1.0, 0.0]])
+CHAIN = np.eye(3, k=-1)
 
 
 @pytest.mark.parametrize("jumps, rates, error, message", [
     ([], [], ValueError, "at least one dissipation channel is required"),
     ([SIGMA_MINUS], [0.5, 0.5], ValueError, "jumps and rates must have equal length"),
     ([np.zeros((2, 3))], [1.0], DimensionMismatch, "jump operator must be a square matrix"),
-    ([_nan_jump()], [1.0], ValueError, "jump operator entries must be finite"),
+    ([NAN_JUMP], [1.0], ValueError, "jump operator entries must be finite"),
     # the sigma_- memory kernel is a dissipator of its own, on no other jump
     ([SIGMA_MINUS], [NonMarkovJC(gamma0=0.4, lam=8.0)], *NOT_A_RATE),
-    ([_chain()], [NonMarkovJC(gamma0=0.4, lam=8.0)], *NOT_A_RATE),
+    ([CHAIN], [NonMarkovJC(gamma0=0.4, lam=8.0)], *NOT_A_RATE),
     ([SIGMA_MINUS], ["0.5"], *NOT_A_RATE),
     ([SIGMA_MINUS], [1j], *NOT_A_RATE),
     ([SIGMA_MINUS], [math.nan], *BAD_RATE),
     ([SIGMA_MINUS], [math.inf], *BAD_RATE),
     ([SIGMA_MINUS], [-1.0], *BAD_RATE),
-    ([SIGMA_MINUS, _chain()], [0.5, 0.5], DimensionMismatch,
+    ([SIGMA_MINUS, CHAIN], [0.5, 0.5], DimensionMismatch,
      r"jump operator shape \(3, 3\) does not match dim 2"),
     # index by index, a jump and then its rate, and the shared shape last
-    ([SIGMA_MINUS, _chain()], [0.5, -1.0], *BAD_RATE),
+    ([SIGMA_MINUS, CHAIN], [0.5, -1.0], *BAD_RATE),
     ([SIGMA_MINUS, np.zeros((2, 3))], [-1.0, 0.5], *BAD_RATE),
-    ([_nan_jump(), _chain()], [-1.0, 0.5], ValueError, "jump operator entries must be finite"),
+    ([NAN_JUMP, CHAIN], [-1.0, 0.5], ValueError, "jump operator entries must be finite"),
 ], ids=["no-jumps", "unequal-lengths", "non-square-jump", "non-finite-jump",
         "memory-kernel-rate", "memory-kernel-rate-3-level", "string-rate", "complex-rate",
         "nan-rate", "inf-rate", "negative-rate", "two-shapes", "rate-before-shape",
