@@ -24,7 +24,6 @@ from .lindblad import (
     nonmarkov_big_gamma,
 )
 from .meter import (
-    ShiftReport,
     invert_weak_value,
     jc_shift_columns,
     jc_shifts,

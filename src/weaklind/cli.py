@@ -7,10 +7,9 @@ the algebraic inverse of the same closed forms, meter.invert_weak_value).
 Each command sweeps its grid once through weakvalue.trace_over_tau (jc
 shifts stack sigma+ and sigma- into one observable over one denominator).
 shifts reads the meter out on the whole grid at once (rabi_shift_columns /
-jc_shift_columns of meter, whose one-point case is rabi_shifts_number_state
-/ jc_shifts). One writer, _g17_text, formats every CSV table, JSON float
-array and JSON rows table: one % operation when small, numpy with the same
-bytes from _G17_MIN_CELLS cells on. The commands compute and write
+jc_shift_columns of meter). One writer, _g17_text, formats every CSV table,
+JSON float array and JSON rows table: one % operation when small, numpy with
+the same bytes from _G17_MIN_CELLS cells on. The commands compute and write
 nothing; main makes the output directory and writes the files only once the
 command has succeeded, and maps each failure to its exit code. A refused run
 therefore writes no file and makes no directory, unless the writing itself

@@ -341,7 +341,8 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     ValueError unless taus is 1-D and operands nonempty; NegativeTau unless
     every tau >= 0. NoConvergence names the first tau whose row or expm is not
     finite, or, when every earlier row is, a failing envelope's or projector's.
-    """
+    Open: on a generator with a decoherence-free subspace an expm row at
+    tau = 1e12 can be off by 5.1e-3 relative (eigen and inf rows: 1e-10)."""
     return _traces(d, _check_operator(F, d.dim), operands, taus)[:, 0]
 
 

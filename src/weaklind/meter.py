@@ -18,7 +18,7 @@ The two closed forms are evaluated on a whole tau grid at once:
 rabi_shift_columns and jc_shift_columns take the weak values on the grid and
 return the Q and P arrays, with the arithmetic of the per-point formula, so
 each entry is bit-identical to a one-point call. rabi_shifts_number_state and
-jc_shifts are that one-point case, returning a checked ShiftReport.
+jc_shifts are that one-point case, returning (Q, P) as finite floats.
 
 Conventions: quadratures Q = sqrt(hbar/2 omega_f)(ad + a),
 P = 1j sqrt(hbar omega_f/2)(ad - a); the system couples to
@@ -32,31 +32,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularInversion
 from .operators import _cmul
-
-
-@dataclass(frozen=True)
-class ShiftReport:
-    """Quadrature shifts together with every input that produced them."""
-
-    Q_shift: float
-    P_shift: float
-    g: float
-    t: float
-    tau: float
-    omega_f: float
-    Delta: float
-    weak_value_inputs: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("Q_shift", "P_shift", "g", "t", "tau", "omega_f", "Delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 def _check_occupation(n: float) -> None:
@@ -71,11 +51,18 @@ def _units(omega_f: float, hbar: float) -> tuple[float, float]:
 
 
 def _rotating_wave_guard(Delta: float, t: float) -> None:
-    """Warn (once per call, at the caller's caller) when Delta t leaves the
-    rotating-wave window."""
+    """Warn when Delta t leaves the rotating-wave window. Each public entry
+    calls it once, so the warning names that entry's caller."""
     if abs(Delta * t) > 0.05:
         warnings.warn(f"Delta*t = {Delta * t:.3g} outside the rotating-wave "
                       "validity guard 0.05", stacklevel=3)
+
+
+def _one_point(Q: np.ndarray, P: np.ndarray) -> tuple[float, float]:
+    """The one row of one-point shift columns as floats; ValueError if not finite."""
+    if not np.isfinite([Q, P]).all():
+        raise ValueError("the meter shifts are not finite")
+    return Q.item(), P.item()
 
 
 def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +102,10 @@ def rabi_shift_columns(n: float, wv, g: float, t: float, taus, omega_f: float,
 
 
 def rabi_shifts_number_state(n: float, wv: complex, g: float, t: float, tau: float,
-                             omega_f: float, hbar: float = 1.0) -> ShiftReport:
-    """The one-point case of rabi_shift_columns, as a checked ShiftReport
+                             omega_f: float, hbar: float = 1.0) -> tuple[float, float]:
+    """The one-point case of rabi_shift_columns: (Q, P) as floats
     (ValueError when a shift is not finite)."""
-    (Q,), (P,) = rabi_shift_columns(n, [wv], g, t, [tau], omega_f, hbar)
-    return ShiftReport(Q_shift=float(Q), P_shift=float(P), g=g, t=t, tau=tau,
-                       omega_f=omega_f, Delta=0.0, weak_value_inputs=(complex(wv),))
+    return _one_point(*rabi_shift_columns(n, [wv], g, t, [tau], omega_f, hbar))
 
 
 def jc_shift_columns(n: float, wv_plus, wv_minus, g: float, t: float, taus,
@@ -144,6 +129,11 @@ def jc_shift_columns(n: float, wv_plus, wv_minus, g: float, t: float, taus,
     """
     _check_occupation(n)
     _rotating_wave_guard(Delta, t)
+    return _jc_columns(n, wv_plus, wv_minus, g, t, taus, omega_f, Delta, hbar)
+
+
+def _jc_columns(n, wv_plus, wv_minus, g, t, taus, omega_f, Delta, hbar):
+    """jc_shift_columns past its checks and its rotating-wave warning."""
     wv_plus = np.asarray(wv_plus, dtype=complex)
     wv_minus = np.asarray(wv_minus, dtype=complex)
     q_unit, p_unit = _units(omega_f, hbar)
@@ -158,14 +148,12 @@ def jc_shift_columns(n: float, wv_plus, wv_minus, g: float, t: float, taus,
 
 
 def jc_shifts(n: float, wv_plus: complex, wv_minus: complex, g: float, t: float,
-              tau: float, omega_f: float, Delta: float, hbar: float = 1.0) -> ShiftReport:
-    """The one-point case of jc_shift_columns, as a checked ShiftReport
+              tau: float, omega_f: float, Delta: float, hbar: float = 1.0) -> tuple[float, float]:
+    """The one-point case of jc_shift_columns: (Q, P) as floats
     (ValueError when a shift is not finite)."""
-    (Q,), (P,) = jc_shift_columns(n, [wv_plus], [wv_minus], g, t, [tau], omega_f, Delta,
-                                  hbar)
-    return ShiftReport(Q_shift=float(Q), P_shift=float(P), g=g, t=t, tau=tau,
-                       omega_f=omega_f, Delta=Delta,
-                       weak_value_inputs=(complex(wv_plus), complex(wv_minus)))
+    _check_occupation(n)
+    _rotating_wave_guard(Delta, t)
+    return _one_point(*_jc_columns(n, [wv_plus], [wv_minus], g, t, [tau], omega_f, Delta, hbar))
 
 
 def invert_weak_value(n: float, Q_f: float, P_f: float, model: str, g: float,

@@ -232,9 +232,8 @@ def test_criterion_10_inversion_round_trip():
     worst = 0.0
     for n in (0, 1, 5):
         for t, tau in ((0.9, 0.4), (1.4, 1.1)):    # two phase settings
-            rep = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
-            got = invert_weak_value(n, rep.Q_shift, rep.P_shift, "rabi", g, t, tau, omega_f,
-                                    0.0)
+            q, p = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
+            got = invert_weak_value(n, q, p, "rabi", g, t, tau, omega_f, 0.0)
             dev = abs(got - wv)
             assert dev < 1e-10, (n, t, tau, dev)
             worst = max(worst, dev)

@@ -901,10 +901,10 @@ def test_shifts_rabi_csv(tmp_path):
         A_SI=SIGMA_X)
     tau = 1.0   # third grid point; gamma_tau = 0.5
     wv = weak_value_dissipative(setup, d, tau).value
-    rep = rabi_shifts_number_state(0, wv, 0.001, 1.0, tau, 1.3)
+    q, p = rabi_shifts_number_state(0, wv, 0.001, 1.0, tau, 1.3)
     assert rows[2][0] == pytest.approx(0.5)
-    assert rows[2][1] == pytest.approx(rep.Q_shift, rel=1e-12)
-    assert rows[2][2] == pytest.approx(rep.P_shift, rel=1e-12)
+    assert rows[2][1] == pytest.approx(q, rel=1e-12)
+    assert rows[2][2] == pytest.approx(p, rel=1e-12)
 
 
 def test_shifts_jc_csv_and_json(tmp_path):
@@ -1030,12 +1030,12 @@ def test_shifts_name_the_first_overflowing_tau(tmp_path, capsys, model):
 def test_invert_round_trip_via_cli(tmp_path):
     omega_f, g, t, tau, n = 1.3, 0.01, 0.9, 0.4, 1
     wv = 1.7 - 0.9j
-    rep = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
+    q, p = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
     payload = {
         "version": 1,
         "meter": {"omega_f": omega_f, "n_max": 30, "state": "number", "n": n,
                   "g": g, "t": t},
-        "invert": {"Q_f": rep.Q_shift, "P_f": rep.P_shift, "tau": tau},
+        "invert": {"Q_f": q, "P_f": p, "tau": tau},
     }
     cfg = write_cfg(tmp_path, payload)
     assert run_cli("invert", "--config", cfg, "--out", str(tmp_path)) == 0
@@ -1043,8 +1043,7 @@ def test_invert_round_trip_via_cli(tmp_path):
     got = complex(*doc["weak_value"])
     assert abs(got - wv) < 1e-10
     # cross-check against the in-process inversion path
-    assert abs(invert_weak_value(n, rep.Q_shift, rep.P_shift, "rabi", g, t, tau, omega_f,
-                                 0.0) - got) < 1e-14
+    assert abs(invert_weak_value(n, q, p, "rabi", g, t, tau, omega_f, 0.0) - got) < 1e-14
 
 
 def test_invert_singular_exits_5(tmp_path):

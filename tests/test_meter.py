@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from weaklind import (
     SIGMA_X,
     SIGMA_Y,
     Dissipator,
-    ShiftReport,
     WeakMeasurementSetup,
     bloch_to_density,
     invert_weak_value,
@@ -96,27 +96,21 @@ def test_meter_density_matrices():
     assert abs(mean - 0.4) < 1e-8
 
 
-def test_shift_report_requires_finite_entries():
-    with pytest.raises(ValueError):
-        ShiftReport(Q_shift=float("nan"), P_shift=0.0, g=0.1, t=1.0, tau=0.0,
-                    omega_f=1.0, Delta=0.0, weak_value_inputs=(0j,))
-
-
 # ------------------------------------------------------- first-order shifts
 
 def test_occupation_amplifies_only_the_imaginary_part():
     omega_f, g, t, tau = 1.0, 0.01, 1.0, 0.2
     pure_im = 2.0j
-    r0 = rabi_shifts_number_state(0, pure_im, g, t, tau, omega_f)
-    r1 = rabi_shifts_number_state(1, pure_im, g, t, tau, omega_f)
-    r5 = rabi_shifts_number_state(5, pure_im, g, t, tau, omega_f)
-    assert abs(r1.Q_shift / r0.Q_shift - 3.0) < 1e-12
-    assert abs(r5.P_shift / r0.P_shift - 11.0) < 1e-12
+    q0, p0 = rabi_shifts_number_state(0, pure_im, g, t, tau, omega_f)
+    q1, _ = rabi_shifts_number_state(1, pure_im, g, t, tau, omega_f)
+    _, p5 = rabi_shifts_number_state(5, pure_im, g, t, tau, omega_f)
+    assert abs(q1 / q0 - 3.0) < 1e-12
+    assert abs(p5 / p0 - 11.0) < 1e-12
     pure_re = 2.0 + 0.0j
     s0 = rabi_shifts_number_state(0, pure_re, g, t, tau, omega_f)
     s5 = rabi_shifts_number_state(5, pure_re, g, t, tau, omega_f)
-    assert abs(s5.Q_shift - s0.Q_shift) < 1e-14
-    assert abs(s5.P_shift - s0.P_shift) < 1e-14
+    assert abs(s5[0] - s0[0]) < 1e-14
+    assert abs(s5[1] - s0[1]) < 1e-14
 
 
 def _rabi_case(n, g, t=0.9, tau=0.4, omega_f=1.3, omega_a=0.7):
@@ -126,11 +120,11 @@ def _rabi_case(n, g, t=0.9, tau=0.4, omega_f=1.3, omega_a=0.7):
     A_SI = np.cos(half) * SIGMA_X - np.sin(half) * SIGMA_Y
     setup = WeakMeasurementSetup(sigma_i=SIGMA_I, sigma_fI=SIGMA_F, A_SI=A_SI)
     wv = weak_value_dissipative(setup, damping(), tau).value
-    report = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
+    q, p = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
     mu0 = orc.meter_density("number", n, 21)
     oq, op, _ = orc.rabi_joint_readout(SIGMA_I, SIGMA_F, A_SI, mu0, g, t, tau,
                                        omega_f, GAMMA)
-    return (math.hypot(report.Q_shift - oq, report.P_shift - op)
+    return (math.hypot(q - oq, p - op)
             / math.hypot(oq, op))
 
 
@@ -148,12 +142,12 @@ def test_rabi_formula_relative_error_is_second_order_in_gt():
 def test_jc_vacuum_reduces_to_polar_rotation():
     g, t, tau, omega_f, Delta = 0.01, 0.9, 0.4, 1.3, 0.02
     wv_minus = 1.1 - 0.8j
-    report = jc_shifts(0.0, 0.5 + 0.5j, wv_minus, g, t, tau, omega_f, Delta)
+    q, p = jc_shifts(0.0, 0.5 + 0.5j, wv_minus, g, t, tau, omega_f, Delta)
     chi = 0.5 * Delta * t + omega_f * (t + tau)
     phase = math.atan2(wv_minus.imag, wv_minus.real)
     qu, pu = math.sqrt(1 / (2 * omega_f)), math.sqrt(omega_f / 2)
-    assert abs(report.Q_shift - 2 * g * t * qu * abs(wv_minus) * math.sin(phase - chi)) < 1e-13
-    assert abs(report.P_shift + 2 * g * t * pu * abs(wv_minus) * math.cos(phase - chi)) < 1e-13
+    assert abs(q - 2 * g * t * qu * abs(wv_minus) * math.sin(phase - chi)) < 1e-13
+    assert abs(p + 2 * g * t * pu * abs(wv_minus) * math.cos(phase - chi)) < 1e-13
 
 
 def test_jc_rejects_custom_meters_and_warns_off_resonance(tmp_path):
@@ -207,11 +201,13 @@ def test_grid_shifts_equal_the_per_point_forms_bit_for_bit(seed, kind):
     for k, tau in enumerate(taus.tolist()):
         rep = rabi_shifts_number_state(n, wvm[k], g, t, tau, omega_f)
         want = _rabi_point(n, wvm[k], g, t, tau, omega_f)
-        assert (_bits(Q[k]), _bits(P[k])) == (_bits(rep.Q_shift), _bits(rep.P_shift))
+        assert all(type(x) is float for x in rep) and len(rep) == 2
+        assert (_bits(Q[k]), _bits(P[k])) == tuple(map(_bits, rep))
         assert (_bits(Q[k]), _bits(P[k])) == tuple(map(_bits, want))
         rep = jc_shifts(n, wvp[k], wvm[k], g, t, tau, omega_f, Delta)
         want = _jc_point(wvp[k], wvm[k], n, g, t, tau, omega_f, Delta)
-        assert (_bits(Qj[k]), _bits(Pj[k])) == (_bits(rep.Q_shift), _bits(rep.P_shift))
+        assert all(type(x) is float for x in rep) and len(rep) == 2
+        assert (_bits(Qj[k]), _bits(Pj[k])) == tuple(map(_bits, rep))
         assert (_bits(Qj[k]), _bits(Pj[k])) == tuple(map(_bits, want))
 
 
@@ -225,8 +221,11 @@ def test_grid_shifts_mark_overflow_without_warnings():
     assert np.isfinite(Q[:first]).all() and np.isnan(Q[first:]).all() and np.isnan(P[first:]).all()
     Q, P = jc_shift_columns(1.0, wv, wv, 1e308, 1e308, taus, 1.3, 0.0)
     assert not np.isfinite(Q).any() and not np.isfinite(P).any()
-    with pytest.raises(ValueError):
+    # the one-point calls refuse what the columns mark
+    with pytest.raises(ValueError, match="the meter shifts are not finite"):
         jc_shifts(1.0, wv[0], wv[0], 0.01, 1.0, 40.0, 1e307, 0.0)
+    with pytest.raises(ValueError, match="the meter shifts are not finite"):
+        rabi_shifts_number_state(1.0, wv[0], 0.01, 1.0, 40.0, 1e307)
 
 
 def test_jc_grid_warns_once_per_call():
@@ -234,6 +233,22 @@ def test_jc_grid_warns_once_per_call():
     with pytest.warns(UserWarning) as seen:
         jc_shift_columns(0.0, np.zeros(11), np.ones(11), 0.01, 1.0, taus, 1.0, Delta=0.2)
     assert len(seen) == 1
+
+
+def test_rotating_wave_warning_names_the_callers_line():
+    # each public entry warns once per call, at the line that called it
+    taus = np.linspace(0.0, 1.0, 11)
+    calls = [
+        lambda: jc_shift_columns(0.0, np.zeros(11), np.ones(11), 0.01, 1.0, taus, 1.0, 0.2),
+        lambda: jc_shifts(0.0, 0j, 1j, 0.01, 1.0, 0.0, 1.0, Delta=0.2),
+        lambda: invert_weak_value(0.0, 0.1, 0.2, "jc", 0.01, 1.0, 0.0, 1.0, Delta=0.2),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.filename, w.lineno) for w in seen] == [
+            (__file__, call.__code__.co_firstlineno)]
 
 
 def _jc_case(kind, n, g, t=0.9, tau=0.4, omega_f=1.3, Delta=0.02):
@@ -244,10 +259,10 @@ def _jc_case(kind, n, g, t=0.9, tau=0.4, omega_f=1.3, Delta=0.02):
     wv_minus = weak_value_dissipative(
         WeakMeasurementSetup(sigma_i=SIGMA_I, sigma_fI=SIGMA_F, A_SI=SIGMA_MINUS),
         d, tau).value
-    report = jc_shifts(n, wv_plus, wv_minus, g, t, tau, omega_f, Delta)
+    q, p = jc_shifts(n, wv_plus, wv_minus, g, t, tau, omega_f, Delta)
     rho_m = orc.meter_density(kind, n, 21)
     oq, op, _ = orc.jc_joint_readout(SIGMA_I, SIGMA_F, rho_m, g, t, tau, omega_f, GAMMA, Delta)
-    return (math.hypot(report.Q_shift - oq, report.P_shift - op)
+    return (math.hypot(q - oq, p - op)
             / math.hypot(oq, op))
 
 
@@ -266,9 +281,8 @@ def test_inversion_round_trip():
     g = 0.01
     for n in (0, 1, 5):
         for t, tau in ((0.9, 0.4), (1.4, 1.1)):
-            report = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
-            got = invert_weak_value(n, report.Q_shift, report.P_shift, "rabi", g, t, tau,
-                                    omega_f, 0.0)
+            q, p = rabi_shifts_number_state(n, wv, g, t, tau, omega_f)
+            got = invert_weak_value(n, q, p, "rabi", g, t, tau, omega_f, 0.0)
             assert abs(got - wv) < 1e-10
 
 
