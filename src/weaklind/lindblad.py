@@ -13,15 +13,16 @@ nonmarkov_big_gamma(d, tau). Both check themselves when they are made, where
 a NonMarkovJC also derives its d; named_channel alone builds the channels of
 NAMED_CHANNELS, and describe(d) states either kind in one line.
 
-Each kind has one kernel for Tr[F e^{D tau}(C)], the eigen rows of M (expm,
-and with it scipy.linalg, only where their guards fail) or the closed-form
-maps: traces_over_tau(d, F, operands, taus) on a tau grid, and evolve(d, C,
-tau) with F running over the matrix units, so that evolve(d, C, tau)[i, j] is
-traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for bit. tau = inf is a grid
-point whose row is the limit tau -> infinity: the eigen row keeps the kernel
-of M, or the SVD asymptotic_projector where the guards fail, one rule (_kernel)
-deciding both, and the sigma_- map keeps Gamma = 0. The map preserves traces,
-commutes with the adjoint, and for constant rates is a semigroup.
+Each kind has one kernel for Tr[F e^{D tau}(C)] over a stack of F, the eigen
+rows of M (expm, and with it scipy.linalg, only where their guards fail) or the
+closed-form maps, tau = 0 a row like any other: traces_over_tau(d, F, operands,
+taus) takes the stack [F] and evolve(d, C, tau) the dim^2 matrix units, so that
+evolve(d, C, tau)[i, j] is traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for
+bit. tau = inf is a grid point whose row is the limit tau -> infinity: the eigen
+row keeps the kernel of M, or the SVD asymptotic_projector where the guards
+fail, one rule (_kernel) deciding both, and the sigma_- map keeps Gamma = 0.
+The map preserves traces, commutes with the adjoint, and for constant rates is
+a semigroup.
 
 Vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B), so the
 superoperator matrix of C -> L C L' is conj(L) kron L.
@@ -185,7 +186,8 @@ def _damping_maps(C: np.ndarray, G: np.ndarray) -> np.ndarray:
     """[[c_ee G^2, c_eg G], [c_ge G, c_gg + c_ee (1 - G^2)]] at every G_k, stacked
     (N, 2, 2), for a checked 2x2 C. Each product of an entry with a real G is
     the complex product with G + 0j in real arithmetic (_cmul), so that every
-    map is the one formed entry by entry in complex scalars, bit for bit."""
+    map is the one formed entry by entry in complex scalars, bit for bit. At
+    G = 1 (tau = 0) a finite C maps to itself, up to the sign of a zero part."""
     ee, eg, ge, gg = ((z.real, z.imag) for z in C.flat)
     loss_re, loss_im = _cmul(*ee, 1.0 - G * G, 0.0)
     entries = (_cmul(*_cmul(*ee, G, 0.0), G, 0.0), _cmul(*eg, G, 0.0), _cmul(*ge, G, 0.0),
@@ -273,13 +275,13 @@ def _kernel(x: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
+def _eigen_traces(R: np.ndarray, X: np.ndarray, M: np.ndarray,
                   taus: np.ndarray) -> np.ndarray | None:
-    """r^T exp(tau_k M) X, (N, p k), from M = V diag(lam) V^-1; r = None, every
-    unit row, takes V's rows (p = n). W_m sums the weights (r^T V)_i (V^-1 X)_ij
-    of each bitwise-distinct lam_m, in index order, and row k sums e_m W_m in the
-    first-seen order of m by _cmul, a function of tau_k alone, with e_m =
-    exp(tau_k lam_m), or at tau_k = inf e_m = [lam_m == 0]: the kernel's weight.
+    """R exp(tau_k M) X, (N, p k), for p rows R, from M = V diag(lam) V^-1. W_m
+    sums the weights (R V)_pi (V^-1 X)_ij of each bitwise-distinct lam_m, in index
+    order, and row k is the ordered sum of e_m W_m over the first-seen order of m
+    (_ordered_dot), a function of tau_k alone, with e_m = exp(tau_k lam_m), or at
+    tau_k = inf e_m = [lam_m == 0]: the kernel's weight.
     None when eig does not converge, cond(V) exceeds _EIG_COND_MAX (a nearly
     defective M), or max|lam| tau_max is not finite, tau_max the largest finite
     tau, and at least 1 for an inf. Re lam is clamped to <= 0: a bounded
@@ -297,8 +299,7 @@ def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
         return None
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
     lam[_kernel(lam)] = 0.0
-    rows = V if r is None else (r @ V)[None]
-    weights = rows.T[:, :, None] * np.linalg.solve(V, X)[:, None]  # (i, row, j)
+    weights = (R @ V).T[:, :, None] * np.linalg.solve(V, X)[:, None]  # (i, row, j)
     # keyed on the bytes: float equality would merge +0.0 and -0.0
     slot = {}
     cols = [slot.setdefault(key, len(slot)) for key in lam.view("V16").tolist()]
@@ -313,18 +314,14 @@ def _eigen_traces(r: np.ndarray | None, X: np.ndarray, M: np.ndarray,
         z = np.empty((len(lam), len(t)), dtype=complex)
         z.real, z.imag = _cmul(np.where(finite, t, 0.0), 0.0, lam.real, lam.imag)
         e = np.where(finite, np.exp(z), lam == 0.0)[:, None]
-        re, im = _cmul(e.real, e.imag, W.real, W.imag)  # (m, j, k): summed over m in order
-        traces.real[:, start:start + step], traces.imag[:, start:start + step] = (
-            sum(re[1:], re[0]), sum(im[1:], im[0]))
+        traces[:, start:start + step] = _ordered_dot(e, W)
     return traces.T
 
 
-def _trace_sums(F: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Tr[F X] over broadcast stacks of operators: the _cmul products F_ab X_ba
-    summed in row-major (a, b) order, whose bits no BLAS kernel or shape moves."""
-    terms = [_cmul(F[..., a, b].real, F[..., a, b].imag, X[..., b, a].real, X[..., b, a].imag)
-             for a, b in np.ndindex(F.shape[-2:])]
-    re, im = (sum(part[1:], part[0]) for part in zip(*terms))
+def _ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_m a_m b_m over the leading axis of two broadcast complex stacks: the _cmul
+    products added in index order, whose bits no BLAS kernel, SIMD width or shape moves."""
+    re, im = (sum(part[1:], part[0]) for part in _cmul(a.real, a.imag, b.real, b.imag))
     return np.stack([re, im], axis=-1).view(complex)[..., 0]
 
 
@@ -333,9 +330,10 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     """Tr[F e^{D tau_n}(C_j)] for every tau_n of taus and operand C_j, an (N, k) array.
 
     Constant rates take the rows of one eigendecomposition (_eigen_traces) or,
-    where its guards fail, one expm per nonzero tau; the sigma_- memory kernel
-    stacks _damping_maps, one envelope per nonzero tau. A row depends on its
-    tau alone, and a map's trace is a fixed-order scalar sum (_trace_sums).
+    where its guards fail, one expm per tau; the sigma_- memory kernel stacks
+    _damping_maps, one envelope per tau. tau = 0 is a row like any other (its
+    expm is I, its envelope 1). A row depends on its tau alone, and a map's
+    trace vec(F^T) . vec(map) is a fixed-order scalar sum (_ordered_dot).
     The row at tau = inf is the limit: the eigen row that keeps the kernel of
     M, the fallback's asymptotic_projector map or the sigma_- map at Gamma = 0.
     ValueError unless taus is 1-D and operands nonempty; NegativeTau unless
@@ -343,45 +341,44 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     finite, or, when every earlier row is, a failing envelope's or projector's.
     Open: on a generator with a decoherence-free subspace an expm row at
     tau = 1e12 can be off by 5.1e-3 relative (eigen and inf rows: 1e-10)."""
-    return _traces(d, _check_operator(F, d.dim), operands, taus)[:, 0]
+    return _traces(d, _check_operator(F, d.dim)[None], operands, taus)[:, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row that overflows is refused below
-def _traces(d: Dissipator | NonMarkovJC, F: np.ndarray | None, operands, taus) -> np.ndarray:
-    """traces_over_tau as (N, p, k), for F alone (p = 1) or, for F = None, the
-    matrix units F_p = E_ji, p = i + j dim, whose traces make vec(e^{D tau_n}(C_j))."""
+def _traces(d: Dissipator | NonMarkovJC, Fs: np.ndarray, operands, taus) -> np.ndarray:
+    """traces_over_tau as (N, p, k) for a (p, dim, dim) stack Fs, each trace
+    Tr[F_p C] the ordered sum of vec(F_p^T) . vec(C), the column stacking of M."""
     taus = np.asarray(taus, dtype=float)
     operands = [_check_operator(C, d.dim) for C in operands]
     if taus.ndim != 1 or not operands:
         raise ValueError("traces need a 1-D tau grid and at least one operand")
     _check_tau(taus)
-    Fs = np.eye(d.dim ** 2).reshape(-1, d.dim, d.dim) if F is None else F[None]
+    R = Fs.reshape(len(Fs), -1)
     if isinstance(d, NonMarkovJC):
         G, failure = [], None
         try:
             for tau in taus.tolist():
-                G.append(nonmarkov_big_gamma(d, tau) if tau else 1.0)
+                G.append(nonmarkov_big_gamma(d, tau))
         except NoConvergence as exc:
             failure = exc
-        at_zero = (taus[:len(G)] == 0.0)[:, None, None]  # the identity, not the map at G = 1
-        maps = [np.where(at_zero, C, _damping_maps(C, np.array(G)))[:, None] for C in operands]
-        traces = _trace_sums(Fs[None, :, None], np.stack(maps, axis=2))
+        maps = np.stack([_damping_maps(C, np.array(G)) for C in operands], axis=1)
+        # vec(map) on the leading axis: entry (i, j) at i + 2 j
+        vec_maps = maps.transpose(3, 2, 0, 1).reshape(4, len(G), 1, len(operands))
+        traces = _ordered_dot(R.T[:, None, :, None], vec_maps)
         if failure is not None and np.isfinite(traces).all():
             raise failure
     else:
-        # Tr[F C] = vec(F^T) . vec(C) in the column stacking of the superoperator
         X, M = np.array([_vec(C) for C in operands]).T, d.superoperator
-        traces = _eigen_traces(None if F is None else _vec(F.T), X, M, taus)
+        traces = _eigen_traces(R, X, M, taus)
         if traces is None:
-            traces = np.full((len(taus), len(Fs), len(operands)), complex(np.nan, np.nan))
-            for k, tau in enumerate(taus.tolist()):
-                if tau:
-                    S = _exponential_map(M, tau) if tau < math.inf else asymptotic_projector(d)
-                evolved = [apply_superoperator(S, C) for C in operands] if tau else operands
-                traces[k] = _trace_sums(Fs[:, None], np.array(evolved))
-                if not np.isfinite(traces[k]).all():  # a larger tau would overflow further
+            traces = np.full((len(taus), len(R), len(operands)), complex(np.nan, np.nan))
+            for n, tau in enumerate(taus.tolist()):
+                S = _exponential_map(M, tau) if tau < math.inf else asymptotic_projector(d)
+                maps = np.array([apply_superoperator(S, C) for C in operands]).transpose(2, 1, 0)
+                traces[n] = _ordered_dot(R.T[:, :, None], maps.reshape(len(X), 1, len(operands)))
+                if not np.isfinite(traces[n]).all():  # a larger tau would overflow further
                     break
-        traces = traces.reshape(len(taus), len(Fs), len(operands))
+        traces = traces.reshape(len(taus), len(R), len(operands))
     if not np.isfinite(traces).all():
         first = np.isfinite(traces).all(axis=(1, 2)).argmin()
         raise NoConvergence(f"the evolved traces are not finite at tau={taus[first].item()}")
@@ -396,7 +393,8 @@ def evolve(d: Dissipator | NonMarkovJC, C: np.ndarray, tau: float) -> np.ndarray
     C = _check_operator(C, d.dim)
     if tau == 0.0:
         return C.copy()
-    return _unvec(_traces(d, None, [C], [tau])[0, :, 0], d.dim)
+    units = np.eye(d.dim ** 2).reshape(-1, d.dim, d.dim)
+    return _unvec(_traces(d, units, [C], [tau])[0, :, 0], d.dim)
 
 
 def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:

@@ -190,7 +190,7 @@ def test_sodium_sweep_error_is_within_cond_v_eps():
 def test_expm_fallback_error_on_the_defective_cascade():
     d = equal_rate_cascade()
     X = np.eye(d.dim ** 2)
-    assert lindblad._eigen_traces(X[0], X, d.superoperator, np.array(SWEEP_TAUS)) is None
+    assert lindblad._eigen_traces(X[:1], X, d.superoperator, np.array(SWEEP_TAUS)) is None
     assert sweep_error(d, np.random.default_rng(12)) <= 16 * EPS
 
 

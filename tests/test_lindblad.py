@@ -31,6 +31,7 @@ from weaklind import (
 from weaklind.errors import DimensionMismatch, NegativeTau, NoConvergence
 from weaklind import lindblad
 from weaklind.lindblad import _vec, traces_over_tau
+from weaklind.operators import _cmul
 from weaklind.scenarios import _alkali_setup
 
 seeds = st.integers(0, 10**6)
@@ -301,6 +302,58 @@ def test_sigma_minus_maps_are_the_identity_at_tau_0():
     assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
     old = [[np.trace(F @ evolve(d, X, tau)) for X in (C, F)] for tau in (0.0, 1.0)]
     assert np.allclose(got, old, rtol=1e-15, atol=0.0)
+    # tau = 0 is a row like any other, at the envelope 1 or expm(0 M) = I, and
+    # it is Tr[F C] bit for bit on every coupling and on the expm fallback
+    rng = np.random.default_rng(40)
+    for d in (NonMarkovJC(0.1, 1.0), NonMarkovJC(1.0, 0.5), NonMarkovJC(0.5, 1.0),
+              NonMarkovJC(1.0, 1e308), equal_rate_cascade()):
+        F, C = orc.random_matrix(rng, d.dim), orc.random_matrix(rng, d.dim)
+        got = traces_over_tau(d, F, [C, F], [0.0, 1.0])[0]
+        want = np.array([orc.scalar_trace(F, C), orc.scalar_trace(F, F)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def trace_sums(F, X):
+    """Tr[F X] over broadcast stacks of operators, the reference for _ordered_dot: a
+    list of one _cmul term F_ab X_ba per (a, b) in row-major order, added in order."""
+    terms = [_cmul(F[..., a, b].real, F[..., a, b].imag, X[..., b, a].real, X[..., b, a].imag)
+             for a, b in np.ndindex(F.shape[-2:])]
+    re, im = (sum(part[1:], part[0]) for part in zip(*terms))
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
+# signed zeros, subnormals and entries whose products overflow
+ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-300, 0.3, -0.7, 1.0,
+                    1e154, -1.7e308, 1.7e308])
+
+
+def special_stack(rng, shape):
+    """A complex stack whose parts are half standard normal, half ENTRIES."""
+    parts = rng.standard_normal((2,) + shape)
+    special = rng.random((2,) + shape) < 0.5
+    parts[special] = rng.choice(ENTRIES, int(special.sum()))
+    return parts[0] + 1j * parts[1]
+
+
+@pytest.mark.pinned
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 5), st.booleans())
+def test_the_ordered_dot_is_the_per_term_trace_sum_bit_for_bit(seed, dim, p, k, n, sigma_minus):
+    # the sigma_- grid's (N, p, k, 2, 2) stack and the fallback's (p, k, d, d)
+    # row, with (a, b) on the leading axis: F_ab against X_ba, that is
+    # vec(F^T) . vec(X)
+    rng = np.random.default_rng(seed)
+    if sigma_minus:
+        F, X = special_stack(rng, (1, p, 1, 2, 2)), special_stack(rng, (n, 1, k, 2, 2))
+    else:
+        F, X = special_stack(rng, (p, 1, dim, dim)), special_stack(rng, (1, k, dim, dim))
+    size = F.shape[-1] ** 2
+    with np.errstate(all="ignore"):
+        got = lindblad._ordered_dot(np.moveaxis(F, (-2, -1), (0, 1)).reshape(size, *F.shape[:-2]),
+                                    np.moveaxis(X, (-1, -2), (0, 1)).reshape(size, *X.shape[:-2]))
+        want = trace_sums(F, X)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_nonmarkov_ordinary_critical_coupling_is_the_closed_form_bit_for_bit():
@@ -437,7 +490,8 @@ def test_a_slow_decay_is_not_steady_on_the_svd_fallback(s):
     unit = np.eye(4)
     d = Dissipator([np.outer(unit[1], unit[2]), np.outer(unit[0], unit[1]),
                     np.outer(unit[0], unit[3])], [1.0, 1.0, s])
-    assert lindblad._eigen_traces(None, np.eye(16), d.superoperator, np.array([math.inf])) is None
+    assert lindblad._eigen_traces(np.eye(16), np.eye(16), d.superoperator,
+                                  np.array([math.inf])) is None
     assert abs(np.trace(asymptotic_projector(d)) - 1.0) < 1e-12
     setup = WeakMeasurementSetup(sigma_i=np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex),
                                  sigma_fI=np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex),
@@ -456,7 +510,8 @@ def test_a_zero_eigenvalue_above_the_snap_is_the_eigen_paths_kernel():
                     np.array([[-2, 2, 1], [1, -1, 0], [-1, -2, -2]])], [1.0, 1e-8])
     lam = np.linalg.eig(d.superoperator)[0]
     assert np.abs(lam).min() > 16 * len(lam) * np.finfo(float).eps * np.abs(lam).max()
-    assert lindblad._eigen_traces(None, np.eye(9), d.superoperator, np.array([math.inf])) is not None
+    assert lindblad._eigen_traces(np.eye(9), np.eye(9), d.superoperator,
+                                  np.array([math.inf])) is not None
     psi = np.sqrt([0.5, 0.3, 0.2])
     setup = WeakMeasurementSetup(sigma_i=np.outer(psi, psi).astype(complex),
                                  sigma_fI=np.full((3, 3), 1.0 / 3.0, dtype=complex),
@@ -500,7 +555,7 @@ def test_the_limit_keeps_exactly_the_decoherence_free_operators(monkeypatch, pat
         k, slow = (1, 2, 3)[case % 3], case % 2 == 1
         d, inside = decoherence_free(rng, k, slow)
         n = d.dim ** 2
-        assert ((lindblad._eigen_traces(None, np.eye(n), d.superoperator, np.ones(1)) is None)
+        assert ((lindblad._eigen_traces(np.eye(n), np.eye(n), d.superoperator, np.ones(1)) is None)
                 == (path == "svd"))
         limit = np.array([evolve(d, unit.reshape(d.dim, d.dim), math.inf).ravel()
                           for unit in np.eye(n)])
@@ -781,7 +836,7 @@ def test_eigen_traces_are_the_per_eigenvalue_exponentials_bit_for_bit():
         r, X = orc.random_matrix(rng, n)[0], orc.random_matrix(rng, n)[:, :3]
         for s in (np.concatenate(([0.0], np.sort(rng.uniform(0.0, 20.0, 30)), [1e18])),
                   np.linspace(0.0, 40.0, 101)):
-            got, spectrum = lindblad._eigen_traces(r, X, M, s), clamped_spectrum(r, X, M, s)
+            got, spectrum = lindblad._eigen_traces(r[None], X, M, s), clamped_spectrum(r, X, M, s)
             assert (got is None) == (spectrum is None)
             if got is None:
                 continue
@@ -808,7 +863,7 @@ def test_eigen_traces_exponentiate_each_distinct_eigenvalue_once(monkeypatch):
 
     monkeypatch.setattr(np, "exp", spy)
     s = np.array([0.0, 0.5, 2.0])
-    got = lindblad._eigen_traces(np.ones(4), np.eye(4),
+    got = lindblad._eigen_traces(np.ones((1, 4)), np.eye(4),
                                  np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex), s)
     assert [math.prod(shape) for shape in seen] == [2 * 3]  # 2 distinct eigenvalues, 3 taus
     assert np.array_equal(got, [[1.0] + [v] * 3 for v in exp(-s)])
@@ -969,7 +1024,8 @@ def test_the_cascade_limit_is_the_svd_projector_map():
     P = asymptotic_projector(d)
     assert np.array_equal(evolve(d, C, math.inf), apply_superoperator(P, C))
     assert (traces_over_tau(d, F, [C], [math.inf])[0].tobytes()
-            == lindblad._trace_sums(F, apply_superoperator(P, C)[None]).tobytes())
+            == lindblad._ordered_dot(F.reshape(-1), apply_superoperator(P, C).T.reshape(-1))
+            .tobytes())
 
 
 # sha256 prefixes of the memory-kernel grid traces and evolve's maps, which no

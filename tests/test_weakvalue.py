@@ -687,10 +687,11 @@ def random_setup(rng, dim):
                                 A_SI=orc.random_hermitian(rng, dim))
 
 
-def test_memory_kernel_sweep_evaluates_one_envelope_per_nonzero_tau(counts):
+def test_memory_kernel_sweep_evaluates_one_envelope_per_tau(counts):
+    # tau = 0 is a row like any other: its envelope is 1
     d = NonMarkovJC(gamma0=0.1, lam=1.0)
     trace_over_tau(random_setup(np.random.default_rng(2), 2), d, GRID)
-    assert counts == {"expm": 0, "envelope": len(GRID) - 1}
+    assert counts == {"expm": 0, "envelope": len(GRID)}
 
 
 def test_memory_kernel_sweep_derives_no_d(counts, monkeypatch):
@@ -701,7 +702,7 @@ def test_memory_kernel_sweep_derives_no_d(counts, monkeypatch):
     trace_over_tau(random_setup(np.random.default_rng(2), 2), d, GRID)
     lindblad.evolve(d, np.eye(2), 1.0)
     assert derived == []
-    assert counts == {"expm": 0, "envelope": len(GRID)}
+    assert counts == {"expm": 0, "envelope": len(GRID) + 1}
 
 
 def test_memory_kernel_sweep_builds_no_channel_map(counts, monkeypatch):
@@ -723,7 +724,7 @@ def test_memory_kernel_sweep_builds_no_channel_map(counts, monkeypatch):
     trace = trace_over_tau(random_setup(np.random.default_rng(4), 2), d, grid)
     assert not trace.gaps
     assert built == []
-    assert counts == {"expm": 0, "envelope": len(grid) - 1}
+    assert counts == {"expm": 0, "envelope": len(grid)}
 
 
 @pytest.fixture
@@ -822,7 +823,7 @@ def test_defective_cascade_takes_the_expm_fallback(counts, eigs):
     d = Dissipator(*zip(*channels))
     setup = random_setup(np.random.default_rng(5), 3)
     trace = trace_over_tau(setup, d, GRID)
-    assert counts == {"expm": len(GRID) - 1, "envelope": 0}
+    assert counts == {"expm": len(GRID), "envelope": 0}
     assert len(eigs) == 1
     for tau, got in zip(GRID, trace.values):
         want, _ = orc.weak_value_row(setup.sigma_i, setup.sigma_fI, setup.A_SI,
@@ -981,7 +982,7 @@ def test_roundoff_growing_mode_is_clamped():
     # a bounded semigroup has no growing mode; unclamped, Re lam = +1e-15
     # would make e^{lam s} overflow at s = 1e18
     M = np.diag([1e-15, -1.0]).astype(complex)
-    got = lindblad._eigen_traces(np.ones(2), np.eye(2), M, np.array([0.0, 1e18]))
+    got = lindblad._eigen_traces(np.ones((1, 2)), np.eye(2), M, np.array([0.0, 1e18]))
     assert np.array_equal(got, [[1.0, 1.0], [1.0, 0.0]])
 
 
