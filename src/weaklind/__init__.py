@@ -18,7 +18,6 @@ from .errors import (
 from .lindblad import (
     Dissipator,
     NonMarkovJC,
-    apply_superoperator,
     asymptotic_projector,
     evolve,
     nonmarkov_big_gamma,

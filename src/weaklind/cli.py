@@ -275,8 +275,6 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         parts = [f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
                  for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"

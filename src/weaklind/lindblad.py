@@ -19,8 +19,9 @@ closed-form maps, tau = 0 a row like any other: traces_over_tau(d, F, operands,
 taus) takes the stack [F] and evolve(d, C, tau) the dim^2 matrix units, so that
 evolve(d, C, tau)[i, j] is traces_over_tau(d, E_ji, [C], [tau])[0, 0] bit for
 bit. tau = inf is a grid point whose row is the limit tau -> infinity: the eigen
-row keeps the kernel of M, or the SVD asymptotic_projector where the guards
-fail, one rule (_kernel) deciding both, and the sigma_- map keeps Gamma = 0.
+row keeps the kernel of M, and where the guards fail every row is the SVD
+asymptotic_projector's steady part plus an expm of the rest, which the inf row
+drops, one rule (_kernel) deciding both; the sigma_- map keeps Gamma = 0.
 The map preserves traces, commutes with the adjoint, and for constant rates is
 a semigroup.
 
@@ -330,17 +331,17 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     """Tr[F e^{D tau_n}(C_j)] for every tau_n of taus and operand C_j, an (N, k) array.
 
     Constant rates take the rows of one eigendecomposition (_eigen_traces) or,
-    where its guards fail, one expm per tau; the sigma_- memory kernel stacks
-    _damping_maps, one envelope per tau. tau = 0 is a row like any other (its
-    expm is I, its envelope 1). A row depends on its tau alone, and a map's
-    trace vec(F^T) . vec(map) is a fixed-order scalar sum (_ordered_dot).
-    The row at tau = inf is the limit: the eigen row that keeps the kernel of
-    M, the fallback's asymptotic_projector map or the sigma_- map at Gamma = 0.
-    ValueError unless taus is 1-D and operands nonempty; NegativeTau unless
-    every tau >= 0. NoConvergence names the first tau whose row or expm is not
-    finite, or, when every earlier row is, a failing envelope's or projector's.
-    Open: on a generator with a decoherence-free subspace an expm row at
-    tau = 1e12 can be off by 5.1e-3 relative (eigen and inf rows: 1e-10)."""
+    where its guards fail, the maps P X + expm(tau M)(X - P X) of one
+    asymptotic_projector P, an expm per tau: the steady part P X stays exact at
+    any tau; the sigma_- memory kernel stacks _damping_maps, one envelope per
+    tau. tau = 0 is a row like any other (its expm is I, its envelope 1). A row
+    depends on its tau alone, and a map's trace vec(F^T) . vec(map) is a
+    fixed-order scalar sum (_ordered_dot). The row at tau = inf is the limit:
+    the eigen row that keeps the kernel of M, the fallback's steady part P X or
+    the sigma_- map at Gamma = 0. ValueError unless taus is 1-D and operands
+    nonempty; NegativeTau unless every tau >= 0. NoConvergence from the
+    fallback's projector before any row; else it names the first tau whose row
+    or expm is not finite, or, when every earlier row is, a failing envelope's."""
     return _traces(d, _check_operator(F, d.dim)[None], operands, taus)[:, 0]
 
 
@@ -371,11 +372,14 @@ def _traces(d: Dissipator | NonMarkovJC, Fs: np.ndarray, operands, taus) -> np.n
         X, M = np.array([_vec(C) for C in operands]).T, d.superoperator
         traces = _eigen_traces(R, X, M, taus)
         if traces is None:
+            # e^{tau M} = P + e^{tau M} (I - P) with PM = MP = 0: each map is its
+            # steady part P X, exact at any tau, plus a part that decays, 0 at inf
+            steady = asymptotic_projector(d) @ X
+            decaying = X - steady
             traces = np.full((len(taus), len(R), len(operands)), complex(np.nan, np.nan))
             for n, tau in enumerate(taus.tolist()):
-                S = _exponential_map(M, tau) if tau < math.inf else asymptotic_projector(d)
-                maps = np.array([apply_superoperator(S, C) for C in operands]).transpose(2, 1, 0)
-                traces[n] = _ordered_dot(R.T[:, :, None], maps.reshape(len(X), 1, len(operands)))
+                maps = steady if tau == math.inf else steady + _exponential_map(M, tau) @ decaying
+                traces[n] = _ordered_dot(R.T[:, :, None], maps[:, None])
                 if not np.isfinite(traces[n]).all():  # a larger tau would overflow further
                     break
         traces = traces.reshape(len(taus), len(R), len(operands))
@@ -399,7 +403,8 @@ def evolve(d: Dissipator | NonMarkovJC, C: np.ndarray, tau: float) -> np.ndarray
 
 def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
     """The superoperator P = lim_{tau->inf} e^{D tau} (constant rates), from one
-    SVD M = U diag(s) Vh: the tau = inf map of traces_over_tau where eig's guards fail.
+    SVD M = U diag(s) Vh: the steady part P X of every row of traces_over_tau
+    where eig's guards fail, and the whole of its tau = inf row.
 
     P = R (L' R)^{-1} L' projects onto the kernel of M along the decaying modes, R and
     L its right and left kernels (M R = 0, L' M = 0). Its rank, at least 1, is the eigen
@@ -415,10 +420,3 @@ def asymptotic_projector(d: Dissipator | NonMarkovJC) -> np.ndarray:
     n_zero = int(_kernel(svals).sum())  # svals descend: the kernel is their tail
     R, L = Vh[-n_zero:].conj().T, U[:, -n_zero:]
     return R @ np.linalg.solve(L.conj().T @ R, L.conj().T)
-
-
-def apply_superoperator(S: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Apply a (dim^2 x dim^2) superoperator to a dim x dim operator, or DimensionMismatch."""
-    dim = math.isqrt(len(S))
-    S, C = _check_operator(S, dim * dim), _check_operator(C, dim)
-    return _unvec(S @ _vec(C), dim)

@@ -8,12 +8,13 @@ The whole corpus (tests/corpus.json) runs once in a fresh interpreter under
 each of five environments: the default one, OPENBLAS_CORETYPE=Haswell and
 Sandybridge, and numpy's AVX2 and baseline SIMD targets
 (NPY_DISABLE_CPU_FEATURES). A line is pinned when its exit code and bytes are
-the same under all five. The manifest records the default run.
+the same under all five. The manifest records the default run, and under
+test_corpus.TOOLCHAIN the numpy and BLAS versions that made it.
 
 It then runs the corpus on src/ as committed at REV (default HEAD, taken
 with git archive) and prints, for each output whose bytes differ from this
-tree's, the largest relative change among the numbers that differ: the list
-that a change which moves bytes records.
+tree's, the largest relative and absolute changes among the numbers that
+differ: the list that a change which moves bytes records.
 """
 
 from __future__ import annotations
@@ -74,11 +75,13 @@ def corpus_runs(src: pathlib.Path, env: dict) -> dict:
 
 
 def largest_change(old: bytes, new: bytes) -> str:
-    """The largest relative change between the numbers of two outputs, token by token."""
+    """The largest relative and absolute changes between the numbers of two outputs,
+    token by token: a roundoff zero can move far in relative terms and not at all
+    in absolute ones."""
     a, b = _SEPARATORS.split(old.decode()), _SEPARATORS.split(new.decode())
     if len(a) != len(b):
         return "the text differs"
-    worst, count = 0.0, 0
+    relative, absolute, count = 0.0, 0.0, 0
     for x, y in zip(a, b):
         if x == y:
             continue
@@ -87,9 +90,12 @@ def largest_change(old: bytes, new: bytes) -> str:
         except ValueError:
             return "the text differs"
         count += 1
-        change = abs(x - y) / max(abs(x), abs(y))
-        worst = change if math.isnan(change) else max(worst, change)
-    return f"largest relative change {worst:.2g} over {count} numbers"
+        change = abs(x - y)
+        absolute = change if math.isnan(change) else max(absolute, change)
+        change = change / max(abs(x), abs(y)) if change else 0.0  # -0 against 0
+        relative = change if math.isnan(change) else max(relative, change)
+    return (f"largest relative change {relative:.2g}, absolute {absolute:.2g}, "
+            f"over {count} numbers")
 
 
 def base_runs(rev: str) -> dict:
@@ -112,7 +118,7 @@ def main() -> None:
     import test_corpus
 
     runs = {name: corpus_runs(ROOT / "src", env) for name, env in ENVIRONMENTS.items()}
-    manifest = {}
+    manifest = {test_corpus.TOOLCHAIN: test_corpus.toolchain()}
     for line_id, run in runs["default"].items():
         record = test_corpus.hashes(run)
         others = [name for name in ENVIRONMENTS
@@ -121,8 +127,8 @@ def main() -> None:
         if others:
             print(f"not pinned, differs under {', '.join(others)}: {line_id}")
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
-    pinned = sum(record["pinned"] for record in manifest.values())
-    print(f"wrote {MANIFEST}: {len(manifest)} lines, {pinned} pinned")
+    pinned = sum(record.get("pinned", False) for record in manifest.values())
+    print(f"wrote {MANIFEST}: {len(manifest) - 1} lines, {pinned} pinned")
 
     base = base_runs(args.base)
     for line_id, run in runs["default"].items():

@@ -17,7 +17,9 @@ The constant-rate sweep (traces_over_tau) is compared with mpmath.expm at
 2- and 3-level dissipators, the six-level sodium channel and the equal-rate
 cascade, whose defective generator takes the expm fallback. The error is
 relative to |F| |C_j| (Frobenius norms), which bounds a trace times
-|exp(tau M)|; the eigen path is pinned at c cond(V) eps, cond(V) <= 1e4.
+|exp(tau M)|; the eigen path is pinned at c cond(V) eps, cond(V) <= 1e4. A
+cascade at rates 1 and 1 + delta, with cond(V) 3.2e3 and 3.2e4, pins that
+guard from both sides.
 
 The infinite-time limit, the tau = inf row of traces_over_tau, is compared
 in the same norm with exp(T M) at 40 digits and T = 128/gap, where every
@@ -192,6 +194,31 @@ def test_expm_fallback_error_on_the_defective_cascade():
     X = np.eye(d.dim ** 2)
     assert lindblad._eigen_traces(X[:1], X, d.superoperator, np.array(SWEEP_TAUS)) is None
     assert sweep_error(d, np.random.default_rng(12)) <= 16 * EPS
+
+
+@pytest.mark.parametrize("delta, path", [(1e-3, "eig"), (1e-4, "expm")])
+def test_the_eig_guard_sits_between_cond_v_3e3_and_3e4(monkeypatch, delta, path):
+    # the cascade |0> -> |1> -> |2> at rates 1 and 1 + delta: cond(V) is 3.2e3
+    # at delta = 1e-3, which takes the eigen rows, and 3.2e4 at 1e-4, which
+    # takes expm. On each path the sweep is within that path's bound of the
+    # 40-digit one, and so are the 1e12 and inf rows of the unique steady
+    # state Tr[C] |2><2|
+    expms = []
+    exponential_map = lindblad._exponential_map
+    monkeypatch.setattr(lindblad, "_exponential_map",
+                        lambda M, tau: expms.append(tau) or exponential_map(M, tau))
+    d = Dissipator(equal_rate_cascade().jumps, [1.0, 1.0 + delta])
+    cond = eigen_condition(d)
+    assert 3e3 < cond < 4e4
+    bound = 16 * EPS if path == "expm" else 64 * cond * EPS
+    rng = np.random.default_rng(21)
+    assert sweep_error(d, rng) <= bound
+    assert expms == (list(SWEEP_TAUS) if path == "expm" else [])
+    F = orc.random_matrix(rng, d.dim)
+    operands = [orc.random_matrix(rng, d.dim) for _ in range(2)]
+    err = np.abs(lindblad.traces_over_tau(d, F, operands, [1e12, math.inf])
+                 - [np.trace(C) * F[2, 2] for C in operands])
+    assert (err / (np.linalg.norm(F) * np.linalg.norm(operands, axis=(1, 2)))).max() <= bound
 
 
 def exact_superoperator(d):

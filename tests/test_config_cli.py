@@ -16,6 +16,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -628,6 +629,20 @@ def test_overflowing_rate_exits_2(tmp_path, capsys):
     assert not (out / "weak_value.csv").exists()
 
 
+def test_an_overflowing_largest_singular_value_exits_2(tmp_path, capsys):
+    # damping at 1.5e308: max|lam| tau overflows the eig guard, and the expm
+    # fallback's projector refuses s_max = inf before any expm, on one line
+    payload = two_level_config(channel={"named": "amplitude_damping", "gamma": 1.5e308})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("weak-value", "--config", write_cfg(tmp_path, payload),
+                       "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", "error: the superoperator's largest singular value overflows\n")
+    assert not out.exists()
+
+
 def test_overflowing_superoperator_exits_2_where_it_enters(tmp_path, capsys):
     # the rate times |jump|^2 is past the float limit: refused when the
     # dissipator is made, on one line, before any map is formed
@@ -795,6 +810,18 @@ def test_atomic_write_turns_an_os_error_into_a_config_error(tmp_path, monkeypatc
     monkeypatch.undo()
     assert str(info.value) == f"cannot write {path!r}: {os.strerror(errno.ENOSPC)}"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_draws_again_when_the_temporary_name_exists(tmp_path, monkeypatch):
+    # the first draw names a file that is there already: it is left alone
+    taken = tmp_path / f".tmp-{0x123:012x}"
+    taken.write_text("someone else's")
+    draws = iter([0x123, 0x456])
+    monkeypatch.setattr(cli.random, "getrandbits", lambda bits: next(draws))
+    cli._atomic_write(str(tmp_path / "out.csv"), "text")
+    assert next(draws, None) is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.csv"]
+    assert (taken.read_text(), (tmp_path / "out.csv").read_text()) == ("someone else's", "text")
 
 
 def test_a_nul_in_the_output_directory_exits_2(tmp_path, capsys):
@@ -1446,6 +1473,13 @@ CELLS = st.one_of(
                      -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                      1.7976931348623157e308]),
 )
+
+
+def test_json_text_refuses_what_it_cannot_write():
+    # every dict it writes has keys; an empty one is still valid JSON
+    assert json.loads(cli._json_text({})) == {}
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        cli._json_text(object())
 
 
 @given(st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=20))

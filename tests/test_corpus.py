@@ -9,7 +9,9 @@ written back as {dir}) and of every file it writes under {dir}/out.
 A line marked pinned there gave the same bytes under both OpenBLAS cores and
 under numpy's AVX2 and baseline SIMD targets. It is compared in full and joins
 the `pinned` marker. Every other line compares its exit code, its stderr and
-the names of its files. tests/make_corpus_hashes.py rewrites the manifest.
+the names of its files. tests/make_corpus_hashes.py rewrites the manifest,
+and records under its TOOLCHAIN key the numpy and BLAS that made it: a
+pinned line that fails names both that toolchain and the running one.
 """
 
 import contextlib
@@ -18,13 +20,22 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from weaklind import cli
 
 HERE = pathlib.Path(__file__).parent
 CORPUS = {line["id"]: line for line in json.loads((HERE / "corpus.json").read_text())["lines"]}
+TOOLCHAIN = "toolchain (not a corpus line)"
 MANIFEST = json.loads((HERE / "corpus_hashes.json").read_text())
+MADE_UNDER = MANIFEST.pop(TOOLCHAIN, None)
+
+
+def toolchain() -> dict:
+    """numpy's version and its BLAS's name and version, as numpy's config states them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
 def run_line(line: dict, directory: pathlib.Path) -> dict:
@@ -59,6 +70,10 @@ def test_the_manifest_records_every_corpus_line():
     assert list(MANIFEST) == list(CORPUS)
 
 
+def test_the_manifest_records_its_toolchain():
+    assert MADE_UNDER is not None and set(MADE_UNDER) == set(toolchain())
+
+
 def _marks(line_id: str):
     return pytest.mark.pinned if MANIFEST.get(line_id, {}).get("pinned") else ()
 
@@ -68,7 +83,8 @@ def test_corpus_line(line_id, tmp_path):
     want = MANIFEST[line_id]
     got = hashes(run_line(CORPUS[line_id], tmp_path))
     if want["pinned"]:
-        assert got == {key: want[key] for key in got}
+        assert got == {key: want[key] for key in got}, (
+            f"pinned under {MADE_UNDER}, run under {toolchain()}")
     else:
         assert (got["exit"], got["stderr"], sorted(got["files"])) == (
             want["exit"], want["stderr"], sorted(want["files"]))

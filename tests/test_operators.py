@@ -11,6 +11,7 @@ from weaklind import (
     SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
+    WeakMeasurementSetup,
     bloch_to_density,
     is_density,
     is_hermitian,
@@ -19,6 +20,7 @@ from weaklind import (
     pure_density,
     sodium_jump_operators,
 )
+from weaklind.errors import NotDensity
 from weaklind.operators import NormTooLarge
 
 unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
@@ -91,6 +93,10 @@ def test_is_density_checks():
     assert not is_density(np.eye(2))                       # trace 2
     assert not is_density(np.array([[1.5, 0], [0, -0.5]]))  # negative eigenvalue
     assert not is_density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
+    assert not is_density(np.full((2, 3), 1.0 / 3.0))          # not square
+    with pytest.raises(NotDensity, match="^sigma_fI is not a density matrix at tol 1e-10$"):
+        WeakMeasurementSetup(sigma_i=np.eye(2) / 2, sigma_fI=np.full((2, 3), 1.0 / 3.0),
+                             A_SI=np.eye(2))
     assert is_hermitian(SIGMA_Y)
     assert not is_hermitian(SIGMA_PLUS)
 

@@ -1,5 +1,6 @@
 """Weak values under dissipation: trace formula, closed forms, limits, laws."""
 
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -13,14 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
-from test_lindblad import equal_rate_cascade
+from test_lindblad import column_stacked, equal_rate_cascade
 from weaklind import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     Dissipator,
     NonMarkovJC,
     WeakMeasurementSetup,
-    apply_superoperator,
     asymptotic_projector,
     bloch_to_density,
     epsilon_states,
@@ -231,8 +231,8 @@ def test_degenerate_limit_elementwise_quotient():
         A_SI=orc.random_hermitian(rng, 6),
     )
     P = asymptotic_projector(d)
-    Ma = apply_superoperator(P, setup.A_SI @ setup.sigma_i)
-    Mb = apply_superoperator(P, setup.sigma_i)
+    Ma = column_stacked(P, setup.A_SI @ setup.sigma_i)
+    Mb = column_stacked(P, setup.sigma_i)
     num = sum(setup.sigma_fI[j, k] * Ma[k, j] for j in range(6) for k in range(6))
     den = sum(setup.sigma_fI[j, k] * Mb[k, j] for j in range(6) for k in range(6))
     assert abs(num / den - weak_value_limit_infinite(setup, d)) < 1e-10
@@ -773,12 +773,14 @@ def test_the_sodium_scenarios_run_one_eig_and_no_svd(eigs, svds, scenario):
 
 def test_the_defective_cascade_limit_falls_back_to_the_svd_projector(eigs, svds):
     # cond(V) ~ 1.5e16 fails the eig guard: the limit is the quotient of the
-    # fixed-order traces of the SVD projector's maps
+    # fixed-order traces of the SVD projector's maps, the steady part P X of
+    # the operands' columns X
     d = equal_rate_cascade()
     setup = random_setup(np.random.default_rng(5), 3)
     got = weak_value_limit_infinite(setup, d)
     assert eigs == [(9, 9)] and svds == [(9, 9)]
-    maps = [apply_superoperator(asymptotic_projector(d), C) for C in setup.operands()]
+    steady = asymptotic_projector(d) @ np.array([lindblad._vec(C) for C in setup.operands()]).T
+    maps = [lindblad._unvec(x, 3) for x in steady.T]
     num, den = (orc.scalar_trace(setup.sigma_fI, X) for X in maps)
     assert got == num / den
     # and within roundoff of np.trace's BLAS product with the same maps
@@ -980,10 +982,13 @@ def test_memory_kernel_envelope_failure_names_the_first_tau():
 
 def test_roundoff_growing_mode_is_clamped():
     # a bounded semigroup has no growing mode; unclamped, Re lam = +1e-15
-    # would make e^{lam s} overflow at s = 1e18
-    M = np.diag([1e-15, -1.0]).astype(complex)
-    got = lindblad._eigen_traces(np.ones((1, 2)), np.eye(2), M, np.array([0.0, 1e18]))
-    assert np.array_equal(got, [[1.0, 1.0], [1.0, 0.0]])
+    # would make e^{lam s} overflow at s = 1e18. Next to |lam| = 1 the 1e-15
+    # is no kernel eigenvalue (_kernel would set a lone 1e-15 to 0)
+    M = np.diag([0.0, 1e-15 + 1j, -1.0])
+    got = lindblad._eigen_traces(np.ones((1, 3)), np.eye(3), M, np.array([0.0, 1e18]))
+    assert np.array_equal(got[0], [1.0, 1.0, 1.0])
+    assert got[1, 0] == 1.0 and got[1, 2] == 0.0
+    assert abs(got[1, 1] - cmath.exp(1e18j)) <= 4 * np.finfo(float).eps
 
 
 def test_huge_tau_reaches_the_projector_limit():
@@ -999,7 +1004,7 @@ def test_huge_tau_reaches_the_projector_limit():
         setup = random_setup(rng, d.dim)
         want = weak_value_limit_infinite(setup, d)
         P = asymptotic_projector(d)
-        want_prob = np.trace(setup.sigma_fI @ apply_superoperator(P, setup.sigma_i)).real
+        want_prob = np.trace(setup.sigma_fI @ column_stacked(P, setup.sigma_i)).real
         trace = trace_over_tau(setup, d, [1.0, 1e12, 1e18])
         assert not trace.gaps
         for value, prob in zip(trace.values[1:], trace.postselection_probs[1:]):
