@@ -331,17 +331,18 @@ def traces_over_tau(d: Dissipator | NonMarkovJC, F: np.ndarray, operands,
     """Tr[F e^{D tau_n}(C_j)] for every tau_n of taus and operand C_j, an (N, k) array.
 
     Constant rates take the rows of one eigendecomposition (_eigen_traces) or,
-    where its guards fail, the maps P X + expm(tau M)(X - P X) of one
+    where its guards fail, the maps X + (expm(tau M) - I)(X - P X) of one
     asymptotic_projector P, an expm per tau: the steady part P X stays exact at
     any tau; the sigma_- memory kernel stacks _damping_maps, one envelope per
-    tau. tau = 0 is a row like any other (its expm is I, its envelope 1). A row
-    depends on its tau alone, and a map's trace vec(F^T) . vec(map) is a
-    fixed-order scalar sum (_ordered_dot). The row at tau = inf is the limit:
-    the eigen row that keeps the kernel of M, the fallback's steady part P X or
-    the sigma_- map at Gamma = 0. ValueError unless taus is 1-D and operands
-    nonempty; NegativeTau unless every tau >= 0. NoConvergence from the
-    fallback's projector before any row; else it names the first tau whose row
-    or expm is not finite, or, when every earlier row is, a failing envelope's."""
+    tau. tau = 0 is a row like any other (its expm is I, its map X exactly, its
+    envelope 1). A row depends on its tau alone, and a map's trace
+    vec(F^T) . vec(map) is a fixed-order scalar sum (_ordered_dot). The row at
+    tau = inf is the limit: the eigen row that keeps the kernel of M, the
+    fallback's steady part P X or the sigma_- map at Gamma = 0. ValueError
+    unless taus is 1-D and operands nonempty; NegativeTau unless every
+    tau >= 0. NoConvergence from the fallback's projector before any row; else
+    it names the first tau whose row or expm is not finite, or, when every
+    earlier row is, a failing envelope's."""
     return _traces(d, _check_operator(F, d.dim)[None], operands, taus)[:, 0]
 
 
@@ -372,13 +373,14 @@ def _traces(d: Dissipator | NonMarkovJC, Fs: np.ndarray, operands, taus) -> np.n
         X, M = np.array([_vec(C) for C in operands]).T, d.superoperator
         traces = _eigen_traces(R, X, M, taus)
         if traces is None:
-            # e^{tau M} = P + e^{tau M} (I - P) with PM = MP = 0: each map is its
-            # steady part P X, exact at any tau, plus a part that decays, 0 at inf
+            # e^{tau M} = I + (e^{tau M} - I)(I - P) with PM = MP = 0: the steady part
+            # P X stays exact at any tau, the row at tau = 0 is X, and at inf P X
             steady = asymptotic_projector(d) @ X
-            decaying = X - steady
+            decaying, identity = X - steady, np.eye(len(M))
             traces = np.full((len(taus), len(R), len(operands)), complex(np.nan, np.nan))
             for n, tau in enumerate(taus.tolist()):
-                maps = steady if tau == math.inf else steady + _exponential_map(M, tau) @ decaying
+                maps = (steady if tau == math.inf
+                        else X + (_exponential_map(M, tau) - identity) @ decaying)
                 traces[n] = _ordered_dot(R.T[:, :, None], maps[:, None])
                 if not np.isfinite(traces[n]).all():  # a larger tau would overflow further
                     break

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
-from test_lindblad import column_stacked, equal_rate_cascade
+from test_lindblad import equal_rate_cascade
 from weaklind import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -231,8 +231,8 @@ def test_degenerate_limit_elementwise_quotient():
         A_SI=orc.random_hermitian(rng, 6),
     )
     P = asymptotic_projector(d)
-    Ma = column_stacked(P, setup.A_SI @ setup.sigma_i)
-    Mb = column_stacked(P, setup.sigma_i)
+    Ma = lindblad._unvec(P @ lindblad._vec(setup.A_SI @ setup.sigma_i), 6)
+    Mb = lindblad._unvec(P @ lindblad._vec(setup.sigma_i), 6)
     num = sum(setup.sigma_fI[j, k] * Ma[k, j] for j in range(6) for k in range(6))
     den = sum(setup.sigma_fI[j, k] * Mb[k, j] for j in range(6) for k in range(6))
     assert abs(num / den - weak_value_limit_infinite(setup, d)) < 1e-10
@@ -1004,7 +1004,8 @@ def test_huge_tau_reaches_the_projector_limit():
         setup = random_setup(rng, d.dim)
         want = weak_value_limit_infinite(setup, d)
         P = asymptotic_projector(d)
-        want_prob = np.trace(setup.sigma_fI @ column_stacked(P, setup.sigma_i)).real
+        steady = lindblad._unvec(P @ lindblad._vec(setup.sigma_i), d.dim)
+        want_prob = np.trace(setup.sigma_fI @ steady).real
         trace = trace_over_tau(setup, d, [1.0, 1e12, 1e18])
         assert not trace.gaps
         for value, prob in zip(trace.values[1:], trace.postselection_probs[1:]):
