@@ -376,11 +376,11 @@ def _traces(d: Dissipator | NonMarkovJC, Fs: np.ndarray, operands, taus) -> np.n
             # e^{tau M} = I + (e^{tau M} - I)(I - P) with PM = MP = 0: the steady part
             # P X stays exact at any tau, the row at tau = 0 is X, and at inf P X
             steady = asymptotic_projector(d) @ X
-            decaying, identity = X - steady, np.eye(len(M))
+            decaying = X - steady
             traces = np.full((len(taus), len(R), len(operands)), complex(np.nan, np.nan))
             for n, tau in enumerate(taus.tolist()):
                 maps = (steady if tau == math.inf
-                        else X + (_exponential_map(M, tau) - identity) @ decaying)
+                        else X + (_exponential_map(M, tau) @ decaying - decaying))
                 traces[n] = _ordered_dot(R.T[:, :, None], maps[:, None])
                 if not np.isfinite(traces[n]).all():  # a larger tau would overflow further
                     break

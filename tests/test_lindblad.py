@@ -1167,11 +1167,12 @@ def test_a_failed_eig_takes_the_expm_fallback_bit_for_bit(monkeypatch, name, rat
     taus = [0.0, 0.3, 1.7, 6.0, math.inf]
     got = traces_over_tau(d, F, operands, taus)
     # each map is the operands' columns X plus (expm(tau M) - I) of their
-    # decaying part X - P X, and P X at inf; its trace the fixed-order sum
+    # decaying part D = X - P X, and P X at inf; its trace the fixed-order sum
     X = np.array([_vec(C) for C in operands]).T
     steady = asymptotic_projector(d) @ X
-    evolved = [X + (lindblad._exponential_map(d.superoperator, tau) - np.eye(len(X)))
-               @ (X - steady) for tau in taus[:-1]] + [steady]
+    D = X - steady
+    evolved = [X + (lindblad._exponential_map(d.superoperator, tau) @ D - D)
+               for tau in taus[:-1]] + [steady]
     want = np.array([[orc.scalar_trace(F, lindblad._unvec(x, d.dim)) for x in Y.T]
                      for Y in evolved])
     assert calls == [(d.dim ** 2, d.dim ** 2)]
